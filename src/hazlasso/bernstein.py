@@ -28,8 +28,7 @@ from .errors import ConfigError
 from .simulate import (
     SimulatedTruth,
     SimulationConfig,
-    baseline_interval_integrals,
-    predictable_variation,
+    noise_terms,
     simulate,
 )
 from .survival import RiskSetTimeline, build_timeline
@@ -188,24 +187,8 @@ def noise_process_terminal(
 ) -> tuple[float, float, float]:
     """Terminal noise Z, its optional variation Vhat, and the predictable
     variation V for one column, all exact under the simulated truth."""
-    v = np.asarray(column_values, dtype=float)
-    tl = timeline
-    counts = tl.at_risk.astype(float)
-    s_v = tl.prefix_sums(v)
-    mean = np.divide(s_v, counts, out=np.zeros_like(s_v), where=counts > 0)
-
-    resid = v[tl.event_rows] - mean[tl.event_interval]
-    vhat = float(resid @ resid) / tl.n
-
-    s_h = tl.prefix_sums(truth.h0)
-    s_vh = tl.prefix_sums(v * truth.h0)
-    centered_sum = s_v - counts * mean
-    cross_centered = s_vh - mean * s_h
-    lam_int = baseline_interval_integrals(tl, truth.baseline)
-    compensator = float(np.sum(lam_int * centered_sum + tl.lengths * cross_centered)) / tl.n
-    z = float(resid.sum()) / tl.n - compensator
-
-    return z, vhat, predictable_variation(truth, v, timeline)
+    z, vhat, var = noise_terms(truth, column_values, timeline)
+    return float(z), float(vhat), float(var)
 
 
 @dataclass

@@ -7,10 +7,10 @@ The partial least-squares contrast for a coefficient vector b is
 where H is the Gram matrix of the dictionary columns under the empirical
 inner product <f, g>_n = (1/n) sum_i int (f_i - fbar_Y)(g_i - gbar_Y) Y_i dt
 and hn collects the centered dictionary values read at the observed event
-times. Every integrand is a step function on the risk-set timeline, so H
-and hn are exact finite sums: interval by interval, centered second
-moments of the at-risk rows, accumulated backwards in time so the risk
-set only ever grows.
+times (Lin & Ying 1994). Every integrand is a step function on the
+risk-set timeline, so H and hn are exact finite sums; the timeline's
+``centered_cross`` and ``event_centered`` evaluate them, and this module
+only assembles and reports the system.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import DictionaryMatrix
-from .survival import RiskSetTimeline, StepFunction, SurvivalDataset, build_timeline
+from .survival import RiskSetTimeline, SurvivalDataset, build_timeline
 
 
 @dataclass(frozen=True)
@@ -47,67 +47,31 @@ class GramSystem:
     def n(self) -> int:
         return self.timeline.n
 
-    def mean_step(self, j: int) -> StepFunction:
-        """Risk-set mean of column j as a step function of time."""
-        return StepFunction(self.timeline.breakpoints, self.means[:, j])
-
-    def event_centered(self, values: np.ndarray) -> np.ndarray:
-        """values[i] - at-risk mean at Z_i, over event records (delta = 1)."""
-        v = np.asarray(values, dtype=float)
-        tl = self.timeline
-        sums = tl.prefix_sums(v)
-        counts = tl.at_risk.astype(float)
-        means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-        return v[tl.event_rows] - means[tl.event_interval]
-
 
 def build_gram(
     dataset: SurvivalDataset,
     dictionary: DictionaryMatrix,
     timeline: RiskSetTimeline | None = None,
 ) -> GramSystem:
-    """Assemble H and hn exactly in one backward sweep over the timeline.
+    """Assemble H and hn exactly from the timeline's centered moments.
 
-    On each interval the centered second moment of the at-risk rows is
-    Q - S S' / R with Q the raw second moment, S the column sums and R the
-    at-risk count; Q and S are prefix sums in decreasing-time order, so
-    the sweep costs O(n M^2) total. hn averages the centered dictionary
-    rows at the event times (left-continuous means, empty risk sets are
-    skipped).
+    H is the centered at-risk moment of the dictionary with itself: after
+    the global column means are subtracted, two matrix products of size
+    n x M x M, so the cost is O(n M^2) with no loop over the timeline.
+    hn averages the centered dictionary rows at the event times
+    (left-continuous risk-set means).
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
     if phi.shape[0] != tl.n:
         raise ValueError("dictionary rows do not match the dataset")
-    n, M = phi.shape
-    desc = phi[tl.desc_order]
-    lengths = tl.lengths
-    counts = tl.at_risk
-    sums = tl.prefix_sums(phi)
-    means = np.divide(
-        sums, counts[:, None].astype(float), out=np.zeros_like(sums), where=counts[:, None] > 0
-    )
-
-    acc = np.zeros((M, M))
-    second = np.zeros((M, M))
-    filled = 0
-    for k in range(len(counts) - 1, -1, -1):
-        p = int(counts[k])
-        if p > filled:
-            chunk = desc[filled:p]
-            second += chunk.T @ chunk
-            filled = p
-        if p > 0:
-            acc += lengths[k] * (second - np.outer(sums[k], sums[k]) / p)
-    matrix = acc / n
-    matrix = 0.5 * (matrix + matrix.T)  # accumulation is symmetric up to BLAS rounding
-
-    ev_phi = phi[tl.event_rows]
-    ev_means = means[tl.event_interval]
-    vector = (ev_phi - ev_means).sum(axis=0) / n
-
+    matrix = tl.centered_cross(phi, phi)
     return GramSystem(
-        matrix=matrix, vector=vector, means=means, timeline=tl, labels=list(dictionary.labels)
+        matrix=0.5 * (matrix + matrix.T),  # the products are symmetric up to BLAS rounding
+        vector=tl.event_centered(phi).sum(axis=0) / tl.n,
+        means=tl.means(phi),
+        timeline=tl,
+        labels=list(dictionary.labels),
     )
 
 
@@ -124,30 +88,17 @@ def empirical_norm_sq_fn(timeline: RiskSetTimeline, values: np.ndarray) -> float
     agree up to roundoff.
     """
     v = np.asarray(values, dtype=float)
-    sums = timeline.prefix_sums(v)
-    squares = timeline.prefix_sums(v * v)
-    counts = timeline.at_risk
-    live = counts > 0
-    centered = squares[live] - sums[live] ** 2 / counts[live]
-    return float(np.sum(timeline.lengths[live] * centered) / timeline.n)
+    return float(timeline.centered_cross(v, v))
 
 
 def cross_products(timeline: RiskSetTimeline, phi: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Empirical inner products <h_j, v>_n of every column with one function."""
-    v = np.asarray(values, dtype=float)
-    S_cols = timeline.prefix_sums(phi)
-    S_v = timeline.prefix_sums(v)
-    S_cross = timeline.prefix_sums(phi * v[:, None])
-    counts = timeline.at_risk
-    live = counts > 0
-    term = S_cross[live] - S_cols[live] * (S_v[live] / counts[live])[:, None]
-    return (timeline.lengths[live, None] * term).sum(axis=0) / timeline.n
+    return timeline.centered_cross(phi, values)
 
 
 def empirical_inner_fn(timeline: RiskSetTimeline, left: np.ndarray, right: np.ndarray) -> float:
     """Empirical inner product <u, v>_n of two per-record value vectors."""
-    u = np.asarray(left, dtype=float)
-    return float(cross_products(timeline, u[:, None], right)[0])
+    return float(timeline.centered_cross(left, right))
 
 
 def objective(

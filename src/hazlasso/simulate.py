@@ -368,54 +368,57 @@ def baseline_interval_integrals(timeline: RiskSetTimeline, baseline: StepFunctio
     return out
 
 
+def noise_terms(
+    truth: SimulatedTruth, column_values: np.ndarray, timeline: RiskSetTimeline
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terminal noise Z, optional variation Vhat and predictable variation V.
+
+    Exact under the simulated truth, for one column (shape (n,)) or for
+    each column of an (n, M) matrix. With c_i - m(t) the risk-set-centered
+    column and alpha_i(t) = lambda0(t) + h0(X_i) the true hazard:
+
+        Z    = (1/n) sum_events (c_i - m(Z_i)) - (1/n) sum_i int (c_i - m) alpha_i Y_i dt
+        Vhat = (1/n) sum_events (c_i - m(Z_i))^2
+        V    = (1/n) sum_i int (c_i - m)^2 alpha_i Y_i dt
+
+    One pass: the column is centered once, and its risk-set means m_k and
+    the baseline interval integrals are computed once. Record i's
+    cumulative hazard A_i = int_0^{Z_i} alpha_i dt turns the at-risk
+    integrals of c_i and c_i^2 into dot products; rho_k, the hazard of the
+    whole risk set on interval k, carries the mean terms. The baseline part
+    of the compensator vanishes analytically and is still evaluated
+    honestly, so Z carries the true floating-point residual.
+    """
+    tl = timeline
+    v = np.asarray(column_values, dtype=float)
+    c = v - v.mean(axis=0)
+    mean = tl.means(c)
+    resid = c[tl.event_rows] - mean[tl.event_interval]
+    lam = baseline_interval_integrals(tl, truth.baseline)
+    h0 = truth.h0
+    cum_hazard = np.cumsum(lam)[tl.end_interval] + tl.follow_up * h0
+    base_count = lam * tl.at_risk
+    rho = base_count + tl.lengths * tl.prefix_sums(h0)
+    # sum_k m_k mu_k, with mu_k = sum_{i at risk} c_i int_k alpha_i dt
+    s_ch = tl.prefix_sums(c * h0.reshape((-1,) + (1,) * (c.ndim - 1)))
+    m_mu = base_count @ (mean * mean) + tl.lengths @ (mean * s_ch)
+    compensator = cum_hazard @ c - rho @ mean
+    variation = cum_hazard @ (c * c) - 2.0 * m_mu + rho @ (mean * mean)
+    n = tl.n
+    return (resid.sum(axis=0) - compensator) / n, (resid * resid).sum(axis=0) / n, variation / n
+
+
 def predictable_variation(
     truth: SimulatedTruth, column_values: np.ndarray, timeline: RiskSetTimeline
 ) -> float:
-    """Terminal predictable variation of the centered-column noise process.
-
-    (1/n) sum_i int_0^1 (v_i - vbar_Y(t))^2 alpha0(t, X_i) Y_i(t) dt, exact:
-    the baseline factor integrates to per-interval constants and the h0
-    factor weights the centered second moments of the at-risk rows.
-    """
-    v = np.asarray(column_values, dtype=float)
-    tl = timeline
-    counts = tl.at_risk.astype(float)
-    s_v = tl.prefix_sums(v)
-    q_v = tl.prefix_sums(v * v)
-    s_h = tl.prefix_sums(truth.h0)
-    s_vh = tl.prefix_sums(v * truth.h0)
-    q_vh = tl.prefix_sums(v * v * truth.h0)
-    mean = np.divide(s_v, counts, out=np.zeros_like(s_v), where=counts > 0)
-    base = q_v - s_v * mean
-    extra = q_vh - 2.0 * mean * s_vh + mean**2 * s_h
-    lam_int = baseline_interval_integrals(tl, truth.baseline)
-    return float(np.sum(base * lam_int + extra * tl.lengths) / tl.n)
+    """Terminal predictable variation of the centered-column noise process,
+    (1/n) sum_i int_0^1 (v_i - vbar_Y(t))^2 alpha0(t, X_i) Y_i(t) dt, exact."""
+    return float(noise_terms(truth, column_values, timeline)[2])
 
 
 def noise_vector(
     truth: SimulatedTruth, dictionary: DictionaryMatrix, timeline: RiskSetTimeline
 ) -> np.ndarray:
-    """Terminal martingale noise per dictionary column, computed exactly.
-
-    Event sums minus the compensator integral; the baseline part of the
-    compensator multiplies centered at-risk sums that vanish analytically,
-    and it is still evaluated honestly so the result carries the true
-    floating-point residual.
-    """
-    phi = dictionary.values
-    tl = timeline
-    counts = tl.at_risk.astype(float)
-    s_cols = tl.prefix_sums(phi)
-    mean = np.divide(
-        s_cols, counts[:, None], out=np.zeros_like(s_cols), where=counts[:, None] > 0
-    )
-    s_h = tl.prefix_sums(truth.h0)
-    s_cross = tl.prefix_sums(phi * truth.h0[:, None])
-    centered_sum = s_cols - counts[:, None] * mean
-    cross_centered = s_cross - mean * s_h[:, None]
-    lam_int = baseline_interval_integrals(tl, truth.baseline)
-    compensator = (
-        lam_int[:, None] * centered_sum + tl.lengths[:, None] * cross_centered
-    ).sum(axis=0) / tl.n
-    event_sum = (phi[tl.event_rows] - mean[tl.event_interval]).sum(axis=0) / tl.n
-    return event_sum - compensator
+    """Terminal martingale noise per dictionary column, computed exactly:
+    event sums minus the compensator integral (see ``noise_terms``)."""
+    return noise_terms(truth, dictionary.values, timeline)[0]

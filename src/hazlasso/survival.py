@@ -8,6 +8,12 @@ downstream (risk-set means, Gram entries, compensators) is piecewise
 constant, so all time integrals are exact finite sums rather than
 quadrature.
 
+The timeline is the single home of the risk-set arithmetic: its
+``prefix_sums``, ``means``, ``event_centered`` and ``centered_cross``
+methods are the at-risk sums, the risk-set mean, the centered values at
+the event times and the centered at-risk moment that the Gram matrix, the
+inner products, the weights and the noise processes are built from.
+
 Conventions, fixed once here and relied on everywhere:
 
 * the at-risk indicator is closed on the left, Y_i(t) = 1{Z_i >= t}, so a
@@ -89,15 +95,6 @@ def integrate_product(f: StepFunction, g: StepFunction, weight: StepFunction | N
     return float(np.sum(piece * np.diff(grid)))
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
-    """One subject: follow-up time, event flag, covariate row."""
-
-    time: float
-    status: int
-    covariates: np.ndarray
-
-
 @dataclass
 class SurvivalDataset:
     """Right-censored sample with follow-up times normalized into (0, 1].
@@ -140,9 +137,6 @@ class SurvivalDataset:
     @property
     def d(self) -> int:
         return self.covariates.shape[1]
-
-    def record(self, i: int) -> SurvivalRecord:
-        return SurvivalRecord(float(self.times[i]), int(self.status[i]), self.covariates[i])
 
 
 def load_dataset(path) -> SurvivalDataset:
@@ -227,9 +221,10 @@ class RiskSetTimeline:
     Interval k spans ``[breakpoints[k], breakpoints[k+1])``. The at-risk
     set on interval k is the first ``at_risk[k]`` entries of
     ``desc_order`` (records sorted by decreasing follow-up time), so sums
-    over risk sets are prefix sums in that ordering. ``event_interval``
-    maps each event record to the interval ending at its time, which is
-    where left-continuous integrands are read when the event fires.
+    over risk sets are prefix sums in that ordering. ``end_interval[i]``
+    is the interval ending at Z_i: record i is at risk on intervals
+    0..end_interval[i], and a left-continuous integrand is read there
+    when its event fires.
     """
 
     breakpoints: np.ndarray
@@ -239,7 +234,17 @@ class RiskSetTimeline:
     desc_order: np.ndarray
     event_rows: np.ndarray
     event_times: np.ndarray
-    event_interval: np.ndarray
+    end_interval: np.ndarray
+
+    @property
+    def follow_up(self) -> np.ndarray:
+        """Follow-up time Z_i of each record, the total length it is at risk."""
+        return self.breakpoints[self.end_interval + 1]
+
+    @property
+    def event_interval(self) -> np.ndarray:
+        """Interval ending at each event time, in ``event_rows`` order."""
+        return self.end_interval[self.event_rows]
 
     def prefix_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-interval sums of per-record values over the at-risk set.
@@ -247,13 +252,59 @@ class RiskSetTimeline:
         ``values`` has shape (n,) or (n, M); the result has shape (K,) or
         (K, M) with row k equal to sum over {i : Z_i >= breakpoints[k+1]}.
         """
-        v = np.asarray(values, dtype=float)[self.desc_order]
-        zero = np.zeros((1,) + v.shape[1:])
-        cs = np.concatenate([zero, np.cumsum(v, axis=0)])
-        return cs[self.at_risk]
+        cs = np.asarray(values, dtype=float)[self.desc_order]
+        np.cumsum(cs, axis=0, out=cs)
+        sums = cs[self.at_risk - 1]
+        sums[self.at_risk == 0] = 0.0  # index -1 above read the last row
+        return sums
 
-    def at_risk_step(self) -> StepFunction:
-        return StepFunction(self.breakpoints, self.at_risk.astype(float))
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """At-risk averages of per-record values, shape (K,) or (K, M).
+
+        Empty risk sets average to 0 by convention; those intervals never
+        contribute to integrals against at-risk indicators anyway.
+        """
+        sums = self.prefix_sums(values)
+        # an empty risk set sums to exactly 0, so dividing by 1 there gives 0
+        sums /= np.maximum(self.at_risk, 1).reshape((-1,) + (1,) * (sums.ndim - 1))
+        return sums
+
+    def event_centered(self, values: np.ndarray) -> np.ndarray:
+        """values[i] minus the at-risk mean at Z_i, over event records."""
+        c = _centered(values)
+        out = c[self.event_rows]
+        out -= self.means(c)[self.event_interval]
+        return out
+
+    def centered_cross(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Centered at-risk moment of two per-record arrays,
+
+            (1/n) sum_k len_k sum_{i at risk on k} (u_i - ubar_k)(v_i - vbar_k),
+
+        the empirical inner product <u, v>_n. ``left`` and ``right`` have
+        shape (n,) or (n, M); the result has shape left.shape[1:] +
+        right.shape[1:]. Risk-set centering ignores constant shifts, so
+        both sides lose their global column means first (stable centering,
+        Chan, Golub & LeVeque 1983). The sum is then two matrix products,
+        sum_i Z_i u_i v_i' minus sum_k len_k R_k ubar_k vbar_k', because
+        record i is at risk for a total length Z_i.
+        """
+
+        def centered(values):
+            c = _centered(values).reshape(self.n, -1)
+            return c, self.means(c)
+
+        u, mu = centered(left)
+        v, mv = (u, mu) if right is left else centered(right)
+        mass = (self.lengths * self.at_risk)[:, None]
+        out = (self.follow_up[:, None] * u).T @ v - (mass * mu).T @ mv
+        return (out / self.n).reshape(np.shape(left)[1:] + np.shape(right)[1:])
+
+
+def _centered(values) -> np.ndarray:
+    """Per-record values minus their column means over all records."""
+    v = np.asarray(values, dtype=float)
+    return v - v.mean(axis=0)
 
 
 def build_timeline(dataset: SurvivalDataset) -> RiskSetTimeline:
@@ -269,9 +320,8 @@ def build_timeline(dataset: SurvivalDataset) -> RiskSetTimeline:
     # a.e. at-risk count on interval k is #{Z_i >= right endpoint}
     at_risk = dataset.n - np.searchsorted(zasc, bp[1:], side="left")
     event_rows = np.flatnonzero(dataset.status)
-    event_times = z[event_rows]
     # Z_i is breakpoint m >= 1; the closed at-risk value at Z_i lives on interval m-1
-    event_interval = np.searchsorted(bp, event_times, side="left") - 1
+    end_interval = np.searchsorted(bp, z, side="left") - 1
     return RiskSetTimeline(
         breakpoints=bp,
         lengths=np.diff(bp),
@@ -279,23 +329,18 @@ def build_timeline(dataset: SurvivalDataset) -> RiskSetTimeline:
         n=dataset.n,
         desc_order=np.argsort(-z, kind="stable"),
         event_rows=event_rows,
-        event_times=event_times,
-        event_interval=event_interval.astype(np.int64),
+        event_times=z[event_rows],
+        end_interval=end_interval.astype(np.int64),
     )
 
 
 def risk_set_mean(timeline: RiskSetTimeline, values: np.ndarray) -> StepFunction:
-    """At-risk average of per-record values, as a step function of time.
-
-    Empty risk sets average to 0 by convention; those intervals never
-    contribute to integrals against at-risk indicators anyway.
-    """
+    """At-risk average of per-record values as a step function of time (0 on
+    empty risk sets)."""
     v = np.asarray(values, dtype=float)
     if v.shape != (timeline.n,):
         raise ValueError("values must be one number per record")
-    sums = timeline.prefix_sums(v)
-    means = np.divide(sums, timeline.at_risk, out=np.zeros_like(sums), where=timeline.at_risk > 0)
-    return StepFunction(timeline.breakpoints, means)
+    return StepFunction(timeline.breakpoints, timeline.means(v))
 
 
 def check_orthogonality(timeline: RiskSetTimeline, values: np.ndarray, phi: StepFunction) -> float:
@@ -308,10 +353,7 @@ def check_orthogonality(timeline: RiskSetTimeline, values: np.ndarray, phi: Step
     refined grid, not a hard-coded zero.
     """
     v = np.asarray(values, dtype=float)
-    sums = timeline.prefix_sums(v)
-    counts = timeline.at_risk.astype(float)
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    resid = sums - counts * means
+    resid = timeline.prefix_sums(v) - timeline.at_risk * timeline.means(v)
     grid = np.unique(np.concatenate([timeline.breakpoints, phi.breakpoints]))
     mids = 0.5 * (grid[:-1] + grid[1:])
     parent = np.searchsorted(timeline.breakpoints, mids, side="left") - 1

@@ -57,11 +57,10 @@ def empirical_variance(
 ) -> np.ndarray:
     """vhat_j = (1/n) sum over events of (h_j(X_i) - hbar_j(Z_i))^2.
 
-    The centered values are read left-continuously at the event times from
-    the system's cached risk-set means.
+    The centered values are read left-continuously at the event times on
+    the system's timeline.
     """
-    tl = system.timeline
-    centered = dictionary.values[tl.event_rows] - system.means[tl.event_interval]
+    centered = system.timeline.event_centered(dictionary.values)
     return (centered**2).sum(axis=0) / dataset.n
 
 

@@ -13,6 +13,7 @@ from hazlasso import (
     DictionaryMatrix,
     build_gram,
     build_timeline,
+    compute_weights,
     cross_products,
     dump_gram,
     empirical_inner_fn,
@@ -87,6 +88,20 @@ class TestBuildGram:
         b = build_gram(shuffled, linear_dictionary(shuffled))
         np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-13)
         np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-13)
+        # risk-set centering also ignores a constant shift of every covariate,
+        # and raw-scale columns must not lose accuracy to it; the weights'
+        # sup-norm term does move with the shift, their variance term must not
+        vhat = compute_weights(ds, linear_dictionary(ds), a).vhat
+        for offset in (1e4, 1e6):
+            moved = SurvivalDataset(
+                times=ds.times, status=ds.status, covariates=ds.covariates + offset
+            )
+            dic = linear_dictionary(moved)
+            c = build_gram(moved, dic)
+            pairs = [(c.matrix, a.matrix), (c.vector, a.vector)]
+            pairs.append((compute_weights(moved, dic, c).vhat, vhat))
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
     def test_dictionary_row_mismatch_raises(self, micro_dataset):
         dic = DictionaryMatrix(values=np.ones((3, 1)), labels=["a"])

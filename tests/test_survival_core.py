@@ -75,8 +75,6 @@ class TestSurvivalDataset:
         )
         assert ds.n == 2 and ds.d == 2
         assert ds.labels == ["x1", "x2"]
-        rec = ds.record(1)
-        assert rec.time == 1.0 and rec.status == 0
 
     def test_rejects_bad_times(self):
         with pytest.raises(DataValidationError, match="record 1"):
