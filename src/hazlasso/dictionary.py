@@ -8,12 +8,13 @@ dictionary h_j(x) = x_j.
 
 from __future__ import annotations
 
-import csv
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import parse_number, read_numeric_csv
 from .errors import DataValidationError
 from .survival import SurvivalDataset
 
@@ -54,34 +55,35 @@ def linear_dictionary(dataset: SurvivalDataset) -> DictionaryMatrix:
     return DictionaryMatrix(values=dataset.covariates.copy(), labels=list(dataset.labels))
 
 
+def _check_dictionary_header(path, header: list[str]) -> None:
+    if not header or any(not c for c in header):
+        raise DataValidationError(f"{path}: header must name every column")
+
+
+def _dictionary_row_error(header: list[str], row: list[str]) -> str | None:
+    """Why one record of a dictionary CSV is bad, or None."""
+    try:
+        values = [parse_number(c) for c in row]
+    except ValueError:
+        return "bad value"
+    for label, v in zip(header, values):
+        if not math.isfinite(v):
+            return f"non-finite value in column {label}"
+    return None
+
+
 def load_dictionary(path, n_expected: int | None = None) -> DictionaryMatrix:
-    """Read a dictionary CSV (header of labels, one row per record)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        if not header or any(not c for c in header):
-            raise DataValidationError(f"{path}: header must name every column")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataValidationError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise DataValidationError(f"{path}: line {lineno}: bad value") from None
-    if not rows:
-        raise DataValidationError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(values)):
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise DataValidationError(f"{path}: line {i + 2}: non-finite value in column {header[j]}")
+    """Read a dictionary CSV (header of labels, one row per record).
+
+    The syntax is that of ``hazlasso.csvio``, as for ``load_dataset``:
+    comma-separated fields that may be double-quoted, blank lines skipped,
+    numbers written as ASCII Python float literals with optional
+    surrounding whitespace, no comments. Every value must be finite.
+    Errors name the first offending file line, counting the header as
+    line 1 and blank lines as lines. With ``n_expected`` the number of
+    rows must equal the dataset's number of records.
+    """
+    header, values = read_numeric_csv(path, _check_dictionary_header, _dictionary_row_error)
     if n_expected is not None and values.shape[0] != n_expected:
         raise DataValidationError(
             f"{path}: {values.shape[0]} rows but the dataset has {n_expected} records"

@@ -9,8 +9,8 @@ inner product <f, g>_n = (1/n) sum_i int (f_i - fbar_Y)(g_i - gbar_Y) Y_i dt
 and hn collects the centered dictionary values read at the observed event
 times (Lin & Ying 1994). Every integrand is a step function on the
 risk-set timeline, so H and hn are exact finite sums; the timeline's
-``centered_cross`` and ``event_centered`` evaluate them, and this module
-only assembles and reports the system.
+``cross_moment`` and ``event_deviations`` evaluate them from one
+``centered`` pass, and this module only assembles and reports the system.
 """
 
 from __future__ import annotations
@@ -59,17 +59,21 @@ def build_gram(
     the global column means are subtracted, two matrix products of size
     n x M x M, so the cost is O(n M^2) with no loop over the timeline.
     hn averages the centered dictionary rows at the event times
-    (left-continuous risk-set means).
+    (left-continuous risk-set means). H, hn and the raw risk-set means
+    all come from one centered prefix pass over the dictionary.
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
     if phi.shape[0] != tl.n:
         raise ValueError("dictionary rows do not match the dataset")
-    matrix = tl.centered_cross(phi, phi)
+    centered = tl.centered(phi)  # one prefix pass serves H, hn and the means
+    matrix = tl.cross_moment(centered, centered)
+    means = centered[1] + phi.mean(axis=0)
+    means[tl.at_risk == 0] = 0.0  # the empty-risk-set convention of ``tl.means``
     return GramSystem(
         matrix=0.5 * (matrix + matrix.T),  # the products are symmetric up to BLAS rounding
-        vector=tl.event_centered(phi).sum(axis=0) / tl.n,
-        means=tl.means(phi),
+        vector=tl.event_deviations(centered).sum(axis=0) / tl.n,
+        means=means,
         timeline=tl,
         labels=list(dictionary.labels),
     )

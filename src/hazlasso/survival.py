@@ -12,7 +12,9 @@ The timeline is the single home of the risk-set arithmetic: its
 ``prefix_sums``, ``means``, ``event_centered`` and ``centered_cross``
 methods are the at-risk sums, the risk-set mean, the centered values at
 the event times and the centered at-risk moment that the Gram matrix, the
-inner products, the weights and the noise processes are built from.
+inner products, the weights and the noise processes are built from. The
+last two are ``event_deviations`` and ``cross_moment`` applied to one
+``centered`` pass, which a caller needing both can share.
 
 Conventions, fixed once here and relied on everywhere:
 
@@ -29,10 +31,12 @@ Conventions, fixed once here and relied on everywhere:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import parse_number, read_numeric_csv
 from .errors import DataValidationError
 
 
@@ -139,65 +143,73 @@ class SurvivalDataset:
         return self.covariates.shape[1]
 
 
+_STATUS = {"0": 0.0, "1": 1.0}
+
+
+def _check_data_header(path, header: list[str]) -> None:
+    if len(header) < 3 or header[0] != "time" or header[1] != "status":
+        raise DataValidationError(
+            f"{path}: header must be time,status,x1,...,xd (got {','.join(header)})"
+        )
+    labels = header[2:]
+    if len(set(labels)) != len(labels):
+        raise DataValidationError(f"{path}: duplicate covariate labels in header")
+
+
+def _data_row_error(header: list[str], row: list[str]) -> str | None:
+    """Why one record of a data CSV is bad, or None; checks run in file order."""
+    try:
+        t = parse_number(row[0])
+    except ValueError:
+        return f"bad time {row[0]!r}"
+    if not math.isfinite(t) or t <= 0:
+        return "time must be finite and > 0"
+    if row[1].strip() not in _STATUS:
+        return "status must be 0 or 1"
+    try:
+        x = [parse_number(c) for c in row[2:]]
+    except ValueError:
+        return "bad covariate value"
+    for label, v in zip(header[2:], x):
+        if not math.isfinite(v):
+            return f"non-finite value in column {label}"
+    return None
+
+
+def _valid_data(values: np.ndarray) -> bool:
+    """Whole-array form of the record checks; values are already finite."""
+    status = values[:, 1]
+    return bool((values[:, 0] > 0).all() and ((status == 0.0) | (status == 1.0)).all())
+
+
 def load_dataset(path) -> SurvivalDataset:
     """Read a ``time,status,x1,...,xd`` CSV into a SurvivalDataset.
 
-    Validation reports the first offending file line (the header is line
-    1). Raw times may exceed 1; they are divided by the maximum follow-up
-    time in that case and the scale factor is recorded on the dataset.
+    The syntax is that of ``hazlasso.csvio``: comma-separated fields that
+    may be double-quoted, blank lines skipped, numbers written as ASCII
+    Python float literals with optional surrounding whitespace, no
+    comments. Times must be finite and > 0, status exactly ``0`` or ``1``
+    (``1.0`` is rejected) and covariates finite. Validation reports the
+    first offending file line, counting the header as line 1 and blank
+    lines as lines. Raw times may exceed 1; they are divided by the
+    maximum follow-up time in that case and the scale factor is recorded
+    on the dataset.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{path}: empty file") from None
-        header = [c.strip() for c in header]
-        if len(header) < 3 or header[0] != "time" or header[1] != "status":
-            raise DataValidationError(
-                f"{path}: header must be time,status,x1,...,xd (got {','.join(header)})"
-            )
-        labels = header[2:]
-        if len(set(labels)) != len(labels):
-            raise DataValidationError(f"{path}: duplicate covariate labels in header")
-        width = len(header)
-        times, status, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataValidationError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            try:
-                t = float(row[0])
-            except ValueError:
-                raise DataValidationError(f"{path}: line {lineno}: bad time {row[0]!r}") from None
-            if not np.isfinite(t) or t <= 0:
-                raise DataValidationError(f"{path}: line {lineno}: time must be finite and > 0")
-            if row[1].strip() not in ("0", "1"):
-                raise DataValidationError(f"{path}: line {lineno}: status must be 0 or 1")
-            try:
-                x = [float(c) for c in row[2:]]
-            except ValueError:
-                raise DataValidationError(f"{path}: line {lineno}: bad covariate value") from None
-            for j, v in enumerate(x):
-                if not np.isfinite(v):
-                    raise DataValidationError(
-                        f"{path}: line {lineno}: non-finite value in column {labels[j]}"
-                    )
-            times.append(t)
-            status.append(int(row[1]))
-            rows.append(x)
-    if not times:
-        raise DataValidationError(f"{path}: no data rows")
-    times = np.asarray(times, dtype=float)
+    header, values = read_numeric_csv(
+        path,
+        _check_data_header,
+        _data_row_error,
+        valid=_valid_data,
+        # a bad status becomes -1, which _valid_data rejects
+        converters={1: lambda field: _STATUS.get(field.strip(), -1.0)},
+    )
+    times = values[:, 0]
     scale = float(times.max()) if times.max() > 1.0 else 1.0
     return SurvivalDataset(
         times=times / scale,
-        status=np.asarray(status, dtype=bool),
-        covariates=np.asarray(rows, dtype=float),
-        labels=labels,
+        status=values[:, 1] == 1.0,
+        covariates=np.ascontiguousarray(values[:, 2:]),
+        labels=header[2:],
         time_scale=scale,
     )
 
@@ -269,42 +281,55 @@ class RiskSetTimeline:
         sums /= np.maximum(self.at_risk, 1).reshape((-1,) + (1,) * (sums.ndim - 1))
         return sums
 
-    def event_centered(self, values: np.ndarray) -> np.ndarray:
-        """values[i] minus the at-risk mean at Z_i, over event records."""
-        c = _centered(values)
+    def centered(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The centered prefix pass that every centered quantity starts from.
+
+        Returns the per-record values less their column means over all
+        records, shape (n, M), and the at-risk means of those, shape (K, M).
+        Risk-set centering ignores constant shifts, so removing the global
+        means first changes no centered quantity and keeps the sums free of
+        cancellation (stable centering, Chan, Golub & LeVeque 1983).
+        ``event_deviations`` and ``cross_moment`` take this pair, so one
+        pass can serve several of them.
+        """
+        v = np.asarray(values, dtype=float)
+        c = (v - v.mean(axis=0)).reshape(self.n, -1)
+        return c, self.means(c)
+
+    def event_deviations(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Centered values minus their at-risk mean at Z_i, over event
+        records, from a ``centered`` pair; shape (events, M)."""
+        c, mean = centered
         out = c[self.event_rows]
-        out -= self.means(c)[self.event_interval]
+        out -= mean[self.event_interval]
         return out
 
-    def centered_cross(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Centered at-risk moment of two per-record arrays,
+    def cross_moment(self, left, right) -> np.ndarray:
+        """Centered at-risk moment of two ``centered`` pairs (u, v),
 
             (1/n) sum_k len_k sum_{i at risk on k} (u_i - ubar_k)(v_i - vbar_k),
 
-        the empirical inner product <u, v>_n. ``left`` and ``right`` have
-        shape (n,) or (n, M); the result has shape left.shape[1:] +
-        right.shape[1:]. Risk-set centering ignores constant shifts, so
-        both sides lose their global column means first (stable centering,
-        Chan, Golub & LeVeque 1983). The sum is then two matrix products,
-        sum_i Z_i u_i v_i' minus sum_k len_k R_k ubar_k vbar_k', because
-        record i is at risk for a total length Z_i.
+        shape (M, M'). The sum is two matrix products, sum_i Z_i u_i v_i'
+        minus sum_k len_k R_k ubar_k vbar_k', because record i is at risk
+        for a total length Z_i.
         """
-
-        def centered(values):
-            c = _centered(values).reshape(self.n, -1)
-            return c, self.means(c)
-
-        u, mu = centered(left)
-        v, mv = (u, mu) if right is left else centered(right)
+        (u, mu), (v, mv) = left, right
         mass = (self.lengths * self.at_risk)[:, None]
-        out = (self.follow_up[:, None] * u).T @ v - (mass * mu).T @ mv
-        return (out / self.n).reshape(np.shape(left)[1:] + np.shape(right)[1:])
+        return ((self.follow_up[:, None] * u).T @ v - (mass * mu).T @ mv) / self.n
 
+    def event_centered(self, values: np.ndarray) -> np.ndarray:
+        """values[i] minus the at-risk mean at Z_i, over event records."""
+        out = self.event_deviations(self.centered(values))
+        return out.reshape(out.shape[:1] + np.shape(values)[1:])
 
-def _centered(values) -> np.ndarray:
-    """Per-record values minus their column means over all records."""
-    v = np.asarray(values, dtype=float)
-    return v - v.mean(axis=0)
+    def centered_cross(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The empirical inner product <u, v>_n of two per-record arrays
+        (``cross_moment``). ``left`` and ``right`` have shape (n,) or
+        (n, M); the result has shape left.shape[1:] + right.shape[1:].
+        """
+        u = self.centered(left)
+        v = u if right is left else self.centered(right)
+        return self.cross_moment(u, v).reshape(np.shape(left)[1:] + np.shape(right)[1:])
 
 
 def build_timeline(dataset: SurvivalDataset) -> RiskSetTimeline:

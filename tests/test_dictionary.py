@@ -85,6 +85,34 @@ class TestLoadDictionary:
         with pytest.raises(DataValidationError, match="line 2"):
             load_dictionary(path)
 
+    def test_non_finite_cell_names_its_file_line(self, tmp_path):
+        # blank lines count, as they do for every other error
+        path = self._write(tmp_path, "f,g\n1.0,2.0\n\n1.0,nan\n")
+        with pytest.raises(DataValidationError, match="line 4: non-finite value in column g"):
+            load_dictionary(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = self._write(tmp_path, "f,g\n1.0,inf\n1.0\n")
+        with pytest.raises(DataValidationError, match="line 2: non-finite value in column g"):
+            load_dictionary(path)
+        path = self._write(tmp_path, "f,g\n1.0,2.0 # c\n1.0,inf\n")
+        with pytest.raises(DataValidationError, match="line 2: bad value"):
+            load_dictionary(path)
+
+    def test_csv_syntax(self, tmp_path):
+        path = tmp_path / "dict.csv"
+        path.write_bytes(b'f,g\r\n"1.5", 2 \r\n\r\n-0.5,"0.25"\r\n')
+        np.testing.assert_array_equal(load_dictionary(path, 2).values, [[1.5, 2.0], [-0.5, 0.25]])
+        path = self._write(tmp_path, 'f,g\n1.0,"2,0"\n')
+        with pytest.raises(DataValidationError, match="line 2: bad value"):
+            load_dictionary(path)
+
+    def test_header_only_file_does_not_warn(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError, match="no data rows"):
+                load_dictionary(self._write(tmp_path, "f,g\n\n"))
+
 
 class TestSupNorms:
     def test_examples(self):

@@ -5,9 +5,12 @@ functions on explicit grids; each is rederivable with pencil and paper.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_dataset
@@ -15,12 +18,21 @@ from hazlasso import (
     DataValidationError,
     StepFunction,
     SurvivalDataset,
+    build_gram,
     build_timeline,
     check_orthogonality,
+    compute_weights,
+    fit,
     integrate_product,
+    linear_dictionary,
     load_dataset,
     risk_set_mean,
     write_dataset,
+)
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
 )
 
 
@@ -128,6 +140,129 @@ class TestSurvivalDataset:
         path.write_text("when,status,x1\n0.5,1,1.0\n")
         with pytest.raises(DataValidationError, match="header"):
             load_dataset(path)
+
+
+class TestLoadDatasetSyntax:
+    """What the CSV loader accepts and how it names a bad line; each case
+    pins the behaviour of the row-by-row ``csv.reader`` loader."""
+
+    HEADER = "time,status,x1\n"
+
+    def _load(self, tmp_path, body, newline="\n"):
+        path = tmp_path / "data.csv"
+        path.write_bytes((self.HEADER + body).replace("\n", newline).encode())
+        return load_dataset(path)
+
+    def _rejects(self, tmp_path, body, message):
+        with pytest.raises(DataValidationError, match=message):
+            self._load(tmp_path, body)
+
+    def test_blank_lines_count_as_lines(self, tmp_path):
+        self._rejects(tmp_path, "0.5,1,1.0\n\n0.7,2,1.0\n", "line 4: status must be 0 or 1")
+        ds = self._load(tmp_path, "\n0.5,1,1.0\n\n\n0.7,0,2.0\n\n")
+        assert_allclose(ds.covariates, [[1.0], [2.0]], rtol=0, atol=0)
+
+    def test_crlf_line_endings(self, tmp_path):
+        ds = self._load(tmp_path, "0.5,1,1.0\n0.7,0,2.0\n", newline="\r\n")
+        assert_allclose(ds.times, [0.5, 0.7], rtol=0, atol=0)
+        assert list(ds.status) == [True, False]
+
+    def test_quoted_and_padded_numbers(self, tmp_path):
+        ds = self._load(tmp_path, '"0.5","1","-2.5"\n 0.7 , 0 ,\t3 \n')
+        assert_allclose(ds.times, [0.5, 0.7], rtol=0, atol=0)
+        assert list(ds.status) == [True, False]
+        assert_allclose(ds.covariates, [[-2.5], [3.0]], rtol=0, atol=0)
+
+    def test_quoted_comma_is_one_bad_field(self, tmp_path):
+        self._rejects(tmp_path, '0.5,1,"1,0"\n', "line 2: bad covariate value")
+
+    @pytest.mark.parametrize("status", ["1.0", "2", "", "true", "-0"])
+    def test_status_must_be_exactly_0_or_1(self, tmp_path, status):
+        self._rejects(tmp_path, f"0.5,1,1.0\n0.6,{status},1.0\n", "line 3: status must be 0 or 1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_values(self, tmp_path, value):
+        self._rejects(tmp_path, f"0.5,1,1.0\n0.6,0,{value}\n", "line 3: non-finite value in column x1")
+        self._rejects(tmp_path, f"{value},1,1.0\n", "line 2: time must be finite and > 0")
+
+    def test_time_must_be_positive(self, tmp_path):
+        self._rejects(tmp_path, "0.5,1,1.0\n-0.0,1,1.0\n", "line 3: time must be finite and > 0")
+        self._rejects(tmp_path, "abc,1,1.0\n", "line 2: bad time 'abc'")
+
+    def test_field_count(self, tmp_path):
+        self._rejects(tmp_path, "0.5,1,1.0,\n", "line 2: expected 3 fields, got 4")
+        self._rejects(tmp_path, "0.5,1,1.0\n0.5,1\n", "line 3: expected 3 fields, got 2")
+        self._rejects(tmp_path, "0.5,1,1.0\n   \n", "line 3: expected 3 fields, got 1")
+
+    def test_no_comments(self, tmp_path):
+        self._rejects(tmp_path, "0.5,1,1.0 # c\n", "line 2: bad covariate value")
+
+    def test_underscore_digits_are_rejected(self, tmp_path):
+        # Python's float() reads "1_0" as 10, numpy's reader does not
+        self._rejects(tmp_path, "0.5,1,1_0\n", "line 2: bad covariate value")
+        self._rejects(tmp_path, "0.5,1,1.0\n1_0,1,1.0\n", "line 3: bad time '1_0'")
+
+    def test_first_bad_line_wins(self, tmp_path):
+        self._rejects(tmp_path, "0.5,1,1.0\n0.5,1,oops\n0.5,3,1.0\n", "line 3: bad covariate value")
+
+    def test_empty_and_header_only_files(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(DataValidationError, match="empty file"):
+            load_dataset(path)
+        for body in ("", "\n\n"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataValidationError, match="no data rows"):
+                    self._load(tmp_path, body)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+                st.booleans(),
+                st.lists(FINITE, min_size=3, max_size=3),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_write_then_load_is_bit_exact(self, tmp_path, rows):
+        times, status, covariates = (np.array(col) for col in zip(*rows))
+        ds = SurvivalDataset(times=times, status=status, covariates=covariates)
+        path = tmp_path / "round.csv"
+        write_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.time_scale == 1.0
+        assert back.times.tobytes() == ds.times.tobytes()
+        assert back.covariates.tobytes() == ds.covariates.tobytes()
+        assert np.array_equal(back.status, ds.status)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(min_value=1.0, max_value=1e6, exclude_min=True))
+    def test_rescaled_raw_times_give_the_same_fit(self, tmp_path, seed, c):
+        ds = random_dataset(np.random.default_rng(seed), n=30, d=4)
+        ds.times[0] = 1.0  # the longest follow-up fixes the scale
+        lines = ["time,status," + ",".join(ds.labels)]
+        for t, s, x in zip(ds.times, ds.status, ds.covariates):
+            lines.append(",".join([repr(c * float(t)), str(int(s))] + [repr(float(v)) for v in x]))
+        path = tmp_path / "raw.csv"
+        path.write_text("\n".join(lines) + "\n")
+        back = load_dataset(path)
+        assert back.time_scale == c
+        assert_allclose(back.times, ds.times, rtol=1e-15, atol=0)
+        assert back.covariates.tobytes() == ds.covariates.tobytes()
+        assert np.array_equal(back.status, ds.status)
+
+        def fitted(data):
+            dictionary = linear_dictionary(data)
+            system = build_gram(data, dictionary)
+            weights = compute_weights(data, dictionary, system)
+            return fit(system, weights, tol=1e-13, weight_scale=0.05).beta
+
+        expected = fitted(ds)
+        assert_allclose(fitted(back), expected, rtol=0, atol=1e-12 * max(1.0, np.abs(expected).max()))
 
 
 class TestTimeline:
