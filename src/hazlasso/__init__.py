@@ -3,9 +3,10 @@ data, plus Monte Carlo harnesses that audit the estimator's finite-sample
 guarantees (slow and fast oracle inequalities, data-driven deviation
 bound for the martingale noise).
 
-The numerical core (coordinate descent sweeps) prefers a compiled kernel
-and falls back to a pure-Python twin with identical arithmetic; see
-``hazlasso.solver.active_kernel()``.
+The numerical core is an exact active-set solver in plain numpy (see
+``hazlasso.solver``). A fit's ``sweeps`` counts its solver steps, each of
+which brings in at most one coordinate and solves the active block, and
+``max_sweeps`` bounds them; ``active_kernel()`` names the solver.
 """
 
 from .bernstein import (

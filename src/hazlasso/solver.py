@@ -1,14 +1,27 @@
 """Weighted-Lasso solver for the risk-set-centered least-squares contrast.
 
 Minimizes b' H b - 2 b' hn + kappa * sum_j w_j |b_j| over R^M or the
-nonnegative orthant by cyclic coordinate descent. Each coordinate update
-is the exact 1-d minimizer (soft threshold scaled by H_jj), so the
-objective never increases; convergence is certified by the KKT residual,
-never assumed from coordinate stability alone.
+nonnegative orthant by an exact active-set method, the feature-sign
+search of Lee, Battle, Raina & Ng (NIPS 2007). Each step
 
-The sweep kernel is compiled (Cython) when available and falls back to a
-pure-Python twin with identical arithmetic; `active_kernel()` reports
-which one is in use.
+1. brings in the zero coordinate with the largest KKT violation, once the
+   active block is solved (stationary, or at its optimum up to roundoff),
+   moving it to its exact 1-d minimizer (a soft threshold scaled by
+   H_jj), so the objective strictly falls;
+2. solves the sign-fixed system H_AA b_A = hn_A - (kappa/2) w_A s_A on the
+   active block A with signs s_A;
+3. minimizes the objective exactly along the segment towards that
+   solution, stopping at the first sign change and dropping the
+   coordinate that reached zero. Up to that point the objective equals
+   the sign-fixed quadratic, so it never rises.
+
+Without an entry the step re-solves the block, as after a sign change.
+The inverse of the block's unit-diagonal form is updated in O(k^2) as
+coordinates enter and leave, and refactored when a block optimum turns
+out not to be stationary. A singular active block (duplicated or
+collinear columns) is moved along its null space instead, until a
+coordinate reaches zero and leaves. Convergence is certified by the KKT
+residual, never assumed.
 """
 
 from __future__ import annotations
@@ -20,15 +33,17 @@ import numpy as np
 from .gram import GramSystem
 from .weights import WeightVector
 
-try:
-    from . import _cd_fast as _kernel
-except ImportError:
-    from . import _cd_py as _kernel
+# A column of an active block counts as lying in the span of the others
+# when its Schur complement in the block's unit-diagonal form U (its
+# squared distance from their span, 1 / [U^-1]_jj) is at most this; such a
+# block is singular. `_singular_direction` applies the same number to the
+# eigenvalues of U, relative to the largest.
+_RCOND = 1e-10
 
 
 def active_kernel() -> str:
-    """Name of the sweep kernel selected at import ("compiled" or "python")."""
-    return _kernel.KERNEL_NAME
+    """Name of the solver behind `fit` ("active-set")."""
+    return "active-set"
 
 
 CONSTRAINTS = ("unconstrained", "nonnegative")
@@ -36,7 +51,11 @@ CONSTRAINTS = ("unconstrained", "nonnegative")
 
 @dataclass
 class LassoFit:
-    """Solution plus certificates: trace, KKT residual, pinned coordinates."""
+    """Solution plus certificates: trace, KKT residual, pinned coordinates.
+
+    ``sweeps`` counts solver steps; ``objective_trace`` holds the objective
+    at the start and after each step, so it has ``sweeps + 1`` entries.
+    """
 
     beta: np.ndarray
     converged: bool
@@ -62,6 +81,18 @@ def _dead_mask(system: GramSystem, weights: WeightVector) -> np.ndarray:
     return (diag <= 0.0) | (diag <= 1e-13 * weights.sup**2)
 
 
+def _violations(grad: np.ndarray, b: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:
+    out = np.empty(len(b))
+    on = b != 0
+    if nonneg:
+        out[on] = np.abs(grad[on] + wk[on])
+        out[~on] = np.maximum(0.0, -(grad[~on] + wk[~on]))
+    else:
+        out[on] = np.abs(grad[on] + wk[on] * np.sign(b[on]))
+        out[~on] = np.maximum(0.0, np.abs(grad[~on]) - wk[~on])
+    return out
+
+
 def kkt_violations(
     system: GramSystem,
     weights: WeightVector,
@@ -79,15 +110,7 @@ def kkt_violations(
     b = np.asarray(beta, dtype=float)
     grad = 2.0 * (system.matrix @ b - system.vector)
     wk = kappa * weight_scale * weights.w
-    out = np.empty(len(b))
-    on = b != 0
-    if constraint == "nonnegative":
-        out[on] = np.abs(grad[on] + wk[on])
-        out[~on] = np.maximum(0.0, -(grad[~on] + wk[~on]))
-    else:
-        out[on] = np.abs(grad[on] + wk[on] * np.sign(b[on]))
-        out[~on] = np.maximum(0.0, np.abs(grad[~on]) - wk[~on])
-    return out
+    return _violations(grad, b, wk, constraint == "nonnegative")
 
 
 def kkt_check(
@@ -113,6 +136,60 @@ def kkt_check(
     return float(kkt_violations(system, weights, beta, kappa, constraint, weight_scale).max())
 
 
+def _unit_inverse(unit: np.ndarray) -> np.ndarray | None:
+    """Inverse of a unit-diagonal block, or None when it is singular."""
+    try:
+        inv = np.linalg.inv(unit)
+    except np.linalg.LinAlgError:
+        return None
+    # every Schur complement 1 / [U^-1]_jj must be above _RCOND
+    diag = np.diag(inv)
+    if not (diag.min(initial=1.0) > 0.0 and diag.max(initial=1.0) < 1.0 / _RCOND):
+        return None
+    return inv
+
+
+def _bordered(inv: np.ndarray, col: np.ndarray) -> np.ndarray | None:
+    """Inverse of [[U, col], [col', 1]] from inv = U^-1 in O(k^2), or None
+    when the Schur complement of the new column is at most _RCOND."""
+    u = inv @ col
+    schur = 1.0 - col @ u
+    if schur <= _RCOND:
+        return None
+    k = len(u)
+    v = u / schur
+    out = np.empty((k + 1, k + 1))
+    np.multiply.outer(u, v, out=out[:k, :k])  # no (k, k) temporaries
+    out[:k, :k] += inv
+    out[:k, k] = out[k, :k] = -v
+    out[k, k] = 1.0 / schur
+    return out
+
+
+def _without(inv: np.ndarray, gone: np.ndarray) -> np.ndarray:
+    """Inverse of U with the rows and columns in `gone` removed, in O(k^2)."""
+    keep = ~gone
+    cross = inv[np.ix_(keep, gone)]
+    return inv[np.ix_(keep, keep)] - cross @ np.linalg.solve(inv[np.ix_(gone, gone)], cross.T)
+
+
+def _singular_direction(unit: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Descent direction for e' U e - 2 e' r on a singular unit-diagonal block.
+
+    Returns (e, solved): the pseudo-inverse solution (solved=True) when r
+    lies (mostly) in the range of U; otherwise the part of r in the null
+    space of U, along which the quadratic falls without bound until a
+    coordinate changes sign.
+    """
+    lam, vec = np.linalg.eigh(unit)
+    null = lam <= _RCOND * lam[-1]
+    coef = vec.T @ r
+    ranged = coef[~null] / lam[~null]
+    if coef[null] @ coef[null] > coef[~null] @ ranged:
+        return vec[:, null] @ coef[null], False
+    return vec[:, ~null] @ ranged, True
+
+
 def fit(
     system: GramSystem,
     weights: WeightVector,
@@ -123,10 +200,14 @@ def fit(
     start: np.ndarray | None = None,
     weight_scale: float = 1.0,
 ) -> LassoFit:
-    """Coordinate descent until coordinates stall AND the KKT residual <= tol.
+    """Active-set steps until the KKT residual on live columns is <= tol.
 
-    Non-convergence within max_sweeps is reported through the converged
-    flag, never silently. Coordinates with H_jj = 0 are pinned at 0; their
+    ``max_sweeps`` bounds the number of solver steps (see the module
+    docstring). Running out of steps, a freshly factored block solve that
+    leaves the block above tol with nothing left to bring in (the
+    roundoff floor), or a step that can change nothing ends the fit with
+    ``converged=False``, never silently.
+    Coordinates with H_jj = 0 are pinned at 0 and never enter; their
     (unfixable) KKT residual is reported separately as pinned_violation.
     """
     if kappa <= 0:
@@ -138,49 +219,110 @@ def fit(
     if weight_scale <= 0:
         raise ValueError("weight_scale must be positive")
 
-    H = np.ascontiguousarray(system.matrix, dtype=float)
-    hn = np.ascontiguousarray(system.vector, dtype=float)
-    w_eff = np.ascontiguousarray(weight_scale * weights.w, dtype=float)
-    M = len(hn)
+    H = np.asarray(system.matrix, dtype=float)
+    hn = np.asarray(system.vector, dtype=float)
+    wk = kappa * weight_scale * np.asarray(weights.w, dtype=float)
     dead = _dead_mask(system, weights)
-    dead_u8 = np.ascontiguousarray(dead, dtype=np.uint8)
-    nonneg = int(constraint == "nonnegative")
+    live = ~dead
+    nonneg = constraint == "nonnegative"
+    unit_scale = 1.0 / np.sqrt(np.where(live, np.diag(H), 1.0))
 
-    beta = np.zeros(M) if start is None else np.array(start, dtype=float)
+    beta = np.zeros(len(hn)) if start is None else np.array(start, dtype=float)
     beta[dead] = 0.0
     if nonneg:
         np.maximum(beta, 0.0, out=beta)
-    g = H @ beta
+    hb = H @ beta
 
-    def penalized(b, gb):
-        return float(b @ gb - 2.0 * (b @ hn) + kappa * (w_eff @ np.abs(b)))
+    def penalized() -> float:
+        return float(beta @ hb - 2.0 * (beta @ hn) + wk @ np.abs(beta))
 
-    trace = [penalized(beta, g)]
+    trace = [penalized()]
+    # active coordinates, in the order of `inv`, the inverse of their
+    # unit-diagonal Gram block (None when it must be refactored)
+    idx = np.flatnonzero(beta)
+    inv = None
+    full = False  # the last step ended at the block optimum
+    refining = False  # the last step re-solved a block optimum from a fresh factorization
     converged = False
-    sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
-        sweeps = sweep
-        move = _kernel.cd_sweep(H, hn, w_eff, kappa, beta, g, dead_u8, nonneg)
-        if sweep % 50 == 0:
-            g = H @ beta  # shed incremental-update drift
-        trace.append(penalized(beta, g))
-        if move < tol * (1.0 + float(np.abs(beta).max(initial=0.0))):
-            g = H @ beta
-            viol = kkt_violations(system, weights, beta, kappa, constraint, weight_scale)
-            live_max = float(viol[~dead].max(initial=0.0))
-            if live_max <= tol:
-                converged = True
-                break
-            if move == 0.0:
-                break  # stalled exactly; more sweeps cannot help
+    steps = 0
+    while True:
+        viol = _violations(2.0 * (hb - hn), beta, wk, nonneg)
+        on = beta != 0
+        active_max = viol[on].max(initial=0.0)
+        entering = np.where(live & ~on, viol, 0.0)
+        if max(active_max, entering.max()) <= tol:
+            converged = True
+            break
+        if steps == max_sweeps:
+            break
+        # enter once the block is stationary, or once a fresh solve of it has
+        # stayed above tol (roundoff floor); otherwise solve the block again
+        entered = entering.max() > tol and (active_max <= tol or (full and refining))
+        if not entered and full:
+            if refining:
+                break  # a fresh solve left the block above tol: roundoff floor
+            inv = None  # refactor before solving the block again
+        refining = not entered and full
+        steps += 1
+        if entered:
+            j = int(np.argmax(entering))
+            c = hn[j] - hb[j]
+            beta[j] = (c - np.copysign(0.5 * wk[j], c)) / H[j, j]
+            hb += beta[j] * H[j]
+            if inv is not None:
+                inv = _bordered(inv, H[idx, j] * unit_scale[idx] * unit_scale[j])
+            idx = np.append(idx, j)
 
-    g = H @ beta
+        b = beta[idx]
+        sign = np.sign(b)
+        su = unit_scale[idx]
+        r = (hn[idx] - hb[idx] - 0.5 * wk[idx] * sign) * su
+        if inv is None:
+            block = H[idx][:, idx] * su[:, None] * su[None, :]
+            inv = _unit_inverse(block)
+        if inv is not None:
+            d, solved = (inv @ r) * su, True
+        else:
+            e, solved = _singular_direction(block, r)
+            d = e * su
+        full_d = np.zeros_like(beta)
+        full_d[idx] = d
+        hd = H @ full_d
+        # exact minimum of the sign-fixed quadratic along d, cut at the
+        # first coordinate that reaches zero
+        slope, curve = d @ (r / su), d @ hd[idx]
+        t = slope / curve if curve > 0.0 else np.inf
+        shrinking = np.flatnonzero(b * d < 0.0)
+        crossed = None
+        if len(shrinking):
+            reach = -b[shrinking] / d[shrinking]
+            k = int(np.argmin(reach))
+            if reach[k] <= t:
+                t, crossed = reach[k], shrinking[k]
+        moved = slope > 0.0 and np.isfinite(t)
+        if moved:
+            new = b + t * d
+            gone = new * sign <= 0.0
+            if crossed is not None:
+                gone[crossed] = True
+            new[gone] = 0.0
+            beta[idx] = new
+            if gone.any():
+                if inv is not None:
+                    inv = _without(inv, gone)
+                idx = idx[~gone]
+            hb = H @ beta
+        trace.append(penalized())
+        full = solved and moved and crossed is None
+        if not (entered or moved):
+            break  # nothing can change any more
+
     viol = kkt_violations(system, weights, beta, kappa, constraint, weight_scale)
     return LassoFit(
         beta=beta,
         converged=converged,
-        sweeps=sweeps,
-        kkt_max_violation=float(viol[~dead].max(initial=0.0)),
+        sweeps=steps,
+        kkt_max_violation=float(viol[live].max(initial=0.0)),
         objective_trace=np.asarray(trace),
         kappa=float(kappa),
         constraint=constraint,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazlasso.cli import main, report_schema_version
+from hazlasso.cli import DEFAULT_THREADS, build_parser, main, report_schema_version
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -240,6 +240,18 @@ class TestMonteCarloCommands:
         )
         assert code == 0
         assert read_report(out)["mu3_label"] == "exact"
+
+    def test_default_threads_give_the_serial_report(self, config_json, tmp_path):
+        head = ["bernstein-mc", "--config", config_json, "--x-grid", "1,4", "--reps", "12"]
+        assert build_parser().parse_args(head + ["--out", "x"]).threads == DEFAULT_THREADS
+        oracle = ["oracle-check", "--config", config_json, "--reps", "2", "--out", "x"]
+        assert build_parser().parse_args(oracle).threads == DEFAULT_THREADS
+        reports = []
+        for name, extra in (("default.json", []), ("serial.json", ["--threads", "1"])):
+            out = tmp_path / name
+            assert main(head + ["--seed", "9", "--out", str(out)] + extra) == 0
+            reports.append(stable(read_report(out)))
+        assert reports[0] == reports[1]
 
 
 class TestErrorPaths:

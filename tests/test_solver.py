@@ -1,23 +1,35 @@
-"""Coordinate-descent solver against closed forms and a grid-zoom oracle.
+"""Active-set solver against closed forms and two independent references.
 
 The grid oracle minimizes the penalized contrast by brute force over an
-iteratively refined lattice, entirely independent of the descent code, so
-agreement certifies the solver on small problems.
+iteratively refined lattice, and the proximal-gradient (ISTA) reference
+iterates a soft threshold on the full gradient; both are independent of
+the solver's code, so agreement certifies it.
 """
+
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hazlasso import (
+    DictionaryMatrix,
     LassoFit,
+    SimulationConfig,
+    StepFunction,
     active_kernel,
     build_gram,
+    compute_weights,
     fit,
     fit_path,
     kkt_check,
     linear_dictionary,
     objective,
+    simulate,
 )
+from hazlasso.simulate import GaussianCovariates, UniformCensoring
 from hazlasso.solver import kkt_violations
 
 from conftest import flat_weights, random_dataset
@@ -45,6 +57,52 @@ def grid_minimize(system, weights, kappa, constraint, rounds=6, points=21):
         center, best = pts[k], float(vals[k])
         radius *= 2.5 / (points - 1)  # keep a margin past the old spacing
     return center, best
+
+
+def ista(system, penalties, constraint, tol=1e-12, max_iter=200_000):
+    """Proximal-gradient minimizer, one column of `penalties` per problem.
+
+    Iterates b <- prox(b - grad / L) with L = 2 lambda_max(H) until no
+    coefficient moves by more than tol.
+    """
+    H, hn = system.matrix, system.vector
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(H)[-1])
+    B = np.zeros(penalties.shape)
+    for _ in range(max_iter):
+        Z = B - step * 2.0 * (H @ B - hn[:, None])
+        if constraint == "nonnegative":
+            new = np.maximum(Z - step * penalties, 0.0)
+        else:
+            new = np.sign(Z) * np.maximum(np.abs(Z) - step * penalties, 0.0)
+        moved = np.abs(new - B).max()
+        B = new
+        if moved <= tol:
+            return B
+    raise AssertionError("ISTA reference did not converge")
+
+
+CORRELATED_GRID = np.geomspace(1.0, 0.01, 20)
+
+
+@pytest.fixture(scope="module")
+def correlated_problem():
+    """rho = 0.9 AR(1) covariates, 150 x 40, data-driven weights."""
+    d = 40
+    beta0 = np.zeros(d)
+    beta0[[0, 1, 2]] = [1.0, 1.0, -0.5]
+    config = SimulationConfig(
+        n=150,
+        d=d,
+        beta0=beta0,
+        baseline=StepFunction.constant(2.0),
+        covariates=GaussianCovariates(rho=0.9, clip=3.0),
+        censoring=UniformCensoring(c_max=2.5),
+        seed=909,
+    )
+    ds = simulate(config).dataset
+    dic = linear_dictionary(ds)
+    system = build_gram(ds, dic)
+    return system, compute_weights(ds, dic, system)
 
 
 class TestClosedForms:
@@ -151,6 +209,21 @@ class TestCertificates:
         assert f.beta[1] == 0.0
         assert f.pinned_violation >= 0.0
 
+    def test_roundoff_floor_does_not_stop_entries(self):
+        # raw-scale columns (H ~ 1e6) and more columns than records: at
+        # tol = 1e-12 roundoff can keep a solved block just above tol, and
+        # the violating zero coordinates must still be brought in
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            ds = random_dataset(rng, n=35, d=40)
+            labels = [f"x{j}" for j in range(40)]
+            dic = DictionaryMatrix(values=1e3 * ds.covariates, labels=labels)
+            system = build_gram(ds, dic)
+            weights = compute_weights(ds, dic, system)
+            for scale in (1e-2, 1e-3):
+                f = fit(system, weights, tol=1e-12, weight_scale=scale)
+                assert f.kkt_max_violation <= 1e-10
+
     def test_validation(self, micro_dataset):
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
         weights = flat_weights([0.1], micro_dataset.n)
@@ -202,31 +275,122 @@ class TestFitPath:
 
 class TestKernels:
     def test_active_kernel_reports(self):
-        assert active_kernel() in ("compiled", "python")
+        assert active_kernel() == "active-set"
 
-    def test_compiled_and_python_sweeps_agree_exactly(self):
-        _cd_fast = pytest.importorskip("hazlasso._cd_fast")
-        from hazlasso import _cd_py
 
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            M = int(rng.integers(1, 8))
-            A = rng.normal(size=(M + 2, M))
-            H = np.ascontiguousarray(A.T @ A)
-            hn = np.ascontiguousarray(rng.normal(size=M))
-            w = np.ascontiguousarray(rng.uniform(0.0, 0.3, size=M))
-            dead = np.zeros(M, dtype=np.uint8)
-            dead[rng.integers(0, M)] = rng.integers(0, 2)
-            nonneg = int(rng.integers(0, 2))
-            b1 = np.zeros(M)
-            g1 = H @ b1
-            b2, g2 = b1.copy(), g1.copy()
-            for _sweep in range(25):
-                m1 = _cd_fast.cd_sweep(H, hn, w, 1.0, b1, g1, dead, nonneg)
-                m2 = _cd_py.cd_sweep(H, hn, w, 1.0, b2, g2, dead, nonneg)
-                assert m1 == m2
-            np.testing.assert_array_equal(b1, b2)
-            np.testing.assert_array_equal(g1, g2)
+def _fit_objective(system, weights, f):
+    return objective(system, f.beta, weights=f.weight_scale * weights.w, kappa=f.kappa)
+
+
+class TestCorrelatedDesign:
+    @pytest.mark.parametrize("constraint", ["unconstrained", "nonnegative"])
+    def test_path_matches_cold_fits_and_ista(self, correlated_problem, constraint):
+        system, weights = correlated_problem
+        path = fit_path(system, weights, CORRELATED_GRID, constraint=constraint, tol=1e-10)
+        for f in path:
+            assert f.converged
+            assert f.kkt_max_violation <= 1e-10
+            trace = f.objective_trace
+            assert np.all(np.diff(trace) <= 1e-13 * np.abs(trace).max())
+            cold = fit(system, weights, constraint=constraint, tol=1e-10, weight_scale=f.weight_scale)
+            assert cold.converged
+            np.testing.assert_allclose(f.beta, cold.beta, rtol=0, atol=1e-8)
+        # the small scales reach a large active set
+        assert len(path[-1].active_set) > (20 if constraint == "unconstrained" else 3)
+        penalties = np.outer(weights.w, CORRELATED_GRID)
+        reference = ista(system, penalties, constraint)
+        np.testing.assert_allclose(np.array([f.beta for f in path]).T, reference, rtol=0, atol=1e-7)
+
+    def test_step_budget_exhaustion_is_reported(self, correlated_problem):
+        system, weights = correlated_problem
+        f = fit(system, weights, weight_scale=0.1, max_sweeps=1)
+        assert not f.converged
+        assert f.sweeps == 1 and len(f.objective_trace) == 2
+        assert f.kkt_max_violation == kkt_check(system, weights, f)
+        assert f.kkt_max_violation > 1e-8
+
+
+SCALES = [2.0, 1.0, 0.3, 0.05]
+
+
+@st.composite
+def rank_deficient(draw):
+    """A random dataset whose dictionary repeats one column exactly and
+    carries one all-constant column (zero weight, pinned)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(8, 40))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, n=n, d=d)
+    twin = draw(st.integers(0, d - 1))
+    level = draw(st.sampled_from([0.0, 1.0, -250.0]))
+    start = rng.normal(size=d + 2)  # twin and copy both nonzero: a singular block
+    return ds, twin, level, start
+
+
+class TestRankDeficient:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=rank_deficient(), constraint=st.sampled_from(["unconstrained", "nonnegative"]))
+    def test_duplicate_and_constant_columns(self, case, constraint):
+        ds, twin, level, start = case
+        X = ds.covariates
+        d = X.shape[1]
+        values = np.column_stack([X, X[:, twin], np.full(ds.n, level)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-zero constant column warns
+            dic = DictionaryMatrix(values=values, labels=[f"x{j}" for j in range(d)] + ["twin", "const"])
+            reduced = DictionaryMatrix(values=np.delete(values, d, axis=1), labels=dic.labels[:d] + ["const"])
+        system = build_gram(ds, dic)
+        weights = compute_weights(ds, dic, system)
+        assert weights.w[d] == weights.w[twin]
+        assert weights.w[-1] == 0.0 or level != 0.0  # the sup-norm term sees a nonzero level
+        # the reduced problem keeps the full problem's weights (they depend on M)
+        kept = [j for j in range(d + 2) if j != d]
+        reduced_weights = replace(
+            weights,
+            **{name: getattr(weights, name)[kept] for name in ("vhat", "sup", "loglog", "w")},
+            labels=reduced.labels,
+        )
+        objectives = []
+        for system, weights in ((system, weights), (build_gram(ds, reduced), reduced_weights)):
+            single = [fit(system, weights, constraint=constraint, weight_scale=s) for s in SCALES]
+            warm = [
+                fit(system, weights, constraint=constraint, weight_scale=s, start=start[: system.M])
+                for s in SCALES
+            ]
+            path = fit_path(system, weights, SCALES, constraint=constraint)
+            for f in single + warm + path:
+                assert f.converged
+                assert f.kkt_max_violation <= 1e-8
+                assert list(f.pinned) == [system.M - 1] and f.beta[-1] == 0.0
+            objectives.append([_fit_objective(system, weights, f) for f in single + warm + path])
+        np.testing.assert_allclose(objectives[0], objectives[1], rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("constraint", ["unconstrained", "nonnegative"])
+    def test_column_that_is_a_sum_of_others(self, constraint):
+        # h3 = h1 + h2: a start with all three nonzero makes the active block
+        # singular, and unless w3 = w1 + w2 its sign-fixed quadratic falls
+        # without bound along the null direction
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            ds = random_dataset(rng, n=30, d=2)
+            X = ds.covariates
+            values = np.column_stack([X, X.sum(axis=1)])
+            system = build_gram(ds, DictionaryMatrix(values=values, labels=["a", "b", "a+b"]))
+            w = rng.uniform(0.01, 0.1, size=3)
+            weights = flat_weights(w, ds.n)
+            start = np.abs(rng.normal(size=3))  # all three active: a singular block
+            fits = fit_path(system, weights, SCALES, constraint=constraint, tol=1e-12)
+            fits += [
+                fit(system, weights, constraint=constraint, tol=1e-12, weight_scale=s, start=start)
+                for s in SCALES
+            ]
+            for f in fits:
+                assert f.converged and f.kkt_max_violation <= 1e-12
+                reference = ista(system, (f.weight_scale * w)[:, None], constraint)[:, 0]
+                ref_value = objective(system, reference, weights=f.weight_scale * w)
+                value = _fit_objective(system, weights, f)
+                assert value <= ref_value + 1e-10 * max(abs(ref_value), 1.0)
 
 
 class TestPenaltyStrength:
