@@ -39,6 +39,7 @@ from .oracle import (
     fast_oracle_check,
     guarantee_level,
     identity_gram_check,
+    mu3_bracket,
     mu3_search,
     re_constant,
     run_oracle_mc,
@@ -114,6 +115,7 @@ __all__ = [
     "load_config",
     "load_dataset",
     "load_dictionary",
+    "mu3_bracket",
     "mu3_search",
     "noise_process_terminal",
     "noise_vector",

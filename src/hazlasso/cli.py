@@ -28,7 +28,7 @@ from .solver import active_kernel, fit, fit_path
 from .survival import build_timeline, load_dataset, write_dataset
 from .weights import DEFAULT_X, compute_weights
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # Worker processes for the Monte Carlo commands. On a 2-CPU machine both
 # `bernstein-mc --reps 2000` and `oracle-check --reps 100` ran faster with
@@ -277,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oc.add_argument("--reps", type=int, required=True)
     p_oc.add_argument("--identity-gram", action="store_true",
                       help="whitened design: exact mu3 for the fast check")
-    p_oc.add_argument("--mu3-budget", type=int, default=256)
+    p_oc.add_argument("--mu3-budget", type=int, default=256,
+                      help="random cone points for the fallback search; it runs only "
+                           "when mu3 is not exact in closed form (the maximiser leaves "
+                           "the cone, or the Gram is singular)")
     p_oc.add_argument("--seed", type=int, default=None)
     p_oc.add_argument("--threads", type=int, default=DEFAULT_THREADS)
     p_oc.add_argument("--out", required=True)

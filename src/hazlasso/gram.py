@@ -26,11 +26,13 @@ from .survival import RiskSetTimeline, SurvivalDataset, build_timeline
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Gram matrix, event vector and the per-interval risk-set means.
+    """Gram matrix, event vector, per-interval risk-set means and vhat.
 
     ``means[k, j]`` is the at-risk average of dictionary column j on
     timeline interval k (0 on empty risk sets); the left-continuous value
-    at an event time is ``means[timeline.event_interval]``.
+    at an event time is ``means[timeline.event_interval]``. ``vhat[j]`` is
+    the empirical variance of column j, (1/n) times the sum of its squared
+    event deviations, which the penalty weights read.
     """
 
     matrix: np.ndarray
@@ -38,6 +40,7 @@ class GramSystem:
     means: np.ndarray
     timeline: RiskSetTimeline
     labels: list[str]
+    vhat: np.ndarray
 
     @property
     def M(self) -> int:
@@ -59,23 +62,26 @@ def build_gram(
     the global column means are subtracted, two matrix products of size
     n x M x M, so the cost is O(n M^2) with no loop over the timeline.
     hn averages the centered dictionary rows at the event times
-    (left-continuous risk-set means). H, hn and the raw risk-set means
-    all come from one centered prefix pass over the dictionary.
+    (left-continuous risk-set means), and vhat averages their squares.
+    H, hn, vhat and the raw risk-set means all come from one centered
+    prefix pass over the dictionary.
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
     if phi.shape[0] != tl.n:
         raise ValueError("dictionary rows do not match the dataset")
-    centered = tl.centered(phi)  # one prefix pass serves H, hn and the means
+    centered = tl.centered(phi)  # one prefix pass serves H, hn, vhat and the means
     matrix = tl.cross_moment(centered, centered)
     means = centered[1] + phi.mean(axis=0)
     means[tl.at_risk == 0] = 0.0  # the empty-risk-set convention of ``tl.means``
+    dev = tl.event_deviations(centered)
     return GramSystem(
         matrix=0.5 * (matrix + matrix.T),  # the products are symmetric up to BLAS rounding
-        vector=tl.event_deviations(centered).sum(axis=0) / tl.n,
+        vector=dev.sum(axis=0) / tl.n,
         means=means,
         timeline=tl,
         labels=list(dictionary.labels),
+        vhat=(dev**2).sum(axis=0) / tl.n,
     )
 
 

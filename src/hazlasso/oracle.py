@@ -8,17 +8,21 @@ Gram respects vectors in the cone around the reference support. The
 infimum over references is witnessed at beta0 only, which can only make
 the checked inequality harder.
 
-mu3 and the restricted-eigenvalue constant are NP-hard-flavored extremal
-quantities; the search here produces certified one-sided bounds (lower
-for mu3, upper for kappa(s, 3)) from feasible cone points, and every
-report states the direction. For an exact fast check, whiten the
-dictionary: the Gram becomes the identity up to roundoff, the reference
-support is full, the cone is the whole space, and mu3 collapses to
-1/sqrt(lambda_min) in closed form.
+mu3 is a supremum over the cone |b_Jc|_{1,w} <= 3 |b_J|_{1,w}. Dropping
+the cone gives a certified upper bound in closed form, mu3^2 <=
+lambda_max([H^-1]_JJ), attained at b* = H^-1 E_J v for the top
+eigenvector v, so ``mu3_bracket`` is exact whenever b* lies in the cone.
+When b* leaves the cone, mu3 is bracketed: the lower end comes from
+feasible cone points (b* projected onto the cone, then the random
+``mu3_search``), and every report states which case it is. For an exact
+fast check on any design, whiten the dictionary: the Gram becomes the
+identity up to roundoff, the reference support is full, the cone is the
+whole space, and mu3 collapses to 1/sqrt(lambda_min).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -96,10 +100,12 @@ def fast_oracle_check(
 ) -> tuple[float, float, bool]:
     """Both sides of the fast inequality at the reference coefficients.
 
-    rhs = |h_ref - h0|_n^2 + (9/4) mu3^2 |w_J(ref)|_2^2. A searched mu3 is
-    a lower bound, so rhs is an under-estimate and a True flag is the
-    conservative reading; exact mu3 values (whitened designs) make the
-    check exact. An empty reference support drops the mu3 term entirely.
+    rhs = |h_ref - h0|_n^2 + (9/4) mu3^2 |w_J(ref)|_2^2. A
+    ``ConeSearchResult`` enters through its lower end: when its bracket is
+    closed (``mu3_bracket`` found b* in the cone, or a whitened design)
+    the check is exact; otherwise rhs is an under-estimate and a True flag
+    is the conservative reading. An empty reference support drops the mu3
+    term entirely.
     """
     if fit_result.kappa != 2.0:
         raise ValueError("fast oracle check expects a kappa=2 fit")
@@ -121,11 +127,14 @@ def fast_oracle_check(
 
 @dataclass
 class ConeSearchResult:
-    """Outcome of the cone search; mu3_lower certifies mu3(beta_ref) >= it.
+    """A certified bracket mu3_lower <= mu3(beta_ref) <= mu3_upper.
 
-    Feasible cone points only ever bound the supremum from below, so the
-    reported value never overstates mu3. ``method`` names the step that
-    produced the incumbent; ``exhaustive`` records whether the full
+    ``mu3_bracket`` closes the bracket (lower == upper, method
+    ``"closed-form"``) when the unconstrained maximiser b* lies in the
+    cone; otherwise its upper end is the closed form and its lower end a
+    feasible cone point. ``mu3_search`` alone only evaluates feasible cone
+    points, so its upper end is inf. ``method`` names the step that
+    produced the lower end; ``exhaustive`` records whether the full
     sign-pattern sweep ran (possible for M <= 12 only).
     """
 
@@ -134,6 +143,45 @@ class ConeSearchResult:
     candidates: int
     method: str
     exhaustive: bool
+    mu3_upper: float = math.inf
+
+    @property
+    def label(self) -> str:
+        """Report label: "exact" for a closed bracket, else how its lower end was searched."""
+        if self.mu3_lower == self.mu3_upper:
+            return "exact"
+        return "exhaustive" if self.exhaustive else "indicative"
+
+
+def _diag_scale(H: np.ndarray) -> float:
+    """b'Hb <= 1e-14 |b|^2 times this scale declares b a null direction."""
+    return max(1.0, float(np.max(np.diag(H), initial=0.0)))
+
+
+def _cone_ratio(H: np.ndarray, support: np.ndarray, b: np.ndarray, scale: float) -> float:
+    """|b_J|_2 / sqrt(b'Hb): 0 when b_J = 0, inf on a null direction."""
+    num2 = float(b[support] @ b[support])
+    if num2 == 0.0:
+        return 0.0
+    den2 = float(b @ (H @ b))
+    if den2 > 1e-14 * float(b @ b) * scale:
+        return math.sqrt(num2 / den2)
+    return math.inf
+
+
+def _in_cone(b, w, support, heavy) -> bool:
+    """|b_Jc|_{1,w} <= 3 |b_J|_{1,w}; ``heavy`` marks off-support w > 0."""
+    return float(w[heavy] @ np.abs(b[heavy])) <= 3.0 * float(w[support] @ np.abs(b[support]))
+
+
+def _cone_project(b, w, support, heavy, theta):
+    """Shrink the weighted off-support mass of b (in place) onto the cone
+    |b_Jc|_{1,w} <= 3 theta |b_J|_{1,w}; coordinates with w = 0 are free."""
+    cap = 3.0 * theta * float(w[support] @ np.abs(b[support]))
+    load = float(w[heavy] @ np.abs(b[heavy]))
+    if load > cap:
+        b[heavy] *= 0.0 if cap == 0.0 else cap / load
+    return b
 
 
 def mu3_search(
@@ -170,27 +218,16 @@ def mu3_search(
     outside = np.ones(M, dtype=bool)
     outside[support] = False
     heavy = outside & (w > 0)
-    diag_scale = max(1.0, float(np.max(np.diag(H), initial=0.0)))
+    diag_scale = _diag_scale(H)
 
     state = {"best": 0.0, "vec": None, "method": "random-cone-sampling", "count": 0}
 
     def project(b, theta):
-        # shrink the weighted off-support mass onto the cone; w=0 coords are free
-        cap = 3.0 * theta * float(w[support] @ np.abs(b[support]))
-        load = float(w[heavy] @ np.abs(b[heavy]))
-        if load > cap:
-            b[heavy] *= 0.0 if cap == 0.0 else cap / load
-        return b
+        return _cone_project(b, w, support, heavy, theta)
 
     def consider(b, method) -> float:
         state["count"] += 1
-        num2 = float(b[support] @ b[support])
-        if num2 == 0.0:
-            return 0.0
-        den2 = float(b @ (H @ b))
-        value = math.inf
-        if den2 > 1e-14 * float(b @ b) * diag_scale:
-            value = math.sqrt(num2 / den2)
+        value = _cone_ratio(H, support, b, diag_scale)
         if value > state["best"]:
             state["best"], state["vec"], state["method"] = value, b.copy(), method
         return value
@@ -264,6 +301,82 @@ def mu3_search(
     return result()
 
 
+def mu3_bracket(
+    system: GramSystem,
+    weights: WeightVector,
+    beta_ref: np.ndarray,
+    budget: int = 256,
+    seed=0,
+    exhaustive: bool | None = None,
+) -> ConeSearchResult:
+    """Bracket mu3(beta_ref), exactly whenever the maximiser lies in the cone.
+
+    Without the cone, sup |b_J|_2^2 / b'Hb = lambda_max([H^-1]_JJ),
+    attained at b* = H^-1 E_J v for the top eigenvector v of that block;
+    one Cholesky solve of H against E_J and an eigh of the |J| x |J| block
+    give both, and sqrt(lambda_max) is always an upper bound. If b* lies in
+    the cone (which is sign-symmetric, so v's sign is immaterial) the bound
+    is attained: lower = upper, method ``"closed-form"``. Otherwise the
+    lower end is the larger of the ratio at b* projected onto the cone and
+    ``mu3_search`` with the same arguments; ``budget`` and ``exhaustive``
+    only shape that fallback search.
+
+    H is singular when some b'Hb <= 1e-14 |b|^2 max(1, max_j H_jj), the
+    test ``mu3_search`` applies to every candidate. Then upper = inf, and
+    lower = inf as well if a null direction u with u_J != 0 lies in the
+    cone; otherwise the lower end comes from the search.
+    """
+    beta_ref = np.asarray(beta_ref, dtype=float)
+    support = np.flatnonzero(beta_ref != 0.0)
+    if support.size == 0:
+        raise ValueError("beta_ref needs a nonempty support")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    H = system.matrix
+    M = system.M
+    w = weights.w
+    scale = _diag_scale(H)
+    heavy = w > 0
+    heavy[support] = False
+
+    def closed(mu3, method):
+        return ConeSearchResult(
+            beta_ref=beta_ref.copy(), mu3_lower=mu3, candidates=1, method=method,
+            exhaustive=False, mu3_upper=mu3,
+        )
+
+    try:
+        # H - floor*I factors only if every eigenvalue of H clears the null
+        # floor (up to rounding of the factorization)
+        np.linalg.cholesky(H - 1e-14 * scale * np.eye(M))
+        chol = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        lam, vecs = np.linalg.eigh(H)
+        null = vecs[:, lam <= 1e-14 * scale]
+        # the null basis, and each support axis projected onto the null space
+        candidates = np.hstack([null, null @ null[support].T]).T
+        for u in candidates:
+            if _in_cone(u, w, support, heavy) and _cone_ratio(H, support, u, scale) == math.inf:
+                return closed(math.inf, "null-direction")
+        found = mu3_search(system, weights, beta_ref, budget, seed, exhaustive)
+        return dataclasses.replace(found, candidates=found.candidates + len(candidates))
+
+    axes = np.zeros((M, support.size))
+    axes[support, np.arange(support.size)] = 1.0
+    half = np.linalg.solve(chol, axes)  # L^-1 E_J, so [H^-1]_JJ = half' half
+    lam, vecs = np.linalg.eigh(half.T @ half)
+    upper = math.sqrt(lam[-1])
+    b_star = np.linalg.solve(chol.T, half @ vecs[:, -1])  # H^-1 E_J v
+    if _in_cone(b_star, w, support, heavy):
+        return closed(upper, "closed-form")
+    projected = _cone_ratio(H, support, _cone_project(b_star, w, support, heavy, 1.0), scale)
+    found = mu3_search(system, weights, beta_ref, budget, seed, exhaustive)
+    found = dataclasses.replace(found, candidates=found.candidates + 1, mu3_upper=upper)
+    if projected > found.mu3_lower:
+        found = dataclasses.replace(found, mu3_lower=projected, method="projected-closed-form")
+    return found
+
+
 def re_constant(
     system: GramSystem,
     weights: WeightVector,
@@ -273,12 +386,13 @@ def re_constant(
 ) -> float:
     """Upper bound on the restricted eigenvalue kappa(s, 3).
 
-    min over supports |J| <= s of 1 / mu3(J); every searched mu3 is a
-    lower bound, so the minimum is an upper bound on kappa. Supports are
-    enumerated exhaustively for M <= 12, otherwise ``budget`` of them are
-    sampled. Each support gets its own substream keyed by
-    (seed, sorted(J)), so a caller probing one support with mu3_search and
-    the same key sees the identical candidate stream.
+    min over supports |J| <= s of 1 / mu3(J), with each mu3 the lower end
+    of its ``mu3_bracket``, so the minimum is an upper bound on kappa. It
+    is exact when supports are enumerated (M <= 12, otherwise ``budget``
+    of them are sampled) and every bracket is closed. Each support's
+    fallback search gets its own substream keyed by (seed, sorted(J)), so
+    a caller probing one support with mu3_search and the same key sees the
+    identical candidate stream.
     """
     M = system.M
     if not 1 <= s <= M:
@@ -297,7 +411,7 @@ def re_constant(
     for J in supports:
         ref = np.zeros(M)
         ref[list(J)] = 1.0
-        found = mu3_search(
+        found = mu3_bracket(
             system, weights, ref, budget=budget, seed=[seed, *sorted(J)], exhaustive=False
         )
         mu = found.mu3_lower
@@ -436,14 +550,12 @@ def _oracle_worker(args):
     else:
         fit_fast = fit(system, weights, kappa=2.0, tol=tol)
         if np.any(truth.beta0):
-            search = mu3_search(
+            mu3 = mu3_bracket(
                 system, weights, truth.beta0, budget=budget, seed=[seed, rep, 55]
             )
-            mu3 = search
-            mu_value = search.mu3_lower
-            label = "exhaustive" if search.exhaustive else "indicative"
+            mu_value, mu_upper, label = mu3.mu3_lower, mu3.mu3_upper, mu3.label
         else:
-            mu3 = mu_value = math.inf  # unused: empty support drops the term
+            mu3 = mu_value = mu_upper = math.inf  # unused: empty support drops the term
             label = "exact"
         f_lhs, f_rhs, f_holds = fast_oracle_check(
             truth, dictionary, x, fit_fast, mu3, system=system, weights=weights
@@ -454,6 +566,7 @@ def _oracle_worker(args):
             fast_holds=f_holds,
             fast_converged=fit_fast.converged,
             mu3=mu_value,
+            mu3_upper=mu_upper,
             mu3_label=label,
         )
     return row
@@ -472,9 +585,10 @@ def run_oracle_mc(
     """Holding frequencies of both oracle inequalities over fresh datasets.
 
     The slow check always runs on the raw linear dictionary; the fast
-    check runs either on the same fit (searched mu3, labeled by bound
-    quality) or, with identity_gram, on the whitened construction where
-    mu3 is a closed form and the check is exact.
+    check runs either on the same fit (mu3 from ``mu3_bracket``, labeled
+    "exact" when the bracket is closed and otherwise by how its lower end
+    was searched) or, with identity_gram, on the whitened construction
+    where mu3 is a closed form and the check is exact.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")

@@ -58,10 +58,13 @@ def empirical_variance(
     """vhat_j = (1/n) sum over events of (h_j(X_i) - hbar_j(Z_i))^2.
 
     The centered values are read left-continuously at the event times on
-    the system's timeline.
+    the system's timeline; ``build_gram`` computes them in the same pass
+    as hn, so this returns the system's ``vhat``. The system must have
+    been built from ``dictionary``.
     """
-    centered = system.timeline.event_centered(dictionary.values)
-    return (centered**2).sum(axis=0) / dataset.n
+    if dictionary.M != system.M:
+        raise ValueError("dictionary columns do not match the gram system")
+    return system.vhat.copy()
 
 
 def loglog_term(vhat, sup, x: float, n: int):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hazlasso import (
     ConeSearchResult,
@@ -26,12 +28,14 @@ from hazlasso import (
     guarantee_level,
     identity_gram_check,
     linear_dictionary,
+    mu3_bracket,
     mu3_search,
     re_constant,
     run_oracle_mc,
     simulate,
     slow_oracle_check,
 )
+from hazlasso.cli import main
 from hazlasso.gram import empirical_inner_fn, empirical_norm_sq_fn
 from hazlasso.simulate import GaussianCovariates, SimulationConfig, UniformCensoring
 from hazlasso.survival import SurvivalDataset
@@ -221,6 +225,144 @@ class TestMu3Search:
             mu3_search(micro_system, weights, np.zeros(1))
         with pytest.raises(ValueError, match="budget"):
             mu3_search(micro_system, weights, np.ones(1), budget=0)
+
+
+def cone_ratio(H, support, b):
+    return math.sqrt(float(b[support] @ b[support]) / float(b @ H @ b))
+
+
+def closed_form_maximiser(H, support):
+    """b* = H^-1 E_J v for the top eigenvector v of [H^-1]_JJ, by a dense inverse."""
+    inv = np.linalg.inv(H)
+    _, vecs = np.linalg.eigh(inv[np.ix_(support, support)])
+    return inv[:, support] @ vecs[:, -1]
+
+
+def in_cone(b, w, support):
+    outside = np.ones(len(b), dtype=bool)
+    outside[support] = False
+    return w[outside] @ np.abs(b[outside]) <= 3.0 * (w[support] @ np.abs(b[support]))
+
+
+@st.composite
+def bracket_cases(draw):
+    """Random SPD H (equicorrelated up to rho, ridge 0.05), weights with
+    some zero entries, and a support of 1..M columns; roughly a quarter of
+    the cases put b* outside the cone."""
+    M = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = draw(st.floats(0.0, 0.95))
+    A = rng.standard_normal((M + draw(st.integers(0, 6)), M))
+    H = (1.0 - rho) * (A.T @ A) / len(A) + rho * np.ones((M, M)) + 0.05 * np.eye(M)
+    w = rng.uniform(0.05, 1.0, size=M) * (rng.uniform(size=M) > 0.15)
+    ref = np.zeros(M)
+    support = rng.choice(M, size=draw(st.integers(1, M)), replace=False)
+    ref[support] = rng.choice([-1.0, 1.0], size=support.size) * rng.uniform(0.5, 2.0, support.size)
+    w[support] *= draw(st.floats(0.05, 1.0))  # light support weights narrow the cone
+    return H, w, ref, draw(st.integers(0, 1000))
+
+
+class TestMu3Bracket:
+    # Closed-form values and ratios at cone points are two floating-point
+    # evaluations of the same quantity when a point is the maximiser, so
+    # comparisons between them allow a few ulps of relative slack.
+    ROUNDING = 1e-12
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=bracket_cases())
+    def test_bracket_holds_against_cone_points(self, case, micro_system):
+        H, w, ref, seed = case
+        system = synthetic_system(H, micro_system)
+        weights = flat_weights(w, 2)
+        support = np.flatnonzero(ref)
+        found = mu3_bracket(system, weights, ref, budget=64, seed=seed)
+        assert found.mu3_lower <= found.mu3_upper
+        assert math.isfinite(found.mu3_upper)  # the ridge keeps H regular
+        rng = np.random.default_rng(seed)
+        outside = np.ones(len(w), dtype=bool)
+        outside[support] = False
+        for _ in range(200):
+            b = rng.standard_normal(len(w))
+            cap = 3.0 * rng.uniform() * (w[support] @ np.abs(b[support]))
+            load = w[outside] @ np.abs(b[outside])
+            if load > cap:
+                b[outside & (w > 0)] *= cap / load
+            assert cone_ratio(H, support, b) <= found.mu3_upper * (1.0 + self.ROUNDING)
+        b_star = closed_form_maximiser(H, support)
+        if found.method == "closed-form":
+            assert found.label == "exact" and found.mu3_lower == found.mu3_upper
+            assert in_cone(b_star, w, support)
+            np.testing.assert_allclose(
+                found.mu3_lower, cone_ratio(H, support, b_star), rtol=self.ROUNDING
+            )
+        else:
+            assert found.mu3_lower < found.mu3_upper
+        np.testing.assert_allclose(
+            found.mu3_upper, cone_ratio(H, support, b_star), rtol=self.ROUNDING
+        )
+        searched = mu3_search(system, weights, ref, budget=64, seed=seed)
+        assert found.mu3_lower >= searched.mu3_lower * (1.0 - self.ROUNDING)
+
+    def test_maximiser_outside_the_cone_is_bracketed(self, micro_system):
+        # columns 0 and 1 correlate at rho; b* = H^-1 e_0 is (1, -rho, 0, ...)
+        # up to scale, whose weighted off-support mass rho * 1 exceeds
+        # 3 * 0.1. The cone optimum is (1, -0.3, 0, ...), which projecting
+        # b* onto the cone reaches exactly.
+        rho = 0.9
+        H = np.eye(13)
+        H[0, 1] = H[1, 0] = rho
+        system = synthetic_system(H, micro_system)
+        weights = flat_weights([0.1] + [1.0] * 12, 2)
+        found = mu3_bracket(system, weights, np.eye(13)[0], budget=64, seed=4)
+        assert found.method != "closed-form"
+        assert found.label == "indicative"
+        assert math.isfinite(found.mu3_upper) and found.mu3_upper > found.mu3_lower
+        np.testing.assert_allclose(found.mu3_upper, 1.0 / math.sqrt(1.0 - rho**2), rtol=1e-12)
+        np.testing.assert_allclose(
+            found.mu3_lower, 1.0 / math.sqrt(1.0 - 2.0 * rho * 0.3 + 0.09), rtol=1e-12
+        )
+
+    def test_null_direction_in_the_cone_is_infinite(self, micro_system):
+        # u = (1, -1, 0, ...) spans the null space; its off-support mass 0.2
+        # is inside the cone's 3 * 1. With M = 13 the search alone would
+        # have to hit u by chance.
+        H = np.eye(13)
+        H[:2, :2] = 1.0
+        system = synthetic_system(H, micro_system)
+        found = mu3_bracket(system, flat_weights([1.0, 0.2] + [1.0] * 11, 2), np.eye(13)[0])
+        assert found.mu3_lower == found.mu3_upper == math.inf
+        assert found.method == "null-direction" and found.label == "exact"
+
+    def test_null_direction_outside_the_cone_opens_the_bracket(self, micro_system):
+        # the same null space, but the off-support weight 1 puts u outside
+        # the cone |b_1| <= 0.3 |b_0|, where mu3 = 1 / 0.7
+        system = synthetic_system([[1.0, 1.0], [1.0, 1.0]], micro_system)
+        found = mu3_bracket(system, flat_weights([0.1, 1.0], 2), np.array([1.0, 0.0]))
+        assert found.mu3_upper == math.inf
+        assert 0.0 < found.mu3_lower <= 1.0 / 0.7 + 1e-12
+        assert found.label != "exact"
+
+    def test_re_constant_is_exact_when_every_bracket_closes(self, micro_system):
+        # near-identity H: every b* = H^-1 e_j lies in its cone, so
+        # kappa(1, 3) = min_j 1 / sqrt([H^-1]_jj)
+        H = np.eye(4) + 0.1 * np.ones((4, 4))
+        system = synthetic_system(H, micro_system)
+        weights = flat_weights([0.2] * 4, 2)
+        want = 1.0 / math.sqrt(np.diag(np.linalg.inv(H)).max())
+        np.testing.assert_allclose(re_constant(system, weights, s=1, budget=8), want, rtol=1e-12)
+
+    def test_cli_rows_carry_the_upper_bound(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        code = main(["oracle-check", "--config", "default", "--reps", "3", "--seed", "5",
+                     "--threads", "1", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["schema"] == "2"
+        for row in report["rows"]:
+            assert row["mu3_upper"] >= row["mu3"] > 0.0
+            assert row["mu3_label"] in ("exact", "indicative", "exhaustive")
+            assert (row["mu3_label"] == "exact") == (row["mu3_upper"] == row["mu3"])
 
 
 class TestReConstant:

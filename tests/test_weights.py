@@ -150,6 +150,22 @@ class TestEmpiricalVariance:
                 want += (dic.values[i] - mean) ** 2
             np.testing.assert_allclose(got, want / ds.n, rtol=0, atol=1e-12)
 
+    def test_reads_the_gram_pass_bit_for_bit(self):
+        # build_gram squares the event deviations it already computes for
+        # hn; the result must be the separate centered pass, bit for bit
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            ds = random_dataset(rng)
+            dic = linear_dictionary(ds)
+            system = build_gram(ds, dic)
+            want = (system.timeline.event_centered(dic.values) ** 2).sum(axis=0) / ds.n
+            np.testing.assert_array_equal(empirical_variance(ds, dic, system), want)
+        wider = DictionaryMatrix(
+            values=np.hstack([dic.values, dic.values[:, :1]]), labels=dic.labels + ["extra"]
+        )
+        with pytest.raises(ValueError, match="columns"):
+            empirical_variance(ds, wider, system)
+
     def test_tracks_predictable_variation_as_n_grows(self):
         # vhat and the predictable variation estimate the same limit; their
         # relative gap should shrink along n = 100, 400, 1600 (seed-averaged
