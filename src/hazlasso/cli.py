@@ -30,9 +30,12 @@ from .weights import DEFAULT_X, compute_weights
 
 SCHEMA_VERSION = "2"
 
-# Worker processes for the Monte Carlo commands. On a 2-CPU machine both
-# `bernstein-mc --reps 2000` and `oracle-check --reps 100` ran faster with
-# 2 workers than with 1; more were not measured. A 1-CPU machine gets 1.
+# Worker processes for the Monte Carlo commands; a 1-CPU machine gets 1.
+# Measured on a 2-CPU machine, more than 2 not tried: with BLAS pinned to
+# one thread per process, 2 workers beat 1 from 100 replications up. With
+# BLAS threads left at their default, 2 workers were slower than 1 for
+# `oracle-check --identity-gram` at every size measured (15, 100 and 500
+# replications) and for the searched `oracle-check` at 15 and 100.
 DEFAULT_THREADS = min(2, os.cpu_count() or 1)
 
 

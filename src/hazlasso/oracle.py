@@ -13,11 +13,11 @@ the cone gives a certified upper bound in closed form, mu3^2 <=
 lambda_max([H^-1]_JJ), attained at b* = H^-1 E_J v for the top
 eigenvector v, so ``mu3_bracket`` is exact whenever b* lies in the cone.
 When b* leaves the cone, mu3 is bracketed: the lower end comes from
-feasible cone points (b* projected onto the cone, then the random
-``mu3_search``), and every report states which case it is. For an exact
-fast check on any design, whiten the dictionary: the Gram becomes the
-identity up to roundoff, the reference support is full, the cone is the
-whole space, and mu3 collapses to 1/sqrt(lambda_min).
+feasible cone points (b* projected onto the cone, and the plain random
+stream of ``mu3_search``), and every report states which case it is.
+For an exact fast check on any design, whiten the dictionary: the Gram
+becomes the identity up to roundoff, the reference support is full, the
+cone is the whole space, and mu3 collapses to 1/sqrt(lambda_min).
 """
 
 from __future__ import annotations
@@ -134,23 +134,19 @@ class ConeSearchResult:
     cone; otherwise its upper end is the closed form and its lower end a
     feasible cone point. ``mu3_search`` alone only evaluates feasible cone
     points, so its upper end is inf. ``method`` names the step that
-    produced the lower end; ``exhaustive`` records whether the full
-    sign-pattern sweep ran (possible for M <= 12 only).
+    produced the lower end; ``candidates`` counts the points evaluated.
     """
 
     beta_ref: np.ndarray
     mu3_lower: float
     candidates: int
     method: str
-    exhaustive: bool
     mu3_upper: float = math.inf
 
     @property
     def label(self) -> str:
-        """Report label: "exact" for a closed bracket, else how its lower end was searched."""
-        if self.mu3_lower == self.mu3_upper:
-            return "exact"
-        return "exhaustive" if self.exhaustive else "indicative"
+        """Report label: "exact" for a closed bracket, else "indicative"."""
+        return "exact" if self.mu3_lower == self.mu3_upper else "indicative"
 
 
 def _diag_scale(H: np.ndarray) -> float:
@@ -190,18 +186,18 @@ def mu3_search(
     beta_ref: np.ndarray,
     budget: int = 512,
     seed=0,
-    exhaustive: bool | None = None,
 ) -> ConeSearchResult:
     """Lower-bound mu3(beta_ref) = sup |b_J|_2 / sqrt(b' H b) over the cone
     |b_Jc|_{1,w} <= 3 |b_J|_{1,w}.
 
     The candidate stream is deterministic given (seed, support, weights):
-    support basis vectors first, then ``budget`` random cone points with a
-    coordinate-refinement pass of the incumbent after every 64th, so the
-    result is nondecreasing in budget. With ``exhaustive`` (default for
-    M <= 12) all 2^M sign patterns are swept first at both cone extremes.
-    A rank-deficient direction met with |b_J|_2 > 0 short-circuits to
-    +inf: the restricted eigenvalue fails outright.
+    the support basis vectors first, then ``budget`` random cone points,
+    each a standard normal draw whose weighted off-support mass is shrunk
+    onto the cone scaled by a uniform theta in [0, 1). Every candidate is
+    feasible and the stream for a larger budget extends the one for a
+    smaller, so the result is nondecreasing in budget. A rank-deficient
+    direction met with |b_J|_2 > 0 stops the stream at +inf: the
+    restricted eigenvalue fails outright.
     """
     beta_ref = np.asarray(beta_ref, dtype=float)
     support = np.flatnonzero(beta_ref != 0.0)
@@ -211,94 +207,28 @@ def mu3_search(
         raise ValueError("budget must be at least 1")
     H = system.matrix
     M = system.M
-    if exhaustive is None:
-        exhaustive = M <= 12
-    exhaustive = bool(exhaustive) and M <= 12
     w = weights.w
-    outside = np.ones(M, dtype=bool)
-    outside[support] = False
-    heavy = outside & (w > 0)
-    diag_scale = _diag_scale(H)
-
-    state = {"best": 0.0, "vec": None, "method": "random-cone-sampling", "count": 0}
-
-    def project(b, theta):
-        return _cone_project(b, w, support, heavy, theta)
-
-    def consider(b, method) -> float:
-        state["count"] += 1
-        value = _cone_ratio(H, support, b, diag_scale)
-        if value > state["best"]:
-            state["best"], state["vec"], state["method"] = value, b.copy(), method
-        return value
-
-    def refine():
-        base = state["vec"]
-        if base is None:
-            return 0.0
-        base = base.copy()
-        step = 0.25 * max(float(np.abs(base).max()), 1e-3)
-        for j in range(M):
-            for delta in (step, -step):
-                cand = base.copy()
-                cand[j] += delta
-                if consider(project(cand, 1.0), "coordinate-refinement") == math.inf:
-                    return math.inf
-        return state["best"]
-
-    def result():
-        return ConeSearchResult(
-            beta_ref=beta_ref.copy(),
-            mu3_lower=state["best"],
-            candidates=state["count"],
-            method=state["method"],
-            exhaustive=exhaustive,
-        )
-
-    for j in support:
-        e = np.zeros(M)
-        e[j] = 1.0
-        if consider(e, "random-cone-sampling") == math.inf:
-            return result()
-
-    if exhaustive:
-        # all-ones magnitudes make the cone projection one shared scale
-        bits = (np.arange(2**M)[:, None] >> np.arange(M)) & 1
-        patterns = np.where(bits.astype(bool), 1.0, -1.0)
-        cap = 3.0 * float(w[support].sum())
-        load = float(w[heavy].sum())
-        scale = 1.0 if load <= cap else (0.0 if cap == 0.0 else cap / load)
-        for theta_scale in (0.0, scale):
-            cands = patterns.copy()
-            cands[:, heavy] *= theta_scale
-            cands[:, outside & ~heavy] *= 1.0 if theta_scale else 0.0
-            num2 = float(support.size)
-            den2 = np.einsum("ij,ij->i", cands @ H, cands)
-            norms2 = np.einsum("ij,ij->i", cands, cands)
-            state["count"] += len(cands)
-            degenerate = den2 <= 1e-14 * norms2 * diag_scale
-            if np.any(degenerate):
-                k = int(np.flatnonzero(degenerate)[0])
-                state["best"], state["vec"] = math.inf, cands[k].copy()
-                state["method"] = "sign-pattern-enumeration"
-                return result()
-            values = np.sqrt(num2 / den2)
-            k = int(np.argmax(values))
-            if values[k] > state["best"]:
-                state["best"], state["vec"] = float(values[k]), cands[k].copy()
-                state["method"] = "sign-pattern-enumeration"
-        if refine() == math.inf:
-            return result()
-
+    heavy = w > 0
+    heavy[support] = False
+    scale = _diag_scale(H)
     rng = np.random.default_rng(seed if np.ndim(seed) else [int(seed)])
-    for i in range(1, budget + 1):
-        b = rng.standard_normal(M)
-        theta = rng.uniform()
-        if consider(project(b, theta), "random-cone-sampling") == math.inf:
-            return result()
-        if i % 64 == 0 and refine() == math.inf:
-            return result()
-    return result()
+    # arguments evaluate left to right: the normal vector, then theta
+    draws = (
+        _cone_project(rng.standard_normal(M), w, support, heavy, rng.uniform())
+        for _ in range(budget)
+    )
+    best, count = 0.0, 0
+    for b in itertools.chain(np.eye(M)[support], draws):
+        count += 1
+        best = max(best, _cone_ratio(H, support, b, scale))
+        if best == math.inf:
+            break
+    return ConeSearchResult(
+        beta_ref=beta_ref.copy(),
+        mu3_lower=best,
+        candidates=count,
+        method="random-cone-sampling",
+    )
 
 
 def mu3_bracket(
@@ -307,7 +237,6 @@ def mu3_bracket(
     beta_ref: np.ndarray,
     budget: int = 256,
     seed=0,
-    exhaustive: bool | None = None,
 ) -> ConeSearchResult:
     """Bracket mu3(beta_ref), exactly whenever the maximiser lies in the cone.
 
@@ -318,8 +247,8 @@ def mu3_bracket(
     the cone (which is sign-symmetric, so v's sign is immaterial) the bound
     is attained: lower = upper, method ``"closed-form"``. Otherwise the
     lower end is the larger of the ratio at b* projected onto the cone and
-    ``mu3_search`` with the same arguments; ``budget`` and ``exhaustive``
-    only shape that fallback search.
+    ``mu3_search`` with the same arguments; ``budget`` and ``seed`` only
+    shape that fallback stream.
 
     H is singular when some b'Hb <= 1e-14 |b|^2 max(1, max_j H_jj), the
     test ``mu3_search`` applies to every candidate. Then upper = inf, and
@@ -342,7 +271,7 @@ def mu3_bracket(
     def closed(mu3, method):
         return ConeSearchResult(
             beta_ref=beta_ref.copy(), mu3_lower=mu3, candidates=1, method=method,
-            exhaustive=False, mu3_upper=mu3,
+            mu3_upper=mu3,
         )
 
     try:
@@ -358,7 +287,7 @@ def mu3_bracket(
         for u in candidates:
             if _in_cone(u, w, support, heavy) and _cone_ratio(H, support, u, scale) == math.inf:
                 return closed(math.inf, "null-direction")
-        found = mu3_search(system, weights, beta_ref, budget, seed, exhaustive)
+        found = mu3_search(system, weights, beta_ref, budget, seed)
         return dataclasses.replace(found, candidates=found.candidates + len(candidates))
 
     axes = np.zeros((M, support.size))
@@ -370,7 +299,7 @@ def mu3_bracket(
     if _in_cone(b_star, w, support, heavy):
         return closed(upper, "closed-form")
     projected = _cone_ratio(H, support, _cone_project(b_star, w, support, heavy, 1.0), scale)
-    found = mu3_search(system, weights, beta_ref, budget, seed, exhaustive)
+    found = mu3_search(system, weights, beta_ref, budget, seed)
     found = dataclasses.replace(found, candidates=found.candidates + 1, mu3_upper=upper)
     if projected > found.mu3_lower:
         found = dataclasses.replace(found, mu3_lower=projected, method="projected-closed-form")
@@ -390,9 +319,9 @@ def re_constant(
     of its ``mu3_bracket``, so the minimum is an upper bound on kappa. It
     is exact when supports are enumerated (M <= 12, otherwise ``budget``
     of them are sampled) and every bracket is closed. Each support's
-    fallback search gets its own substream keyed by (seed, sorted(J)), so
-    a caller probing one support with mu3_search and the same key sees the
-    identical candidate stream.
+    fallback stream of random cone points gets its own substream keyed by
+    (seed, sorted(J)), so a caller probing one support with ``mu3_search``
+    and the same key sees the identical candidate stream.
     """
     M = system.M
     if not 1 <= s <= M:
@@ -411,9 +340,7 @@ def re_constant(
     for J in supports:
         ref = np.zeros(M)
         ref[list(J)] = 1.0
-        found = mu3_bracket(
-            system, weights, ref, budget=budget, seed=[seed, *sorted(J)], exhaustive=False
-        )
+        found = mu3_bracket(system, weights, ref, budget=budget, seed=[seed, *sorted(J)])
         mu = found.mu3_lower
         best = min(best, 0.0 if mu == math.inf else 1.0 / mu)
         if best == 0.0:
@@ -586,9 +513,9 @@ def run_oracle_mc(
 
     The slow check always runs on the raw linear dictionary; the fast
     check runs either on the same fit (mu3 from ``mu3_bracket``, labeled
-    "exact" when the bracket is closed and otherwise by how its lower end
-    was searched) or, with identity_gram, on the whitened construction
-    where mu3 is a closed form and the check is exact.
+    "exact" when the bracket is closed and otherwise "indicative") or,
+    with identity_gram, on the whitened construction where mu3 is a
+    closed form and the check is exact.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")
@@ -602,15 +529,12 @@ def run_oracle_mc(
     rows = parallel_map(_oracle_worker, tasks, threads)
     slow_holds = sum(1 for r in rows if r["slow_holds"])
     fast_holds = sum(1 for r in rows if r["fast_holds"])
-    labels = {r["mu3_label"] for r in rows}
-    for worst in ("indicative", "exhaustive", "exact"):
-        if worst in labels:
-            break
+    label = "exact" if all(r["mu3_label"] == "exact" for r in rows) else "indicative"
     return OracleReport(
         x=float(x),
         replications=replications,
         identity_gram=identity_gram,
-        mu3_label=worst,
+        mu3_label=label,
         guarantee=guarantee_level(x),
         rows=rows,
         slow_holds=slow_holds,

@@ -358,16 +358,6 @@ def load_config(path: str) -> SimulationConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def baseline_interval_integrals(timeline: RiskSetTimeline, baseline: StepFunction) -> np.ndarray:
-    """Integral of lambda0 over each timeline interval (exact, refined grid)."""
-    grid = np.unique(np.concatenate([timeline.breakpoints, baseline.breakpoints]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    parent = np.searchsorted(timeline.breakpoints, mids, side="left") - 1
-    out = np.zeros(len(timeline.lengths))
-    np.add.at(out, parent, np.diff(grid) * baseline(mids))
-    return out
-
-
 def noise_terms(
     truth: SimulatedTruth, column_values: np.ndarray, timeline: RiskSetTimeline
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,31 +371,33 @@ def noise_terms(
         Vhat = (1/n) sum_events (c_i - m(Z_i))^2
         V    = (1/n) sum_i int (c_i - m)^2 alpha_i Y_i dt
 
-    One pass: the column is centered once, and its risk-set means m_k and
-    the baseline interval integrals are computed once. Record i's
-    cumulative hazard A_i = int_0^{Z_i} alpha_i dt turns the at-risk
-    integrals of c_i and c_i^2 into dot products; rho_k, the hazard of the
-    whole risk set on interval k, carries the mean terms. The baseline part
-    of the compensator vanishes analytically and is still evaluated
-    honestly, so Z carries the true floating-point residual.
+    One pass: the timeline's ``centered`` primitive centers the column
+    once and gives its risk-set means m_k, and the baseline interval
+    integrals are computed once. Record i's cumulative hazard
+    A_i = int_0^{Z_i} alpha_i dt turns the at-risk integrals of c_i and
+    c_i^2 into dot products; rho_k, the hazard of the whole risk set on
+    interval k, carries the mean terms. The baseline part of the
+    compensator vanishes analytically and is still evaluated honestly, so
+    Z carries the true floating-point residual.
     """
     tl = timeline
-    v = np.asarray(column_values, dtype=float)
-    c = v - v.mean(axis=0)
-    mean = tl.means(c)
-    resid = c[tl.event_rows] - mean[tl.event_interval]
-    lam = baseline_interval_integrals(tl, truth.baseline)
+    c, mean = centered = tl.centered(column_values)
+    resid = tl.event_deviations(centered)
+    lam = tl.interval_integrals(truth.baseline)
     h0 = truth.h0
     cum_hazard = np.cumsum(lam)[tl.end_interval] + tl.follow_up * h0
     base_count = lam * tl.at_risk
     rho = base_count + tl.lengths * tl.prefix_sums(h0)
     # sum_k m_k mu_k, with mu_k = sum_{i at risk} c_i int_k alpha_i dt
-    s_ch = tl.prefix_sums(c * h0.reshape((-1,) + (1,) * (c.ndim - 1)))
+    s_ch = tl.prefix_sums(c * h0[:, None])
     m_mu = base_count @ (mean * mean) + tl.lengths @ (mean * s_ch)
     compensator = cum_hazard @ c - rho @ mean
     variation = cum_hazard @ (c * c) - 2.0 * m_mu + rho @ (mean * mean)
     n = tl.n
-    return (resid.sum(axis=0) - compensator) / n, (resid * resid).sum(axis=0) / n, variation / n
+    terms = (resid.sum(axis=0) - compensator, (resid * resid).sum(axis=0), variation)
+    shape = np.shape(column_values)[1:]
+    # [()] turns the 0-d result of a single column back into a scalar
+    return tuple((t / n).reshape(shape)[()] for t in terms)
 
 
 def predictable_variation(

@@ -15,6 +15,8 @@ the event times and the centered at-risk moment that the Gram matrix, the
 inner products, the weights and the noise processes are built from. The
 last two are ``event_deviations`` and ``cross_moment`` applied to one
 ``centered`` pass, which a caller needing both can share.
+``interval_integrals`` integrates a deterministic step function, such as
+a baseline hazard, over each interval of the grid.
 
 Conventions, fixed once here and relied on everywhere:
 
@@ -317,6 +319,20 @@ class RiskSetTimeline:
         mass = (self.lengths * self.at_risk)[:, None]
         return ((self.follow_up[:, None] * u).T @ v - (mass * mu).T @ mv) / self.n
 
+    def interval_integrals(self, step: StepFunction) -> np.ndarray:
+        """Integral of a step function over each timeline interval, shape (K,).
+
+        Exact: on the common refinement of the two grids the integrand is
+        constant, and each refined piece is read at its midpoint and added
+        to the timeline interval that contains it.
+        """
+        grid = np.unique(np.concatenate([self.breakpoints, step.breakpoints]))
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        parent = np.searchsorted(self.breakpoints, mids, side="left") - 1
+        out = np.zeros(len(self.lengths))
+        np.add.at(out, parent, np.diff(grid) * step(mids))
+        return out
+
     def event_centered(self, values: np.ndarray) -> np.ndarray:
         """values[i] minus the at-risk mean at Z_i, over event records."""
         out = self.event_deviations(self.centered(values))
@@ -374,12 +390,9 @@ def check_orthogonality(timeline: RiskSetTimeline, values: np.ndarray, phi: Step
     Returns sum_i of the integral of phi(t) * (v_i - vbar_Y(t)) * Y_i(t) dt,
     which is 0 in exact arithmetic for any deterministic step function phi
     because the centered at-risk sum vanishes on every interval. The value
-    returned is the floating-point residual of evaluating that sum on the
-    refined grid, not a hard-coded zero.
+    returned is the floating-point residual of that sum against the
+    interval integrals of phi, not a hard-coded zero.
     """
     v = np.asarray(values, dtype=float)
     resid = timeline.prefix_sums(v) - timeline.at_risk * timeline.means(v)
-    grid = np.unique(np.concatenate([timeline.breakpoints, phi.breakpoints]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    parent = np.searchsorted(timeline.breakpoints, mids, side="left") - 1
-    return float(np.sum(np.diff(grid) * phi(mids) * resid[parent]))
+    return float(resid @ timeline.interval_integrals(phi))

@@ -180,8 +180,7 @@ class TestMu3Search:
         found = mu3_search(system, weights, np.array([1.0, 0.0, 0.0]), budget=64)
         assert isinstance(found, ConeSearchResult)
         assert found.mu3_lower == 1.0  # e_1 witnesses it; nothing beats it
-        assert found.exhaustive
-        assert found.candidates > 64
+        assert found.candidates == 65
 
     def test_single_column_closed_form(self, micro_system):
         # M = 1: mu3 = 1/sqrt(H) for every cone vector
@@ -202,22 +201,37 @@ class TestMu3Search:
         weights = flat_weights(rng.uniform(0.05, 0.3, size=4), 2)
         ref = np.array([1.0, -2.0, 0.0, 0.0])
         values = [
-            mu3_search(system, weights, ref, budget=b, seed=3, exhaustive=False).mu3_lower
+            mu3_search(system, weights, ref, budget=b, seed=3).mu3_lower
             for b in (32, 64, 256)
         ]
         assert values[0] <= values[1] <= values[2]
 
-    def test_exhaustive_flag_follows_width(self, micro_system):
-        rng = np.random.default_rng(15)
-        small = synthetic_system(np.eye(4), micro_system)
-        wide = synthetic_system(np.eye(13), micro_system)
-        w4 = flat_weights([0.1] * 4, 2)
-        w13 = flat_weights([0.1] * 13, 2)
-        ref4 = np.eye(4)[0]
-        ref13 = np.eye(13)[0]
-        assert mu3_search(small, w4, ref4, budget=4).exhaustive
-        assert not mu3_search(wide, w13, ref13, budget=4).exhaustive
-        assert not mu3_search(small, w4, ref4, budget=4, exhaustive=False).exhaustive
+    def test_plain_stream_matches_its_definition(self, micro_system):
+        # the support axes, then `budget` draws: a standard normal vector
+        # whose weighted off-support mass is capped at 3 theta |b_J|_{1,w}
+        # for a uniform theta, drawn from the substream keyed by [seed]
+        rng = np.random.default_rng(18)
+        A = rng.normal(size=(10, 6))
+        H = A.T @ A / 10.0 + 0.05 * np.eye(6)
+        system = synthetic_system(H, micro_system)
+        w = rng.uniform(0.05, 0.3, size=6)
+        ref = np.array([0.0, 1.0, 0.0, -0.5, 0.0, 0.0])
+        support = np.flatnonzero(ref)
+        off = np.flatnonzero(ref == 0.0)
+        budget, seed = 100, 9
+        found = mu3_search(system, flat_weights(w, 2), ref, budget=budget, seed=seed)
+        assert found.candidates == support.size + budget
+        best = max(cone_ratio(H, support, np.eye(6)[j]) for j in support)
+        draws = np.random.default_rng([seed])
+        for _ in range(budget):
+            b = draws.standard_normal(6)
+            theta = draws.uniform()
+            cap = 3.0 * theta * float(w[support] @ np.abs(b[support]))
+            load = float(w[off] @ np.abs(b[off]))
+            if load > cap:
+                b[off] *= cap / load
+            best = max(best, cone_ratio(H, support, b))
+        np.testing.assert_allclose(found.mu3_lower, best, rtol=1e-12)
 
     def test_validation(self, micro_system):
         weights = flat_weights([0.2], 2)
@@ -361,7 +375,7 @@ class TestMu3Bracket:
         assert report["schema"] == "2"
         for row in report["rows"]:
             assert row["mu3_upper"] >= row["mu3"] > 0.0
-            assert row["mu3_label"] in ("exact", "indicative", "exhaustive")
+            assert row["mu3_label"] in ("exact", "indicative")
             assert (row["mu3_label"] == "exact") == (row["mu3_upper"] == row["mu3"])
 
 
@@ -394,9 +408,7 @@ class TestReConstant:
         ref = np.array([0.7, 0.0, -1.1, 0.0])
         support = [0, 2]
         kappa_up = re_constant(system, weights, s=2, budget=64, seed=5)
-        found = mu3_search(
-            system, weights, ref, budget=64, seed=[5, *support], exhaustive=False
-        )
+        found = mu3_search(system, weights, ref, budget=64, seed=[5, *support])
         assert kappa_up <= 1.0 / found.mu3_lower + 1e-12
 
     def test_validation(self, micro_system):
@@ -434,7 +446,7 @@ class TestRunOracleMC:
         assert 0.0 <= report.slow_frequency <= 1.0
         assert 0.0 <= report.fast_frequency <= 1.0
         assert report.slow_wilson[0] <= report.slow_frequency <= report.slow_wilson[1]
-        assert report.mu3_label in ("indicative", "exhaustive", "exact")
+        assert report.mu3_label in ("indicative", "exact")
         np.testing.assert_allclose(report.guarantee, 1.0 - 29.0 * math.exp(-5.0))
         assert len(report.rows) == 12
         json.dumps(report.to_dict())

@@ -29,7 +29,6 @@ from hazlasso.simulate import (
     RademacherCovariates,
     SimulationConfig,
     UniformCensoring,
-    baseline_interval_integrals,
     config_from_dict,
     load_config,
 )
@@ -256,14 +255,14 @@ class TestBaselineIntegrals:
     def test_constant_baseline(self):
         truth = simulate(small_config())
         tl = build_timeline(truth.dataset)
-        out = baseline_interval_integrals(tl, StepFunction.constant(2.0))
+        out = tl.interval_integrals(StepFunction.constant(2.0))
         np.testing.assert_allclose(out, 2.0 * tl.lengths, rtol=1e-14)
 
     def test_misaligned_breakpoints_sum_to_total_mass(self):
         truth = simulate(small_config())
         tl = build_timeline(truth.dataset)
         base = StepFunction(np.array([0.0, 1 / 3, 1.0]), np.array([3.0, 0.5]))
-        out = baseline_interval_integrals(tl, base)
+        out = tl.interval_integrals(base)
         total = 3.0 / 3.0 + 0.5 * 2.0 / 3.0
         np.testing.assert_allclose(out.sum(), total, rtol=1e-14)
         # each entry is the integral over its own interval
