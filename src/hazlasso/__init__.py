@@ -11,7 +11,6 @@ which brings in at most one coordinate and solves the active block, and
 
 from .bernstein import (
     PAPER_NUMERIC,
-    PRESETS,
     BernsteinConstants,
     BernsteinReport,
     bound_empirical,
@@ -26,9 +25,7 @@ from .errors import ConfigError, DataValidationError, HazLassoError
 from .gram import (
     GramSystem,
     build_gram,
-    cross_products,
     dump_gram,
-    empirical_inner_fn,
     empirical_norm_sq,
     empirical_norm_sq_fn,
     objective,
@@ -50,8 +47,6 @@ from .simulate import (
     SimulationConfig,
     default_config,
     load_config,
-    noise_vector,
-    predictable_variation,
     simulate,
 )
 from .solver import LassoFit, active_kernel, fit, fit_path, kkt_check
@@ -61,12 +56,10 @@ from .survival import (
     SurvivalDataset,
     build_timeline,
     check_orthogonality,
-    integrate_product,
     load_dataset,
-    risk_set_mean,
     write_dataset,
 )
-from .weights import DEFAULT_X, WeightVector, compute_weights, empirical_variance
+from .weights import DEFAULT_X, WeightVector, compute_weights
 
 __version__ = "0.1.0"
 
@@ -83,7 +76,6 @@ __all__ = [
     "LassoFit",
     "OracleReport",
     "PAPER_NUMERIC",
-    "PRESETS",
     "RiskSetTimeline",
     "SimulatedTruth",
     "SimulationConfig",
@@ -97,19 +89,15 @@ __all__ = [
     "check_orthogonality",
     "classical_bound",
     "compute_weights",
-    "cross_products",
     "default_config",
     "dump_gram",
-    "empirical_inner_fn",
     "empirical_norm_sq",
     "empirical_norm_sq_fn",
-    "empirical_variance",
     "fast_oracle_check",
     "fit",
     "fit_path",
     "guarantee_level",
     "identity_gram_check",
-    "integrate_product",
     "kkt_check",
     "linear_dictionary",
     "load_config",
@@ -118,11 +106,8 @@ __all__ = [
     "mu3_bracket",
     "mu3_search",
     "noise_process_terminal",
-    "noise_vector",
     "objective",
-    "predictable_variation",
     "re_constant",
-    "risk_set_mean",
     "run_mc",
     "run_oracle_mc",
     "simulate",

@@ -66,6 +66,9 @@ class BernsteinConstants:
     stated_c3: float | None = None
 
     def __post_init__(self):
+        for name in ("c_ell", "epsilon", "c0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c_ell <= 1:
             raise ConfigError("c_ell must exceed 1 (the c3 series diverges otherwise)")
         if self.epsilon <= 0:
@@ -117,7 +120,6 @@ class BernsteinConstants:
 # in reports but never used for bounds.
 PAPER_NUMERIC = BernsteinConstants(stated_c3=28.55)
 PAPER_NUMERIC_PRINTED_C3 = 8.0 + math.log(2.0) ** -2 * math.pi**2 + 4.0
-PRESETS = {"paper-numeric": PAPER_NUMERIC}
 
 
 def _as_pair(vhat, sup):
@@ -243,8 +245,8 @@ def run_mc(
     nonincreasing in x.
     """
     x_grid = tuple(float(x) for x in x_grid)
-    if not x_grid or any(x <= 0 for x in x_grid):
-        raise ConfigError("x grid must be nonempty and positive")
+    if not x_grid or not all(math.isfinite(x) and x > 0 for x in x_grid):
+        raise ConfigError(f"x grid must be nonempty, positive and finite, got {list(x_grid)}")
     if replications < 1:
         raise ConfigError("need at least one replication")
     if not 0 <= column < config.d:

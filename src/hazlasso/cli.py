@@ -18,7 +18,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from .bernstein import BernsteinConstants, PRESETS, run_mc
+from .bernstein import PAPER_NUMERIC, BernsteinConstants, run_mc
 from .dictionary import linear_dictionary, load_dictionary
 from .errors import HazLassoError
 from .gram import build_gram, dump_gram
@@ -39,13 +39,9 @@ SCHEMA_VERSION = "2"
 DEFAULT_THREADS = min(2, os.cpu_count() or 1)
 
 
-def report_schema_version() -> str:
-    return SCHEMA_VERSION
-
-
 def _write_report(payload: dict, path: str) -> None:
     document = {
-        "schema": report_schema_version(),
+        "schema": SCHEMA_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         **payload,
     }
@@ -187,7 +183,7 @@ def _constants_from_args(args) -> BernsteinConstants:
     if args.constants:
         c_ell, eps, c0 = _floats_csv(args.constants)
         return BernsteinConstants(c_ell=c_ell, epsilon=eps, c0=c0)
-    return PRESETS[args.preset]
+    return PAPER_NUMERIC
 
 
 def _bernstein_command(args) -> int:
@@ -266,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--config", required=True)
     p_mc.add_argument("--x-grid", required=True, help="confidence levels, e.g. 4,5,6")
     p_mc.add_argument("--reps", type=int, required=True)
-    p_mc.add_argument("--preset", choices=sorted(PRESETS), default="paper-numeric")
-    p_mc.add_argument("--constants", default=None, help="c_ell,epsilon,c0 (overrides preset)")
+    p_mc.add_argument("--constants", default=None,
+                      help="c_ell,epsilon,c0 (default: the paper's numeric constants)")
     p_mc.add_argument("--column", type=int, default=0, help="tracked dictionary column")
     p_mc.add_argument("--seed", type=int, default=None)
     p_mc.add_argument("--threads", type=int, default=DEFAULT_THREADS)

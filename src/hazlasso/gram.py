@@ -26,18 +26,15 @@ from .survival import RiskSetTimeline, SurvivalDataset, build_timeline
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Gram matrix, event vector, per-interval risk-set means and vhat.
+    """Gram matrix H, event vector hn and vhat on the dataset's timeline.
 
-    ``means[k, j]`` is the at-risk average of dictionary column j on
-    timeline interval k (0 on empty risk sets); the left-continuous value
-    at an event time is ``means[timeline.event_interval]``. ``vhat[j]`` is
-    the empirical variance of column j, (1/n) times the sum of its squared
-    event deviations, which the penalty weights read.
+    ``vhat[j]`` is the empirical variance of column j, (1/n) times the sum
+    of its squared event deviations, which the penalty weights read. The
+    risk-set means are the timeline's (``timeline.means``).
     """
 
     matrix: np.ndarray
     vector: np.ndarray
-    means: np.ndarray
     timeline: RiskSetTimeline
     labels: list[str]
     vhat: np.ndarray
@@ -63,22 +60,19 @@ def build_gram(
     n x M x M, so the cost is O(n M^2) with no loop over the timeline.
     hn averages the centered dictionary rows at the event times
     (left-continuous risk-set means), and vhat averages their squares.
-    H, hn, vhat and the raw risk-set means all come from one centered
-    prefix pass over the dictionary.
+    H, hn and vhat all come from one centered prefix pass over the
+    dictionary.
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
     if phi.shape[0] != tl.n:
         raise ValueError("dictionary rows do not match the dataset")
-    centered = tl.centered(phi)  # one prefix pass serves H, hn, vhat and the means
+    centered = tl.centered(phi)  # one prefix pass serves H, hn and vhat
     matrix = tl.cross_moment(centered, centered)
-    means = centered[1] + phi.mean(axis=0)
-    means[tl.at_risk == 0] = 0.0  # the empty-risk-set convention of ``tl.means``
     dev = tl.event_deviations(centered)
     return GramSystem(
         matrix=0.5 * (matrix + matrix.T),  # the products are symmetric up to BLAS rounding
         vector=dev.sum(axis=0) / tl.n,
-        means=means,
         timeline=tl,
         labels=list(dictionary.labels),
         vhat=(dev**2).sum(axis=0) / tl.n,
@@ -97,18 +91,8 @@ def empirical_norm_sq_fn(timeline: RiskSetTimeline, values: np.ndarray) -> float
     Cross-checks the quadratic path: for values = dictionary @ beta the two
     agree up to roundoff.
     """
-    v = np.asarray(values, dtype=float)
-    return float(timeline.centered_cross(v, v))
-
-
-def cross_products(timeline: RiskSetTimeline, phi: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Empirical inner products <h_j, v>_n of every column with one function."""
-    return timeline.centered_cross(phi, values)
-
-
-def empirical_inner_fn(timeline: RiskSetTimeline, left: np.ndarray, right: np.ndarray) -> float:
-    """Empirical inner product <u, v>_n of two per-record value vectors."""
-    return float(timeline.centered_cross(left, right))
+    c = timeline.centered(values)
+    return float(timeline.cross_moment(c, c)[0, 0])
 
 
 def objective(

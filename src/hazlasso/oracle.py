@@ -49,41 +49,39 @@ def guarantee_level(x: float) -> float:
     return max(0.0, 1.0 - GUARANTEE_CONSTANT * math.exp(-x))
 
 
-def _prepared(truth, dictionary, x, system, weights):
+def _distances(truth, dictionary, system, fit_result, beta_ref):
+    """(|h_fit - h0|_n^2, |h_ref - h0|_n^2, ref) with ref = beta0 unless
+    ``beta_ref`` is given."""
     if not isinstance(truth, SimulatedTruth):
         raise DataValidationError(
             "oracle checks need simulated truth; h0 is unobservable on real data"
         )
-    if system is None:
-        system = build_gram(truth.dataset, dictionary)
-    if weights is None:
-        weights = compute_weights(truth.dataset, dictionary, system, x)
-    return system, weights
+    ref = truth.beta0 if beta_ref is None else np.asarray(beta_ref, dtype=float)
+    tl = system.timeline
+    phi = dictionary.values
+    lhs = max(0.0, empirical_norm_sq_fn(tl, phi @ fit_result.beta - truth.h0))
+    approx = max(0.0, empirical_norm_sq_fn(tl, phi @ ref - truth.h0))
+    return lhs, approx, ref
 
 
 def slow_oracle_check(
     truth: SimulatedTruth,
     dictionary: DictionaryMatrix,
-    x: float,
     fit_result: LassoFit,
-    system: GramSystem | None = None,
-    weights: WeightVector | None = None,
+    system: GramSystem,
+    weights: WeightVector,
     beta_ref: np.ndarray | None = None,
 ) -> tuple[float, float, bool]:
     """Both sides of the slow inequality at the reference coefficients.
 
     lhs = |h_fit - h0|_n^2, rhs = |h_ref - h0|_n^2 + 2 pen(ref). When h0
     is exactly linear in the dictionary the approximation term vanishes
-    and rhs is purely the penalty.
+    and rhs is purely the penalty. ``system`` and ``weights`` are those
+    the fit was made with.
     """
     if fit_result.kappa != 1.0:
         raise ValueError("slow oracle check expects a kappa=1 fit")
-    system, weights = _prepared(truth, dictionary, x, system, weights)
-    tl = system.timeline
-    phi = dictionary.values
-    ref = truth.beta0 if beta_ref is None else np.asarray(beta_ref, dtype=float)
-    lhs = max(0.0, empirical_norm_sq_fn(tl, phi @ fit_result.beta - truth.h0))
-    approx = max(0.0, empirical_norm_sq_fn(tl, phi @ ref - truth.h0))
+    lhs, approx, ref = _distances(truth, dictionary, system, fit_result, beta_ref)
     rhs = approx + 2.0 * float(np.abs(ref) @ weights.w)
     return lhs, rhs, bool(lhs <= rhs + SLACK)
 
@@ -91,11 +89,10 @@ def slow_oracle_check(
 def fast_oracle_check(
     truth: SimulatedTruth,
     dictionary: DictionaryMatrix,
-    x: float,
     fit_result: LassoFit,
     mu3,
-    system: GramSystem | None = None,
-    weights: WeightVector | None = None,
+    system: GramSystem,
+    weights: WeightVector,
     beta_ref: np.ndarray | None = None,
 ) -> tuple[float, float, bool]:
     """Both sides of the fast inequality at the reference coefficients.
@@ -112,13 +109,8 @@ def fast_oracle_check(
     mu = mu3.mu3_lower if isinstance(mu3, ConeSearchResult) else float(mu3)
     if math.isnan(mu) or mu <= 0:
         raise ValueError("mu3 must be positive")
-    system, weights = _prepared(truth, dictionary, x, system, weights)
-    tl = system.timeline
-    phi = dictionary.values
-    ref = truth.beta0 if beta_ref is None else np.asarray(beta_ref, dtype=float)
+    lhs, approx, ref = _distances(truth, dictionary, system, fit_result, beta_ref)
     support = np.flatnonzero(ref != 0.0)
-    lhs = max(0.0, empirical_norm_sq_fn(tl, phi @ fit_result.beta - truth.h0))
-    approx = max(0.0, empirical_norm_sq_fn(tl, phi @ ref - truth.h0))
     w_j = weights.w[support]
     term = 0.0 if support.size == 0 else 2.25 * mu * mu * float(w_j @ w_j)
     rhs = approx + term
@@ -352,7 +344,8 @@ def identity_gram_check(
     truth: SimulatedTruth,
     x: float,
     tol: float = 1e-8,
-    system: GramSystem | None = None,
+    *,
+    system: GramSystem,
 ) -> dict:
     """Fast-oracle check on a whitened copy of the linear dictionary.
 
@@ -360,14 +353,11 @@ def identity_gram_check(
     unchanged, makes the rebuilt Gram the identity up to roundoff, and
     turns the reference into H^{1/2} beta0, which is dense almost surely:
     the cone is all of R^M and mu3 = 1/sqrt(lambda_min) exactly, no search.
+    ``system`` is the Gram of the linear dictionary of ``truth.dataset``.
     """
     dataset = truth.dataset
     base = linear_dictionary(dataset)
-    if system is None:
-        timeline = build_timeline(dataset)
-        system = build_gram(dataset, base, timeline)
-    else:
-        timeline = system.timeline
+    timeline = system.timeline
     lam, vecs = np.linalg.eigh(system.matrix)
     if lam[0] <= 1e-10 * max(lam[-1], 1.0):
         raise ConfigError("gram matrix is numerically singular; cannot whiten")
@@ -383,8 +373,7 @@ def identity_gram_check(
     lam_w = np.linalg.eigvalsh(system_w.matrix)
     mu3 = 1.0 / math.sqrt(lam_w[0])
     lhs, rhs, holds = fast_oracle_check(
-        truth, whitened, x, fit_w, mu3,
-        system=system_w, weights=weights_w, beta_ref=beta_ref,
+        truth, whitened, fit_w, mu3, system_w, weights_w, beta_ref=beta_ref
     )
     label = "exact" if np.all(beta_ref != 0.0) or not np.any(truth.beta0) else "indicative"
     return {
@@ -452,9 +441,7 @@ def _oracle_worker(args):
     weights = compute_weights(dataset, dictionary, system, x)
 
     fit_slow = fit(system, weights, kappa=1.0, tol=tol)
-    s_lhs, s_rhs, s_holds = slow_oracle_check(
-        truth, dictionary, x, fit_slow, system=system, weights=weights
-    )
+    s_lhs, s_rhs, s_holds = slow_oracle_check(truth, dictionary, fit_slow, system, weights)
     row = {
         "slow_lhs": s_lhs,
         "slow_rhs": s_rhs,
@@ -484,9 +471,7 @@ def _oracle_worker(args):
         else:
             mu3 = mu_value = mu_upper = math.inf  # unused: empty support drops the term
             label = "exact"
-        f_lhs, f_rhs, f_holds = fast_oracle_check(
-            truth, dictionary, x, fit_fast, mu3, system=system, weights=weights
-        )
+        f_lhs, f_rhs, f_holds = fast_oracle_check(truth, dictionary, fit_fast, mu3, system, weights)
         row.update(
             fast_lhs=f_lhs,
             fast_rhs=f_rhs,
@@ -519,8 +504,8 @@ def run_oracle_mc(
     """
     if replications < 1:
         raise ConfigError("need at least one replication")
-    if x <= 0:
-        raise ConfigError("confidence level x must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"confidence level x must be positive and finite, got {x}")
     base_seed = config.seed if seed is None else int(seed)
     tasks = [
         (config, x, base_seed, rep, identity_gram, mu3_budget, tol)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import DictionaryMatrix
 from .errors import ConfigError
 from .survival import RiskSetTimeline, StepFunction, SurvivalDataset
 
@@ -166,10 +165,6 @@ class SimulatedTruth:
     event_counts: dict
     redraws: int
     negative_prob: float
-
-    def alpha_step(self, i: int) -> StepFunction:
-        """Hazard t -> lambda0(t) + h0(X_i) of record i."""
-        return StepFunction(self.baseline.breakpoints, self.baseline.values + self.h0[i])
 
 
 def _seed_key(config: SimulationConfig, seed) -> tuple[int, ...]:
@@ -399,18 +394,3 @@ def noise_terms(
     # [()] turns the 0-d result of a single column back into a scalar
     return tuple((t / n).reshape(shape)[()] for t in terms)
 
-
-def predictable_variation(
-    truth: SimulatedTruth, column_values: np.ndarray, timeline: RiskSetTimeline
-) -> float:
-    """Terminal predictable variation of the centered-column noise process,
-    (1/n) sum_i int_0^1 (v_i - vbar_Y(t))^2 alpha0(t, X_i) Y_i(t) dt, exact."""
-    return float(noise_terms(truth, column_values, timeline)[2])
-
-
-def noise_vector(
-    truth: SimulatedTruth, dictionary: DictionaryMatrix, timeline: RiskSetTimeline
-) -> np.ndarray:
-    """Terminal martingale noise per dictionary column, computed exactly:
-    event sums minus the compensator integral (see ``noise_terms``)."""
-    return noise_terms(truth, dictionary.values, timeline)[0]

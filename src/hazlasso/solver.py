@@ -26,6 +26,7 @@ residual, never assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,14 +211,13 @@ def fit(
     Coordinates with H_jj = 0 are pinned at 0 and never enter; their
     (unfixable) KKT residual is reported separately as pinned_violation.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    for name, value in (("kappa", kappa), ("tol", tol), ("weight_scale", weight_scale)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}")
-    if weight_scale <= 0:
-        raise ValueError("weight_scale must be positive")
+    if not np.all(np.isfinite(weights.w)):
+        raise ValueError("weights must be finite")
 
     H = np.asarray(system.matrix, dtype=float)
     hn = np.asarray(system.vector, dtype=float)
@@ -250,7 +250,7 @@ def fit(
         on = beta != 0
         active_max = viol[on].max(initial=0.0)
         entering = np.where(live & ~on, viol, 0.0)
-        if max(active_max, entering.max()) <= tol:
+        if active_max <= tol and entering.max() <= tol:  # False on a NaN residual
             converged = True
             break
         if steps == max_sweeps:
@@ -343,8 +343,8 @@ def fit_path(
 ) -> list[LassoFit]:
     """Warm-started fits over a descending grid of global weight scales."""
     grid = [float(s) for s in scale_grid]
-    if not grid or any(s <= 0 for s in grid):
-        raise ValueError("scale grid must be positive")
+    if not grid or not all(math.isfinite(s) and s > 0 for s in grid):
+        raise ValueError(f"scale grid must be positive and finite, got {grid}")
     if any(later >= earlier for later, earlier in zip(grid[1:], grid)):
         raise ValueError("scale grid must be sorted descending")
     fits: list[LassoFit] = []

@@ -9,14 +9,14 @@ constant, so all time integrals are exact finite sums rather than
 quadrature.
 
 The timeline is the single home of the risk-set arithmetic: its
-``prefix_sums``, ``means``, ``event_centered`` and ``centered_cross``
-methods are the at-risk sums, the risk-set mean, the centered values at
-the event times and the centered at-risk moment that the Gram matrix, the
-inner products, the weights and the noise processes are built from. The
-last two are ``event_deviations`` and ``cross_moment`` applied to one
-``centered`` pass, which a caller needing both can share.
-``interval_integrals`` integrates a deterministic step function, such as
-a baseline hazard, over each interval of the grid.
+``prefix_sums`` and ``means`` methods are the at-risk sums and the
+risk-set mean. ``centered`` makes the one centered prefix pass that
+``event_deviations`` (the centered values at the event times) and
+``cross_moment`` (the centered at-risk moment, hence the inner product
+<u, v>_n) read, so the Gram matrix, the inner products, the weights and
+the noise processes all start from it, and a caller needing several of
+them shares one pass. ``interval_integrals`` integrates a deterministic
+step function, such as a baseline hazard, over each interval of the grid.
 
 Conventions, fixed once here and relied on everywhere:
 
@@ -76,29 +76,6 @@ class StepFunction:
         idx = np.searchsorted(self.breakpoints, t, side="left") - 1
         idx = np.clip(idx, 0, len(self.values) - 1)
         return self.values[idx]
-
-
-def _refined_grid(*fns: StepFunction) -> np.ndarray:
-    """Common refinement of the breakpoint grids of several step functions."""
-    pts = np.concatenate([f.breakpoints for f in fns])
-    return np.unique(pts)
-
-
-def integrate_product(f: StepFunction, g: StepFunction, weight: StepFunction | None = None) -> float:
-    """Exact integral over [0, 1] of f * g (* weight) for step functions.
-
-    The integrand is piecewise constant on the common refinement of the
-    breakpoint grids, so the integral is a finite sum of value * length
-    terms. Values on each refined piece are read at the midpoint, an
-    interior point of every parent interval.
-    """
-    fns = (f, g) if weight is None else (f, g, weight)
-    grid = _refined_grid(*fns)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    piece = f(mids) * g(mids)
-    if weight is not None:
-        piece = piece * weight(mids)
-    return float(np.sum(piece * np.diff(grid)))
 
 
 @dataclass
@@ -307,7 +284,8 @@ class RiskSetTimeline:
         return out
 
     def cross_moment(self, left, right) -> np.ndarray:
-        """Centered at-risk moment of two ``centered`` pairs (u, v),
+        """Centered at-risk moment of two ``centered`` pairs (u, v), the
+        empirical inner products <u_j, v_l>_n of their columns,
 
             (1/n) sum_k len_k sum_{i at risk on k} (u_i - ubar_k)(v_i - vbar_k),
 
@@ -332,20 +310,6 @@ class RiskSetTimeline:
         out = np.zeros(len(self.lengths))
         np.add.at(out, parent, np.diff(grid) * step(mids))
         return out
-
-    def event_centered(self, values: np.ndarray) -> np.ndarray:
-        """values[i] minus the at-risk mean at Z_i, over event records."""
-        out = self.event_deviations(self.centered(values))
-        return out.reshape(out.shape[:1] + np.shape(values)[1:])
-
-    def centered_cross(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The empirical inner product <u, v>_n of two per-record arrays
-        (``cross_moment``). ``left`` and ``right`` have shape (n,) or
-        (n, M); the result has shape left.shape[1:] + right.shape[1:].
-        """
-        u = self.centered(left)
-        v = u if right is left else self.centered(right)
-        return self.cross_moment(u, v).reshape(np.shape(left)[1:] + np.shape(right)[1:])
 
 
 def build_timeline(dataset: SurvivalDataset) -> RiskSetTimeline:
@@ -373,15 +337,6 @@ def build_timeline(dataset: SurvivalDataset) -> RiskSetTimeline:
         event_times=z[event_rows],
         end_interval=end_interval.astype(np.int64),
     )
-
-
-def risk_set_mean(timeline: RiskSetTimeline, values: np.ndarray) -> StepFunction:
-    """At-risk average of per-record values as a step function of time (0 on
-    empty risk sets)."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (timeline.n,):
-        raise ValueError("values must be one number per record")
-    return StepFunction(timeline.breakpoints, timeline.means(v))
 
 
 def check_orthogonality(timeline: RiskSetTimeline, values: np.ndarray, phi: StepFunction) -> float:

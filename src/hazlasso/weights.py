@@ -52,21 +52,6 @@ class WeightVector:
         return len(self.w)
 
 
-def empirical_variance(
-    dataset: SurvivalDataset, dictionary: DictionaryMatrix, system: GramSystem
-) -> np.ndarray:
-    """vhat_j = (1/n) sum over events of (h_j(X_i) - hbar_j(Z_i))^2.
-
-    The centered values are read left-continuously at the event times on
-    the system's timeline; ``build_gram`` computes them in the same pass
-    as hn, so this returns the system's ``vhat``. The system must have
-    been built from ``dictionary``.
-    """
-    if dictionary.M != system.M:
-        raise ValueError("dictionary columns do not match the gram system")
-    return system.vhat.copy()
-
-
 def loglog_term(vhat, sup, x: float, n: int):
     """Iterated-logarithm correction, elementwise; 0 for all-zero columns."""
     if x <= 0:
@@ -94,13 +79,17 @@ def compute_weights(
 ) -> WeightVector:
     """Weights for every dictionary column at confidence level x.
 
-    All-zero columns get weight exactly 0 (and are pinned to 0 by the
-    solver); for any live column the weight is strictly positive.
+    vhat is read from ``system``, which must have been built from
+    ``dictionary``. All-zero columns get weight exactly 0 (and are pinned
+    to 0 by the solver); for any live column the weight is strictly
+    positive.
     """
-    if x <= 0:
-        raise ValueError("confidence level x must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"confidence level x must be positive and finite, got {x}")
+    if dictionary.M != system.M:
+        raise ValueError("dictionary columns do not match the gram system")
     n, M = dataset.n, dictionary.M
-    vhat = empirical_variance(dataset, dictionary, system)
+    vhat = system.vhat.copy()
     sup = sup_norms(dictionary)
     ll = np.atleast_1d(loglog_term(vhat, sup, x, n))
     logM = math.log(M)

@@ -18,13 +18,10 @@ from hazlasso import (
     build_timeline,
     check_orthogonality,
     compute_weights,
-    cross_products,
     empirical_norm_sq,
     empirical_norm_sq_fn,
-    empirical_variance,
     fit,
     linear_dictionary,
-    noise_vector,
     run_mc,
     run_oracle_mc,
     simulate,
@@ -35,6 +32,7 @@ from hazlasso.simulate import (
     GaussianCovariates,
     SimulationConfig,
     default_config,
+    noise_terms,
 )
 from hazlasso.weights import C1, C2
 
@@ -59,8 +57,7 @@ def test_criterion_01_micro_instance(micro_dataset):
     system = build_gram(micro_dataset, dictionary)
     assert abs(system.matrix[0, 0] - 0.125) <= 1e-12
     assert abs(system.vector[0] - (-0.25)) <= 1e-12
-    vhat = empirical_variance(micro_dataset, dictionary, system)
-    assert abs(vhat[0] - 0.125) <= 1e-12
+    assert abs(system.vhat[0] - 0.125) <= 1e-12
 
 
 def test_criterion_02_centering_orthogonality():
@@ -120,8 +117,8 @@ def test_criterion_05_noise_decomposition():
         dictionary = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dictionary)
         tl = system.timeline
-        signal = cross_products(tl, dictionary.values, truth.h0)
-        noise = noise_vector(truth, dictionary, tl)
+        signal = tl.cross_moment(tl.centered(dictionary.values), tl.centered(truth.h0))[:, 0]
+        noise = noise_terms(truth, dictionary.values, tl)[0]
         scale = np.abs(system.vector).max()
         np.testing.assert_allclose(signal + noise, system.vector, rtol=0, atol=1e-8 * scale)
 

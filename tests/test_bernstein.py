@@ -26,10 +26,9 @@ from hazlasso import (
     bound_empirical,
     build_timeline,
     classical_bound,
-    empirical_variance,
+    compute_weights,
     linear_dictionary,
     noise_process_terminal,
-    noise_vector,
     run_mc,
     simulate,
     wilson_interval,
@@ -37,13 +36,12 @@ from hazlasso import (
 from hazlasso.bernstein import (
     PAPER_NUMERIC,
     PAPER_NUMERIC_PRINTED_C3,
-    PRESETS,
     WILSON_Z,
     loglog_correction,
     zeta,
 )
 from hazlasso.gram import build_gram
-from hazlasso.simulate import AdministrativeCensoring
+from hazlasso.simulate import AdministrativeCensoring, noise_terms
 
 from test_simulate import small_config
 
@@ -72,7 +70,6 @@ class TestConstants:
         assert (c.c_ell, c.epsilon) == (2.0, 1.0)
         assert c.c0 == 56.0 / (3.0 * math.e)
         assert c.stated_c3 == 28.55
-        assert PRESETS["paper-numeric"] is PAPER_NUMERIC
 
     def test_derived_constants_frozen(self):
         c = PAPER_NUMERIC
@@ -215,7 +212,7 @@ class TestNoiseProcessTerminal:
         truth = simulate(small_config(n=60))
         dic = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dic)
-        by_weights = empirical_variance(truth.dataset, dic, system)
+        by_weights = compute_weights(truth.dataset, dic, system).vhat
         for j in range(dic.M):
             _, vhat, _ = noise_process_terminal(truth, dic.values[:, j], system.timeline)
             np.testing.assert_allclose(vhat, by_weights[j], rtol=1e-12)
@@ -225,7 +222,7 @@ class TestNoiseProcessTerminal:
             truth = simulate(small_config(n=50, seed=800 + seed))
             dic = linear_dictionary(truth.dataset)
             tl = build_timeline(truth.dataset)
-            full = noise_vector(truth, dic, tl)
+            full = noise_terms(truth, dic.values, tl)[0]
             for j in range(dic.M):
                 z, _, _ = noise_process_terminal(truth, dic.values[:, j], tl)
                 assert abs(z - full[j]) <= 1e-10 * (abs(full[j]) + 1.0)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazlasso.cli import DEFAULT_THREADS, build_parser, main, report_schema_version
+from hazlasso.cli import DEFAULT_THREADS, SCHEMA_VERSION, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,7 +50,7 @@ def config_json(tmp_path):
 def read_report(path):
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
-    assert report["schema"] == report_schema_version()
+    assert report["schema"] == SCHEMA_VERSION
     assert "generated_at" in report
     return report
 
@@ -288,6 +288,39 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "e*c0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, named",
+        [
+            ("fit --data {data} --x nan", "got nan"),
+            ("weights --data {data} --x inf", "got inf"),
+            ("fit --data {data} --tol nan", "tol must be positive and finite, got nan"),
+            ("path --data {data} --scales 1,nan,0.5", "got [1.0, nan, 0.5]"),
+            ("bernstein-mc {mc} --x-grid nan", "got [nan]"),
+            ("bernstein-mc {mc} --x-grid 4 --constants nan,1,20", "c_ell must be finite, got nan"),
+            ("bernstein-mc {mc} --x-grid 4 --constants 2,nan,20", "epsilon must be finite, got nan"),
+            ("bernstein-mc {mc} --x-grid 4 --constants 2,1,inf", "c0 must be finite, got inf"),
+            ("bernstein-mc {mc} --x-grid 4 --threads 0", "threads must be at least 1, got 0"),
+            ("oracle-check {mc} --x inf", "got inf"),
+            ("oracle-check {mc} --threads -1", "threads must be at least 1, got -1"),
+        ],
+        ids=[
+            "fit-x-nan", "weights-x-inf", "fit-tol-nan", "path-scale-nan", "mc-x-nan",
+            "mc-c_ell-nan", "mc-epsilon-nan", "mc-c0-inf", "mc-threads-0", "oracle-x-inf",
+            "oracle-threads-minus-1",
+        ],
+    )
+    def test_non_finite_and_out_of_range_numbers(
+        self, command, named, micro_csv, config_json, tmp_path, capsys
+    ):
+        # NaN passes every `<= 0` test, so finiteness is checked by name;
+        # a thread count below 1 is refused instead of running serially
+        out = tmp_path / "r.json"
+        mc = f"--config {config_json} --reps 2"
+        argv = command.format(data=micro_csv, mc=mc).split() + ["--out", str(out)]
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

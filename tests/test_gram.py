@@ -14,9 +14,7 @@ from hazlasso import (
     build_gram,
     build_timeline,
     compute_weights,
-    cross_products,
     dump_gram,
-    empirical_inner_fn,
     empirical_norm_sq,
     empirical_norm_sq_fn,
     linear_dictionary,
@@ -35,7 +33,6 @@ class TestBuildGram:
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
         np.testing.assert_allclose(system.matrix, [[MICRO_H]], rtol=0, atol=1e-15)
         np.testing.assert_allclose(system.vector, [MICRO_HN], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(system.means, [[0.5], [1.0]], rtol=0, atol=1e-15)
         assert system.labels == ["x1"]
         assert system.n == 2 and system.M == 1
 
@@ -136,7 +133,7 @@ class TestNorms:
             tl = build_timeline(ds)
             u = rng.normal(size=ds.n)
             v = rng.normal(size=ds.n)
-            got = empirical_inner_fn(tl, u, v)
+            got = tl.cross_moment(tl.centered(u), tl.centered(v))[0, 0]
             want = literal_inner(ds, u, v)
             assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
             # polarization: <u, v> recovered from the three squared norms
@@ -153,8 +150,9 @@ class TestNorms:
         ds = random_dataset(rng, n=30, d=4)
         dic = linear_dictionary(ds)
         system = build_gram(ds, dic)
+        tl = system.timeline
         for j in range(ds.d):
-            col = cross_products(system.timeline, dic.values, dic.values[:, j])
+            col = tl.cross_moment(tl.centered(dic.values), tl.centered(dic.values[:, j]))[:, 0]
             np.testing.assert_allclose(col, system.matrix[:, j], rtol=0, atol=1e-12)
 
 

@@ -36,7 +36,7 @@ from hazlasso import (
     slow_oracle_check,
 )
 from hazlasso.cli import main
-from hazlasso.gram import empirical_inner_fn, empirical_norm_sq_fn
+from hazlasso.gram import empirical_norm_sq_fn
 from hazlasso.simulate import GaussianCovariates, SimulationConfig, UniformCensoring
 from hazlasso.survival import SurvivalDataset
 
@@ -65,7 +65,6 @@ def synthetic_system(matrix, template):
         template,
         matrix=matrix,
         vector=np.zeros(M),
-        means=np.zeros((len(template.timeline.lengths), M)),
         labels=[f"c{j}" for j in range(M)],
     )
 
@@ -85,20 +84,24 @@ class TestChecks:
     def test_kappa_contracts(self):
         truth = simulate(oracle_config())
         dictionary = linear_dictionary(truth.dataset)
-        f1 = fit(build_gram(truth.dataset, dictionary), flat_weights([0.1] * 4, 60), kappa=1.0)
+        system = build_gram(truth.dataset, dictionary)
+        weights = flat_weights([0.1] * 4, 60)
+        f1 = fit(system, weights, kappa=1.0)
         with pytest.raises(ValueError, match="kappa=2"):
-            fast_oracle_check(truth, dictionary, 5.0, f1, 1.0)
+            fast_oracle_check(truth, dictionary, f1, 1.0, system, weights)
         f2 = dataclasses.replace(f1, kappa=2.0)
         with pytest.raises(ValueError, match="kappa=1"):
-            slow_oracle_check(truth, dictionary, 5.0, f2)
+            slow_oracle_check(truth, dictionary, f2, system, weights)
         with pytest.raises(ValueError, match="mu3"):
-            fast_oracle_check(truth, dictionary, 5.0, f2, 0.0)
+            fast_oracle_check(truth, dictionary, f2, 0.0, system, weights)
 
     def test_refuses_real_data(self, micro_dataset):
         dictionary = linear_dictionary(micro_dataset)
-        f = fit(build_gram(micro_dataset, dictionary), flat_weights([0.1], 2))
+        system = build_gram(micro_dataset, dictionary)
+        weights = flat_weights([0.1], 2)
+        f = fit(system, weights)
         with pytest.raises(DataValidationError, match="simulated"):
-            slow_oracle_check(micro_dataset, dictionary, 5.0, f)
+            slow_oracle_check(micro_dataset, dictionary, f, system, weights)
 
     def test_slow_check_on_zero_signal(self):
         # no signal: the reference term vanishes and the fit stays at zero,
@@ -108,7 +111,7 @@ class TestChecks:
         system = build_gram(truth.dataset, dictionary)
         weights = compute_weights(truth.dataset, dictionary, system, 5.0)
         f = fit(system, weights, kappa=1.0)
-        lhs, rhs, holds = slow_oracle_check(truth, dictionary, 5.0, f, system, weights)
+        lhs, rhs, holds = slow_oracle_check(truth, dictionary, f, system, weights)
         assert holds and lhs == 0.0 and rhs == 0.0
 
     def test_slow_check_shape(self):
@@ -117,7 +120,7 @@ class TestChecks:
         system = build_gram(truth.dataset, dictionary)
         weights = compute_weights(truth.dataset, dictionary, system, 5.0)
         f = fit(system, weights, kappa=1.0)
-        lhs, rhs, holds = slow_oracle_check(truth, dictionary, 5.0, f, system, weights)
+        lhs, rhs, holds = slow_oracle_check(truth, dictionary, f, system, weights)
         assert lhs >= 0.0
         # h0 is exactly linear here, so the rhs is twice the reference penalty
         np.testing.assert_allclose(
@@ -132,8 +135,8 @@ class TestChecks:
         weights = compute_weights(truth.dataset, dictionary, system, 5.0)
         f = fit(system, weights, kappa=2.0)
         found = mu3_search(system, weights, truth.beta0, budget=32)
-        by_result = fast_oracle_check(truth, dictionary, 5.0, f, found, system, weights)
-        by_float = fast_oracle_check(truth, dictionary, 5.0, f, found.mu3_lower, system, weights)
+        by_result = fast_oracle_check(truth, dictionary, f, found, system, weights)
+        by_float = fast_oracle_check(truth, dictionary, f, found.mu3_lower, system, weights)
         assert by_result == by_float
 
     def test_record_order_invariance(self):
@@ -152,7 +155,7 @@ class TestChecks:
             system = build_gram(t.dataset, dictionary)
             weights = compute_weights(t.dataset, dictionary, system, 5.0)
             f = fit(system, weights, kappa=1.0, tol=1e-10)
-            out.append(slow_oracle_check(t, dictionary, 5.0, f, system, weights))
+            out.append(slow_oracle_check(t, dictionary, f, system, weights))
         np.testing.assert_allclose(out[0][:2], out[1][:2], rtol=1e-8)
 
     def test_pythagoras_consistency(self):
@@ -167,7 +170,7 @@ class TestChecks:
         lhs = empirical_norm_sq_fn(tl, u - truth.h0)
         expanded = (
             empirical_norm_sq_fn(tl, u)
-            - 2.0 * empirical_inner_fn(tl, u, truth.h0)
+            - 2.0 * tl.cross_moment(tl.centered(u), tl.centered(truth.h0))[0, 0]
             + empirical_norm_sq_fn(tl, truth.h0)
         )
         np.testing.assert_allclose(lhs, expanded, rtol=1e-10)
@@ -420,7 +423,8 @@ class TestReConstant:
 class TestIdentityGramCheck:
     def test_whitened_run_is_exact(self):
         truth = simulate(oracle_config())
-        out = identity_gram_check(truth, x=5.0)
+        system = build_gram(truth.dataset, linear_dictionary(truth.dataset))
+        out = identity_gram_check(truth, x=5.0, system=system)
         assert out["label"] == "exact"
         assert out["gram_offset"] <= 1e-10
         np.testing.assert_allclose(out["mu3"], 1.0, rtol=1e-6)
@@ -434,8 +438,9 @@ class TestIdentityGramCheck:
         dup[:, 1] = dup[:, 0]
         truth.dataset = SurvivalDataset(times=ds.times, status=ds.status, covariates=dup)
         truth.h0 = dup @ truth.beta0
+        system = build_gram(truth.dataset, linear_dictionary(truth.dataset))
         with pytest.raises(ConfigError, match="singular"):
-            identity_gram_check(truth, x=5.0)
+            identity_gram_check(truth, x=5.0, system=system)
 
 
 class TestRunOracleMC:

@@ -15,11 +15,8 @@ from hazlasso import (
     StepFunction,
     build_gram,
     build_timeline,
-    cross_products,
     default_config,
     linear_dictionary,
-    noise_vector,
-    predictable_variation,
     simulate,
 )
 from hazlasso.simulate import (
@@ -31,6 +28,7 @@ from hazlasso.simulate import (
     UniformCensoring,
     config_from_dict,
     load_config,
+    noise_terms,
 )
 
 
@@ -182,11 +180,6 @@ class TestSimulate:
         b = simulate(small_config(censoring=AdministrativeCensoring()))
         np.testing.assert_array_equal(a.dataset.covariates, b.dataset.covariates)
 
-    def test_alpha_step(self):
-        truth = simulate(small_config())
-        f = truth.alpha_step(3)
-        np.testing.assert_allclose(f(0.5), truth.baseline(0.5) + truth.h0[3], rtol=1e-15)
-
     def test_default_config_shape(self):
         cfg = default_config()
         assert (cfg.n, cfg.d) == (200, 50)
@@ -277,7 +270,7 @@ class TestPredictableVariation:
     def test_constant_column_has_zero_variation(self):
         truth = simulate(small_config())
         tl = build_timeline(truth.dataset)
-        assert predictable_variation(truth, np.full(truth.dataset.n, 3.0), tl) <= 1e-14
+        assert noise_terms(truth, np.full(truth.dataset.n, 3.0), tl)[2] <= 1e-14
 
     def test_matches_literal_integration(self):
         rng = np.random.default_rng(20)
@@ -285,7 +278,7 @@ class TestPredictableVariation:
             truth = simulate(small_config(n=30, seed=500 + seed))
             tl = build_timeline(truth.dataset)
             v = rng.normal(size=30)
-            got = predictable_variation(truth, v, tl)
+            got = noise_terms(truth, v, tl)[2]
             want = literal_variation(truth, v, tl)
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -296,7 +289,7 @@ class TestPredictableVariation:
         truth.h0 = np.zeros(2)
         tl = build_timeline(micro_dataset)
         v = micro_dataset.covariates[:, 0]
-        np.testing.assert_allclose(predictable_variation(truth, v, tl), 0.125, rtol=1e-14)
+        np.testing.assert_allclose(noise_terms(truth, v, tl)[2], 0.125, rtol=1e-14)
 
 
 class TestNoiseVector:
@@ -305,7 +298,7 @@ class TestNoiseVector:
             truth = simulate(small_config(n=25, seed=600 + seed))
             dic = linear_dictionary(truth.dataset)
             tl = build_timeline(truth.dataset)
-            got = noise_vector(truth, dic, tl)
+            got = noise_terms(truth, dic.values, tl)[0]
             want = literal_noise(truth, dic.values, tl)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -316,8 +309,8 @@ class TestNoiseVector:
             dic = linear_dictionary(truth.dataset)
             system = build_gram(truth.dataset, dic)
             tl = system.timeline
-            signal = cross_products(tl, dic.values, truth.h0)
-            noise = noise_vector(truth, dic, tl)
+            signal = tl.cross_moment(tl.centered(dic.values), tl.centered(truth.h0))[:, 0]
+            noise = noise_terms(truth, dic.values, tl)[0]
             scale = np.abs(system.vector).max() + 1e-12
             np.testing.assert_allclose(signal + noise, system.vector, rtol=0, atol=1e-10 * scale)
 
@@ -329,7 +322,7 @@ class TestNoiseVector:
         for rep in range(200):
             truth = simulate(cfg, seed=[31, rep])
             dic = linear_dictionary(truth.dataset)
-            draws.append(noise_vector(truth, dic, build_timeline(truth.dataset))[0])
+            draws.append(noise_terms(truth, dic.values, build_timeline(truth.dataset))[0][0])
         draws = np.asarray(draws)
         se = draws.std(ddof=1) / np.sqrt(len(draws))
         assert abs(draws.mean()) <= 3.0 * se

@@ -236,6 +236,25 @@ class TestCertificates:
         with pytest.raises(ValueError, match="weight_scale"):
             fit(system, weights, weight_scale=-1.0)
 
+    def test_nan_is_never_convergence(self, micro_dataset):
+        # max(0.0, nan) is 0.0 in Python, so a NaN residual once passed the
+        # stopping test; every non-finite input is now refused by name, and
+        # a NaN that still reaches the residual (here through hn) ends the
+        # fit unconverged
+        system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
+        weights = flat_weights([0.1], micro_dataset.n)
+        for bad in (np.nan, np.inf):
+            for name in ("kappa", "tol", "weight_scale"):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    fit(system, weights, **{name: bad})
+            with pytest.raises(ValueError, match="weights must be finite"):
+                fit(system, flat_weights([bad], micro_dataset.n))
+            with pytest.raises(ValueError, match=f"got \\[1.0, {bad}, 0.5\\]"):
+                fit_path(system, weights, [1.0, bad, 0.5])
+        f = fit(replace(system, vector=np.array([np.nan])), weights)
+        assert not f.converged
+        assert np.isnan(f.kkt_max_violation)
+
 
 class TestFitPath:
     def test_grid_validation(self, micro_dataset):

@@ -23,10 +23,8 @@ from hazlasso import (
     check_orthogonality,
     compute_weights,
     fit,
-    integrate_product,
     linear_dictionary,
     load_dataset,
-    risk_set_mean,
     write_dataset,
 )
 
@@ -64,18 +62,6 @@ class TestStepFunction:
             StepFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             StepFunction(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-
-    def test_integrate_product_exact(self):
-        # int fg = 1*2*0.5 + 3*2*0.25 + 3*5*0.25 = 1 + 1.5 + 3.75
-        f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0]))
-        g = StepFunction(np.array([0.0, 0.75, 1.0]), np.array([2.0, 5.0]))
-        assert integrate_product(f, g) == pytest.approx(6.25, abs=1e-15)
-
-    def test_integrate_product_with_weight(self):
-        f = StepFunction.constant(2.0)
-        g = StepFunction.constant(3.0)
-        w = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0]))
-        assert integrate_product(f, g, w) == pytest.approx(3.0, abs=1e-15)
 
 
 class TestSurvivalDataset:
@@ -296,7 +282,8 @@ class TestTimeline:
                 assert sums[k] == pytest.approx(v[mask].sum(), rel=1e-12, abs=1e-12)
 
     def test_risk_set_mean_micro(self, micro_dataset):
-        mean = risk_set_mean(build_timeline(micro_dataset), np.array([0.0, 1.0]))
+        tl = build_timeline(micro_dataset)
+        mean = StepFunction(tl.breakpoints, tl.means(np.array([0.0, 1.0])))
         assert mean(0.25) == pytest.approx(0.5)
         assert mean(0.75) == pytest.approx(1.0)
 

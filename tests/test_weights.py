@@ -21,10 +21,10 @@ from hazlasso import (
     DictionaryMatrix,
     build_gram,
     compute_weights,
-    empirical_variance,
     linear_dictionary,
 )
-from hazlasso.simulate import default_config, predictable_variation, simulate
+from hazlasso.bernstein import PAPER_NUMERIC
+from hazlasso.simulate import default_config, noise_terms, simulate
 from hazlasso.survival import SurvivalDataset
 from hazlasso.weights import C1, C2, loglog_term
 
@@ -39,6 +39,13 @@ class TestConstants:
         assert C1 == 2.0 * math.sqrt(2.0)
         assert C2 == 4.0 * math.sqrt(14.0 / 3.0) + 2.0 / 3.0
         assert DEFAULT_X == math.log(1.0 / 0.05)
+
+    def test_same_as_the_paper_numeric_bernstein_constants(self):
+        # the weights carry their own copy of c1 and c2; the two spellings
+        # of c2 (4 sqrt(14/3) + 2/3 here, 2 sqrt(56/3) + 2/3 in bernstein)
+        # round one ulp apart, so either may replace the other
+        assert C1 == PAPER_NUMERIC.c1
+        assert abs(C2 - PAPER_NUMERIC.c2) <= math.ulp(PAPER_NUMERIC.c2)
 
 
 class TestLoglogTerm:
@@ -134,7 +141,7 @@ class TestEmpiricalVariance:
     def test_no_events_means_zero(self):
         ds = SurvivalDataset(times=[0.4, 0.9], status=[0, 0], covariates=[[1.0], [2.0]])
         dic = linear_dictionary(ds)
-        np.testing.assert_array_equal(empirical_variance(ds, dic, build_gram(ds, dic)), [0.0])
+        np.testing.assert_array_equal(build_gram(ds, dic).vhat, [0.0])
 
     def test_matches_literal_event_sum(self):
         rng = np.random.default_rng(10)
@@ -142,7 +149,7 @@ class TestEmpiricalVariance:
             ds = random_dataset(rng)
             dic = linear_dictionary(ds)
             system = build_gram(ds, dic)
-            got = empirical_variance(ds, dic, system)
+            got = system.vhat
             want = np.zeros(ds.d)
             for i in np.flatnonzero(ds.status):
                 at_risk = ds.times >= ds.times[i]
@@ -158,13 +165,14 @@ class TestEmpiricalVariance:
             ds = random_dataset(rng)
             dic = linear_dictionary(ds)
             system = build_gram(ds, dic)
-            want = (system.timeline.event_centered(dic.values) ** 2).sum(axis=0) / ds.n
-            np.testing.assert_array_equal(empirical_variance(ds, dic, system), want)
+            tl = system.timeline
+            want = (tl.event_deviations(tl.centered(dic.values)) ** 2).sum(axis=0) / ds.n
+            np.testing.assert_array_equal(compute_weights(ds, dic, system).vhat, want)
         wider = DictionaryMatrix(
             values=np.hstack([dic.values, dic.values[:, :1]]), labels=dic.labels + ["extra"]
         )
         with pytest.raises(ValueError, match="columns"):
-            empirical_variance(ds, wider, system)
+            compute_weights(ds, wider, system)
 
     def test_tracks_predictable_variation_as_n_grows(self):
         # vhat and the predictable variation estimate the same limit; their
@@ -180,8 +188,8 @@ class TestEmpiricalVariance:
                 ds = truth.dataset
                 dic = linear_dictionary(ds)
                 system = build_gram(ds, dic)
-                vhat = empirical_variance(ds, dic, system)[0]
-                v = predictable_variation(truth, dic.values[:, 0], system.timeline)
+                vhat = system.vhat[0]
+                v = noise_terms(truth, dic.values[:, 0], system.timeline)[2]
                 rel.append(abs(vhat - v) / v)
             gaps.append(np.mean(rel))
         assert gaps[2] < gaps[0]
