@@ -48,6 +48,7 @@ from .simulate import (
     default_config,
     load_config,
     simulate,
+    simulate_batch,
 )
 from .solver import LassoFit, active_kernel, fit, fit_path, kkt_check
 from .survival import (
@@ -111,6 +112,7 @@ __all__ = [
     "run_mc",
     "run_oracle_mc",
     "simulate",
+    "simulate_batch",
     "slow_oracle_check",
     "sup_norms",
     "wilson_interval",

@@ -13,6 +13,11 @@ c3 e^{-x}. The harness simulates the truth, evaluates Z exactly, and
 reports violation frequencies with Wilson intervals per x, alongside the
 classical predictable-variation bound sqrt(2Vx/n) + x/(3n) evaluated in
 oracle mode (it needs the unobservable V).
+
+The harness draws fixed-size chunks of replications with
+``simulate_batch`` and evaluates Z, Vhat and V of a whole chunk in one
+``noise_terms`` call along the leading replication axis; a single dataset
+(``noise_process_terminal``) is a batch of one without that axis.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import chunks, parallel_map
 from .errors import ConfigError
 from .simulate import (
     SimulatedTruth,
     SimulationConfig,
     noise_terms,
-    simulate,
+    simulate_batch,
 )
 from .survival import RiskSetTimeline, build_timeline
 
@@ -218,13 +223,14 @@ class BernsteinReport:
         }
 
 
-def _mc_worker(args):
-    config, column, seed, rep = args
-    truth = simulate(config, seed=[seed, rep])
+def _mc_chunk(args):
+    """|Z|, Vhat, V and sup|h| of one chunk of replications, one array each."""
+    config, column, seed, reps = args
+    truth = simulate_batch(config, [[seed, rep] for rep in reps])
     timeline = build_timeline(truth.dataset)
-    v = truth.dataset.covariates[:, column]
-    z, vhat, var = noise_process_terminal(truth, v, timeline)
-    return abs(z), vhat, var, float(np.abs(v).max())
+    v = truth.dataset.covariates[..., column]
+    z, vhat, var = noise_terms(truth, v, timeline)
+    return np.abs(z), vhat, var, np.abs(v).max(axis=-1)
 
 
 def run_mc(
@@ -242,7 +248,10 @@ def run_mc(
     are fine for smoke tests but the Wilson interval will be wide. Within
     one run the violation sets are nested across x (the bound increases in
     x on each fixed dataset), so reported frequencies are exactly
-    nonincreasing in x.
+    nonincreasing in x. Replications run in chunks through the batched
+    pipeline (simulate, timeline and noise terms along a leading
+    replication axis), each on its own substreams, so the report does not
+    depend on the chunking or on ``threads``.
     """
     x_grid = tuple(float(x) for x in x_grid)
     if not x_grid or not all(math.isfinite(x) and x > 0 for x in x_grid):
@@ -253,12 +262,9 @@ def run_mc(
         raise ConfigError(f"column {column} out of range for d={config.d}")
     base_seed = config.seed if seed is None else int(seed)
 
-    tasks = [(config, column, base_seed, rep) for rep in range(replications)]
-    results = parallel_map(_mc_worker, tasks, threads)
-    abs_z = np.array([r[0] for r in results])
-    vhat = np.array([r[1] for r in results])
-    var = np.array([r[2] for r in results])
-    sup = np.array([r[3] for r in results])
+    tasks = [(config, column, base_seed, reps) for reps in chunks(replications)]
+    results = parallel_map(_mc_chunk, tasks, threads)
+    abs_z, vhat, var, sup = (np.concatenate(parts) for parts in zip(*results))
 
     # sup == 0 makes the bound degenerate (Z = 0 almost surely); drop those
     good = sup > 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -30,13 +29,14 @@ from .weights import DEFAULT_X, compute_weights
 
 SCHEMA_VERSION = "2"
 
-# Worker processes for the Monte Carlo commands; a 1-CPU machine gets 1.
-# Measured on a 2-CPU machine, more than 2 not tried: with BLAS pinned to
-# one thread per process, 2 workers beat 1 from 100 replications up. With
-# BLAS threads left at their default, 2 workers were slower than 1 for
-# `oracle-check --identity-gram` at every size measured (15, 100 and 500
-# replications) and for the searched `oracle-check` at 15 and 100.
-DEFAULT_THREADS = min(2, os.cpu_count() or 1)
+# Worker processes for the Monte Carlo commands. Measured on a 2-CPU
+# machine with the replications in chunks: with BLAS threads left at their
+# default, as the command line runs, 2 workers were slower than 1 for both
+# `oracle-check` modes at 15, 100 and 500 replications and for
+# `bernstein-mc` at 2000 (up to 2.2 times slower), because each worker's
+# BLAS starts its own threads. Only with BLAS pinned to one thread per
+# process did 2 workers win, from 100 replications up.
+DEFAULT_THREADS = 1
 
 
 def _write_report(payload: dict, path: str) -> None:

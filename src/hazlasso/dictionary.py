@@ -3,7 +3,8 @@
 A dictionary is the n x M matrix of candidate functions h_j evaluated at
 the covariate rows; the estimator only ever sees these evaluations, so
 the matrix is the whole interface. The default choice is the linear
-dictionary h_j(x) = x_j.
+dictionary h_j(x) = x_j. A batch of datasets gives an (R, n, M) batch of
+evaluations with shared labels.
 """
 
 from __future__ import annotations
@@ -28,26 +29,27 @@ class DictionaryMatrix:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise DataValidationError("dictionary values must be a 2-d array")
-        if len(self.labels) != self.values.shape[1]:
+        if self.values.ndim not in (2, 3):
+            raise DataValidationError("dictionary values must be a 2-d array (3-d for a batch)")
+        if len(self.labels) != self.values.shape[-1]:
             raise DataValidationError("one label per dictionary column required")
         if len(set(self.labels)) != len(self.labels):
             raise DataValidationError("duplicate dictionary labels")
         if not np.all(np.isfinite(self.values)):
             raise DataValidationError("dictionary values must be finite")
-        dead = np.flatnonzero(np.all(self.values == 0.0, axis=0))
+        zero = np.all(self.values == 0.0, axis=-2)
+        dead = np.flatnonzero(zero.reshape(-1, self.M).any(axis=0))
         if dead.size:
             names = ", ".join(self.labels[j] for j in dead)
             warnings.warn(f"all-zero dictionary column(s): {names}", stacklevel=2)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def M(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 def linear_dictionary(dataset: SurvivalDataset) -> DictionaryMatrix:
@@ -93,4 +95,4 @@ def load_dictionary(path, n_expected: int | None = None) -> DictionaryMatrix:
 
 def sup_norms(dictionary: DictionaryMatrix) -> np.ndarray:
     """Per-column sup norms max_i |h_j(X_i)| over the sample."""
-    return np.max(np.abs(dictionary.values), axis=0)
+    return np.max(np.abs(dictionary.values), axis=-2)

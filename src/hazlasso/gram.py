@@ -11,6 +11,11 @@ times (Lin & Ying 1994). Every integrand is a step function on the
 risk-set timeline, so H and hn are exact finite sums; the timeline's
 ``cross_moment`` and ``event_deviations`` evaluate them from one
 ``centered`` pass, and this module only assembles and reports the system.
+
+A batch of datasets (a leading replication axis on the dataset, the
+dictionary values and the timeline) gives a batch of systems: H of shape
+(R, M, M), hn and vhat of shape (R, M), and ``system[r]`` is replication
+r. A single dataset is a batch of one without that axis.
 """
 
 from __future__ import annotations
@@ -41,11 +46,17 @@ class GramSystem:
 
     @property
     def M(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def n(self) -> int:
         return self.timeline.n
+
+    def __getitem__(self, r: int) -> "GramSystem":
+        """Replication r of a batch."""
+        return GramSystem(
+            self.matrix[r], self.vector[r], self.timeline[r], self.labels, self.vhat[r]
+        )
 
 
 def build_gram(
@@ -65,17 +76,19 @@ def build_gram(
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
-    if phi.shape[0] != tl.n:
+    if phi.shape[:-1] != tl.end_interval.shape:
         raise ValueError("dictionary rows do not match the dataset")
     centered = tl.centered(phi)  # one prefix pass serves H, hn and vhat
     matrix = tl.cross_moment(centered, centered)
     dev = tl.event_deviations(centered)
+    vector = dev.sum(axis=-2) / tl.n  # before vhat squares dev in place
     return GramSystem(
-        matrix=0.5 * (matrix + matrix.T),  # the products are symmetric up to BLAS rounding
-        vector=dev.sum(axis=0) / tl.n,
+        # the products are symmetric up to BLAS rounding
+        matrix=0.5 * (matrix + np.swapaxes(matrix, -1, -2)),
+        vector=vector,
         timeline=tl,
         labels=list(dictionary.labels),
-        vhat=(dev**2).sum(axis=0) / tl.n,
+        vhat=np.square(dev, out=dev).sum(axis=-2) / tl.n,
     )
 
 
@@ -89,10 +102,11 @@ def empirical_norm_sq_fn(timeline: RiskSetTimeline, values: np.ndarray) -> float
     """Direct-integration squared norm of arbitrary per-record values.
 
     Cross-checks the quadratic path: for values = dictionary @ beta the two
-    agree up to roundoff.
+    agree up to roundoff. A batched timeline and values give one norm per
+    replication.
     """
     c = timeline.centered(values)
-    return float(timeline.cross_moment(c, c)[0, 0])
+    return timeline.cross_moment(c, c)[..., 0, 0][()]
 
 
 def objective(

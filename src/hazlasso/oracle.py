@@ -18,6 +18,14 @@ stream of ``mu3_search``), and every report states which case it is.
 For an exact fast check on any design, whiten the dictionary: the Gram
 becomes the identity up to roundoff, the reference support is full, the
 cone is the whole space, and mu3 collapses to 1/sqrt(lambda_min).
+
+The checks and the whitened construction take a batched truth, dictionary,
+system and weights (a leading replication axis, as from
+``simulate_batch``) with one fit per replication, and return one entry per
+replication; a single dataset is a batch of one without that axis. The
+harness runs fixed-size chunks of replications through that pipeline,
+so only the random draws, the solver fits and the mu3 brackets run one
+replication at a time.
 """
 
 from __future__ import annotations
@@ -29,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import chunks, parallel_map
 from .bernstein import wilson_interval
 from .dictionary import DictionaryMatrix, linear_dictionary
 from .errors import ConfigError, DataValidationError
 from .gram import GramSystem, build_gram, empirical_norm_sq_fn
-from .simulate import SimulatedTruth, SimulationConfig, simulate
+from .simulate import SimulatedTruth, SimulationConfig, simulate_batch
 from .solver import LassoFit, fit
 from .survival import build_timeline
 from .weights import WeightVector, compute_weights
@@ -49,9 +57,28 @@ def guarantee_level(x: float) -> float:
     return max(0.0, 1.0 - GUARANTEE_CONSTANT * math.exp(-x))
 
 
-def _distances(truth, dictionary, system, fit_result, beta_ref):
+def _python(values):
+    """Python scalars for one replication, lists of them for a batch."""
+    return np.asarray(values).tolist()
+
+
+def _fitted_beta(fit_result, kappa: float) -> np.ndarray:
+    """Coefficients of one fit, or stacked (R, M) from one fit per replication."""
+    fits = fit_result if isinstance(fit_result, list) else [fit_result]
+    if any(f.kappa != kappa for f in fits):
+        name = "slow" if kappa == 1.0 else "fast"
+        raise ValueError(f"{name} oracle check expects a kappa={kappa:g} fit")
+    return np.array([f.beta for f in fits]) if isinstance(fit_result, list) else fit_result.beta
+
+
+def _fitted(values: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Dictionary values (..., n, M) times coefficients (..., M), per replication."""
+    return (values @ beta[..., None])[..., 0]
+
+
+def _distances(truth, dictionary, system, beta, beta_ref):
     """(|h_fit - h0|_n^2, |h_ref - h0|_n^2, ref) with ref = beta0 unless
-    ``beta_ref`` is given."""
+    ``beta_ref`` is given; one entry per replication of a batch."""
     if not isinstance(truth, SimulatedTruth):
         raise DataValidationError(
             "oracle checks need simulated truth; h0 is unobservable on real data"
@@ -59,15 +86,15 @@ def _distances(truth, dictionary, system, fit_result, beta_ref):
     ref = truth.beta0 if beta_ref is None else np.asarray(beta_ref, dtype=float)
     tl = system.timeline
     phi = dictionary.values
-    lhs = max(0.0, empirical_norm_sq_fn(tl, phi @ fit_result.beta - truth.h0))
-    approx = max(0.0, empirical_norm_sq_fn(tl, phi @ ref - truth.h0))
+    lhs = np.maximum(0.0, empirical_norm_sq_fn(tl, _fitted(phi, beta) - truth.h0))
+    approx = np.maximum(0.0, empirical_norm_sq_fn(tl, _fitted(phi, ref) - truth.h0))
     return lhs, approx, ref
 
 
 def slow_oracle_check(
     truth: SimulatedTruth,
     dictionary: DictionaryMatrix,
-    fit_result: LassoFit,
+    fit_result: LassoFit | list[LassoFit],
     system: GramSystem,
     weights: WeightVector,
     beta_ref: np.ndarray | None = None,
@@ -77,19 +104,28 @@ def slow_oracle_check(
     lhs = |h_fit - h0|_n^2, rhs = |h_ref - h0|_n^2 + 2 pen(ref). When h0
     is exactly linear in the dictionary the approximation term vanishes
     and rhs is purely the penalty. ``system`` and ``weights`` are those
-    the fit was made with.
+    the fit was made with. For a batch, ``fit_result`` is a list with one
+    fit per replication and each returned item is a list.
     """
-    if fit_result.kappa != 1.0:
-        raise ValueError("slow oracle check expects a kappa=1 fit")
-    lhs, approx, ref = _distances(truth, dictionary, system, fit_result, beta_ref)
-    rhs = approx + 2.0 * float(np.abs(ref) @ weights.w)
-    return lhs, rhs, bool(lhs <= rhs + SLACK)
+    beta = _fitted_beta(fit_result, 1.0)
+    lhs, approx, ref = _distances(truth, dictionary, system, beta, beta_ref)
+    rhs = approx + 2.0 * (np.abs(ref) * weights.w).sum(axis=-1)
+    return _python(lhs), _python(rhs), _python(lhs <= rhs + SLACK)
+
+
+def _mu3_lower(mu3) -> np.ndarray:
+    """Lower ends of brackets, or the given values, as floats."""
+    if isinstance(mu3, ConeSearchResult):
+        return np.asarray(mu3.mu3_lower)
+    if isinstance(mu3, list):
+        return np.array([_mu3_lower(m) for m in mu3])
+    return np.asarray(mu3, dtype=float)
 
 
 def fast_oracle_check(
     truth: SimulatedTruth,
     dictionary: DictionaryMatrix,
-    fit_result: LassoFit,
+    fit_result: LassoFit | list[LassoFit],
     mu3,
     system: GramSystem,
     weights: WeightVector,
@@ -102,19 +138,18 @@ def fast_oracle_check(
     closed (``mu3_bracket`` found b* in the cone, or a whitened design)
     the check is exact; otherwise rhs is an under-estimate and a True flag
     is the conservative reading. An empty reference support drops the mu3
-    term entirely.
+    term entirely. For a batch, ``fit_result`` and ``mu3`` hold one entry
+    per replication and each returned item is a list.
     """
-    if fit_result.kappa != 2.0:
-        raise ValueError("fast oracle check expects a kappa=2 fit")
-    mu = mu3.mu3_lower if isinstance(mu3, ConeSearchResult) else float(mu3)
-    if math.isnan(mu) or mu <= 0:
+    beta = _fitted_beta(fit_result, 2.0)
+    mu = _mu3_lower(mu3)
+    if np.any(np.isnan(mu) | (mu <= 0)):
         raise ValueError("mu3 must be positive")
-    lhs, approx, ref = _distances(truth, dictionary, system, fit_result, beta_ref)
-    support = np.flatnonzero(ref != 0.0)
-    w_j = weights.w[support]
-    term = 0.0 if support.size == 0 else 2.25 * mu * mu * float(w_j @ w_j)
-    rhs = approx + term
-    return lhs, rhs, bool(lhs <= rhs + SLACK)
+    lhs, approx, ref = _distances(truth, dictionary, system, beta, beta_ref)
+    w_j = np.where(ref != 0.0, weights.w, 0.0)
+    mu = np.where(np.any(ref != 0.0, axis=-1), mu, 0.0)
+    rhs = approx + 2.25 * mu * mu * (w_j * w_j).sum(axis=-1)
+    return _python(lhs), _python(rhs), _python(lhs <= rhs + SLACK)
 
 
 @dataclass
@@ -246,6 +281,10 @@ def mu3_bracket(
     test ``mu3_search`` applies to every candidate. Then upper = inf, and
     lower = inf as well if a null direction u with u_J != 0 lies in the
     cone; otherwise the lower end comes from the search.
+
+    A batched system and weights (a leading replication axis) are bracketed
+    together, the factorizations stacked: ``seed`` is then a list with one
+    fallback seed per replication, and the result a list of brackets.
     """
     beta_ref = np.asarray(beta_ref, dtype=float)
     support = np.flatnonzero(beta_ref != 0.0)
@@ -253,49 +292,77 @@ def mu3_bracket(
         raise ValueError("beta_ref needs a nonempty support")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    H = system.matrix
-    M = system.M
-    w = weights.w
-    scale = _diag_scale(H)
-    heavy = w > 0
-    heavy[support] = False
+    batch = system.matrix.ndim == 3
+    H = system.matrix if batch else system.matrix[None]
+    M = H.shape[-1]
+    scale = np.maximum(1.0, np.diagonal(H, axis1=-2, axis2=-1).max(axis=-1))
+    seeds = seed if batch else [seed]
 
-    def closed(mu3, method):
-        return ConeSearchResult(
-            beta_ref=beta_ref.copy(), mu3_lower=mu3, candidates=1, method=method,
-            mu3_upper=mu3,
-        )
+    def replication(r):
+        return (system[r], weights[r]) if batch else (system, weights)
 
     try:
         # H - floor*I factors only if every eigenvalue of H clears the null
         # floor (up to rounding of the factorization)
-        np.linalg.cholesky(H - 1e-14 * scale * np.eye(M))
+        np.linalg.cholesky(H - (1e-14 * scale)[:, None, None] * np.eye(M))
         chol = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        lam, vecs = np.linalg.eigh(H)
-        null = vecs[:, lam <= 1e-14 * scale]
-        # the null basis, and each support axis projected onto the null space
-        candidates = np.hstack([null, null @ null[support].T]).T
-        for u in candidates:
-            if _in_cone(u, w, support, heavy) and _cone_ratio(H, support, u, scale) == math.inf:
-                return closed(math.inf, "null-direction")
-        found = mu3_search(system, weights, beta_ref, budget, seed)
-        return dataclasses.replace(found, candidates=found.candidates + len(candidates))
+        if batch:  # some replication's H is singular: bracket each on its own
+            return [mu3_bracket(*replication(r), beta_ref, budget, seeds[r]) for r in range(len(H))]
+        return _singular_bracket(system, weights, beta_ref, support, budget, seed)
 
     axes = np.zeros((M, support.size))
     axes[support, np.arange(support.size)] = 1.0
     half = np.linalg.solve(chol, axes)  # L^-1 E_J, so [H^-1]_JJ = half' half
-    lam, vecs = np.linalg.eigh(half.T @ half)
-    upper = math.sqrt(lam[-1])
-    b_star = np.linalg.solve(chol.T, half @ vecs[:, -1])  # H^-1 E_J v
+    lam, vecs = np.linalg.eigh(np.swapaxes(half, -1, -2) @ half)
+    upper = np.sqrt(lam[:, -1])
+    b_star = np.linalg.solve(np.swapaxes(chol, -1, -2), half @ vecs[:, :, -1:])  # H^-1 E_J v
+    out = [
+        _bracket_at(*replication(r), beta_ref, support, b_star[r, :, 0], float(upper[r]),
+                    budget, seed_r)
+        for r, seed_r in enumerate(seeds)
+    ]
+    return out if batch else out[0]
+
+
+def _bracket_at(system, weights, beta_ref, support, b_star, upper, budget, seed):
+    """``mu3_bracket`` on one replication, given b* and its closed form."""
+    w = weights.w
+    heavy = w > 0
+    heavy[support] = False
     if _in_cone(b_star, w, support, heavy):
-        return closed(upper, "closed-form")
-    projected = _cone_ratio(H, support, _cone_project(b_star, w, support, heavy, 1.0), scale)
+        return _closed(beta_ref, upper, "closed-form")
+    b = _cone_project(b_star, w, support, heavy, 1.0)
+    projected = _cone_ratio(system.matrix, support, b, _diag_scale(system.matrix))
     found = mu3_search(system, weights, beta_ref, budget, seed)
     found = dataclasses.replace(found, candidates=found.candidates + 1, mu3_upper=upper)
     if projected > found.mu3_lower:
         found = dataclasses.replace(found, mu3_lower=projected, method="projected-closed-form")
     return found
+
+
+def _closed(beta_ref: np.ndarray, mu3: float, method: str) -> ConeSearchResult:
+    return ConeSearchResult(
+        beta_ref=beta_ref.copy(), mu3_lower=mu3, candidates=1, method=method, mu3_upper=mu3
+    )
+
+
+def _singular_bracket(system, weights, beta_ref, support, budget, seed) -> ConeSearchResult:
+    """``mu3_bracket`` on a singular H: inf if a null direction lies in the cone."""
+    H = system.matrix
+    scale = _diag_scale(H)
+    w = weights.w
+    heavy = w > 0
+    heavy[support] = False
+    lam, vecs = np.linalg.eigh(H)
+    null = vecs[:, lam <= 1e-14 * scale]
+    # the null basis, and each support axis projected onto the null space
+    candidates = np.hstack([null, null @ null[support].T]).T
+    for u in candidates:
+        if _in_cone(u, w, support, heavy) and _cone_ratio(H, support, u, scale) == math.inf:
+            return _closed(beta_ref, math.inf, "null-direction")
+    found = mu3_search(system, weights, beta_ref, budget, seed)
+    return dataclasses.replace(found, candidates=found.candidates + len(candidates))
 
 
 def re_constant(
@@ -340,6 +407,17 @@ def re_constant(
     return float(best)
 
 
+def _fit_each(system: GramSystem, weights: WeightVector, **options):
+    """One solver fit for a single system, a list of them for a batch."""
+    if system.matrix.ndim == 2:
+        return fit(system, weights, **options)
+    return [fit(system[r], weights[r], **options) for r in range(len(system.matrix))]
+
+
+def _converged(fits) -> bool | list[bool]:
+    return [f.converged for f in fits] if isinstance(fits, list) else fits.converged
+
+
 def identity_gram_check(
     truth: SimulatedTruth,
     x: float,
@@ -353,37 +431,39 @@ def identity_gram_check(
     unchanged, makes the rebuilt Gram the identity up to roundoff, and
     turns the reference into H^{1/2} beta0, which is dense almost surely:
     the cone is all of R^M and mu3 = 1/sqrt(lambda_min) exactly, no search.
-    ``system`` is the Gram of the linear dictionary of ``truth.dataset``.
+    ``system`` is the Gram of the linear dictionary of ``truth.dataset``;
+    for a batch every value of the returned dict is a list with one entry
+    per replication.
     """
     dataset = truth.dataset
-    base = linear_dictionary(dataset)
     timeline = system.timeline
     lam, vecs = np.linalg.eigh(system.matrix)
-    if lam[0] <= 1e-10 * max(lam[-1], 1.0):
+    if np.any(lam[..., 0] <= 1e-10 * np.maximum(lam[..., -1], 1.0)):
         raise ConfigError("gram matrix is numerically singular; cannot whiten")
-    root = (vecs * np.sqrt(lam)) @ vecs.T
-    inv_root = (vecs / np.sqrt(lam)) @ vecs.T
+    root = (vecs * np.sqrt(lam)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    inv_root = (vecs / np.sqrt(lam)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    # the linear dictionary's values are the covariates
     whitened = DictionaryMatrix(
-        base.values @ inv_root, labels=[f"w{j + 1}" for j in range(base.M)]
+        dataset.covariates @ inv_root, labels=[f"w{j + 1}" for j in range(system.M)]
     )
     system_w = build_gram(dataset, whitened, timeline)
     weights_w = compute_weights(dataset, whitened, system_w, x)
-    beta_ref = root @ truth.beta0
-    fit_w = fit(system_w, weights_w, kappa=2.0, tol=tol)
-    lam_w = np.linalg.eigvalsh(system_w.matrix)
-    mu3 = 1.0 / math.sqrt(lam_w[0])
+    beta_ref = _fitted(root, truth.beta0)
+    fit_w = _fit_each(system_w, weights_w, kappa=2.0, tol=tol)
+    mu3 = 1.0 / np.sqrt(np.linalg.eigvalsh(system_w.matrix)[..., 0])
     lhs, rhs, holds = fast_oracle_check(
         truth, whitened, fit_w, mu3, system_w, weights_w, beta_ref=beta_ref
     )
-    label = "exact" if np.all(beta_ref != 0.0) or not np.any(truth.beta0) else "indicative"
+    exact = np.all(beta_ref != 0.0, axis=-1) | (not np.any(truth.beta0))
+    identity = np.eye(system_w.M)
     return {
         "lhs": lhs,
         "rhs": rhs,
         "holds": holds,
-        "mu3": mu3,
-        "label": label,
-        "converged": fit_w.converged,
-        "gram_offset": float(np.abs(system_w.matrix - np.eye(system_w.M)).max()),
+        "mu3": _python(mu3),
+        "label": _python(np.where(exact, "exact", "indicative")),
+        "converged": _converged(fit_w),
+        "gram_offset": _python(np.abs(system_w.matrix - identity).max(axis=(-2, -1))),
     }
 
 
@@ -431,28 +511,29 @@ class OracleReport:
         }
 
 
-def _oracle_worker(args):
-    config, x, seed, rep, identity_gram, budget, tol = args
-    truth = simulate(config, seed=[seed, rep])
+def _oracle_chunk(args):
+    """Report rows of one chunk of replications, in replication order."""
+    config, x, seed, reps, identity_gram, budget, tol = args
+    truth = simulate_batch(config, [[seed, rep] for rep in reps])
     dataset = truth.dataset
     dictionary = linear_dictionary(dataset)
     timeline = build_timeline(dataset)
     system = build_gram(dataset, dictionary, timeline)
     weights = compute_weights(dataset, dictionary, system, x)
 
-    fit_slow = fit(system, weights, kappa=1.0, tol=tol)
+    fit_slow = _fit_each(system, weights, kappa=1.0, tol=tol)
     s_lhs, s_rhs, s_holds = slow_oracle_check(truth, dictionary, fit_slow, system, weights)
-    row = {
+    columns = {
         "slow_lhs": s_lhs,
         "slow_rhs": s_rhs,
         "slow_holds": s_holds,
-        "slow_converged": fit_slow.converged,
-        "events": truth.event_counts["events"],
+        "slow_converged": _converged(fit_slow),
+        "events": _python(truth.event_counts["events"]),
     }
 
     if identity_gram:
         fast = identity_gram_check(truth, x, tol=tol, system=system)
-        row.update(
+        columns.update(
             fast_lhs=fast["lhs"],
             fast_rhs=fast["rhs"],
             fast_holds=fast["holds"],
@@ -462,26 +543,28 @@ def _oracle_worker(args):
             gram_offset=fast["gram_offset"],
         )
     else:
-        fit_fast = fit(system, weights, kappa=2.0, tol=tol)
+        fit_fast = _fit_each(system, weights, kappa=2.0, tol=tol)
         if np.any(truth.beta0):
-            mu3 = mu3_bracket(
-                system, weights, truth.beta0, budget=budget, seed=[seed, rep, 55]
-            )
-            mu_value, mu_upper, label = mu3.mu3_lower, mu3.mu3_upper, mu3.label
+            seeds = [[seed, rep, 55] for rep in reps]
+            mu3 = mu3_bracket(system, weights, truth.beta0, budget=budget, seed=seeds)
+            mu_value = [m.mu3_lower for m in mu3]
+            mu_upper = [m.mu3_upper for m in mu3]
+            label = [m.label for m in mu3]
         else:
-            mu3 = mu_value = mu_upper = math.inf  # unused: empty support drops the term
-            label = "exact"
+            # unused: an empty support drops the mu3 term
+            mu3 = mu_value = mu_upper = [math.inf] * len(reps)
+            label = ["exact"] * len(reps)
         f_lhs, f_rhs, f_holds = fast_oracle_check(truth, dictionary, fit_fast, mu3, system, weights)
-        row.update(
+        columns.update(
             fast_lhs=f_lhs,
             fast_rhs=f_rhs,
             fast_holds=f_holds,
-            fast_converged=fit_fast.converged,
+            fast_converged=_converged(fit_fast),
             mu3=mu_value,
             mu3_upper=mu_upper,
             mu3_label=label,
         )
-    return row
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def run_oracle_mc(
@@ -500,7 +583,9 @@ def run_oracle_mc(
     check runs either on the same fit (mu3 from ``mu3_bracket``, labeled
     "exact" when the bracket is closed and otherwise "indicative") or,
     with identity_gram, on the whitened construction where mu3 is a
-    closed form and the check is exact.
+    closed form and the check is exact. Replications run in chunks through
+    the batched pipeline, each on its own substreams, so the report does
+    not depend on the chunking or on ``threads``.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")
@@ -508,10 +593,10 @@ def run_oracle_mc(
         raise ConfigError(f"confidence level x must be positive and finite, got {x}")
     base_seed = config.seed if seed is None else int(seed)
     tasks = [
-        (config, x, base_seed, rep, identity_gram, mu3_budget, tol)
-        for rep in range(replications)
+        (config, x, base_seed, reps, identity_gram, mu3_budget, tol)
+        for reps in chunks(replications)
     ]
-    rows = parallel_map(_oracle_worker, tasks, threads)
+    rows = [row for part in parallel_map(_oracle_chunk, tasks, threads) for row in part]
     slow_holds = sum(1 for r in rows if r["slow_holds"])
     fast_holds = sum(1 for r in rows if r["fast_holds"])
     label = "exact" if all(r["mu3_label"] == "exact" for r in rows) else "indicative"

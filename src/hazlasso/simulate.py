@@ -12,17 +12,25 @@ Covariate rows violating lambda0(t) + x' beta0 >= 0 are redrawn and
 counted; a configuration whose per-draw violation probability (estimated
 on a dedicated probe substream) exceeds ``max_negative_prob`` is rejected
 with a diagnostic.
+
+``simulate_batch`` draws R datasets at once: the dataset, ``h0`` and the
+noise terms of ``noise_terms`` carry a leading replication axis of length
+R, which the Monte Carlo harnesses push through the rest of the pipeline
+as one array computation. ``simulate`` is a batch of one without that
+axis. Each replication keeps its own random substreams, so its numbers do
+not depend on the batch it is drawn in.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .survival import RiskSetTimeline, StepFunction, SurvivalDataset
+from .survival import RiskSetTimeline, StepFunction, SurvivalDataset, take_rows
 
 _PROBE_TAG = 9901
 _PROBE_DRAWS = 1000
@@ -43,23 +51,39 @@ class GaussianCovariates:
     def __post_init__(self):
         if not -1.0 < self.rho < 1.0:
             raise ConfigError("gaussian covariates need rho in (-1, 1)")
-        if self.clip is not None and self.clip <= 0:
-            raise ConfigError("clip must be positive when set")
+        if self.clip is not None and not (math.isfinite(self.clip) and self.clip > 0):
+            raise ConfigError(f"clip must be finite and positive when set, got {self.clip}")
 
-    def draw(self, rng: np.random.Generator, size: int, d: int) -> np.ndarray:
+    def draw(self, rng, size: int, d: int) -> np.ndarray:
+        """A (size, d) block of rows; a list of generators draws one block
+        each, stacked on a leading axis.
+
+        Each block is multiplied by the AR(1) factor and clipped while it is
+        still in cache, straight into the stacked output.
+        """
+        batch = isinstance(rng, list)
+        generators = rng if batch else [rng]
+        x = np.empty((len(generators), size, d))
+        normal = np.empty((size, d))
+        factor = self._factor(d)
+        for g, block in zip(generators, x):
+            g.standard_normal(out=normal if factor is not None else block)
+            if factor is not None:
+                np.matmul(normal, factor, out=block)
+            if self.clip is not None:  # np.clip, without its per-call overhead
+                np.minimum(block, self.clip, out=block)
+                np.maximum(block, -self.clip, out=block)
+        return x if batch else x[0]
+
+    def _factor(self, d: int) -> np.ndarray | None:
+        """Transposed Cholesky factor of the AR(1) correlation, or None at rho = 0."""
         if self.rho == 0.0:
-            x = rng.standard_normal((size, d))
-        else:
-            key = (d, self.rho)
-            if key not in _chol_cache:
-                idx = np.arange(d)
-                _chol_cache[key] = np.linalg.cholesky(
-                    self.rho ** np.abs(idx[:, None] - idx[None, :])
-                )
-            x = rng.standard_normal((size, d)) @ _chol_cache[key].T
-        if self.clip is not None:
-            np.clip(x, -self.clip, self.clip, out=x)
-        return x
+            return None
+        key = (d, self.rho)
+        if key not in _chol_cache:
+            idx = np.arange(d)
+            _chol_cache[key] = np.linalg.cholesky(self.rho ** np.abs(idx[:, None] - idx[None, :]))
+        return _chol_cache[key].T
 
 
 @dataclass(frozen=True)
@@ -68,8 +92,12 @@ class RademacherCovariates:
 
     kind = "rademacher"
 
-    def draw(self, rng: np.random.Generator, size: int, d: int) -> np.ndarray:
-        return rng.integers(0, 2, size=(size, d)).astype(float) * 2.0 - 1.0
+    def draw(self, rng, size: int, d: int) -> np.ndarray:
+        """A (size, d) block; a list of generators stacks one block each."""
+        batch = isinstance(rng, list)
+        bits = np.stack([g.integers(0, 2, size=(size, d)) for g in (rng if batch else [rng])])
+        x = bits.astype(float) * 2.0 - 1.0
+        return x if batch else x[0]
 
 
 @dataclass(frozen=True)
@@ -79,8 +107,8 @@ class UniformCensoring:
     kind = "uniform"
 
     def __post_init__(self):
-        if self.c_max <= 0:
-            raise ConfigError("uniform censoring needs c_max > 0")
+        if not (math.isfinite(self.c_max) and self.c_max > 0):
+            raise ConfigError(f"uniform censoring needs a finite c_max > 0, got {self.c_max}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         c = rng.uniform(0.0, self.c_max, size=size)
@@ -96,8 +124,8 @@ class ExponentialCensoring:
     kind = "exponential"
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ConfigError("exponential censoring needs rate > 0")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ConfigError(f"exponential censoring needs a finite rate > 0, got {self.rate}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.maximum(rng.exponential(1.0 / self.rate, size=size), 1e-300)
@@ -155,7 +183,13 @@ def default_config(seed: int = 20260814) -> SimulationConfig:
 
 @dataclass
 class SimulatedTruth:
-    """Dataset plus everything the generating model knows about it."""
+    """Dataset plus everything the generating model knows about it.
+
+    From ``simulate_batch`` the dataset and ``h0`` carry a leading
+    replication axis, ``seed`` is a list of keys, and ``redraws`` and the
+    ``event_counts`` entries are arrays with one entry per replication;
+    ``truth[r]`` is replication r as ``simulate`` returns it.
+    """
 
     dataset: SurvivalDataset
     beta0: np.ndarray
@@ -165,6 +199,18 @@ class SimulatedTruth:
     event_counts: dict
     redraws: int
     negative_prob: float
+
+    def __getitem__(self, r: int) -> "SimulatedTruth":
+        return SimulatedTruth(
+            dataset=self.dataset[r],
+            beta0=self.beta0,
+            baseline=self.baseline,
+            h0=self.h0[r],
+            seed=self.seed[r],
+            event_counts={key: int(count[r]) for key, count in self.event_counts.items()},
+            redraws=int(self.redraws[r]),
+            negative_prob=self.negative_prob,
+        )
 
 
 def _seed_key(config: SimulationConfig, seed) -> tuple[int, ...]:
@@ -197,7 +243,21 @@ def simulate(config: SimulationConfig, seed=None) -> SimulatedTruth:
     """Draw one dataset; reproducible from (config, seed) via substreams.
 
     ``seed`` overrides the config seed and may be a sequence (used by Monte
-    Carlo drivers as (base_seed, replication_index)).
+    Carlo drivers as (base_seed, replication_index)). The dataset is a
+    batch of one from ``simulate_batch``.
+    """
+    return simulate_batch(config, [_seed_key(config, seed)])[0]
+
+
+def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
+    """Draw one dataset per seed key, stacked on a leading replication axis.
+
+    Each key (a sequence of ints) owns three substreams, key + [tag] for
+    the covariates, the event times and the censoring times, so a
+    replication's numbers do not depend on the batch it is drawn in. The
+    draws and the redraws of covariate rows that make the hazard negative
+    run per replication; everything else is array arithmetic over the
+    batch.
     """
     neg_prob = _negative_probability(config)
     if neg_prob > config.max_negative_prob:
@@ -207,56 +267,59 @@ def simulate(config: SimulationConfig, seed=None) -> SimulatedTruth:
             "baseline, or raise max_negative_prob"
         )
 
-    key = list(_seed_key(config, seed))
+    keys = [[int(k) for k in key] for key in keys]
     n, d = config.n, config.d
     floor = float(config.baseline.values.min())
 
-    rng_x = np.random.default_rng(key + [_COVARIATE_TAG])
-    x = config.covariates.draw(rng_x, n, d)
+    rngs_x = [np.random.default_rng(key + [_COVARIATE_TAG]) for key in keys]
+    x = config.covariates.draw(rngs_x, n, d)
     h0 = x @ config.beta0
-    redraws = 0
     bad = h0 < -floor
-    while np.any(bad):
-        redraws += int(bad.sum())
-        x[bad] = config.covariates.draw(rng_x, int(bad.sum()), d)
-        h0 = x @ config.beta0
-        bad = h0 < -floor
+    redraws = bad.sum(axis=-1)
+    for r in np.flatnonzero(redraws):
+        rows, count = bad[r], int(redraws[r])
+        while count:  # redraw the offending rows until none is left
+            x[r, rows] = config.covariates.draw(rngs_x[r], count, d)
+            h0[r] = x[r] @ config.beta0
+            rows = h0[r] < -floor
+            count = int(rows.sum())
+            redraws[r] += count
 
     # piecewise-linear cumulative hazard, inverted in closed form
     bp = config.baseline.breakpoints
     lam = config.baseline.values
     cum0 = np.concatenate([[0.0], np.cumsum(lam * np.diff(bp))])
-    cum = cum0[None, :] + h0[:, None] * bp[None, :]
-    rng_t = np.random.default_rng(key + [_EVENT_TAG])
-    exp_draw = np.maximum(rng_t.exponential(size=n), 1e-300)
-    inside = exp_draw <= cum[:, -1]
-    # ties on flat pieces resolve forward to the next increasing piece
-    piece = np.clip((cum <= exp_draw[:, None]).sum(axis=1) - 1, 0, len(lam) - 1)
-    rate = lam[piece] + h0
-    failure = np.where(
-        inside,
-        bp[piece] + (exp_draw - cum[np.arange(n), piece]) / np.maximum(rate, 1e-300),
-        np.inf,
+    cum = cum0 + h0[..., None] * bp
+    exp_draw = np.stack(
+        [np.random.default_rng(key + [_EVENT_TAG]).exponential(size=n) for key in keys]
     )
+    np.maximum(exp_draw, 1e-300, out=exp_draw)
+    inside = exp_draw <= cum[..., -1]
+    # ties on flat pieces resolve forward to the next increasing piece
+    piece = np.clip((cum <= exp_draw[..., None]).sum(axis=-1) - 1, 0, len(lam) - 1)
+    rate = lam[piece] + h0
+    left = bp[piece]
+    start = cum0[piece] + h0 * left  # cum at the start of the piece, as above
+    failure = np.where(inside, left + (exp_draw - start) / np.maximum(rate, 1e-300), np.inf)
 
-    rng_c = np.random.default_rng(key + [_CENSOR_TAG])
-    censor = config.censoring.draw(rng_c, n)
+    censor = np.stack(
+        [config.censoring.draw(np.random.default_rng(key + [_CENSOR_TAG]), n) for key in keys]
+    )
     z = np.minimum(np.minimum(failure, censor), 1.0)
     delta = failure <= np.minimum(censor, 1.0)
 
     dataset = SurvivalDataset(times=z, status=delta, covariates=x)
-    events = int(delta.sum())
-    admin = int(np.sum(~delta & (z == 1.0)))
+    events = delta.sum(axis=-1)
     return SimulatedTruth(
         dataset=dataset,
         beta0=config.beta0.copy(),
         baseline=config.baseline,
         h0=h0,
-        seed=tuple(key),
+        seed=[tuple(key) for key in keys],
         event_counts={
             "events": events,
             "censored": n - events,
-            "administrative": admin,
+            "administrative": np.sum(~delta & (z == 1.0), axis=-1),
         },
         redraws=redraws,
         negative_prob=neg_prob,
@@ -353,14 +416,21 @@ def load_config(path: str) -> SimulationConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def _vecmat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a (..., K) vector and a (..., K, M) matrix, per replication."""
+    return (a[..., None, :] @ b)[..., 0, :]
+
+
 def noise_terms(
     truth: SimulatedTruth, column_values: np.ndarray, timeline: RiskSetTimeline
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terminal noise Z, optional variation Vhat and predictable variation V.
 
     Exact under the simulated truth, for one column (shape (n,)) or for
-    each column of an (n, M) matrix. With c_i - m(t) the risk-set-centered
-    column and alpha_i(t) = lambda0(t) + h0(X_i) the true hazard:
+    each column of an (n, M) matrix; with a batched truth and timeline the
+    values carry the same leading replication axis, and so do the results.
+    With c_i - m(t) the risk-set-centered column and
+    alpha_i(t) = lambda0(t) + h0(X_i) the true hazard:
 
         Z    = (1/n) sum_events (c_i - m(Z_i)) - (1/n) sum_i int (c_i - m) alpha_i Y_i dt
         Vhat = (1/n) sum_events (c_i - m(Z_i))^2
@@ -380,17 +450,18 @@ def noise_terms(
     resid = tl.event_deviations(centered)
     lam = tl.interval_integrals(truth.baseline)
     h0 = truth.h0
-    cum_hazard = np.cumsum(lam)[tl.end_interval] + tl.follow_up * h0
+    cum_lam = take_rows(np.cumsum(lam, axis=-1), tl.end_interval)
+    cum_hazard = cum_lam + tl.follow_up * h0
     base_count = lam * tl.at_risk
     rho = base_count + tl.lengths * tl.prefix_sums(h0)
     # sum_k m_k mu_k, with mu_k = sum_{i at risk} c_i int_k alpha_i dt
-    s_ch = tl.prefix_sums(c * h0[:, None])
-    m_mu = base_count @ (mean * mean) + tl.lengths @ (mean * s_ch)
-    compensator = cum_hazard @ c - rho @ mean
-    variation = cum_hazard @ (c * c) - 2.0 * m_mu + rho @ (mean * mean)
-    n = tl.n
-    terms = (resid.sum(axis=0) - compensator, (resid * resid).sum(axis=0), variation)
-    shape = np.shape(column_values)[1:]
-    # [()] turns the 0-d result of a single column back into a scalar
-    return tuple((t / n).reshape(shape)[()] for t in terms)
-
+    s_ch = tl.prefix_sums(c * h0[..., None])
+    m_mu = _vecmat(base_count, mean * mean) + _vecmat(tl.lengths, mean * s_ch)
+    compensator = _vecmat(cum_hazard, c) - _vecmat(rho, mean)
+    variation = _vecmat(cum_hazard, c * c) - 2.0 * m_mu + _vecmat(rho, mean * mean)
+    terms = (resid.sum(axis=-2) - compensator, (resid * resid).sum(axis=-2), variation)
+    # the input's shape without its record axis; [()] turns the 0-d result
+    # of a single column back into a scalar
+    axis = tl.end_interval.ndim - 1
+    shape = np.shape(column_values)[:axis] + np.shape(column_values)[axis + 1:]
+    return tuple((t / tl.n).reshape(shape)[()] for t in terms)

@@ -18,6 +18,13 @@ the noise processes all start from it, and a caller needing several of
 them shares one pass. ``interval_integrals`` integrates a deterministic
 step function, such as a baseline hazard, over each interval of the grid.
 
+Leading-axis convention: a dataset, its timeline and everything built
+from them may carry a leading replication axis of length R, so that R
+datasets of the same size n go through the arithmetic as one batch (the
+Monte Carlo harnesses do this). A single dataset is a batch of one
+without that axis; the code is the same. ``dataset[r]`` and
+``timeline[r]`` take replication r out of a batch.
+
 Conventions, fixed once here and relied on everywhere:
 
 * the at-risk indicator is closed on the left, Y_i(t) = 1{Z_i >= t}, so a
@@ -82,6 +89,8 @@ class StepFunction:
 class SurvivalDataset:
     """Right-censored sample with follow-up times normalized into (0, 1].
 
+    ``times`` and ``status`` have shape (n,) and ``covariates`` (n, d); a
+    batch of R datasets adds a leading axis, (R, n) and (R, n, d).
     ``time_scale`` records the factor raw times were divided by when a file
     carried follow-up beyond the unit window (1.0 when no rescaling
     happened); reports quote it so results can be mapped back.
@@ -97,29 +106,43 @@ class SurvivalDataset:
         self.times = np.asarray(self.times, dtype=float)
         self.status = np.asarray(self.status, dtype=bool)
         self.covariates = np.asarray(self.covariates, dtype=float)
-        if self.covariates.ndim != 2:
-            raise DataValidationError("covariates must be a 2-d array")
-        n = len(self.times)
-        if len(self.status) != n or self.covariates.shape[0] != n:
+        if self.times.ndim not in (1, 2) or self.covariates.ndim != self.times.ndim + 1:
+            raise DataValidationError("covariates must be a 2-d array (3-d for a batch)")
+        if self.status.shape != self.times.shape or self.covariates.shape[:-1] != self.times.shape:
             raise DataValidationError("times, status and covariates disagree on n")
-        if n == 0:
+        if self.times.shape[-1] == 0:
             raise DataValidationError("empty dataset")
-        if np.any(self.times <= 0) or np.any(self.times > 1):
-            bad = int(np.flatnonzero((self.times <= 0) | (self.times > 1))[0])
-            raise DataValidationError(f"record {bad}: time {self.times[bad]} outside (0, 1]")
-        if not np.all(np.isfinite(self.covariates)):
-            bad = int(np.flatnonzero(~np.isfinite(self.covariates).all(axis=1))[0])
-            raise DataValidationError(f"record {bad}: non-finite covariate")
+        # written so that NaN fails: every comparison with NaN is False
+        outside = ~((self.times > 0) & (self.times <= 1))
+        if outside.any():
+            at = tuple(np.argwhere(outside)[0])
+            raise DataValidationError(f"{_record(at)}: time {self.times[at]} outside (0, 1]")
+        # NaN and inf carry through max and min, which make no temporary
+        x = self.covariates
+        if x.size and not (np.isfinite(x.max()) and np.isfinite(x.min())):
+            at = tuple(np.argwhere(~np.isfinite(x).all(axis=-1))[0])
+            raise DataValidationError(f"{_record(at)}: non-finite covariate")
         if not self.labels:
-            self.labels = [f"x{j + 1}" for j in range(self.covariates.shape[1])]
+            self.labels = [f"x{j + 1}" for j in range(self.covariates.shape[-1])]
 
     @property
     def n(self) -> int:
-        return len(self.times)
+        return self.times.shape[-1]
 
     @property
     def d(self) -> int:
-        return self.covariates.shape[1]
+        return self.covariates.shape[-1]
+
+    def __getitem__(self, r: int) -> "SurvivalDataset":
+        """Replication r of a batch."""
+        return SurvivalDataset(
+            self.times[r], self.status[r], self.covariates[r], self.labels, self.time_scale
+        )
+
+
+def _record(at: tuple) -> str:
+    """Name a record by its index, with its replication in a batch."""
+    return f"record {at[0]}" if len(at) == 1 else f"replication {at[0]}, record {at[1]}"
 
 
 _STATUS = {"0": 0.0, "1": 1.0}
@@ -205,17 +228,41 @@ def write_dataset(dataset: SurvivalDataset, path) -> None:
             )
 
 
+def take_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]`` along the record or interval axis, per replication.
+
+    ``index`` has shape (k,) or, for a batch, (R, k); ``values`` has the
+    same leading axes followed by the indexed axis and any trailing ones.
+    Whole trailing rows are copied, which is much cheaper than gathering
+    element by element.
+    """
+    if index.ndim == 1:
+        return values[index]
+    return values[np.arange(len(index))[:, None], index]
+
+
 @dataclass(frozen=True)
 class RiskSetTimeline:
     """Breakpoint grid of a dataset with at-risk bookkeeping.
 
-    Interval k spans ``[breakpoints[k], breakpoints[k+1])``. The at-risk
-    set on interval k is the first ``at_risk[k]`` entries of
+    The grid is {0} followed by the sorted follow-up times, so there are
+    exactly n intervals whatever the data: interval k spans
+    ``[breakpoints[k], breakpoints[k+1]]`` and ends at the k-th smallest
+    follow-up time, tied times give zero-length intervals, and the grid
+    stops at the last follow-up time, beyond which nobody is at risk. A
+    batch of R datasets has the same width for every replication, so the
+    arrays stack on a leading axis: (R, n + 1) breakpoints, (R, n) for the
+    rest.
+
+    The at-risk set on interval k is the first ``at_risk[k]`` entries of
     ``desc_order`` (records sorted by decreasing follow-up time), so sums
     over risk sets are prefix sums in that ordering. ``end_interval[i]``
-    is the interval ending at Z_i: record i is at risk on intervals
-    0..end_interval[i], and a left-continuous integrand is read there
-    when its event fires.
+    is the interval ending at Z_i (the first of a tied run): record i is
+    at risk on intervals 0..end_interval[i], and a left-continuous
+    integrand is read there when its event fires.
+
+    Per-record values passed to the methods have shape (n,) or (n, M),
+    with the leading replication axis in front for a batch.
     """
 
     breakpoints: np.ndarray
@@ -223,19 +270,36 @@ class RiskSetTimeline:
     at_risk: np.ndarray
     n: int
     desc_order: np.ndarray
-    event_rows: np.ndarray
-    event_times: np.ndarray
+    status: np.ndarray
     end_interval: np.ndarray
+
+    def __getitem__(self, r: int) -> "RiskSetTimeline":
+        """Replication r of a batch."""
+        return RiskSetTimeline(
+            self.breakpoints[r], self.lengths[r], self.at_risk[r], self.n,
+            self.desc_order[r], self.status[r], self.end_interval[r],
+        )
 
     @property
     def follow_up(self) -> np.ndarray:
         """Follow-up time Z_i of each record, the total length it is at risk."""
-        return self.breakpoints[self.end_interval + 1]
+        return take_rows(self.breakpoints, self.end_interval + 1)
+
+    @property
+    def event_times(self) -> np.ndarray:
+        """Follow-up times of the event records, in record order (one dataset)."""
+        return self.follow_up[self.status]
 
     @property
     def event_interval(self) -> np.ndarray:
-        """Interval ending at each event time, in ``event_rows`` order."""
-        return self.end_interval[self.event_rows]
+        """Interval ending at each event time, in record order (one dataset)."""
+        return self.end_interval[self.status]
+
+    def _per_record(self, values) -> tuple[np.ndarray, bool]:
+        """Values as (..., n, M) floats, and whether they were one per record."""
+        v = np.asarray(values, dtype=float)
+        single = v.ndim == self.desc_order.ndim
+        return (v[..., None] if single else v), single
 
     def prefix_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-interval sums of per-record values over the at-risk set.
@@ -243,21 +307,20 @@ class RiskSetTimeline:
         ``values`` has shape (n,) or (n, M); the result has shape (K,) or
         (K, M) with row k equal to sum over {i : Z_i >= breakpoints[k+1]}.
         """
-        cs = np.asarray(values, dtype=float)[self.desc_order]
-        np.cumsum(cs, axis=0, out=cs)
-        sums = cs[self.at_risk - 1]
-        sums[self.at_risk == 0] = 0.0  # index -1 above read the last row
-        return sums
+        v, single = self._per_record(values)
+        cs = take_rows(v, self.desc_order)
+        np.cumsum(cs, axis=-2, out=cs)
+        sums = take_rows(cs, self.at_risk - 1)
+        return sums[..., 0] if single else sums
 
     def means(self, values: np.ndarray) -> np.ndarray:
         """At-risk averages of per-record values, shape (K,) or (K, M).
 
-        Empty risk sets average to 0 by convention; those intervals never
-        contribute to integrals against at-risk indicators anyway.
+        Every interval of the grid has a nonempty risk set.
         """
         sums = self.prefix_sums(values)
-        # an empty risk set sums to exactly 0, so dividing by 1 there gives 0
-        sums /= np.maximum(self.at_risk, 1).reshape((-1,) + (1,) * (sums.ndim - 1))
+        counts = self.at_risk.astype(float)  # a float divisor keeps the division fast
+        sums /= counts if sums.ndim == counts.ndim else counts[..., None]
         return sums
 
     def centered(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,16 +334,17 @@ class RiskSetTimeline:
         ``event_deviations`` and ``cross_moment`` take this pair, so one
         pass can serve several of them.
         """
-        v = np.asarray(values, dtype=float)
-        c = (v - v.mean(axis=0)).reshape(self.n, -1)
+        v, _ = self._per_record(values)
+        c = v - v.mean(axis=-2, keepdims=True)
         return c, self.means(c)
 
     def event_deviations(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Centered values minus their at-risk mean at Z_i, over event
-        records, from a ``centered`` pair; shape (events, M)."""
+        """Centered values minus their at-risk mean at Z_i, from a
+        ``centered`` pair; shape (n, M), zero on the censored records."""
         c, mean = centered
-        out = c[self.event_rows]
-        out -= mean[self.event_interval]
+        out = take_rows(mean, self.end_interval)
+        np.subtract(c, out, out=out)
+        out[~self.status] = 0.0
         return out
 
     def cross_moment(self, left, right) -> np.ndarray:
@@ -294,48 +358,50 @@ class RiskSetTimeline:
         for a total length Z_i.
         """
         (u, mu), (v, mv) = left, right
-        mass = (self.lengths * self.at_risk)[:, None]
-        return ((self.follow_up[:, None] * u).T @ v - (mass * mu).T @ mv) / self.n
+        scaled = self.follow_up[..., None] * u
+        weighted = np.swapaxes(scaled, -1, -2) @ v
+        # the grid has one interval per record, so the buffer fits the means
+        np.multiply((self.lengths * self.at_risk)[..., None], mu, out=scaled)
+        return (weighted - np.swapaxes(scaled, -1, -2) @ mv) / self.n
 
     def interval_integrals(self, step: StepFunction) -> np.ndarray:
         """Integral of a step function over each timeline interval, shape (K,).
 
-        Exact: on the common refinement of the two grids the integrand is
-        constant, and each refined piece is read at its midpoint and added
-        to the timeline interval that contains it.
+        Exact: each interval's overlap with each piece of the step function,
+        times that piece's value.
         """
-        grid = np.unique(np.concatenate([self.breakpoints, step.breakpoints]))
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        parent = np.searchsorted(self.breakpoints, mids, side="left") - 1
-        out = np.zeros(len(self.lengths))
-        np.add.at(out, parent, np.diff(grid) * step(mids))
-        return out
+        lo, hi = self.breakpoints[..., :-1, None], self.breakpoints[..., 1:, None]
+        overlap = np.minimum(hi, step.breakpoints[1:]) - np.maximum(lo, step.breakpoints[:-1])
+        return np.maximum(overlap, 0.0) @ step.values
 
 
 def build_timeline(dataset: SurvivalDataset) -> RiskSetTimeline:
-    """Breakpoints {0} + {distinct follow-up times} + {1}, with risk sets.
+    """Breakpoints {0} + {sorted follow-up times}, with risk sets.
 
-    Tied times (event or censoring alike) share one breakpoint. The first
-    interval always has all n subjects at risk; intervals beyond the last
-    follow-up time have an empty risk set.
+    Tied times (event or censoring alike) give zero-length intervals, so a
+    dataset of n records always has n intervals; the first has all n
+    subjects at risk. Works on a batch of datasets along the leading axis.
     """
     z = dataset.times
-    bp = np.unique(np.concatenate([np.array([0.0, 1.0]), z]))
-    zasc = np.sort(z)
-    # a.e. at-risk count on interval k is #{Z_i >= right endpoint}
-    at_risk = dataset.n - np.searchsorted(zasc, bp[1:], side="left")
-    event_rows = np.flatnonzero(dataset.status)
-    # Z_i is breakpoint m >= 1; the closed at-risk value at Z_i lives on interval m-1
-    end_interval = np.searchsorted(bp, z, side="left") - 1
+    n = dataset.n
+    ascending = np.argsort(z, axis=-1, kind="stable")
+    zasc = np.take_along_axis(z, ascending, axis=-1)
+    # first sorted position of each record's tied run; the a.e. at-risk set
+    # on the interval ending at zasc[k] is every record from there on
+    tie_start = np.ones(z.shape, dtype=bool)
+    tie_start[..., 1:] = zasc[..., 1:] != zasc[..., :-1]
+    first = np.maximum.accumulate(np.where(tie_start, np.arange(n), 0), axis=-1)
+    end_interval = np.empty_like(first)
+    np.put_along_axis(end_interval, ascending, first, axis=-1)
+    breakpoints = np.concatenate([np.zeros(z.shape[:-1] + (1,)), zasc], axis=-1)
     return RiskSetTimeline(
-        breakpoints=bp,
-        lengths=np.diff(bp),
-        at_risk=at_risk.astype(np.int64),
-        n=dataset.n,
-        desc_order=np.argsort(-z, kind="stable"),
-        event_rows=event_rows,
-        event_times=z[event_rows],
-        end_interval=end_interval.astype(np.int64),
+        breakpoints=breakpoints,
+        lengths=np.diff(breakpoints, axis=-1),
+        at_risk=n - first,
+        n=n,
+        desc_order=np.argsort(-z, axis=-1, kind="stable"),
+        status=dataset.status,
+        end_interval=end_interval,
     )
 
 

@@ -14,7 +14,9 @@ correction
 
 clamped so the argument never drops below e. The confidence level x > 0
 is the caller's choice; log(1/0.05) is the conventional default of the
-command-line tools.
+command-line tools. A batched Gram system and dictionary (a leading
+replication axis) give one weight vector per replication, shape (R, M);
+``weights[r]`` is replication r.
 """
 
 from __future__ import annotations
@@ -49,7 +51,13 @@ class WeightVector:
 
     @property
     def M(self) -> int:
-        return len(self.w)
+        return self.w.shape[-1]
+
+    def __getitem__(self, r: int) -> "WeightVector":
+        """Replication r of a batch."""
+        return WeightVector(
+            self.x, self.n, self.vhat[r], self.sup[r], self.loglog[r], self.w[r], self.labels
+        )
 
 
 def loglog_term(vhat, sup, x: float, n: int):

@@ -322,6 +322,32 @@ class TestErrorPaths:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, model",
+        [
+            ("censoring", {"kind": "uniform", "c_max": float("nan")}),
+            ("censoring", {"kind": "exponential", "rate": float("nan")}),
+            ("covariates", {"kind": "gaussian", "rho": 0.3, "clip": float("nan")}),
+        ],
+        ids=["c_max", "rate", "clip"],
+    )
+    def test_non_finite_model_parameter(self, section, model, tmp_path, capsys):
+        # json writes and reads NaN; the model refuses it by name instead of
+        # failing later inside numpy or blaming the covariates
+        field = [key for key in model if key not in ("kind", "rho")][0]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, section: model}))
+        out_data, out_truth = tmp_path / "d.csv", tmp_path / "t.json"
+        code = main(
+            ["simulate", "--config", str(config), "--out-data", str(out_data),
+             "--out-truth", str(out_truth)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field}" in err and "got nan" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_data.exists() and not out_truth.exists()
+
     def test_bad_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")

@@ -88,6 +88,17 @@ class TestSurvivalDataset:
                 covariates=np.zeros((2, 1)),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_times(self, bad):
+        # NaN fails every comparison, so a range test written as
+        # `times <= 0 | times > 1` would let it through
+        with pytest.raises(DataValidationError, match="record 0: time"):
+            SurvivalDataset(
+                times=np.array([bad, 0.5]),
+                status=np.array([True, False]),
+                covariates=np.array([[1.0], [2.0]]),
+            )
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(DataValidationError):
             SurvivalDataset(
