@@ -64,11 +64,12 @@ def _python(values):
 
 def _fitted_beta(fit_result, kappa: float) -> np.ndarray:
     """Coefficients of one fit, or stacked (R, M) from one fit per replication."""
-    fits = fit_result if isinstance(fit_result, list) else [fit_result]
+    batch = isinstance(fit_result, list)
+    fits = fit_result if batch else [fit_result]
     if any(f.kappa != kappa for f in fits):
         name = "slow" if kappa == 1.0 else "fast"
         raise ValueError(f"{name} oracle check expects a kappa={kappa:g} fit")
-    return np.array([f.beta for f in fits]) if isinstance(fit_result, list) else fit_result.beta
+    return np.array([f.beta for f in fits]) if batch else fit_result.beta
 
 
 def _fitted(values: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -113,15 +114,6 @@ def slow_oracle_check(
     return _python(lhs), _python(rhs), _python(lhs <= rhs + SLACK)
 
 
-def _mu3_lower(mu3) -> np.ndarray:
-    """Lower ends of brackets, or the given values, as floats."""
-    if isinstance(mu3, ConeSearchResult):
-        return np.asarray(mu3.mu3_lower)
-    if isinstance(mu3, list):
-        return np.array([_mu3_lower(m) for m in mu3])
-    return np.asarray(mu3, dtype=float)
-
-
 def fast_oracle_check(
     truth: SimulatedTruth,
     dictionary: DictionaryMatrix,
@@ -138,11 +130,11 @@ def fast_oracle_check(
     closed (``mu3_bracket`` found b* in the cone, or a whitened design)
     the check is exact; otherwise rhs is an under-estimate and a True flag
     is the conservative reading. An empty reference support drops the mu3
-    term entirely. For a batch, ``fit_result`` and ``mu3`` hold one entry
-    per replication and each returned item is a list.
+    term entirely. For a batch, ``fit_result`` holds one fit and ``mu3``
+    one value per replication, and each returned item is a list.
     """
     beta = _fitted_beta(fit_result, 2.0)
-    mu = _mu3_lower(mu3)
+    mu = np.asarray(mu3.mu3_lower if isinstance(mu3, ConeSearchResult) else mu3, dtype=float)
     if np.any(np.isnan(mu) | (mu <= 0)):
         raise ValueError("mu3 must be positive")
     lhs, approx, ref = _distances(truth, dictionary, system, beta, beta_ref)
@@ -552,9 +544,11 @@ def _oracle_chunk(args):
             label = [m.label for m in mu3]
         else:
             # unused: an empty support drops the mu3 term
-            mu3 = mu_value = mu_upper = [math.inf] * len(reps)
+            mu_value = mu_upper = [math.inf] * len(reps)
             label = ["exact"] * len(reps)
-        f_lhs, f_rhs, f_holds = fast_oracle_check(truth, dictionary, fit_fast, mu3, system, weights)
+        f_lhs, f_rhs, f_holds = fast_oracle_check(
+            truth, dictionary, fit_fast, mu_value, system, weights
+        )
         columns.update(
             fast_lhs=f_lhs,
             fast_rhs=f_rhs,

@@ -259,7 +259,8 @@ class RiskSetTimeline:
     over risk sets are prefix sums in that ordering. ``end_interval[i]``
     is the interval ending at Z_i (the first of a tied run): record i is
     at risk on intervals 0..end_interval[i], and a left-continuous
-    integrand is read there when its event fires.
+    integrand is read there when its event fires. ``status`` marks the
+    records whose event was observed.
 
     Per-record values passed to the methods have shape (n,) or (n, M),
     with the leading replication axis in front for a batch.
