@@ -20,12 +20,14 @@ import hazlasso._parallel as parallel
 from hazlasso import (
     ConfigError,
     DataValidationError,
+    DictionaryMatrix,
     StepFunction,
     SurvivalDataset,
     build_gram,
     build_timeline,
     compute_weights,
     linear_dictionary,
+    mu3_bracket,
     run_mc,
     run_oracle_mc,
     simulate,
@@ -179,6 +181,42 @@ def test_reports_do_not_depend_on_threads(config, monkeypatch):
         except ConfigError as exc:
             out.append(repr(exc))
     assert out[0] == out[1]
+
+
+def brackets(system, weights, ref, seeds):
+    """The batched brackets and the brackets of each replication alone."""
+    together = mu3_bracket(system, weights, ref, budget=16, seed=seeds)
+    alone = [
+        mu3_bracket(system[r], weights[r], ref, budget=16, seed=seed)
+        for r, seed in enumerate(seeds)
+    ]
+    fields = [[(b.mu3_lower, b.mu3_upper, b.candidates, b.method) for b in found]
+              for found in (together, alone)]
+    return together, fields
+
+
+def test_mu3_bracket_batch_matches_single_brackets():
+    config = SimulationConfig(
+        n=30, d=3, beta0=[0.5, 0.0, 0.0], baseline=StepFunction.constant(2.0),
+        covariates=GaussianCovariates(rho=0.5), censoring=UniformCensoring(c_max=1.5), seed=8,
+    )
+    truth = simulate_batch(config, [[8, rep] for rep in range(4)])
+    seeds = [[8, rep, 55] for rep in range(4)]
+    dictionary = linear_dictionary(truth.dataset)
+    system = build_gram(truth.dataset, dictionary)
+    weights = compute_weights(truth.dataset, dictionary, system, 3.0)
+    together, (got, want) = brackets(system, weights, config.beta0, seeds)
+    assert got == want
+    # a duplicated column makes replication 2's Gram singular: the stacked
+    # factorization fails and every replication is bracketed on its own
+    values = dictionary.values.copy()
+    values[2, :, 2] = values[2, :, 1]
+    duplicated = DictionaryMatrix(values, dictionary.labels)
+    system = build_gram(truth.dataset, duplicated)
+    weights = compute_weights(truth.dataset, duplicated, system, 3.0)
+    together, (got, want) = brackets(system, weights, config.beta0, seeds)
+    assert together[2].mu3_upper == np.inf
+    assert got == want
 
 
 def test_chunks_cover_every_replication_once(monkeypatch):
