@@ -447,7 +447,7 @@ def identity_gram_check(
         truth, whitened, fit_w, mu3, system_w, weights_w, beta_ref=beta_ref
     )
     exact = np.all(beta_ref != 0.0, axis=-1) | (not np.any(truth.beta0))
-    identity = np.eye(system_w.M)
+    offset = np.abs(system_w.matrix - np.eye(system_w.M)).max(axis=(-2, -1))
     return {
         "lhs": lhs,
         "rhs": rhs,
@@ -455,7 +455,7 @@ def identity_gram_check(
         "mu3": _python(mu3),
         "label": _python(np.where(exact, "exact", "indicative")),
         "converged": _converged(fit_w),
-        "gram_offset": _python(np.abs(system_w.matrix - identity).max(axis=(-2, -1))),
+        "gram_offset": _python(offset),
     }
 
 
