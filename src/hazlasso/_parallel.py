@@ -24,10 +24,8 @@ def chunks(count: int) -> list[range]:
     return [range(start, min(start + CHUNK, count)) for start in range(0, count, CHUNK)]
 
 
-def parallel_map(fn, items, threads: int | None = 1) -> list:
+def parallel_map(fn, items, threads: int = 1) -> list:
     items = list(items)
-    if threads is None:
-        threads = 1
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if threads == 1 or len(items) <= 1:

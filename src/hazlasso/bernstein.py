@@ -166,13 +166,32 @@ def bound_empirical(vhat, sup, x: float, n: int, constants: BernsteinConstants =
     return float(out[0]) if scalar else out
 
 
-def classical_bound(v: float, x: float, n: int) -> float:
-    """Predictable-variation Bernstein bound, valid on the event V <= v."""
+def classical_bound(v, x: float, n: int):
+    """Predictable-variation Bernstein bound, valid on the event V <= v;
+    elementwise for an array of variations."""
     if x <= 0:
         raise ValueError("confidence level x must be positive")
-    if v < 0:
+    v_arr = np.asarray(v, dtype=float)
+    if np.any(v_arr < 0):
         raise ValueError("variation must be nonnegative")
-    return math.sqrt(2.0 * v * x / n) + x / (3.0 * n)
+    out = np.sqrt(2.0 * v_arr * x / n) + x / (3.0 * n)
+    return float(out) if np.isscalar(v) else out
+
+
+def _margin_quantile(ratio: np.ndarray, q: float) -> float:
+    """``np.quantile`` of margin ratios, which are inf where |Z| = 0.
+
+    Next to an infinite order statistic numpy's interpolation can compute
+    inf - inf or inf * 0 and return NaN. There the quantile is inf if an
+    infinite neighbour carries nonzero weight, else the order statistic
+    that carries all of it; elsewhere it is numpy's value.
+    """
+    ordered = np.sort(ratio)
+    pos = (len(ordered) - 1) * q  # the virtual index of numpy's linear method
+    k = math.floor(pos)
+    if math.isinf(ordered[min(k + 1, len(ordered) - 1)]):
+        return float(ordered[k]) if pos == k else math.inf
+    return float(np.quantile(ordered, q))
 
 
 def wilson_interval(successes: int, total: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -281,7 +300,7 @@ def run_mc(
         low, high = wilson_interval(violations, kept)
         tail = constants.tail_probability(x)
         ratio = np.divide(bounds, abs_z, out=np.full(kept, np.inf), where=abs_z > 0)
-        classical = np.sqrt(2.0 * var * x / n) + x / (3.0 * n)
+        classical = classical_bound(var, x, n)
         rows.append(
             {
                 "x": x,
@@ -292,9 +311,9 @@ def run_mc(
                 "wilson_high": high,
                 "passed": bool(high <= tail) if tail <= 1.0 else True,
                 "margin_min": float(ratio.min()),
-                "margin_q10": float(np.quantile(ratio, 0.10)),
-                "margin_median": float(np.quantile(ratio, 0.50)),
-                "margin_q90": float(np.quantile(ratio, 0.90)),
+                "margin_q10": _margin_quantile(ratio, 0.10),
+                "margin_median": _margin_quantile(ratio, 0.50),
+                "margin_q90": _margin_quantile(ratio, 0.90),
                 "classical_violations": int(np.sum(abs_z >= classical)),
                 "classical_frequency": float(np.mean(abs_z >= classical)),
                 "classical_tail": 2.0 * math.exp(-x),

@@ -230,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="input CSV (time,status,x1,...)")
         p.add_argument("--dict", default=None, help="optional dictionary CSV (default: linear)")
         p.add_argument("--x", type=float, default=DEFAULT_X, help="confidence level x > 0")
-        p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", required=True, help="JSON report path")
 
     p_fit = sub.add_parser("fit", help="fit the weighted Lasso on a dataset")
     add_data_flags(p_fit)
     p_fit.add_argument("--kappa", type=float, choices=[1.0, 2.0], default=1.0)
+    p_fit.add_argument("--tol", type=float, default=1e-8)
     p_fit.add_argument("--nonneg", action="store_true", help="constrain coefficients >= 0")
     p_fit.add_argument("--dump-gram", default=None, help="also write H and hn as CSV")
     p_fit.set_defaults(func=_fit_command)
@@ -248,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_flags(p_path)
     p_path.add_argument("--scales", required=True, help="descending scales, e.g. 4,2,1,0.5")
     p_path.add_argument("--kappa", type=float, choices=[1.0, 2.0], default=1.0)
+    p_path.add_argument("--tol", type=float, default=1e-8)
     p_path.add_argument("--nonneg", action="store_true")
     p_path.set_defaults(func=_path_command)
 

@@ -125,16 +125,16 @@ def fast_oracle_check(
 ) -> tuple[float, float, bool]:
     """Both sides of the fast inequality at the reference coefficients.
 
-    rhs = |h_ref - h0|_n^2 + (9/4) mu3^2 |w_J(ref)|_2^2. A
-    ``ConeSearchResult`` enters through its lower end: when its bracket is
-    closed (``mu3_bracket`` found b* in the cone, or a whitened design)
-    the check is exact; otherwise rhs is an under-estimate and a True flag
-    is the conservative reading. An empty reference support drops the mu3
-    term entirely. For a batch, ``fit_result`` holds one fit and ``mu3``
-    one value per replication, and each returned item is a list.
+    rhs = |h_ref - h0|_n^2 + (9/4) mu3^2 |w_J(ref)|_2^2. From a
+    ``mu3_bracket`` pass its lower end: when the bracket is closed (b* in
+    the cone, or a whitened design) the check is exact; otherwise rhs is an
+    under-estimate and a True flag is the conservative reading. An empty
+    reference support drops the mu3 term entirely. For a batch,
+    ``fit_result`` holds one fit and ``mu3`` one value per replication, and
+    each returned item is a list.
     """
     beta = _fitted_beta(fit_result, 2.0)
-    mu = np.asarray(mu3.mu3_lower if isinstance(mu3, ConeSearchResult) else mu3, dtype=float)
+    mu = np.asarray(mu3, dtype=float)
     if np.any(np.isnan(mu) | (mu <= 0)):
         raise ValueError("mu3 must be positive")
     lhs, approx, ref = _distances(truth, dictionary, system, beta, beta_ref)
@@ -156,7 +156,6 @@ class ConeSearchResult:
     produced the lower end; ``candidates`` counts the points evaluated.
     """
 
-    beta_ref: np.ndarray
     mu3_lower: float
     candidates: int
     method: str
@@ -242,12 +241,7 @@ def mu3_search(
         best = max(best, _cone_ratio(H, support, b, scale))
         if best == math.inf:
             break
-    return ConeSearchResult(
-        beta_ref=beta_ref.copy(),
-        mu3_lower=best,
-        candidates=count,
-        method="random-cone-sampling",
-    )
+    return ConeSearchResult(mu3_lower=best, candidates=count, method="random-cone-sampling")
 
 
 def mu3_bracket(
@@ -257,7 +251,8 @@ def mu3_bracket(
     budget: int = 256,
     seed=0,
 ) -> ConeSearchResult:
-    """Bracket mu3(beta_ref), exactly whenever the maximiser lies in the cone.
+    """Bracket mu3(beta_ref) on one replication, exactly whenever the
+    maximiser lies in the cone.
 
     Without the cone, sup |b_J|_2^2 / b'Hb = lambda_max([H^-1]_JJ),
     attained at b* = H^-1 E_J v for the top eigenvector v of that block;
@@ -272,11 +267,9 @@ def mu3_bracket(
     H is singular when some b'Hb <= 1e-14 |b|^2 max(1, max_j H_jj), the
     test ``mu3_search`` applies to every candidate. Then upper = inf, and
     lower = inf as well if a null direction u with u_J != 0 lies in the
-    cone; otherwise the lower end comes from the search.
-
-    A batched system and weights (a leading replication axis) are bracketed
-    together, the factorizations stacked: ``seed`` is then a list with one
-    fallback seed per replication, and the result a list of brackets.
+    cone; otherwise the lower end comes from the search. A Monte Carlo
+    batch is bracketed one replication at a time (``system[r]``,
+    ``weights[r]``), each with its own fallback seed.
     """
     beta_ref = np.asarray(beta_ref, dtype=float)
     support = np.flatnonzero(beta_ref != 0.0)
@@ -284,77 +277,40 @@ def mu3_bracket(
         raise ValueError("beta_ref needs a nonempty support")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    batch = system.matrix.ndim == 3
-    H = system.matrix if batch else system.matrix[None]
-    M = H.shape[-1]
-    scale = np.maximum(1.0, np.diagonal(H, axis1=-2, axis2=-1).max(axis=-1))
-    seeds = seed if batch else [seed]
-
-    def replication(r):
-        return (system[r], weights[r]) if batch else (system, weights)
-
-    try:
-        # H - floor*I factors only if every eigenvalue of H clears the null
-        # floor (up to rounding of the factorization)
-        np.linalg.cholesky(H - (1e-14 * scale)[:, None, None] * np.eye(M))
-        chol = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        if batch:  # some replication's H is singular: bracket each on its own
-            return [mu3_bracket(*replication(r), beta_ref, budget, seeds[r]) for r in range(len(H))]
-        return _singular_bracket(system, weights, beta_ref, support, budget, seed)
-
-    axes = np.zeros((M, support.size))
-    axes[support, np.arange(support.size)] = 1.0
-    half = np.linalg.solve(chol, axes)  # L^-1 E_J, so [H^-1]_JJ = half' half
-    lam, vecs = np.linalg.eigh(np.swapaxes(half, -1, -2) @ half)
-    upper = np.sqrt(lam[:, -1])
-    b_star = np.linalg.solve(np.swapaxes(chol, -1, -2), half @ vecs[:, :, -1:])  # H^-1 E_J v
-    out = [
-        _bracket_at(*replication(r), beta_ref, support, b_star[r, :, 0], float(upper[r]),
-                    budget, seed_r)
-        for r, seed_r in enumerate(seeds)
-    ]
-    return out if batch else out[0]
-
-
-def _bracket_at(system, weights, beta_ref, support, b_star, upper, budget, seed):
-    """``mu3_bracket`` on one replication, given b* and its closed form."""
+    H = system.matrix
+    M = system.M
+    scale = _diag_scale(H)
     w = weights.w
     heavy = w > 0
     heavy[support] = False
+    try:
+        # H - floor*I factors only if every eigenvalue of H clears the null
+        # floor (up to rounding of the factorization)
+        np.linalg.cholesky(H - 1e-14 * scale * np.eye(M))
+    except np.linalg.LinAlgError:
+        lam, vecs = np.linalg.eigh(H)
+        null = vecs[:, lam <= 1e-14 * scale]
+        # the null basis, and each support axis projected onto the null space
+        candidates = np.hstack([null, null @ null[support].T]).T
+        for u in candidates:
+            if _in_cone(u, w, support, heavy) and _cone_ratio(H, support, u, scale) == math.inf:
+                return ConeSearchResult(math.inf, 1, "null-direction", math.inf)
+        found = mu3_search(system, weights, beta_ref, budget, seed)
+        return dataclasses.replace(found, candidates=found.candidates + len(candidates))
+
+    chol = np.linalg.cholesky(H)
+    half = np.linalg.solve(chol, np.eye(M)[:, support])  # L^-1 E_J, so [H^-1]_JJ = half' half
+    lam, vecs = np.linalg.eigh(half.T @ half)
+    upper = math.sqrt(lam[-1])
+    b_star = np.linalg.solve(chol.T, half @ vecs[:, -1])  # H^-1 E_J v
     if _in_cone(b_star, w, support, heavy):
-        return _closed(beta_ref, upper, "closed-form")
-    b = _cone_project(b_star, w, support, heavy, 1.0)
-    projected = _cone_ratio(system.matrix, support, b, _diag_scale(system.matrix))
+        return ConeSearchResult(upper, 1, "closed-form", upper)
+    projected = _cone_ratio(H, support, _cone_project(b_star, w, support, heavy, 1.0), scale)
     found = mu3_search(system, weights, beta_ref, budget, seed)
     found = dataclasses.replace(found, candidates=found.candidates + 1, mu3_upper=upper)
     if projected > found.mu3_lower:
         found = dataclasses.replace(found, mu3_lower=projected, method="projected-closed-form")
     return found
-
-
-def _closed(beta_ref: np.ndarray, mu3: float, method: str) -> ConeSearchResult:
-    return ConeSearchResult(
-        beta_ref=beta_ref.copy(), mu3_lower=mu3, candidates=1, method=method, mu3_upper=mu3
-    )
-
-
-def _singular_bracket(system, weights, beta_ref, support, budget, seed) -> ConeSearchResult:
-    """``mu3_bracket`` on a singular H: inf if a null direction lies in the cone."""
-    H = system.matrix
-    scale = _diag_scale(H)
-    w = weights.w
-    heavy = w > 0
-    heavy[support] = False
-    lam, vecs = np.linalg.eigh(H)
-    null = vecs[:, lam <= 1e-14 * scale]
-    # the null basis, and each support axis projected onto the null space
-    candidates = np.hstack([null, null @ null[support].T]).T
-    for u in candidates:
-        if _in_cone(u, w, support, heavy) and _cone_ratio(H, support, u, scale) == math.inf:
-            return _closed(beta_ref, math.inf, "null-direction")
-    found = mu3_search(system, weights, beta_ref, budget, seed)
-    return dataclasses.replace(found, candidates=found.candidates + len(candidates))
 
 
 def re_constant(
@@ -413,7 +369,6 @@ def _converged(fits) -> bool | list[bool]:
 def identity_gram_check(
     truth: SimulatedTruth,
     x: float,
-    tol: float = 1e-8,
     *,
     system: GramSystem,
 ) -> dict:
@@ -423,9 +378,9 @@ def identity_gram_check(
     unchanged, makes the rebuilt Gram the identity up to roundoff, and
     turns the reference into H^{1/2} beta0, which is dense almost surely:
     the cone is all of R^M and mu3 = 1/sqrt(lambda_min) exactly, no search.
-    ``system`` is the Gram of the linear dictionary of ``truth.dataset``;
-    for a batch every value of the returned dict is a list with one entry
-    per replication.
+    ``system`` is the Gram of the linear dictionary of ``truth.dataset``.
+    The keys are the oracle report's column names; for a batch every value
+    is a list with one entry per replication.
     """
     dataset = truth.dataset
     timeline = system.timeline
@@ -441,7 +396,7 @@ def identity_gram_check(
     system_w = build_gram(dataset, whitened, timeline)
     weights_w = compute_weights(dataset, whitened, system_w, x)
     beta_ref = _fitted(root, truth.beta0)
-    fit_w = _fit_each(system_w, weights_w, kappa=2.0, tol=tol)
+    fit_w = _fit_each(system_w, weights_w, kappa=2.0)
     mu3 = 1.0 / np.sqrt(np.linalg.eigvalsh(system_w.matrix)[..., 0])
     lhs, rhs, holds = fast_oracle_check(
         truth, whitened, fit_w, mu3, system_w, weights_w, beta_ref=beta_ref
@@ -449,12 +404,12 @@ def identity_gram_check(
     exact = np.all(beta_ref != 0.0, axis=-1) | (not np.any(truth.beta0))
     offset = np.abs(system_w.matrix - np.eye(system_w.M)).max(axis=(-2, -1))
     return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "holds": holds,
+        "fast_lhs": lhs,
+        "fast_rhs": rhs,
+        "fast_holds": holds,
+        "fast_converged": _converged(fit_w),
         "mu3": _python(mu3),
-        "label": _python(np.where(exact, "exact", "indicative")),
-        "converged": _converged(fit_w),
+        "mu3_label": _python(np.where(exact, "exact", "indicative")),
         "gram_offset": _python(offset),
     }
 
@@ -505,7 +460,7 @@ class OracleReport:
 
 def _oracle_chunk(args):
     """Report rows of one chunk of replications, in replication order."""
-    config, x, seed, reps, identity_gram, budget, tol = args
+    config, x, seed, reps, identity_gram, budget = args
     truth = simulate_batch(config, [[seed, rep] for rep in reps])
     dataset = truth.dataset
     dictionary = linear_dictionary(dataset)
@@ -513,7 +468,7 @@ def _oracle_chunk(args):
     system = build_gram(dataset, dictionary, timeline)
     weights = compute_weights(dataset, dictionary, system, x)
 
-    fit_slow = _fit_each(system, weights, kappa=1.0, tol=tol)
+    fit_slow = _fit_each(system, weights, kappa=1.0)
     s_lhs, s_rhs, s_holds = slow_oracle_check(truth, dictionary, fit_slow, system, weights)
     columns = {
         "slow_lhs": s_lhs,
@@ -524,21 +479,14 @@ def _oracle_chunk(args):
     }
 
     if identity_gram:
-        fast = identity_gram_check(truth, x, tol=tol, system=system)
-        columns.update(
-            fast_lhs=fast["lhs"],
-            fast_rhs=fast["rhs"],
-            fast_holds=fast["holds"],
-            fast_converged=fast["converged"],
-            mu3=fast["mu3"],
-            mu3_label=fast["label"],
-            gram_offset=fast["gram_offset"],
-        )
+        columns.update(identity_gram_check(truth, x, system=system))
     else:
-        fit_fast = _fit_each(system, weights, kappa=2.0, tol=tol)
+        fit_fast = _fit_each(system, weights, kappa=2.0)
         if np.any(truth.beta0):
-            seeds = [[seed, rep, 55] for rep in reps]
-            mu3 = mu3_bracket(system, weights, truth.beta0, budget=budget, seed=seeds)
+            mu3 = [
+                mu3_bracket(system[r], weights[r], truth.beta0, budget, [seed, rep, 55])
+                for r, rep in enumerate(reps)
+            ]
             mu_value = [m.mu3_lower for m in mu3]
             mu_upper = [m.mu3_upper for m in mu3]
             label = [m.label for m in mu3]
@@ -569,7 +517,6 @@ def run_oracle_mc(
     threads: int = 1,
     identity_gram: bool = False,
     mu3_budget: int = 256,
-    tol: float = 1e-8,
 ) -> OracleReport:
     """Holding frequencies of both oracle inequalities over fresh datasets.
 
@@ -587,8 +534,7 @@ def run_oracle_mc(
         raise ConfigError(f"confidence level x must be positive and finite, got {x}")
     base_seed = config.seed if seed is None else int(seed)
     tasks = [
-        (config, x, base_seed, reps, identity_gram, mu3_budget, tol)
-        for reps in chunks(replications)
+        (config, x, base_seed, reps, identity_gram, mu3_budget) for reps in chunks(replications)
     ]
     rows = [row for part in parallel_map(_oracle_chunk, tasks, threads) for row in part]
     slow_holds = sum(1 for r in rows if r["slow_holds"])

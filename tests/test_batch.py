@@ -9,6 +9,7 @@ at 1), Rademacher covariates and a model whose replications often have
 no events at all.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,7 +21,6 @@ import hazlasso._parallel as parallel
 from hazlasso import (
     ConfigError,
     DataValidationError,
-    DictionaryMatrix,
     StepFunction,
     SurvivalDataset,
     build_gram,
@@ -40,6 +40,7 @@ from hazlasso.simulate import (
     RademacherCovariates,
     SimulationConfig,
     UniformCensoring,
+    default_config,
     noise_terms,
 )
 
@@ -183,40 +184,46 @@ def test_reports_do_not_depend_on_threads(config, monkeypatch):
     assert out[0] == out[1]
 
 
-def brackets(system, weights, ref, seeds):
-    """The batched brackets and the brackets of each replication alone."""
-    together = mu3_bracket(system, weights, ref, budget=16, seed=seeds)
-    alone = [
-        mu3_bracket(system[r], weights[r], ref, budget=16, seed=seed)
-        for r, seed in enumerate(seeds)
-    ]
-    fields = [[(b.mu3_lower, b.mu3_upper, b.candidates, b.method) for b in found]
-              for found in (together, alone)]
-    return together, fields
-
-
-def test_mu3_bracket_batch_matches_single_brackets():
-    config = SimulationConfig(
-        n=30, d=3, beta0=[0.5, 0.0, 0.0], baseline=StepFunction.constant(2.0),
-        covariates=GaussianCovariates(rho=0.5), censoring=UniformCensoring(c_max=1.5), seed=8,
+def correlated_config():
+    """The default 200 x 50 model at rho = 0.9: rep 33 has b* outside the cone."""
+    return dataclasses.replace(
+        default_config(seed=5), covariates=GaussianCovariates(rho=0.9, clip=3.0)
     )
-    truth = simulate_batch(config, [[8, rep] for rep in range(4)])
-    seeds = [[8, rep, 55] for rep in range(4)]
-    dictionary = linear_dictionary(truth.dataset)
-    system = build_gram(truth.dataset, dictionary)
-    weights = compute_weights(truth.dataset, dictionary, system, 3.0)
-    together, (got, want) = brackets(system, weights, config.beta0, seeds)
-    assert got == want
-    # a duplicated column makes replication 2's Gram singular: the stacked
-    # factorization fails and every replication is bracketed on its own
-    values = dictionary.values.copy()
-    values[2, :, 2] = values[2, :, 1]
-    duplicated = DictionaryMatrix(values, dictionary.labels)
-    system = build_gram(truth.dataset, duplicated)
-    weights = compute_weights(truth.dataset, duplicated, system, 3.0)
-    together, (got, want) = brackets(system, weights, config.beta0, seeds)
-    assert together[2].mu3_upper == np.inf
-    assert got == want
+
+
+def wide_config():
+    """More columns than records, so every replication's Gram is singular."""
+    beta0 = np.zeros(40)
+    beta0[:3] = [1.0, 1.0, -0.5]
+    return SimulationConfig(
+        n=30, d=40, beta0=beta0, baseline=StepFunction.constant(2.0),
+        covariates=GaussianCovariates(rho=0.3, clip=3.0), censoring=UniformCensoring(c_max=2.5),
+        seed=7,
+    )
+
+
+@pytest.mark.parametrize("config, reps", [(correlated_config(), 34), (wide_config(), 10)],
+                         ids=["correlated", "wide"])
+def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
+    budget = 64
+    report = run_oracle_mc(config, x=5.0, replications=reps, mu3_budget=budget)
+    methods = set()
+    for rep, row in enumerate(report.rows):
+        truth = simulate(config, seed=[config.seed, rep])
+        dictionary = linear_dictionary(truth.dataset)
+        system = build_gram(truth.dataset, dictionary)
+        weights = compute_weights(truth.dataset, dictionary, system, 5.0)
+        found = mu3_bracket(system, weights, config.beta0, budget, [config.seed, rep, 55])
+        assert (row["mu3"], row["mu3_upper"], row["mu3_label"]) == (
+            found.mu3_lower, found.mu3_upper, found.label
+        )
+        methods.add(found.method)
+    if config.d > config.n:  # the singular fallback: no closed form, the search bounds below
+        assert all(row["mu3_upper"] == np.inf for row in report.rows)
+        assert methods == {"random-cone-sampling"}
+    else:  # b* projected onto the cone, against the search
+        assert report.rows[33]["mu3_label"] == "indicative"
+        assert "closed-form" in methods and len(methods) > 1
 
 
 def test_chunks_cover_every_replication_once(monkeypatch):

@@ -37,11 +37,12 @@ from hazlasso.bernstein import (
     PAPER_NUMERIC,
     PAPER_NUMERIC_PRINTED_C3,
     WILSON_Z,
+    _margin_quantile,
     loglog_correction,
     zeta,
 )
 from hazlasso.gram import build_gram
-from hazlasso.simulate import AdministrativeCensoring, noise_terms
+from hazlasso.simulate import AdministrativeCensoring, RademacherCovariates, noise_terms
 
 from test_simulate import small_config
 
@@ -171,6 +172,17 @@ class TestBoundEmpirical:
         with pytest.raises(ValueError, match="nonnegative"):
             classical_bound(-1.0, 1.0, 100)
 
+    def test_classical_bound_array_is_the_scalar_form_per_element(self):
+        v = np.array([0.0, 1e-300, 0.125, 1.0, 7.5, 1e6])
+        for x in (0.5, 2.0, 6.0):
+            got = classical_bound(v, x, 200)
+            assert got.shape == v.shape
+            assert got.tolist() == [classical_bound(float(vi), x, 200) for vi in v]
+        with pytest.raises(ValueError, match="nonnegative"):
+            classical_bound(np.array([1.0, -1e-12]), 1.0, 100)
+        with pytest.raises(ValueError, match="positive"):
+            classical_bound(v, 0.0, 100)
+
 
 class TestWilsonInterval:
     def test_against_scipy(self):
@@ -255,6 +267,40 @@ class TestRunMC:
         assert trivial and all(row["passed"] for row in trivial)
         payload = json.dumps(report.to_dict())
         assert "c3_printed_variant" in payload
+
+    def test_margin_quantiles_are_never_nan(self):
+        # Rademacher covariates with a zero model and rare events: several
+        # replications have Z exactly 0, so several margin ratios are inf
+        cfg = small_config(
+            n=12, beta0=[0.0, 0.0], baseline=StepFunction.constant(0.05),
+            covariates=RademacherCovariates(), censoring=AdministrativeCensoring(), seed=1,
+        )
+        report = run_mc(cfg, 0, [0.5, 2.0], 14)
+        assert "NaN" not in json.dumps(report.to_dict())
+        for row in report.rows:
+            margins = [row[k] for k in ("margin_min", "margin_q10", "margin_median", "margin_q90")]
+            assert not any(math.isnan(m) for m in margins)
+            assert margins == sorted(margins)
+            assert row["margin_q90"] == math.inf
+
+    @pytest.mark.parametrize(
+        "ratio, q, want",
+        [
+            ([1.0, 2.0, math.inf, math.inf], 0.9, math.inf),  # between two infs
+            ([1.0, 2.0, math.inf], 0.9, math.inf),  # inf carries weight 0.8
+            ([1.0, 2.0, math.inf], 0.6, math.inf),  # inf carries weight 0.2
+            ([1.0, 2.0, math.inf], 0.5, 2.0),  # inf carries weight 0
+            ([1.0, math.inf, math.inf], 0.5, math.inf),
+            ([3.0, 1.0, math.inf, 2.0], 0.5, 2.5),
+        ],
+    )
+    def test_margin_quantile_next_to_infinite_ratios(self, ratio, q, want):
+        assert _margin_quantile(np.array(ratio), q) == want
+
+    def test_margin_quantile_is_numpy_on_finite_ratios(self):
+        ratio = np.random.default_rng(2).exponential(size=37)
+        for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+            assert _margin_quantile(ratio, q) == float(np.quantile(ratio, q))
 
     def test_deterministic_in_seed(self):
         cfg = small_config(n=30)
