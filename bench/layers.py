@@ -40,6 +40,7 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+from functools import partial  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -113,10 +114,10 @@ def layer_entry(n: int, d: int, runs: int) -> dict:
 def mc_entry(name: str, reps: int, runs: int) -> dict:
     config = default_config()
     if name == "run_mc":
-        call = lambda: run_mc(config, 0, (4.0, 5.0, 6.0), reps)  # noqa: E731
+        call = partial(run_mc, config, 0, (4.0, 5.0, 6.0), reps)
     else:
         identity = name.endswith("identity_gram")
-        call = lambda: run_oracle_mc(config, replications=reps, identity_gram=identity)  # noqa: E731
+        call = partial(run_oracle_mc, config, replications=reps, identity_gram=identity)
     call()  # warm-up
     times = []
     for _ in range(runs):
@@ -175,7 +176,8 @@ def main(argv=None) -> int:
         cells = "  ".join(f"{k} {v:.3g} ms" for k, v in entry["median_ms"].items())
         print(f"{entry['n']}x{entry['d']}: {cells}  steps {entry['path_steps']}")
     for entry in report["monte_carlo"]:
-        print(f"{entry['harness']}: {entry['reps_per_s']:.0f} reps/s ({entry['replications']} reps)")
+        rate, reps = entry["reps_per_s"], entry["replications"]
+        print(f"{entry['harness']}: {rate:.0f} reps/s ({reps} reps)")
     return 0
 
 

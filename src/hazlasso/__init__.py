@@ -50,7 +50,7 @@ from .simulate import (
     simulate,
     simulate_batch,
 )
-from .solver import LassoFit, active_kernel, fit, fit_path, kkt_check
+from .solver import LassoFit, active_kernel, fit, fit_path
 from .survival import (
     RiskSetTimeline,
     StepFunction,
@@ -99,7 +99,6 @@ __all__ = [
     "fit_path",
     "guarantee_level",
     "identity_gram_check",
-    "kkt_check",
     "linear_dictionary",
     "load_config",
     "load_dataset",

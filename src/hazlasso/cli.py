@@ -4,8 +4,9 @@ One subcommand per workflow stage: ``fit`` and ``weights`` run the
 estimator pieces on CSV input, ``path`` traces a regularization path,
 ``simulate`` writes a synthetic dataset plus its generating truth, and
 ``bernstein-mc`` / ``oracle-check`` run the Monte Carlo validation
-harnesses. Every run writes a single JSON report carrying a ``schema``
-field; identical inputs and seeds reproduce the report byte for byte
+harnesses. Every run writes a single strict JSON report carrying a
+``schema`` field, with infinities as the strings ``"inf"`` and ``"-inf"``;
+identical inputs and seeds reproduce the report byte for byte
 except for the ``generated_at`` timestamp. Exit codes: 0 on success,
 2 when a requested fit did not converge, 1 on any input error.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -39,15 +41,32 @@ SCHEMA_VERSION = "2"
 DEFAULT_THREADS = 1
 
 
+def _strict(value):
+    """The report with every infinite float written as the string "inf" or
+    "-inf", which strict JSON can carry; a NaN is left for json to refuse."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _write_report(payload: dict, path: str) -> None:
     document = {
         "schema": SCHEMA_VERSION,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         **payload,
     }
+    # serialised before the file is opened, so a NaN raises first
+    options = dict(indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(document, **options)
+    except ValueError:  # an infinity; the walk costs a path report ~2 ms
+        text = json.dumps(_strict(document), **options)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _floats_csv(text: str) -> list[float]:

@@ -11,6 +11,8 @@ times (Lin & Ying 1994). Every integrand is a step function on the
 risk-set timeline, so H and hn are exact finite sums; the timeline's
 ``cross_moment`` and ``event_deviations`` evaluate them from one
 ``centered`` pass, and this module only assembles and reports the system.
+H is one symmetric product a'a of the dictionary's weighted Welford
+increments, so it is exactly symmetric.
 
 A batch of datasets (a leading replication axis on the dataset, the
 dictionary values and the timeline) gives a batch of systems: H of shape
@@ -67,28 +69,31 @@ def build_gram(
     """Assemble H and hn exactly from the timeline's centered moments.
 
     H is the centered at-risk moment of the dictionary with itself: after
-    the global column means are subtracted, two matrix products of size
-    n x M x M, so the cost is O(n M^2) with no loop over the timeline.
-    hn averages the centered dictionary rows at the event times
-    (left-continuous risk-set means), and vhat averages their squares.
-    H, hn and vhat all come from one centered prefix pass over the
-    dictionary.
+    the global column means are subtracted, one symmetric product a'a of
+    the (n, M) Welford increments (BLAS ``syrk``, half the work of a
+    general n x M x M product), so the cost is O(n M^2) with no loop over
+    the timeline, and H is exactly symmetric. hn averages the centered
+    dictionary rows at the event times (left-continuous risk-set means),
+    and vhat averages their squares. H, hn and vhat all come from one
+    centered prefix pass over the dictionary; the event deviations are
+    freed before the increments are built, so at most three (n, M)
+    arrays are alive besides the dictionary.
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
     if phi.shape[:-1] != tl.end_interval.shape:
         raise ValueError("dictionary rows do not match the dataset")
     centered = tl.centered(phi)  # one prefix pass serves H, hn and vhat
-    matrix = tl.cross_moment(centered, centered)
     dev = tl.event_deviations(centered)
     vector = dev.sum(axis=-2) / tl.n  # before vhat squares dev in place
+    vhat = np.square(dev, out=dev).sum(axis=-2) / tl.n
+    del dev  # freed before the increments of H take its place
     return GramSystem(
-        # the products are symmetric up to BLAS rounding
-        matrix=0.5 * (matrix + np.swapaxes(matrix, -1, -2)),
+        matrix=tl.cross_moment(centered, centered),
         vector=vector,
         timeline=tl,
         labels=list(dictionary.labels),
-        vhat=np.square(dev, out=dev).sum(axis=-2) / tl.n,
+        vhat=vhat,
     )
 
 

@@ -437,16 +437,17 @@ def noise_terms(
         V    = (1/n) sum_i int (c_i - m)^2 alpha_i Y_i dt
 
     One pass: the timeline's ``centered`` primitive centers the column
-    once and gives its risk-set means m_k, and the baseline interval
-    integrals are computed once. Record i's cumulative hazard
-    A_i = int_0^{Z_i} alpha_i dt turns the at-risk integrals of c_i and
-    c_i^2 into dot products; rho_k, the hazard of the whole risk set on
-    interval k, carries the mean terms. The baseline part of the
-    compensator vanishes analytically and is still evaluated honestly, so
-    Z carries the true floating-point residual.
+    once, its risk-set means m_k are read from that pass's running sums,
+    and the baseline interval integrals are computed once. Record i's
+    cumulative hazard A_i = int_0^{Z_i} alpha_i dt turns the at-risk
+    integrals of c_i and c_i^2 into dot products; rho_k, the hazard of
+    the whole risk set on interval k, carries the mean terms. The
+    baseline part of the compensator vanishes analytically and is still
+    evaluated honestly, so Z carries the true floating-point residual.
     """
     tl = timeline
-    c, mean = centered = tl.centered(column_values)
+    centered = tl.centered(column_values)
+    c, mean = centered[0], tl.centered_means(centered)
     resid = tl.event_deviations(centered)
     lam = tl.interval_integrals(truth.baseline)
     h0 = truth.h0

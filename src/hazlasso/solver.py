@@ -18,7 +18,10 @@ search of Lee, Battle, Raina & Ng (NIPS 2007). Each step
 Without an entry the step re-solves the block, as after a sign change.
 The inverse of the block's unit-diagonal form is updated in O(k^2) as
 coordinates enter and leave, and refactored when a block optimum turns
-out not to be stationary. A singular active block (duplicated or
+out not to be stationary. Along a path it carries across the scales:
+each fit hands its final active order and block inverse to the next, so
+a scale starts from the block where the last one ended instead of
+factoring it afresh. A singular active block (duplicated or
 collinear columns) is moved along its null space instead, until a
 coordinate reaches zero and leaves. Convergence is certified by the KKT
 residual, never assumed.
@@ -48,6 +51,16 @@ def active_kernel() -> str:
 
 
 CONSTRAINTS = ("unconstrained", "nonnegative")
+
+
+@dataclass
+class _ActiveBlock:
+    """A fit's final active coordinates, in the order of ``inv``, the
+    inverse of their unit-diagonal Gram block (None when it must be
+    refactored); ``fit_path`` hands it from one scale to the next."""
+
+    order: np.ndarray
+    inv: np.ndarray | None
 
 
 @dataclass
@@ -114,29 +127,6 @@ def kkt_violations(
     return _violations(grad, b, wk, constraint == "nonnegative")
 
 
-def kkt_check(
-    system: GramSystem,
-    weights: WeightVector,
-    fit_or_beta,
-    kappa: float | None = None,
-    constraint: str | None = None,
-    weight_scale: float | None = None,
-) -> float:
-    """Max KKT violation of a fit (or raw coefficient vector)."""
-    if isinstance(fit_or_beta, LassoFit):
-        f = fit_or_beta
-        beta = f.beta
-        kappa = f.kappa if kappa is None else kappa
-        constraint = f.constraint if constraint is None else constraint
-        weight_scale = f.weight_scale if weight_scale is None else weight_scale
-    else:
-        beta = fit_or_beta
-        kappa = 1.0 if kappa is None else kappa
-        constraint = "unconstrained" if constraint is None else constraint
-        weight_scale = 1.0 if weight_scale is None else weight_scale
-    return float(kkt_violations(system, weights, beta, kappa, constraint, weight_scale).max())
-
-
 def _unit_inverse(unit: np.ndarray) -> np.ndarray | None:
     """Inverse of a unit-diagonal block, or None when it is singular."""
     try:
@@ -200,6 +190,8 @@ def fit(
     max_sweeps: int = 10000,
     start: np.ndarray | None = None,
     weight_scale: float = 1.0,
+    *,
+    _block: _ActiveBlock | None = None,
 ) -> LassoFit:
     """Active-set steps until the KKT residual on live columns is <= tol.
 
@@ -210,6 +202,9 @@ def fit(
     ``converged=False``, never silently.
     Coordinates with H_jj = 0 are pinned at 0 and never enter; their
     (unfixable) KKT residual is reported separately as pinned_violation.
+    ``_block`` is ``fit_path``'s carrier: when its coordinates are those
+    of ``start``, the fit starts from its inverse, and the fit leaves its
+    own final block there.
     """
     for name, value in (("kappa", kappa), ("tol", tol), ("weight_scale", weight_scale)):
         if not (math.isfinite(value) and value > 0):
@@ -241,6 +236,8 @@ def fit(
     # unit-diagonal Gram block (None when it must be refactored)
     idx = np.flatnonzero(beta)
     inv = None
+    if _block is not None and np.array_equal(np.sort(_block.order), idx):
+        idx, inv = _block.order, _block.inv
     full = False  # the last step ended at the block optimum
     refining = False  # the last step re-solved a block optimum from a fresh factorization
     converged = False
@@ -317,6 +314,8 @@ def fit(
         if not (entered or moved):
             break  # nothing can change any more
 
+    if _block is not None:
+        _block.order, _block.inv = idx, inv
     viol = kkt_violations(system, weights, beta, kappa, constraint, weight_scale)
     return LassoFit(
         beta=beta,
@@ -341,7 +340,11 @@ def fit_path(
     tol: float = 1e-8,
     max_sweeps: int = 10000,
 ) -> list[LassoFit]:
-    """Warm-started fits over a descending grid of global weight scales."""
+    """Warm-started fits over a descending grid of global weight scales.
+
+    Each scale starts from the previous scale's coefficients and active
+    block inverse.
+    """
     grid = [float(s) for s in scale_grid]
     if not grid or not all(math.isfinite(s) and s > 0 for s in grid):
         raise ValueError(f"scale grid must be positive and finite, got {grid}")
@@ -349,6 +352,7 @@ def fit_path(
         raise ValueError("scale grid must be sorted descending")
     fits: list[LassoFit] = []
     start = None
+    block = _ActiveBlock(np.array([], dtype=np.int64), None)
     for scale in grid:
         f = fit(
             system,
@@ -359,6 +363,7 @@ def fit_path(
             max_sweeps=max_sweeps,
             start=start,
             weight_scale=scale,
+            _block=block,
         )
         fits.append(f)
         start = f.beta

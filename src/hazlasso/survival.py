@@ -10,13 +10,19 @@ quadrature.
 
 The timeline is the single home of the risk-set arithmetic: its
 ``prefix_sums`` and ``means`` methods are the at-risk sums and the
-risk-set mean. ``centered`` makes the one centered prefix pass that
-``event_deviations`` (the centered values at the event times) and
-``cross_moment`` (the centered at-risk moment, hence the inner product
-<u, v>_n) read, so the Gram matrix, the inner products, the weights and
-the noise processes all start from it, and a caller needing several of
-them shares one pass. ``interval_integrals`` integrates a deterministic
-step function, such as a baseline hazard, over each interval of the grid.
+risk-set mean. Risk sets are nested: with the records in decreasing
+follow-up, each is a prefix of that order. ``centered`` makes the one
+centered prefix pass, the running sums in that order, which
+``centered_means`` (the risk-set means), ``event_deviations`` (the
+centered values at the event times) and ``cross_moment`` (the centered
+at-risk moment, hence the inner product <u, v>_n) read. The Gram matrix,
+the inner products, the weights and the noise processes all start from
+it, and a caller needing several of them shares one pass. Because the
+sets are nested, ``cross_moment`` is one matrix product of Welford
+increments (each record less the mean of the records followed longer)
+rather than a sum over intervals. ``interval_integrals`` integrates a
+deterministic step function, such as a baseline hazard, over each
+interval of the grid.
 
 Leading-axis convention: a dataset, its timeline and everything built
 from them may carry a leading replication axis of length R, so that R
@@ -241,6 +247,10 @@ def take_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return values[np.arange(len(index))[:, None], index]
 
 
+# rows per block when building the Welford increments in place
+_BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True)
 class RiskSetTimeline:
     """Breakpoint grid of a dataset with at-risk bookkeeping.
@@ -302,6 +312,19 @@ class RiskSetTimeline:
         single = v.ndim == self.desc_order.ndim
         return (v[..., None] if single else v), single
 
+    def _running_sums(self, v: np.ndarray) -> np.ndarray:
+        """Cumulative sums of (..., n, M) values with the records in
+        decreasing follow-up order: row p - 1 sums the p longest."""
+        cs = take_rows(v, self.desc_order)
+        np.cumsum(cs, axis=-2, out=cs)
+        return cs
+
+    def _leading_means(self, running: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Means of the ``counts`` longest-followed records, from running sums."""
+        sums = take_rows(running, counts - 1)
+        sums /= counts.astype(float)[..., None]  # a float divisor keeps the division fast
+        return sums
+
     def prefix_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-interval sums of per-record values over the at-risk set.
 
@@ -309,9 +332,7 @@ class RiskSetTimeline:
         (K, M) with row k equal to sum over {i : Z_i >= breakpoints[k+1]}.
         """
         v, single = self._per_record(values)
-        cs = take_rows(v, self.desc_order)
-        np.cumsum(cs, axis=-2, out=cs)
-        sums = take_rows(cs, self.at_risk - 1)
+        sums = take_rows(self._running_sums(v), self.at_risk - 1)
         return sums[..., 0] if single else sums
 
     def means(self, values: np.ndarray) -> np.ndarray:
@@ -319,33 +340,63 @@ class RiskSetTimeline:
 
         Every interval of the grid has a nonempty risk set.
         """
-        sums = self.prefix_sums(values)
-        counts = self.at_risk.astype(float)  # a float divisor keeps the division fast
-        sums /= counts if sums.ndim == counts.ndim else counts[..., None]
-        return sums
+        v, single = self._per_record(values)
+        mean = self._leading_means(self._running_sums(v), self.at_risk)
+        return mean[..., 0] if single else mean
 
     def centered(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The centered prefix pass that every centered quantity starts from.
 
         Returns the per-record values less their column means over all
-        records, shape (n, M), and the at-risk means of those, shape (K, M).
-        Risk-set centering ignores constant shifts, so removing the global
-        means first changes no centered quantity and keeps the sums free of
-        cancellation (stable centering, Chan, Golub & LeVeque 1983).
-        ``event_deviations`` and ``cross_moment`` take this pair, so one
-        pass can serve several of them.
+        records, shape (n, M), and the running sums of those with the
+        records in decreasing follow-up order, shape (n, M): row p - 1 sums
+        the p longest-followed records, so every risk set's sum is one of
+        its rows. Risk-set centering ignores constant shifts, so removing
+        the global means first changes no centered quantity and keeps the
+        sums free of cancellation (stable centering, Chan, Golub & LeVeque
+        1983). ``centered_means``, ``event_deviations`` and
+        ``cross_moment`` take this pair, so one pass can serve several of
+        them.
         """
         v, _ = self._per_record(values)
         c = v - v.mean(axis=-2, keepdims=True)
-        return c, self.means(c)
+        return c, self._running_sums(c)
+
+    def centered_means(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """At-risk means of the centered values, shape (K, M), from a
+        ``centered`` pair; the same arithmetic as ``means``."""
+        return self._leading_means(centered[1], self.at_risk)
 
     def event_deviations(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Centered values minus their at-risk mean at Z_i, from a
         ``centered`` pair; shape (n, M), zero on the censored records."""
-        c, mean = centered
-        out = take_rows(mean, self.end_interval)
+        c, running = centered
+        out = self._leading_means(running, take_rows(self.at_risk, self.end_interval))
         np.subtract(c, out, out=out)
         out[~self.status] = 0.0
+        return out
+
+    def _increments(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Weighted Welford increments of a ``centered`` pair, shape (n, M).
+
+        Row p - 1, with the records in decreasing follow-up, is
+        sqrt(Z_(p) (p - 1) / (p n)) times u_(p) less the mean of the p - 1
+        records before it; the first row is 0. The rows are built in place
+        in one buffer, a block of rows at a time, so the temporaries stay
+        small next to the (n, M) arrays.
+        """
+        c, running = centered
+        out = take_rows(c, self.desc_order)
+        n = self.n
+        before = np.arange(1.0, n)  # p - 1 for p = 2..n
+        zdesc = self.breakpoints[..., :0:-1]  # Z_(p), decreasing
+        scale = np.sqrt(zdesc[..., 1:] * (before / ((before + 1.0) * n)))
+        out[..., 0, :] = 0.0
+        for lo in range(1, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            rows = out[..., lo:hi, :]
+            rows -= running[..., lo - 1:hi - 1, :] / before[lo - 1:hi - 1, None]
+            rows *= scale[..., lo - 1:hi - 1, None]
         return out
 
     def cross_moment(self, left, right) -> np.ndarray:
@@ -354,16 +405,23 @@ class RiskSetTimeline:
 
             (1/n) sum_k len_k sum_{i at risk on k} (u_i - ubar_k)(v_i - vbar_k),
 
-        shape (M, M'). The sum is two matrix products, sum_i Z_i u_i v_i'
-        minus sum_k len_k R_k ubar_k vbar_k', because record i is at risk
-        for a total length Z_i.
+        shape (M, M'). Risk sets are nested: with the records in
+        decreasing follow-up, the set at risk on interval k is the first
+        R_k of them, and record p lies in exactly the sets that end by
+        Z_(p), so their lengths add up to its own follow-up. Welford's
+        co-moment update (Welford 1962; Chan, Golub & LeVeque 1983) then
+        turns the double sum into one product,
+
+            (1/n) sum_p Z_(p) (p - 1)/p du_p dv_p',
+
+        with du_p = u_(p) less the mean of the p - 1 records before it;
+        ties are zero-length intervals and change nothing. For
+        ``left is right`` the product is a'a of one buffer (BLAS ``syrk``),
+        exactly symmetric.
         """
-        (u, mu), (v, mv) = left, right
-        scaled = self.follow_up[..., None] * u
-        weighted = np.swapaxes(scaled, -1, -2) @ v
-        # the grid has one interval per record, so the buffer fits the means
-        np.multiply((self.lengths * self.at_risk)[..., None], mu, out=scaled)
-        return (weighted - np.swapaxes(scaled, -1, -2) @ mv) / self.n
+        a = self._increments(left)
+        b = a if right is left else self._increments(right)
+        return np.swapaxes(a, -1, -2) @ b
 
     def interval_integrals(self, step: StepFunction) -> np.ndarray:
         """Integral of a step function over each timeline interval, shape (K,).

@@ -109,6 +109,7 @@ def test_batch_equals_batches_of_one(config, reps):
     keys = [[config.seed, rep] for rep in range(reps)]
     batch = simulate_batch(config, keys)
     system, weights, (z, vhat, var) = pipeline(batch)
+    np.testing.assert_array_equal(system.matrix, np.swapaxes(system.matrix, -1, -2))
     for r, key in enumerate(keys):
         one = simulate(config, seed=key)
         got = batch[r]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hazlasso.cli import DEFAULT_THREADS, SCHEMA_VERSION, build_parser, main
+from hazlasso.cli import DEFAULT_THREADS, SCHEMA_VERSION, _write_report, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,9 +47,14 @@ def config_json(tmp_path):
     return str(path)
 
 
+def refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def read_report(path):
+    """Parse a report as strict JSON, refusing NaN and Infinity tokens."""
     with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+        report = json.load(fh, parse_constant=refuse_constant)
     assert report["schema"] == SCHEMA_VERSION
     assert "generated_at" in report
     return report
@@ -252,6 +257,46 @@ class TestMonteCarloCommands:
             assert main(head + ["--seed", "9", "--out", str(out)] + extra) == 0
             reports.append(stable(read_report(out)))
         assert reports[0] == reports[1]
+
+
+class TestStrictReports:
+    """Infinite report values are written as "inf" strings, so every
+    report parses as strict JSON."""
+
+    def test_singular_gram_mu3_upper(self, tmp_path):
+        # d > n: every Gram is singular, so every mu3 bracket is open above
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({
+            **SMALL_CONFIG, "n": 30, "d": 40, "seed": 3,
+            "beta0": {"indices": [0, 1, 2], "values": [1.0, 1.0, -0.5]},
+        }))
+        out = tmp_path / "oracle.json"
+        assert main(["oracle-check", "--config", str(config), "--reps", "4",
+                     "--threads", "1", "--out", str(out)]) == 0
+        rows = read_report(out)["rows"]
+        assert [row["mu3_upper"] for row in rows] == ["inf"] * 4
+
+    def test_margin_next_to_zero_noise(self, tmp_path):
+        # Rademacher covariates with beta0 = 0: some replications have
+        # Z exactly 0, so a margin quantile is infinite
+        config = tmp_path / "flat.json"
+        config.write_text(json.dumps({
+            "n": 12, "d": 2, "beta0": [0.0, 0.0], "seed": 1,
+            "baseline": {"breakpoints": [0.0, 1.0], "values": [0.05]},
+            "covariates": {"kind": "rademacher"},
+            "censoring": {"kind": "administrative"},
+        }))
+        out = tmp_path / "mc.json"
+        assert main(["bernstein-mc", "--config", str(config), "--x-grid", "0.5,2",
+                     "--reps", "14", "--threads", "1", "--out", str(out)]) == 0
+        rows = read_report(out)["rows"]
+        assert "inf" in [row["margin_q90"] for row in rows]
+
+    def test_nan_raises_before_the_file_opens(self, tmp_path):
+        out = tmp_path / "nan.json"
+        with pytest.raises(ValueError):
+            _write_report({"value": float("nan")}, str(out))
+        assert not out.exists()
 
 
 class TestErrorPaths:

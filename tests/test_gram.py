@@ -8,6 +8,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazlasso import (
     DictionaryMatrix,
@@ -26,6 +28,24 @@ from conftest import literal_inner, literal_norm_sq, random_dataset
 
 MICRO_H = 0.125
 MICRO_HN = -0.25
+
+
+@st.composite
+def literal_cases(draw):
+    """A dataset with tied times, administrative censoring at 1 (zero-length
+    intervals), possibly a single record and constant columns, and a
+    second matrix of per-record values."""
+    n = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a coarse grid of times makes ties
+    times = rng.choice([0.2, 0.45, 0.7, 1.0, rng.uniform(0.01, 1.0)], size=n)
+    status = rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    x = rng.standard_normal((n, d)) * draw(st.sampled_from([1.0, 1e3]))
+    constant = rng.uniform(size=d) < draw(st.sampled_from([0.0, 0.5]))
+    x[:, constant] = draw(st.sampled_from([0.0, 1.0, -250.0]))
+    other = rng.standard_normal((n, 2)) + 7.0
+    return SurvivalDataset(times=times, status=status, covariates=x), other
 
 
 class TestBuildGram:
@@ -70,6 +90,25 @@ class TestBuildGram:
             np.testing.assert_array_equal(system.matrix, system.matrix.T)
             floor = -1e-10 * max(np.linalg.norm(system.matrix), 1.0)
             assert np.linalg.eigvalsh(system.matrix).min() >= floor
+
+    @pytest.mark.filterwarnings("ignore:all-zero dictionary column")
+    @settings(max_examples=60, deadline=None)
+    @given(case=literal_cases())
+    def test_matches_literal_inner_products(self, case):
+        ds, other = case
+        x = ds.covariates
+        system = build_gram(ds, linear_dictionary(ds))
+        np.testing.assert_array_equal(system.matrix, system.matrix.T)
+        want = np.array([[literal_inner(ds, a, b) for b in x.T] for a in x.T])
+        # relative to the largest entry; the floor is the roundoff of
+        # centering when every column is constant
+        scale = np.abs(want).max() + 1e-12 * np.abs(x).max() ** 2
+        np.testing.assert_allclose(system.matrix, want, rtol=0, atol=1e-12 * scale)
+        tl = system.timeline
+        got = tl.cross_moment(tl.centered(x), tl.centered(other))
+        want = np.array([[literal_inner(ds, a, b) for b in other.T] for a in x.T])
+        scale = np.abs(want).max() + 1e-12 * np.abs(x).max() * np.abs(other).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(12)

@@ -24,7 +24,8 @@ def test_smoke_run_writes_a_complete_report(tmp_path):
         check=True, capture_output=True, timeout=120,
     )
     report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse)
-    assert set(report["provenance"]) >= {"commit", "python", "numpy", "blas_threads_env", "cpu_count"}
+    provenance = {"commit", "python", "numpy", "blas_threads_env", "cpu_count"}
+    assert set(report["provenance"]) >= provenance
     (entry,) = report["layers"]
     assert (entry["n"], entry["d"], entry["runs"]) == (200, 50, 1)
     assert set(entry["median_ms"]) == {

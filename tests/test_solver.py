@@ -24,12 +24,14 @@ from hazlasso import (
     compute_weights,
     fit,
     fit_path,
-    kkt_check,
     linear_dictionary,
     objective,
     simulate,
 )
 from hazlasso.simulate import GaussianCovariates, UniformCensoring
+import hazlasso.solver as solver
+from hazlasso.solver import _singular_direction as singular_direction
+from hazlasso.solver import _unit_inverse as unit_inverse
 from hazlasso.solver import kkt_violations
 
 from conftest import flat_weights, random_dataset
@@ -84,14 +86,13 @@ def ista(system, penalties, constraint, tol=1e-12, max_iter=200_000):
 CORRELATED_GRID = np.geomspace(1.0, 0.01, 20)
 
 
-@pytest.fixture(scope="module")
-def correlated_problem():
-    """rho = 0.9 AR(1) covariates, 150 x 40, data-driven weights."""
+def correlated(n):
+    """rho = 0.9 AR(1) covariates, n x 40, data-driven weights."""
     d = 40
     beta0 = np.zeros(d)
     beta0[[0, 1, 2]] = [1.0, 1.0, -0.5]
     config = SimulationConfig(
-        n=150,
+        n=n,
         d=d,
         beta0=beta0,
         baseline=StepFunction.constant(2.0),
@@ -103,6 +104,24 @@ def correlated_problem():
     dic = linear_dictionary(ds)
     system = build_gram(ds, dic)
     return system, compute_weights(ds, dic, system)
+
+
+@pytest.fixture(scope="module")
+def correlated_problem():
+    return correlated(150)
+
+
+def assert_chained_cold_fits(system, weights, path, **options):
+    """Each scale of a path equals a cold fit started from the previous
+    scale's coefficients: the same steps, flags and active set, and beta
+    to 1e-12, whatever the path carried from one scale to the next."""
+    start = None
+    for f in path:
+        cold = fit(system, weights, weight_scale=f.weight_scale, start=start, **options)
+        assert (f.sweeps, f.converged) == (cold.sweeps, cold.converged)
+        np.testing.assert_array_equal(f.active_set, cold.active_set)
+        np.testing.assert_allclose(f.beta, cold.beta, rtol=0, atol=1e-12)
+        start = f.beta
 
 
 class TestClosedForms:
@@ -172,7 +191,8 @@ class TestCertificates:
             f = fit(system, weights, tol=tol)
             assert f.converged
             assert f.kkt_max_violation <= tol
-            assert kkt_check(system, weights, f) == f.kkt_max_violation
+            viol = kkt_violations(system, weights, f.beta, f.kappa, f.constraint, f.weight_scale)
+            assert viol.max() == f.kkt_max_violation
 
     def test_perturbation_breaks_kkt(self):
         rng = np.random.default_rng(7)
@@ -182,7 +202,7 @@ class TestCertificates:
         f = fit(system, weights, tol=1e-10)
         bumped = f.beta.copy()
         bumped[0] += 0.1
-        assert kkt_check(system, weights, bumped) > 1e-3
+        assert kkt_violations(system, weights, bumped).max() > 1e-3
 
     def test_zero_weights_violation_is_gradient_norm(self, micro_dataset):
         # at beta = 0 with no penalty the KKT residual is |2 hn| exactly
@@ -320,12 +340,35 @@ class TestCorrelatedDesign:
         reference = ista(system, penalties, constraint)
         np.testing.assert_allclose(np.array([f.beta for f in path]).T, reference, rtol=0, atol=1e-7)
 
+    @pytest.mark.parametrize("constraint", ["unconstrained", "nonnegative"])
+    @pytest.mark.parametrize("n", [150, 60])
+    def test_path_scales_are_chained_cold_fits(self, n, constraint, monkeypatch):
+        # at n = 60 columns both enter and leave between scales
+        system, weights = correlated(n)
+        factored = []
+
+        def counted(unit):
+            factored.append(len(unit))
+            return unit_inverse(unit)
+
+        monkeypatch.setattr(solver, "_unit_inverse", counted)
+        path = fit_path(system, weights, CORRELATED_GRID, constraint=constraint, tol=1e-10)
+        in_path = len(factored)
+        assert_chained_cold_fits(system, weights, path, constraint=constraint, tol=1e-10)
+        # the path reuses each scale's final block, the cold fits factor it
+        assert in_path < len(factored) - in_path
+        sets = [set(f.active_set) for f in path]
+        assert any(later - earlier for earlier, later in zip(sets, sets[1:]))
+        if n == 60:
+            assert any(earlier - later for earlier, later in zip(sets, sets[1:]))
+
     def test_step_budget_exhaustion_is_reported(self, correlated_problem):
         system, weights = correlated_problem
         f = fit(system, weights, weight_scale=0.1, max_sweeps=1)
         assert not f.converged
         assert f.sweeps == 1 and len(f.objective_trace) == 2
-        assert f.kkt_max_violation == kkt_check(system, weights, f)
+        viol = kkt_violations(system, weights, f.beta, f.kappa, f.constraint, f.weight_scale)
+        assert f.kkt_max_violation == viol.max()
         assert f.kkt_max_violation > 1e-8
 
 
@@ -378,6 +421,7 @@ class TestRankDeficient:
                 for s in SCALES
             ]
             path = fit_path(system, weights, SCALES, constraint=constraint)
+            assert_chained_cold_fits(system, weights, path, constraint=constraint)
             for f in single + warm + path:
                 assert f.converged
                 assert f.kkt_max_violation <= 1e-8
@@ -386,20 +430,34 @@ class TestRankDeficient:
         np.testing.assert_allclose(objectives[0], objectives[1], rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("constraint", ["unconstrained", "nonnegative"])
-    def test_column_that_is_a_sum_of_others(self, constraint):
+    def test_column_that_is_a_sum_of_others(self, constraint, monkeypatch):
         # h3 = h1 + h2: a start with all three nonzero makes the active block
         # singular, and unless w3 = w1 + w2 its sign-fixed quadratic falls
         # without bound along the null direction
+        singular_steps = []
+
+        def counted(unit, r):
+            singular_steps.append(len(r))
+            return singular_direction(unit, r)
+
+        monkeypatch.setattr(solver, "_singular_direction", counted)
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            ds = random_dataset(rng, n=30, d=2)
+        # seed 160 draws a problem whose path from zero enters all three
+        # columns, a singular block, in both constraints
+        cases = [np.random.default_rng(160)] + [rng] * 20
+        for case_rng in cases:
+            ds = random_dataset(case_rng, n=30, d=2)
             X = ds.covariates
             values = np.column_stack([X, X.sum(axis=1)])
             system = build_gram(ds, DictionaryMatrix(values=values, labels=["a", "b", "a+b"]))
-            w = rng.uniform(0.01, 0.1, size=3)
+            w = case_rng.uniform(0.01, 0.1, size=3)
             weights = flat_weights(w, ds.n)
-            start = np.abs(rng.normal(size=3))  # all three active: a singular block
+            start = np.abs(case_rng.normal(size=3))  # all three active: a singular block
+            singular_steps.clear()
             fits = fit_path(system, weights, SCALES, constraint=constraint, tol=1e-12)
+            if case_rng is cases[0]:
+                assert singular_steps, "the path no longer meets a singular block"
+            assert_chained_cold_fits(system, weights, fits, constraint=constraint, tol=1e-12)
             fits += [
                 fit(system, weights, constraint=constraint, tol=1e-12, weight_scale=s, start=start)
                 for s in SCALES
