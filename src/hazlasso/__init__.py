@@ -15,12 +15,13 @@ from .bernstein import (
     BernsteinReport,
     bound_empirical,
     classical_bound,
+    half_range,
     noise_process_terminal,
     run_mc,
     wilson_interval,
     zeta,
 )
-from .dictionary import DictionaryMatrix, linear_dictionary, load_dictionary, sup_norms
+from .dictionary import DictionaryMatrix, linear_dictionary, load_dictionary
 from .errors import ConfigError, DataValidationError, HazLassoError
 from .gram import (
     GramSystem,
@@ -38,7 +39,6 @@ from .oracle import (
     identity_gram_check,
     mu3_bracket,
     mu3_search,
-    re_constant,
     run_oracle_mc,
     slow_oracle_check,
 )
@@ -47,7 +47,6 @@ from .simulate import (
     SimulationConfig,
     default_config,
     load_config,
-    simulate,
     simulate_batch,
 )
 from .solver import LassoFit, active_kernel, fit, fit_path
@@ -98,6 +97,7 @@ __all__ = [
     "fit",
     "fit_path",
     "guarantee_level",
+    "half_range",
     "identity_gram_check",
     "linear_dictionary",
     "load_config",
@@ -107,13 +107,10 @@ __all__ = [
     "mu3_search",
     "noise_process_terminal",
     "objective",
-    "re_constant",
     "run_mc",
     "run_oracle_mc",
-    "simulate",
     "simulate_batch",
     "slow_oracle_check",
-    "sup_norms",
     "wilson_interval",
     "write_dataset",
     "zeta",

@@ -3,16 +3,21 @@ Carlo harness that measures how often the bound is violated.
 
 The deviation bound for the terminal noise Z = Z_1(h) of a column h is
 
-    c1 sqrt((x + l) / n * Vhat) + c2 (x + 1 + l) / n * sup|h|,
+    c1 sqrt((x + l) / n * Vhat) + c2 (x + 1 + l) / n * r,
 
-where Vhat is the optional variation of Z (computable from data), sup|h|
-is the empirical sup norm, and l is a log-log correction that prices the
-data-driven variance. The constants (c1, c2, c3) derive from three free
-parameters (c_ell, epsilon, c0); the violation probability is at most
-c3 e^{-x}. The harness simulates the truth, evaluates Z exactly, and
-reports violation frequencies with Wilson intervals per x, alongside the
-classical predictable-variation bound sqrt(2Vx/n) + x/(3n) evaluated in
-oracle mode (it needs the unobservable V).
+where Vhat is the optional variation of Z (computable from data), r is
+the column's half-range (max_i h(X_i) - min_i h(X_i)) / 2, and l is a
+log-log correction that prices the data-driven variance. The at-risk mean
+of h is a convex combination of its values, so every jump of Z has size
+|h(X_i) - mean| <= 2r; Z, Vhat and r all ignore a shift of h. The
+constants (c1, c2, c3) derive from three free parameters (c_ell, epsilon,
+c0); the violation probability is at most c3 e^{-x}. The penalty weights
+are this bound at level x + log M, so with probability at least
+1 - c3 e^{-x} it holds for all M columns at once. The harness simulates
+the truth, evaluates Z exactly, and reports violation frequencies with
+Wilson intervals per x, alongside the classical predictable-variation
+bound sqrt(2Vx/n) + x/(3n) evaluated in oracle mode (it needs the
+unobservable V).
 
 The harness draws fixed-size chunks of replications with
 ``simulate_batch`` and evaluates Z, Vhat and V of a whole chunk in one
@@ -127,43 +132,57 @@ PAPER_NUMERIC = BernsteinConstants(stated_c3=28.55)
 PAPER_NUMERIC_PRINTED_C3 = 8.0 + math.log(2.0) ** -2 * math.pi**2 + 4.0
 
 
-def _as_pair(vhat, sup):
-    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(vhat, dtype=float)),
-                               np.atleast_1d(np.asarray(sup, dtype=float)))
-    return a, b
+def half_range(values) -> np.ndarray:
+    """Half-range (max_i h_j - min_i h_j) / 2 of each column of (..., n, M)
+    evaluations, the only column scale of the bound. It equals
+    min_c max_i |h_j - c|, so it ignores a shift of the column, and it is
+    0 exactly when the column is constant."""
+    return 0.5 * (np.maximum.reduce(values, axis=-2) - np.minimum.reduce(values, axis=-2))
 
 
-def loglog_correction(vhat, sup, x: float, n: int, constants: BernsteinConstants):
-    """General-form log-log term; clamps at e, and a zero sup norm means
-    the whole correction (and bound) degenerates to zero."""
+def _checked_pair(vhat, r, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """vhat and r as float arrays of one shape, after the checks on every
+    argument of the bound."""
     if x <= 0:
         raise ValueError("confidence level x must be positive")
     if n < 1:
         raise ValueError("n must be at least 1")
-    scalar = np.isscalar(vhat) and np.isscalar(sup)
-    v, s = _as_pair(vhat, sup)
-    if np.any(v < 0) or np.any(s < 0):
-        raise ValueError("variance and sup norm must be nonnegative")
+    v = np.atleast_1d(np.asarray(vhat, dtype=float))
+    s = np.atleast_1d(np.asarray(r, dtype=float))
+    if v.shape != s.shape:
+        v, s = np.broadcast_arrays(v, s)
+    if (v < 0).any() or (s < 0).any():
+        raise ValueError("variance and half-range must be nonnegative")
+    return v, s
+
+
+def _loglog(v: np.ndarray, s: np.ndarray, x: float, n: int, constants: BernsteinConstants):
     a = 4.0 / 3.0 + constants.epsilon
-    sup2 = s * s
-    num = 2.0 * math.e * n * v + 8.0 * math.e * a * x * sup2
-    den = 4.0 * (math.e * constants.c0 - 2.0 * a * constants.c_ell) * sup2
+    r2 = s * s
+    num = 2.0 * math.e * n * v + 8.0 * math.e * a * x * r2
+    den = 4.0 * (math.e * constants.c0 - 2.0 * a * constants.c_ell) * r2
     ratio = np.divide(num, den, out=np.ones_like(num), where=den > 0)
-    out = constants.c_ell * np.log(np.log(np.maximum(ratio, math.e)))
-    return float(out[0]) if scalar else out
+    return constants.c_ell * np.log(np.log(np.maximum(ratio, math.e)))
 
 
-def bound_empirical(vhat, sup, x: float, n: int, constants: BernsteinConstants = PAPER_NUMERIC):
-    """Deviation bound on |Z| from observable quantities only."""
-    scalar = np.isscalar(vhat) and np.isscalar(sup)
-    v, s = _as_pair(vhat, sup)
-    ell = loglog_correction(v, s, x, n, constants)
+def loglog_correction(vhat, r, x: float, n: int, constants: BernsteinConstants):
+    """General-form log-log term; clamps at e, and a zero half-range means
+    the whole correction (and bound) degenerates to zero."""
+    out = _loglog(*_checked_pair(vhat, r, x, n), x, n, constants)
+    return float(out[0]) if np.isscalar(vhat) and np.isscalar(r) else out
+
+
+def bound_empirical(vhat, r, x: float, n: int, constants: BernsteinConstants = PAPER_NUMERIC):
+    """Deviation bound on |Z| from observable quantities only: the optional
+    variation vhat and the half-range r of the column."""
+    v, s = _checked_pair(vhat, r, x, n)
+    ell = _loglog(v, s, x, n, constants)
     out = np.where(
         s > 0,
         constants.c1 * np.sqrt((x + ell) / n * v) + constants.c2 * (x + 1.0 + ell) / n * s,
         0.0,
     )
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.isscalar(vhat) and np.isscalar(r) else out
 
 
 def classical_bound(v, x: float, n: int):
@@ -243,13 +262,14 @@ class BernsteinReport:
 
 
 def _mc_chunk(args):
-    """|Z|, Vhat, V and sup|h| of one chunk of replications, one array each."""
+    """|Z|, Vhat, V and the half-range of one chunk of replications, one
+    array each."""
     config, column, seed, reps = args
     truth = simulate_batch(config, [[seed, rep] for rep in reps])
     timeline = build_timeline(truth.dataset)
-    v = truth.dataset.covariates[..., column]
-    z, vhat, var = noise_terms(truth, v, timeline)
-    return np.abs(z), vhat, var, np.abs(v).max(axis=-1)
+    v = truth.dataset.covariates[..., column : column + 1]
+    z, vhat, var = noise_terms(truth, v[..., 0], timeline)
+    return np.abs(z), vhat, var, half_range(v)[..., 0]
 
 
 def run_mc(
@@ -283,19 +303,19 @@ def run_mc(
 
     tasks = [(config, column, base_seed, reps) for reps in chunks(replications)]
     results = parallel_map(_mc_chunk, tasks, threads)
-    abs_z, vhat, var, sup = (np.concatenate(parts) for parts in zip(*results))
+    abs_z, vhat, var, r = (np.concatenate(parts) for parts in zip(*results))
 
-    # sup == 0 makes the bound degenerate (Z = 0 almost surely); drop those
-    good = sup > 0
+    # r == 0 makes the bound degenerate (a constant column has Z = 0); drop those
+    good = r > 0
     kept = int(good.sum())
     if kept == 0:
-        raise ConfigError("every replication had a degenerate (all-zero) column")
-    abs_z, vhat, var, sup = abs_z[good], vhat[good], var[good], sup[good]
+        raise ConfigError("every replication had a degenerate (constant) column")
+    abs_z, vhat, var, r = abs_z[good], vhat[good], var[good], r[good]
 
     n = config.n
     rows = []
     for x in x_grid:
-        bounds = bound_empirical(vhat, sup, x, n, constants)
+        bounds = bound_empirical(vhat, r, x, n, constants)
         violations = int(np.sum(abs_z >= bounds))
         low, high = wilson_interval(violations, kept)
         tail = constants.tail_probability(x)

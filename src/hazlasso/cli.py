@@ -29,7 +29,7 @@ from .solver import active_kernel, fit, fit_path
 from .survival import build_timeline, load_dataset, write_dataset
 from .weights import DEFAULT_X, compute_weights
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 # Worker processes for the Monte Carlo commands. Measured on a 2-CPU
 # machine with the replications in chunks: with BLAS threads left at their
@@ -125,13 +125,13 @@ def _weights_command(args) -> int:
         "data": args.data,
         "n": dataset.n,
         "x": args.x,
-        "c1": weights.c1,
-        "c2": weights.c2,
+        "c1": PAPER_NUMERIC.c1,
+        "c2": PAPER_NUMERIC.c2,
         "columns": [
             {
                 "label": weights.labels[j],
                 "vhat": float(weights.vhat[j]),
-                "sup": float(weights.sup[j]),
+                "half_range": float(weights.half_range[j]),
                 "loglog": float(weights.loglog[j]),
                 "weight": float(weights.w[j]),
             }

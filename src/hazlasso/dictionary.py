@@ -92,7 +92,3 @@ def load_dictionary(path, n_expected: int | None = None) -> DictionaryMatrix:
         )
     return DictionaryMatrix(values=values, labels=header)
 
-
-def sup_norms(dictionary: DictionaryMatrix) -> np.ndarray:
-    """Per-column sup norms max_i |h_j(X_i)| over the sample."""
-    return np.max(np.abs(dictionary.values), axis=-2)

@@ -313,48 +313,6 @@ def mu3_bracket(
     return found
 
 
-def re_constant(
-    system: GramSystem,
-    weights: WeightVector,
-    s: int,
-    budget: int = 256,
-    seed: int = 0,
-) -> float:
-    """Upper bound on the restricted eigenvalue kappa(s, 3).
-
-    min over supports |J| <= s of 1 / mu3(J), with each mu3 the lower end
-    of its ``mu3_bracket``, so the minimum is an upper bound on kappa. It
-    is exact when supports are enumerated (M <= 12, otherwise ``budget``
-    of them are sampled) and every bracket is closed. Each support's
-    fallback stream of random cone points gets its own substream keyed by
-    (seed, sorted(J)), so a caller probing one support with ``mu3_search``
-    and the same key sees the identical candidate stream.
-    """
-    M = system.M
-    if not 1 <= s <= M:
-        raise ValueError("s must be in [1, M]")
-    if M <= 12:
-        supports = [
-            J for size in range(1, s + 1) for J in itertools.combinations(range(M), size)
-        ]
-    else:
-        rng = np.random.default_rng([seed, 7001])
-        supports = [
-            tuple(sorted(rng.choice(M, size=int(rng.integers(1, s + 1)), replace=False)))
-            for _ in range(budget)
-        ]
-    best = math.inf
-    for J in supports:
-        ref = np.zeros(M)
-        ref[list(J)] = 1.0
-        found = mu3_bracket(system, weights, ref, budget=budget, seed=[seed, *sorted(J)])
-        mu = found.mu3_lower
-        best = min(best, 0.0 if mu == math.inf else 1.0 / mu)
-        if best == 0.0:
-            break
-    return float(best)
-
-
 def _fit_each(system: GramSystem, weights: WeightVector, **options):
     """One solver fit for a single system, a list of them for a batch."""
     if system.matrix.ndim == 2:

@@ -88,11 +88,12 @@ class LassoFit:
 
 
 def _dead_mask(system: GramSystem, weights: WeightVector) -> np.ndarray:
-    # H_jj = 0 makes the coordinate unidentifiable; allow for roundoff at the
-    # scale of the column sup norm when deciding (an all-zero or constant
-    # column lands at |H_jj| <= 1e-13 sup^2, a live column is far above).
-    diag = np.diag(system.matrix)
-    return (diag <= 0.0) | (diag <= 1e-13 * weights.sup**2)
+    # H_jj = 0 makes the coordinate unidentifiable. A constant column has
+    # half-range r = 0; for the others allow for roundoff at the scale r^2
+    # when deciding (a column constant up to roundoff lands at
+    # |H_jj| <= 1e-13 r^2, a live column is far above).
+    r = weights.half_range
+    return (r == 0.0) | (np.diag(system.matrix) <= 1e-13 * r**2)
 
 
 def _violations(grad: np.ndarray, b: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:

@@ -296,16 +296,6 @@ class RiskSetTimeline:
         """Follow-up time Z_i of each record, the total length it is at risk."""
         return take_rows(self.breakpoints, self.end_interval + 1)
 
-    @property
-    def event_times(self) -> np.ndarray:
-        """Follow-up times of the event records, in record order (one dataset)."""
-        return self.follow_up[self.status]
-
-    @property
-    def event_interval(self) -> np.ndarray:
-        """Interval ending at each event time, in record order (one dataset)."""
-        return self.end_interval[self.status]
-
     def _per_record(self, values) -> tuple[np.ndarray, bool]:
         """Values as (..., n, M) floats, and whether they were one per record."""
         v = np.asarray(values, dtype=float)

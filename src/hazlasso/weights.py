@@ -1,22 +1,21 @@
 """Data-driven penalty weights for the weighted Lasso.
 
-Each dictionary column gets a weight built from two observable quantities:
-the empirical variance vhat_j (average squared centered column value at
-the event times) and the column sup norm. The weight is
+The weight of dictionary column j is the data-driven Bernstein deviation
+bound of its noise term (``bernstein.bound_empirical`` under the paper's
+numeric constants) at the union level x + log M:
 
-    w_j = c1 * sqrt((x + log M + lhat_j) / n * vhat_j)
-        + c2 * (x + 1 + log M + lhat_j) / n * sup_j
+    w_j = bound_empirical(vhat_j, r_j, x + log M, n, PAPER_NUMERIC)
 
-with c1 = 2 sqrt(2), c2 = 4 sqrt(14/3) + 2/3 and the iterated-logarithm
-correction
-
-    lhat_j = 2 * loglog((6 e n vhat_j + 56 x sup_j^2) / (24 x sup_j^2) or e)
-
-clamped so the argument never drops below e. The confidence level x > 0
-is the caller's choice; log(1/0.05) is the conventional default of the
-command-line tools. A batched Gram system and dictionary (a leading
-replication axis) give one weight vector per replication, shape (R, M);
-``weights[r]`` is replication r.
+built from two observable quantities, the empirical variance vhat_j
+(average squared centered column value at the event times) and the
+column half-range r_j = (max_i h_j - min_i h_j) / 2. The bound fails for
+one column with probability at most c3 e^{-x - log M}, so it holds for all
+M columns at once with probability at least 1 - c3 e^{-x}. A shift of a
+column changes neither vhat_j nor r_j, and a constant column gets weight
+0. The confidence level x > 0 is the caller's choice; log(1/0.05) is the
+conventional default of the command-line tools. A batched Gram system and
+dictionary (a leading replication axis) give one weight vector per
+replication, shape (R, M); ``weights[r]`` is replication r.
 """
 
 from __future__ import annotations
@@ -26,13 +25,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import DictionaryMatrix, sup_norms
+from .bernstein import PAPER_NUMERIC, bound_empirical, half_range, loglog_correction
+from .dictionary import DictionaryMatrix
 from .gram import GramSystem
 from .survival import SurvivalDataset
 
-C1 = 2.0 * math.sqrt(2.0)
-C2 = 4.0 * math.sqrt(14.0 / 3.0) + 2.0 / 3.0
 DEFAULT_X = math.log(1.0 / 0.05)
+
+
+def _union_level(x: float, M: int) -> float:
+    """Level at which each of M weights is the deviation bound, so that all
+    M bounds hold at once with probability at least 1 - c3 e^{-x}."""
+    return x + math.log(M)
 
 
 @dataclass(frozen=True)
@@ -42,41 +46,25 @@ class WeightVector:
     x: float
     n: int
     vhat: np.ndarray
-    sup: np.ndarray
-    loglog: np.ndarray
+    half_range: np.ndarray
     w: np.ndarray
     labels: list[str]
-    c1: float = C1
-    c2: float = C2
 
     @property
     def M(self) -> int:
         return self.w.shape[-1]
 
+    @property
+    def loglog(self) -> np.ndarray:
+        """The log-log term inside each weight."""
+        level = _union_level(self.x, self.M)
+        return loglog_correction(self.vhat, self.half_range, level, self.n, PAPER_NUMERIC)
+
     def __getitem__(self, r: int) -> "WeightVector":
         """Replication r of a batch."""
         return WeightVector(
-            self.x, self.n, self.vhat[r], self.sup[r], self.loglog[r], self.w[r], self.labels
+            self.x, self.n, self.vhat[r], self.half_range[r], self.w[r], self.labels
         )
-
-
-def loglog_term(vhat, sup, x: float, n: int):
-    """Iterated-logarithm correction, elementwise; 0 for all-zero columns."""
-    if x <= 0:
-        raise ValueError("confidence level x must be positive")
-    scalar = np.isscalar(vhat) and np.isscalar(sup)
-    vh, sp = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(vhat, dtype=float)),
-        np.atleast_1d(np.asarray(sup, dtype=float)),
-    )
-    out = np.zeros(vh.shape)
-    live = sp > 0
-    arg = np.maximum(
-        (6.0 * math.e * n * vh[live] + 56.0 * x * sp[live] ** 2) / (24.0 * x * sp[live] ** 2),
-        math.e,
-    )
-    out[live] = 2.0 * np.log(np.log(arg))
-    return float(out[0]) if scalar else out
 
 
 def compute_weights(
@@ -88,20 +76,22 @@ def compute_weights(
     """Weights for every dictionary column at confidence level x.
 
     vhat is read from ``system``, which must have been built from
-    ``dictionary``. All-zero columns get weight exactly 0 (and are pinned
-    to 0 by the solver); for any live column the weight is strictly
+    ``dictionary``. Constant columns get weight exactly 0 (and are pinned
+    to 0 by the solver); for any other column the weight is strictly
     positive.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"confidence level x must be positive and finite, got {x}")
     if dictionary.M != system.M:
         raise ValueError("dictionary columns do not match the gram system")
-    n, M = dataset.n, dictionary.M
     vhat = system.vhat.copy()
-    sup = sup_norms(dictionary)
-    ll = np.atleast_1d(loglog_term(vhat, sup, x, n))
-    logM = math.log(M)
-    w = C1 * np.sqrt((x + logM + ll) / n * vhat) + C2 * (x + 1.0 + logM + ll) / n * sup
+    r = half_range(dictionary.values)
+    level = _union_level(x, dictionary.M)
     return WeightVector(
-        x=float(x), n=n, vhat=vhat, sup=sup, loglog=ll, w=w, labels=list(dictionary.labels)
+        x=float(x),
+        n=dataset.n,
+        vhat=vhat,
+        half_range=r,
+        w=bound_empirical(vhat, r, level, dataset.n, PAPER_NUMERIC),
+        labels=list(dictionary.labels),
     )

@@ -67,8 +67,7 @@ def flat_weights(values, n, x=1.0):
         x=x,
         n=n,
         vhat=np.zeros_like(w),
-        sup=np.ones_like(w),
-        loglog=np.zeros_like(w),
+        half_range=np.ones_like(w),
         w=w,
         labels=[f"c{j + 1}" for j in range(len(w))],
     )

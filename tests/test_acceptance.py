@@ -24,7 +24,6 @@ from hazlasso import (
     linear_dictionary,
     run_mc,
     run_oracle_mc,
-    simulate,
 )
 from hazlasso.bernstein import PAPER_NUMERIC
 from hazlasso.simulate import (
@@ -33,8 +32,8 @@ from hazlasso.simulate import (
     SimulationConfig,
     default_config,
     noise_terms,
+    simulate,
 )
-from hazlasso.weights import C1, C2
 
 from conftest import flat_weights, random_dataset
 from test_solver import grid_minimize
@@ -151,9 +150,16 @@ def test_criterion_09_constants():
     assert PAPER_NUMERIC.c1 == 2.0 * math.sqrt(2.0)
     assert abs(PAPER_NUMERIC.c2 - 9.31) <= 0.01 and PAPER_NUMERIC.c2 <= 9.31
     assert PAPER_NUMERIC.c3 <= 28.55
-    # the weight constants are the same quantities in closed form
-    assert C1 == PAPER_NUMERIC.c1
-    np.testing.assert_allclose(C2, PAPER_NUMERIC.c2, rtol=1e-15)
+    # the weights are the bound under these constants, at level x + log M
+    truth = simulate(default_config())
+    dic = linear_dictionary(truth.dataset)
+    weights = compute_weights(truth.dataset, dic, build_gram(truth.dataset, dic), x=2.0)
+    level, n = 2.0 + math.log(dic.M), truth.dataset.n
+    ell, r = weights.loglog, weights.half_range
+    want = PAPER_NUMERIC.c1 * np.sqrt((level + ell) / n * weights.vhat)
+    want += PAPER_NUMERIC.c2 * (level + 1.0 + ell) / n * r
+    np.testing.assert_allclose(weights.w, want, rtol=1e-14)
+    assert np.all(r > 0) and np.any(ell > 0)
 
 
 def test_criterion_10_simulator_distribution():

@@ -30,7 +30,6 @@ from hazlasso import (
     mu3_bracket,
     run_mc,
     run_oracle_mc,
-    simulate,
     simulate_batch,
 )
 from hazlasso.simulate import (
@@ -42,6 +41,7 @@ from hazlasso.simulate import (
     UniformCensoring,
     default_config,
     noise_terms,
+    simulate,
 )
 
 SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

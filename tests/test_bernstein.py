@@ -3,10 +3,10 @@
 Reference values were frozen from a 50-digit mpmath evaluation of the
 closed forms:
 
-    general loglog at (vhat=1, sup=1, x=1, n=100) = 2.0360057814362042
+    general loglog at (vhat=1, r=1, x=1, n=100)   = 2.0360057814362042
     preset c2 = 2 sqrt(56/3) + 2/3               = 9.3076542645438136
     preset c3 = 8 + pi^2 / log(2)^2              = 28.542288455223820
-    bound at (vhat=0, sup=1, x=1, n=100)         = c2 / 50
+    bound at (vhat=0, r=1, x=1, n=100)           = c2 / 50
                                                  = 0.18615308529087627
     (the loglog ratio there is exactly e/2, clamped to zero)
 """
@@ -27,10 +27,10 @@ from hazlasso import (
     build_timeline,
     classical_bound,
     compute_weights,
+    half_range,
     linear_dictionary,
     noise_process_terminal,
     run_mc,
-    simulate,
     wilson_interval,
 )
 from hazlasso.bernstein import (
@@ -42,7 +42,7 @@ from hazlasso.bernstein import (
     zeta,
 )
 from hazlasso.gram import build_gram
-from hazlasso.simulate import AdministrativeCensoring, RademacherCovariates, noise_terms
+from hazlasso.simulate import AdministrativeCensoring, RademacherCovariates, noise_terms, simulate
 
 from test_simulate import small_config
 
@@ -139,6 +139,42 @@ class TestLoglogCorrection:
             loglog_correction(-1.0, 1.0, 1.0, 100, PAPER_NUMERIC)
 
 
+class TestHalfRange:
+    def test_examples(self):
+        values = np.array([[-3.0, 1.0], [2.0, -1.0]])
+        np.testing.assert_array_equal(half_range(values), [2.5, 1.0])
+
+    def test_single_row(self):
+        # one record is a constant column
+        np.testing.assert_array_equal(half_range(np.array([[-0.5]])), [0.0])
+
+    def test_row_permutation_invariant(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(20, 4))
+        perm = rng.permutation(20)
+        np.testing.assert_array_equal(half_range(values), half_range(values[perm]))
+
+    def test_absolute_homogeneity(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(10, 3))
+        np.testing.assert_allclose(half_range(-2.5 * values), 2.5 * half_range(values), rtol=1e-15)
+
+    def test_shift_invariant_and_zero_on_constant_columns(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(12, 3))
+        for c in (-1e3, 0.1, 1e4):
+            np.testing.assert_allclose(half_range(values + c), half_range(values), rtol=1e-11)
+        for c in (0.0, 1e-3, 1.0 / 3.0, 1e4 + 0.1, -1e8):
+            assert half_range(np.full((7, 1), c)).tolist() == [0.0]
+
+    def test_batch_is_per_replication(self):
+        values = np.random.default_rng(6).normal(size=(3, 9, 2))
+        got = half_range(values)
+        assert got.shape == (3, 2)
+        for r in range(3):
+            np.testing.assert_array_equal(got[r], half_range(values[r]))
+
+
 class TestBoundEmpirical:
     def test_frozen_reference(self):
         got = bound_empirical(0.0, 1.0, 1.0, 100)
@@ -154,7 +190,7 @@ class TestBoundEmpirical:
         assert np.all(np.diff(vals) > 0.0)
 
     def test_exact_column_scaling(self):
-        # rescaling the column by c multiplies (vhat, sup) by (c^2, |c|) and
+        # rescaling the column by c multiplies (vhat, r) by (c^2, |c|) and
         # the bound by |c|; the loglog ratio is scale-free
         c = 3.0
         base = bound_empirical(0.7, 1.2, 2.0, 80)
@@ -282,6 +318,21 @@ class TestRunMC:
             assert not any(math.isnan(m) for m in margins)
             assert margins == sorted(margins)
             assert row["margin_q90"] == math.inf
+
+    def test_constant_column_replications_are_excluded(self):
+        # n = 3 Rademacher draws give a constant column in about a quarter of
+        # the replications; there r = 0 and Z = 0, and such a replication
+        # would count 0 >= 0 as a violation, so the harness drops it
+        cfg = small_config(n=3, covariates=RademacherCovariates(), seed=2)
+        reps = 40
+        report = run_mc(cfg, 0, [1.0], reps)
+        constant = sum(
+            np.ptp(simulate(cfg, seed=[cfg.seed, rep]).dataset.covariates[:, 0]) == 0.0
+            for rep in range(reps)
+        )
+        assert 0 < constant < reps
+        assert report.excluded == constant
+        assert report.rows[0]["violations"] <= reps - constant
 
     @pytest.mark.parametrize(
         "ratio, q, want",

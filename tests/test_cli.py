@@ -7,6 +7,7 @@ pyproject.toml declares for it) and `python -m hazlasso.cli`.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,7 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hazlasso.bernstein import PAPER_NUMERIC
 from hazlasso.cli import DEFAULT_THREADS, SCHEMA_VERSION, _write_report, build_parser, main
+from hazlasso.survival import SurvivalDataset, write_dataset
+
+from conftest import random_dataset
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,17 +83,25 @@ def console_script(name):
     script = shutil.which(name)
     if script is not None:
         return [script], None
-    tomllib = pytest.importorskip("tomllib")
-    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
-        pyproject = tomllib.load(fh)
+    pyproject = read_pyproject()
     module, attr = pyproject["project"]["scripts"][name].split(":")
-    roots = pyproject["tool"]["setuptools"]["packages"]["find"]["where"]
     launcher = (
         f"import sys; sys.argv[0] = {name!r}; "
         f"from {module} import {attr}; sys.exit({attr}())"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(REPO_ROOT / r) for r in roots))
-    return [sys.executable, "-c", launcher], env
+    return [sys.executable, "-c", launcher], source_env(pyproject)
+
+
+def read_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)
+
+
+def source_env(pyproject):
+    """The environment with PYTHONPATH set to the declared package roots."""
+    roots = pyproject["tool"]["setuptools"]["packages"]["find"]["where"]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(str(REPO_ROOT / r) for r in roots))
 
 
 class TestFit:
@@ -96,7 +112,7 @@ class TestFit:
         report = read_report(out)
         assert report["command"] == "fit" and report["converged"]
         assert report["labels"] == ["x1"]
-        # the x=1 weight (~10) exceeds |2 hn| = 0.5, so the fit is zero
+        # the x=1 weight (~5.4) exceeds |2 hn| = 0.5, so the fit is zero
         assert report["beta"] == [0.0] and report["active"] == []
 
     def test_fit_solves_at_small_weights(self, micro_csv, tmp_path):
@@ -110,7 +126,7 @@ class TestFit:
         rows = read_report(out)["rows"]
         assert rows[0]["beta"] == [0.0]
         # soft threshold at 1% of the x=1 weight: (hn + w/200) / H
-        np.testing.assert_allclose(rows[1]["beta"], [-1.5994095581707855], rtol=1e-10)
+        np.testing.assert_allclose(rows[1]["beta"], [-1.7855626434616618], rtol=1e-10)
 
     def test_dump_gram(self, micro_csv, tmp_path):
         out = tmp_path / "fit.json"
@@ -125,11 +141,12 @@ class TestFit:
 
     def test_unconverged_exits_two(self, micro_csv, tmp_path):
         # an impossible tolerance: the zero fit at scale 1 is exactly
-        # stationary, but the nonzero fit at scale 0.01 stalls with a
-        # roundoff-level KKT residual and must be reported as unconverged
+        # stationary, but the nonzero fit at scale 0.03 stalls with a
+        # roundoff-level KKT residual (2.8e-17; at some scales it rounds to
+        # exactly 0) and must be reported as unconverged
         out = tmp_path / "path.json"
         code = main(
-            ["path", "--data", micro_csv, "--x", "1.0", "--scales", "1,0.01",
+            ["path", "--data", micro_csv, "--x", "1.0", "--scales", "1,0.03",
              "--tol", "1e-300", "--out", str(out)]
         )
         assert code == 2
@@ -157,9 +174,110 @@ class TestWeights:
         code = main(["weights", "--data", micro_csv, "--x", "1.0", "--out", str(out)])
         assert code == 0
         report = read_report(out)
+        assert (report["c1"], report["c2"]) == (PAPER_NUMERIC.c1, PAPER_NUMERIC.c2)
         (col,) = report["columns"]
+        assert sorted(col) == ["half_range", "label", "loglog", "vhat", "weight"]
         np.testing.assert_allclose(col["vhat"], 0.125, atol=1e-15)
-        np.testing.assert_allclose(col["weight"], 10.014761045730361, rtol=1e-12)
+        assert col["half_range"] == 0.5 and col["loglog"] == 0.0
+        np.testing.assert_allclose(col["weight"], 5.3609339134584543, rtol=1e-12)
+
+
+def run_reports(dataset, directory, x=1.0, scales="1,0.1,0.03,0.01"):
+    """The weights, fit and path reports of one dataset, written as CSV."""
+    data = os.path.join(directory, "data.csv")
+    write_dataset(dataset, data)
+    reports = {}
+    for command, extra in (("weights", []), ("fit", []), ("path", ["--scales", scales])):
+        out = os.path.join(directory, f"{command}.json")
+        assert main([command, "--data", data, "--x", repr(x), "--out", out, *extra]) == 0
+        reports[command] = read_report(out)
+    return reports
+
+
+def fitted(reports):
+    """(beta, objective, active labels) of the fit and of every path row."""
+    rows = [reports["fit"], *reports["path"]["rows"]]
+    return [(np.array(r["beta"]), r["objective"], r["active"]) for r in rows]
+
+
+def assert_same_fits(got, want, beta_factor):
+    """Equal active sets, and beta (times beta_factor) and objectives equal
+    to 1e-9 relative to the largest of them over the fit and the path: a
+    coefficient just past its threshold is a small difference of large
+    terms, so it carries the input's roundoff at their scale."""
+    beta_scale = max(np.abs(beta0 * beta_factor).max() for beta0, _, _ in want)
+    obj_scale = max(abs(obj0) for _, obj0, _ in want)
+    for (beta, obj, active), (beta0, obj0, active0) in zip(got, want, strict=True):
+        assert active == active0
+        np.testing.assert_allclose(beta, beta0 * beta_factor, rtol=1e-9, atol=1e-9 * beta_scale)
+        np.testing.assert_allclose(obj, obj0, rtol=1e-9, atol=1e-9 * obj_scale)
+
+
+@st.composite
+def transforms(draw):
+    """A dataset seed and a transformation the estimator must ignore."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["shift", "scale", "permute"]))
+    if kind == "shift":
+        c = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    elif kind == "scale":
+        c = draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([1.0, -1.0]))
+    else:
+        c = None
+    return seed, kind, c, draw(st.integers(0, 2))
+
+
+class TestInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(case=transforms())
+    def test_weights_and_fits_ignore_shift_scale_and_record_order(self, case, tmp_path_factory):
+        seed, kind, c, column = case
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, n=int(rng.integers(40, 80)), d=3)
+        covariates, perm = ds.covariates.copy(), np.arange(ds.n)
+        if kind == "shift":
+            covariates[:, column] += c
+        elif kind == "scale":
+            covariates[:, column] *= c
+        else:
+            perm = rng.permutation(ds.n)
+        moved = SurvivalDataset(times=ds.times[perm], status=ds.status[perm], covariates=covariates[perm])
+        base = run_reports(ds, tmp_path_factory.mktemp("base"))
+        got = run_reports(moved, tmp_path_factory.mktemp("moved"))
+
+        factor = np.ones(ds.d)
+        if kind == "scale":
+            factor[column] = 1.0 / c
+        w0 = np.array([col["weight"] for col in base["weights"]["columns"]])
+        w = np.array([col["weight"] for col in got["weights"]["columns"]])
+        np.testing.assert_allclose(w * factor * np.sign(factor), w0, rtol=1e-9)
+        assert_same_fits(fitted(got), fitted(base), factor)
+        assert any(len(active) for _, _, active in fitted(base))
+
+    @pytest.mark.filterwarnings("ignore:all-zero dictionary column")
+    @pytest.mark.parametrize("offset", [0.0, 1e-3, 1.0, 1e4, 1e8])
+    def test_constant_column_is_weightless_pinned_and_inert(self, offset, tmp_path):
+        ds = random_dataset(np.random.default_rng(21), n=60, d=3)
+        with_const = SurvivalDataset(
+            times=ds.times, status=ds.status,
+            covariates=np.column_stack([ds.covariates, np.full(ds.n, offset)]),
+        )
+        (tmp_path / "with").mkdir()
+        (tmp_path / "without").mkdir()
+        got = run_reports(with_const, tmp_path / "with", x=1.0)
+        # one column fewer: the same union level x + log M keeps the other weights
+        want = run_reports(ds, tmp_path / "without", x=1.0 + math.log(4.0 / 3.0))
+
+        weights = [col["weight"] for col in got["weights"]["columns"]]
+        assert weights[-1] == 0.0 and got["weights"]["columns"][-1]["half_range"] == 0.0
+        np.testing.assert_allclose(
+            weights[:-1], [col["weight"] for col in want["weights"]["columns"]], rtol=1e-12
+        )
+        assert got["fit"]["pinned_columns"] == ["x4"]
+        rows = fitted(got)
+        assert all(beta[-1] == 0.0 for beta, _, _ in rows)
+        assert_same_fits([(beta[:-1], obj, active) for beta, obj, active in rows], fitted(want), 1.0)
+        assert any(len(active) for _, _, active in rows)
 
 
 class TestSimulate:
@@ -436,7 +554,10 @@ class TestInstalledEntryPoint:
 
     def test_module_invocation_help(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "hazlasso.cli", "--help"], capture_output=True, text=True
+            [sys.executable, "-m", "hazlasso.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env=source_env(read_pyproject()),
         )
         assert proc.returncode == 0
         assert "bernstein-mc" in proc.stdout

@@ -1,11 +1,11 @@
-"""Dictionary construction, CSV loading and per-column sup norms."""
+"""Dictionary construction and CSV loading."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from hazlasso import DataValidationError, DictionaryMatrix, linear_dictionary, load_dictionary, sup_norms
+from hazlasso import DataValidationError, DictionaryMatrix, linear_dictionary, load_dictionary
 from hazlasso.survival import SurvivalDataset
 
 
@@ -113,27 +113,3 @@ class TestLoadDictionary:
             with pytest.raises(DataValidationError, match="no data rows"):
                 load_dictionary(self._write(tmp_path, "f,g\n\n"))
 
-
-class TestSupNorms:
-    def test_examples(self):
-        dic = DictionaryMatrix(values=np.array([[-3.0, 1.0], [2.0, -1.0]]), labels=["a", "b"])
-        np.testing.assert_array_equal(sup_norms(dic), [3.0, 1.0])
-
-    def test_single_row(self):
-        dic = DictionaryMatrix(values=np.array([[-0.5]]), labels=["a"])
-        np.testing.assert_array_equal(sup_norms(dic), [0.5])
-
-    def test_row_permutation_invariant(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=(20, 4))
-        dic = DictionaryMatrix(values=values, labels=["a", "b", "c", "d"])
-        perm = rng.permutation(20)
-        shuffled = DictionaryMatrix(values=values[perm], labels=dic.labels)
-        np.testing.assert_array_equal(sup_norms(dic), sup_norms(shuffled))
-
-    def test_absolute_homogeneity(self):
-        rng = np.random.default_rng(4)
-        values = rng.normal(size=(10, 3))
-        dic = DictionaryMatrix(values=values, labels=["a", "b", "c"])
-        scaled = DictionaryMatrix(values=-2.5 * values, labels=dic.labels)
-        np.testing.assert_allclose(sup_norms(scaled), 2.5 * sup_norms(dic), rtol=1e-15)

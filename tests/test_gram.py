@@ -124,18 +124,21 @@ class TestBuildGram:
         b = build_gram(shuffled, linear_dictionary(shuffled))
         np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-13)
         np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-13)
+        weights = compute_weights(ds, linear_dictionary(ds), a)
+        shuffled_w = compute_weights(shuffled, linear_dictionary(shuffled), b).w
+        np.testing.assert_allclose(shuffled_w, weights.w, rtol=1e-13)
         # risk-set centering also ignores a constant shift of every covariate,
-        # and raw-scale columns must not lose accuracy to it; the weights'
-        # sup-norm term does move with the shift, their variance term must not
-        vhat = compute_weights(ds, linear_dictionary(ds), a).vhat
+        # and raw-scale columns must not lose accuracy to it; neither may the
+        # weights, whose variance and half-range terms ignore the shift too
         for offset in (1e4, 1e6):
             moved = SurvivalDataset(
                 times=ds.times, status=ds.status, covariates=ds.covariates + offset
             )
             dic = linear_dictionary(moved)
             c = build_gram(moved, dic)
+            moved_w = compute_weights(moved, dic, c)
             pairs = [(c.matrix, a.matrix), (c.vector, a.vector)]
-            pairs.append((compute_weights(moved, dic, c).vhat, vhat))
+            pairs += [(moved_w.vhat, weights.vhat), (moved_w.w, weights.w)]
             for got, want in pairs:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 

@@ -30,14 +30,12 @@ from hazlasso import (
     linear_dictionary,
     mu3_bracket,
     mu3_search,
-    re_constant,
     run_oracle_mc,
-    simulate,
     slow_oracle_check,
 )
-from hazlasso.cli import main
+from hazlasso.cli import SCHEMA_VERSION, main
 from hazlasso.gram import empirical_norm_sq_fn
-from hazlasso.simulate import GaussianCovariates, SimulationConfig, UniformCensoring
+from hazlasso.simulate import GaussianCovariates, SimulationConfig, UniformCensoring, simulate
 from hazlasso.survival import SurvivalDataset
 
 from conftest import flat_weights
@@ -349,64 +347,17 @@ class TestMu3Bracket:
         assert 0.0 < found.mu3_lower <= 1.0 / 0.7 + 1e-12
         assert found.label != "exact"
 
-    def test_re_constant_is_exact_when_every_bracket_closes(self, micro_system):
-        # near-identity H: every b* = H^-1 e_j lies in its cone, so
-        # kappa(1, 3) = min_j 1 / sqrt([H^-1]_jj)
-        H = np.eye(4) + 0.1 * np.ones((4, 4))
-        system = synthetic_system(H, micro_system)
-        weights = flat_weights([0.2] * 4, 2)
-        want = 1.0 / math.sqrt(np.diag(np.linalg.inv(H)).max())
-        np.testing.assert_allclose(re_constant(system, weights, s=1, budget=8), want, rtol=1e-12)
-
     def test_cli_rows_carry_the_upper_bound(self, tmp_path):
         out = tmp_path / "oracle.json"
         code = main(["oracle-check", "--config", "default", "--reps", "3", "--seed", "5",
                      "--threads", "1", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == "2"
+        assert report["schema"] == SCHEMA_VERSION
         for row in report["rows"]:
             assert row["mu3_upper"] >= row["mu3"] > 0.0
             assert row["mu3_label"] in ("exact", "indicative")
             assert (row["mu3_label"] == "exact") == (row["mu3_upper"] == row["mu3"])
-
-
-class TestReConstant:
-    def test_identity_gram_gives_one(self, micro_system):
-        system = synthetic_system(np.eye(3), micro_system)
-        weights = flat_weights([0.2, 0.2, 0.2], 2)
-        assert re_constant(system, weights, s=2, budget=16) == 1.0
-
-    def test_dead_direction_gives_zero(self, micro_system):
-        system = synthetic_system(np.diag([1.0, 0.0]), micro_system)
-        weights = flat_weights([0.2, 0.2], 2)
-        assert re_constant(system, weights, s=2, budget=8) == 0.0
-
-    def test_nonincreasing_in_s(self, micro_system):
-        rng = np.random.default_rng(16)
-        A = rng.normal(size=(8, 5))
-        system = synthetic_system(A.T @ A / 8.0, micro_system)
-        weights = flat_weights(rng.uniform(0.05, 0.3, size=5), 2)
-        vals = [re_constant(system, weights, s=s, budget=32, seed=2) for s in (1, 2, 3)]
-        assert vals[0] >= vals[1] >= vals[2]
-
-    def test_consistent_with_direct_search(self, micro_system):
-        # the support-wise substreams make the s-level bound at most the
-        # single-support bound probed with the same key
-        rng = np.random.default_rng(17)
-        A = rng.normal(size=(8, 4))
-        system = synthetic_system(A.T @ A / 8.0, micro_system)
-        weights = flat_weights(rng.uniform(0.05, 0.3, size=4), 2)
-        ref = np.array([0.7, 0.0, -1.1, 0.0])
-        support = [0, 2]
-        kappa_up = re_constant(system, weights, s=2, budget=64, seed=5)
-        found = mu3_search(system, weights, ref, budget=64, seed=[5, *support])
-        assert kappa_up <= 1.0 / found.mu3_lower + 1e-12
-
-    def test_validation(self, micro_system):
-        weights = flat_weights([0.2], 2)
-        with pytest.raises(ValueError, match="s must"):
-            re_constant(micro_system, weights, s=0)
 
 
 class TestIdentityGramCheck:

@@ -6,6 +6,7 @@ so they share no code with the prefix-sum implementations they check.
 """
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hazlasso import (
     build_timeline,
     default_config,
     linear_dictionary,
-    simulate,
 )
 from hazlasso.simulate import (
     AdministrativeCensoring,
@@ -29,6 +29,7 @@ from hazlasso.simulate import (
     config_from_dict,
     load_config,
     noise_terms,
+    simulate,
 )
 
 
@@ -121,6 +122,16 @@ class TestConfigValidation:
 
 
 class TestSimulate:
+    def test_package_attribute_is_the_module(self):
+        # the package must not shadow its submodule with the function
+        import hazlasso
+        import hazlasso.simulate
+
+        assert isinstance(hazlasso.simulate, types.ModuleType)
+        assert callable(hazlasso.simulate.simulate)
+        assert callable(hazlasso.simulate.default_config)
+        assert "simulate" not in hazlasso.__all__
+
     def test_deterministic_in_config_seed(self):
         a = simulate(small_config())
         b = simulate(small_config())

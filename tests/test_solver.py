@@ -26,9 +26,8 @@ from hazlasso import (
     fit_path,
     linear_dictionary,
     objective,
-    simulate,
 )
-from hazlasso.simulate import GaussianCovariates, UniformCensoring
+from hazlasso.simulate import GaussianCovariates, UniformCensoring, simulate
 import hazlasso.solver as solver
 from hazlasso.solver import _singular_direction as singular_direction
 from hazlasso.solver import _unit_inverse as unit_inverse
@@ -405,12 +404,12 @@ class TestRankDeficient:
         system = build_gram(ds, dic)
         weights = compute_weights(ds, dic, system)
         assert weights.w[d] == weights.w[twin]
-        assert weights.w[-1] == 0.0 or level != 0.0  # the sup-norm term sees a nonzero level
+        assert weights.w[-1] == 0.0  # a constant column has half-range 0 at any level
         # the reduced problem keeps the full problem's weights (they depend on M)
         kept = [j for j in range(d + 2) if j != d]
         reduced_weights = replace(
             weights,
-            **{name: getattr(weights, name)[kept] for name in ("vhat", "sup", "loglog", "w")},
+            **{name: getattr(weights, name)[kept] for name in ("vhat", "half_range", "w")},
             labels=reduced.labels,
         )
         objectives = []

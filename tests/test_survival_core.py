@@ -269,8 +269,9 @@ class TestTimeline:
         assert_allclose(tl.lengths, [0.5, 0.5])
         # at risk on (0, 0.5]: both; on (0.5, 1]: only the second record
         assert list(tl.at_risk) == [2, 1]
-        assert list(tl.event_times) == [0.5, 1.0]
-        assert list(tl.event_interval) == [0, 1]
+        # follow-up times and last at-risk interval of the event records
+        assert list(tl.follow_up[tl.status]) == [0.5, 1.0]
+        assert list(tl.end_interval[tl.status]) == [0, 1]
 
     def test_at_risk_counts_match_definition(self):
         rng = np.random.default_rng(13)

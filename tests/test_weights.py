@@ -1,17 +1,19 @@
-"""Penalty weights: frozen constants, clamping, scaling laws, variance target.
+"""Penalty weights: the union-level Bernstein bound, its log-log term,
+scaling and shift laws, variance target.
 
 Reference values were frozen from a 50-digit mpmath evaluation of the
-closed-form expressions:
+closed-form expressions on the micro instance (n = 2, M = 1, vhat = 1/8,
+half-range r = 1/2), where the weight is the bound at level x + log 1 = x:
 
-    loglog_term(1, 1, 1, 100) = 2 loglog((600 e + 56) / 24)
-                              = 2.8950775504782659
-    micro weight at x = 1     = 2 sqrt(2) sqrt((1 + lhat) / 2 * 1/8)
-                              + (4 sqrt(14/3) + 2/3) (2 + lhat) / 2
-                                with lhat = 2 loglog((1.5 e + 56) / 24 or e) = 0
-                              = 10.014761045730361
+    loglog argument (6 e n vhat + 56 e x r^2) / (112 r^2) = (1.5 + 14 x) e / 28
+    micro weight at x = 1 = c1 sqrt(1/2 * 1/8) + c2 * 2/2 * 1/2
+                            with lhat = 0 (argument 15.5 e / 28 < e, clamped)
+                          = 5.3609339134584543
+    micro log-log at x = 4 = 2 loglog(115 e / 56) = 1.0841606589152755
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,63 +21,100 @@ import pytest
 from hazlasso import (
     DEFAULT_X,
     DictionaryMatrix,
+    bound_empirical,
     build_gram,
     compute_weights,
     linear_dictionary,
 )
-from hazlasso.bernstein import PAPER_NUMERIC
+from hazlasso.bernstein import PAPER_NUMERIC, half_range, loglog_correction
 from hazlasso.simulate import default_config, noise_terms, simulate
 from hazlasso.survival import SurvivalDataset
-from hazlasso.weights import C1, C2, loglog_term
 
 from conftest import random_dataset
 
-LOGLOG_REFERENCE = 2.8950775504782659
-MICRO_WEIGHT_X1 = 10.014761045730361
+MICRO_WEIGHT_X1 = 5.3609339134584543
+MICRO_LOGLOG_X4 = 1.0841606589152755
+CONSTANT_OFFSETS = (0.0, 1e-3, 1.0 / 3.0, 1.0, 1e4 + 0.1, 1e8)
+
+
+def weights_of(ds, values, x=1.0):
+    dic = DictionaryMatrix(values=values, labels=[f"h{j}" for j in range(values.shape[-1])])
+    return compute_weights(ds, dic, build_gram(ds, dic), x=x)
 
 
 class TestConstants:
     def test_closed_forms(self):
-        assert C1 == 2.0 * math.sqrt(2.0)
-        assert C2 == 4.0 * math.sqrt(14.0 / 3.0) + 2.0 / 3.0
+        # the weights use the paper's numeric Bernstein constants; c2 has
+        # the closed forms 2 sqrt(56/3) + 2/3 = 4 sqrt(14/3) + 2/3, which
+        # round at most one ulp apart
+        assert PAPER_NUMERIC.c1 == 2.0 * math.sqrt(2.0)
+        c2 = 4.0 * math.sqrt(14.0 / 3.0) + 2.0 / 3.0
+        assert abs(PAPER_NUMERIC.c2 - c2) <= math.ulp(c2)
         assert DEFAULT_X == math.log(1.0 / 0.05)
 
     def test_same_as_the_paper_numeric_bernstein_constants(self):
-        # the weights carry their own copy of c1 and c2; the two spellings
-        # of c2 (4 sqrt(14/3) + 2/3 here, 2 sqrt(56/3) + 2/3 in bernstein)
-        # round one ulp apart, so either may replace the other
-        assert C1 == PAPER_NUMERIC.c1
-        assert abs(C2 - PAPER_NUMERIC.c2) <= math.ulp(PAPER_NUMERIC.c2)
+        # the weight vector is the audited bound at the union level x + log M,
+        # bit for bit, single and batched
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            ds = random_dataset(rng)
+            dic = linear_dictionary(ds)
+            system = build_gram(ds, dic)
+            for x in (0.5, DEFAULT_X):
+                wv = compute_weights(ds, dic, system, x=x)
+                level = x + math.log(dic.M)
+                r = half_range(dic.values)
+                np.testing.assert_array_equal(wv.half_range, r)
+                np.testing.assert_array_equal(
+                    wv.w, bound_empirical(wv.vhat, r, level, ds.n, PAPER_NUMERIC)
+                )
+                np.testing.assert_array_equal(
+                    wv.loglog, loglog_correction(wv.vhat, r, level, ds.n, PAPER_NUMERIC)
+                )
 
 
 class TestLoglogTerm:
-    def test_frozen_reference(self):
-        np.testing.assert_allclose(loglog_term(1.0, 1.0, 1.0, 100), LOGLOG_REFERENCE, rtol=1e-15)
+    """The weights' log-log term, reported per column as ``loglog``."""
+
+    def test_frozen_reference(self, micro_dataset):
+        dic = linear_dictionary(micro_dataset)
+        wv = compute_weights(micro_dataset, dic, build_gram(micro_dataset, dic), x=4.0)
+        np.testing.assert_allclose(wv.loglog, [MICRO_LOGLOG_X4], rtol=1e-14)
 
     def test_clamps_to_zero_when_variance_vanishes(self):
-        # vhat = 0 leaves argument 56/24 = 7/3 < e, clamped to e, loglog(e) = 0
-        assert loglog_term(0.0, 1.0, 1.0, 100) == 0.0
-        assert loglog_term(0.0, 2.0, 5.0, 7) == 0.0
+        # no events: vhat = 0 leaves the argument at e (x + log M) / 2, which
+        # the clamp holds at e for x + log M < 2; the weight is then the
+        # jump term c2 (x + 1 + log M) / n * r alone
+        ds = SurvivalDataset(times=[0.4, 0.9, 1.0], status=[0, 0, 0], covariates=[[1.0], [2.0], [4.0]])
+        wv = weights_of(ds, ds.covariates, x=1.5)
+        np.testing.assert_array_equal(wv.vhat, [0.0])
+        np.testing.assert_array_equal(wv.loglog, [0.0])
+        np.testing.assert_allclose(wv.w, [PAPER_NUMERIC.c2 * 2.5 / 3.0 * 1.5], rtol=1e-15)
+        assert weights_of(ds, ds.covariates, x=2.5).loglog[0] > 0.0
 
     def test_dead_column_is_zero(self):
-        assert loglog_term(0.0, 0.0, 1.0, 100) == 0.0
-        out = loglog_term(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1.0, 100)
-        np.testing.assert_allclose(out, [LOGLOG_REFERENCE, 0.0], rtol=1e-15)
-
-    def test_scalar_in_scalar_out(self):
-        assert isinstance(loglog_term(1.0, 1.0, 1.0, 100), float)
+        ds = random_dataset(np.random.default_rng(12), n=25, d=2)
+        for c in CONSTANT_OFFSETS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the all-zero column warns
+                wv = weights_of(ds, np.column_stack([ds.covariates, np.full(ds.n, c)]))
+            assert wv.half_range[-1] == wv.loglog[-1] == wv.w[-1] == 0.0
+            assert np.all(wv.w[:-1] > 0.0)
 
     def test_scale_invariance(self):
-        # vhat / sup^2 is what enters, so (c^2 vhat, c sup) changes nothing
-        a = loglog_term(0.7, 1.3, 2.0, 50)
-        b = loglog_term(0.7 * 9.0, 1.3 * 3.0, 2.0, 50)
-        np.testing.assert_allclose(a, b, rtol=1e-15)
+        # vhat / r^2 is what enters, so scaling a column leaves its term alone
+        ds = random_dataset(np.random.default_rng(13), n=40, d=3)
+        base = weights_of(ds, ds.covariates, x=3.0)
+        scaled = weights_of(ds, ds.covariates * np.array([9.0, -0.25, 1e3]), x=3.0)
+        assert np.any(base.loglog > 0.0)
+        np.testing.assert_allclose(scaled.loglog, base.loglog, rtol=1e-12)
 
-    def test_rejects_nonpositive_x(self):
-        with pytest.raises(ValueError, match="positive"):
-            loglog_term(1.0, 1.0, 0.0, 100)
-        with pytest.raises(ValueError, match="positive"):
-            loglog_term(1.0, 1.0, -2.0, 100)
+    def test_rejects_nonpositive_x(self, micro_dataset):
+        dic = linear_dictionary(micro_dataset)
+        system = build_gram(micro_dataset, dic)
+        for x in (-2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                compute_weights(micro_dataset, dic, system, x=x)
 
 
 class TestComputeWeights:
@@ -84,7 +123,7 @@ class TestComputeWeights:
         system = build_gram(micro_dataset, dic)
         wv = compute_weights(micro_dataset, dic, system, x=1.0)
         np.testing.assert_allclose(wv.vhat, [0.125], rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(wv.sup, [1.0])
+        np.testing.assert_array_equal(wv.half_range, [0.5])
         np.testing.assert_array_equal(wv.loglog, [0.0])
         np.testing.assert_allclose(wv.w, [MICRO_WEIGHT_X1], rtol=1e-15)
         assert wv.labels == ["x1"] and wv.n == 2 and wv.M == 1
@@ -105,21 +144,23 @@ class TestComputeWeights:
         for _ in range(10):
             ds = random_dataset(rng)
             dic = linear_dictionary(ds)
-            live = np.any(dic.values != 0.0, axis=0)
+            live = np.ptp(dic.values, axis=0) > 0.0
             wv = compute_weights(ds, dic, build_gram(ds, dic), x=1.0)
             assert np.all(wv.w[live] > 0.0)
+            assert np.all(wv.w[~live] == 0.0)
 
     def test_exact_absolute_homogeneity(self):
-        # scaling a column by c scales vhat by c^2, sup by |c|, lhat not at
-        # all, so the weight scales exactly by |c|
+        # scaling a column by c scales vhat by c^2, r by |c|, lhat not at
+        # all, so the weight scales exactly by |c|; a shift changes none
+        # of them
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n=30, d=3)
         dic = linear_dictionary(ds)
         base = compute_weights(ds, dic, build_gram(ds, dic), x=1.0)
-        c = -4.0
-        scaled_dic = DictionaryMatrix(values=c * dic.values, labels=dic.labels)
-        scaled = compute_weights(ds, scaled_dic, build_gram(ds, scaled_dic), x=1.0)
-        np.testing.assert_allclose(scaled.w, abs(c) * base.w, rtol=1e-12)
+        for c, shift in ((-4.0, 0.0), (1.0, 7.5), (-4.0, -1e3)):
+            moved = DictionaryMatrix(values=c * dic.values + shift, labels=dic.labels)
+            got = compute_weights(ds, moved, build_gram(ds, moved), x=1.0)
+            np.testing.assert_allclose(got.w, abs(c) * base.w, rtol=1e-12)
 
     def test_monotone_in_x(self):
         rng = np.random.default_rng(9)
