@@ -250,7 +250,7 @@ class TestInvariance:
             factor[column] = 1.0 / c
         w0 = np.array([col["weight"] for col in base["weights"]["columns"]])
         w = np.array([col["weight"] for col in got["weights"]["columns"]])
-        np.testing.assert_allclose(w * factor * np.sign(factor), w0, rtol=1e-9)
+        np.testing.assert_allclose(w * np.abs(factor), w0, rtol=1e-9)
         assert_same_fits(fitted(got), fitted(base), factor)
         assert any(len(active) for _, _, active in fitted(base))
 
