@@ -5,8 +5,9 @@ bound for the martingale noise).
 
 The numerical core is an exact active-set solver in plain numpy (see
 ``hazlasso.solver``). A fit's ``sweeps`` counts its solver steps, each of
-which brings in at most one coordinate and solves the active block, and
-``max_sweeps`` bounds them; ``active_kernel()`` names the solver.
+which brings in every violating zero coordinate and solves the active
+block, and ``max_sweeps`` bounds them; ``active_kernel()`` names the
+solver.
 """
 
 from .bernstein import (

@@ -10,8 +10,6 @@ order, and a replication's numbers do not depend on its chunk).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 # Replications per chunk. At the 200 x 50 default config one (R, n, d)
 # batch array is 0.64 MB at 8, and an oracle chunk with the whitened
 # design holds about eight of them at its peak, so the live arrays stay
@@ -30,5 +28,9 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: the pool brings in multiprocessing and socket, which
+    # a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))

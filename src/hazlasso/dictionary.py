@@ -37,11 +37,13 @@ class DictionaryMatrix:
             raise DataValidationError("duplicate dictionary labels")
         if not np.all(np.isfinite(self.values)):
             raise DataValidationError("dictionary values must be finite")
-        zero = np.all(self.values == 0.0, axis=-2)
-        dead = np.flatnonzero(zero.reshape(-1, self.M).any(axis=0))
+        # a constant column (half-range 0) carries no information: the fit
+        # pins it at zero, whatever its level
+        constant = np.all(self.values == self.values[..., :1, :], axis=-2)
+        dead = np.flatnonzero(constant.reshape(-1, self.M).any(axis=0))
         if dead.size:
             names = ", ".join(self.labels[j] for j in dead)
-            warnings.warn(f"all-zero dictionary column(s): {names}", stacklevel=2)
+            warnings.warn(f"constant dictionary column(s): {names}", stacklevel=2)
 
     @property
     def n(self) -> int:

@@ -4,10 +4,13 @@ Minimizes b' H b - 2 b' hn + kappa * sum_j w_j |b_j| over R^M or the
 nonnegative orthant by an exact active-set method, the feature-sign
 search of Lee, Battle, Raina & Ng (NIPS 2007). Each step
 
-1. brings in the zero coordinate with the largest KKT violation, once the
-   active block is solved (stationary, or at its optimum up to roundoff),
-   moving it to its exact 1-d minimizer (a soft threshold scaled by
-   H_jj), so the objective strictly falls;
+1. brings in every zero coordinate whose KKT violation exceeds tol, once
+   the active block is solved (stationary, or at its optimum up to
+   roundoff). They enter one after another, the largest violation first;
+   each is scored again at the current point, since earlier entries move
+   its gradient, skipped if it no longer violates, and otherwise moved to
+   its exact 1-d minimizer (a soft threshold scaled by H_jj), so the
+   objective strictly falls at every entry;
 2. solves the sign-fixed system H_AA b_A = hn_A - (kappa/2) w_A s_A on the
    active block A with signs s_A;
 3. minimizes the objective exactly along the segment towards that
@@ -17,7 +20,7 @@ search of Lee, Battle, Raina & Ng (NIPS 2007). Each step
 
 Without an entry the step re-solves the block, as after a sign change.
 The inverse of the block's unit-diagonal form is updated in O(k^2) as
-coordinates enter and leave, and refactored when a block optimum turns
+each coordinate enters or leaves, and refactored when a block optimum turns
 out not to be stationary. Along a path it carries across the scales:
 each fit hands its final active order and block inverse to the next, so
 a scale starts from the block where the last one ended instead of
@@ -96,18 +99,6 @@ def _dead_mask(system: GramSystem, weights: WeightVector) -> np.ndarray:
     return (r == 0.0) | (np.diag(system.matrix) <= 1e-13 * r**2)
 
 
-def _violations(grad: np.ndarray, b: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:
-    out = np.empty(len(b))
-    on = b != 0
-    if nonneg:
-        out[on] = np.abs(grad[on] + wk[on])
-        out[~on] = np.maximum(0.0, -(grad[~on] + wk[~on]))
-    else:
-        out[on] = np.abs(grad[on] + wk[on] * np.sign(b[on]))
-        out[~on] = np.maximum(0.0, np.abs(grad[~on]) - wk[~on])
-    return out
-
-
 def kkt_violations(
     system: GramSystem,
     weights: WeightVector,
@@ -125,7 +116,15 @@ def kkt_violations(
     b = np.asarray(beta, dtype=float)
     grad = 2.0 * (system.matrix @ b - system.vector)
     wk = kappa * weight_scale * weights.w
-    return _violations(grad, b, wk, constraint == "nonnegative")
+    out = np.empty(len(b))
+    on = b != 0
+    if constraint == "nonnegative":
+        out[on] = np.abs(grad[on] + wk[on])
+        out[~on] = np.maximum(0.0, -(grad[~on] + wk[~on]))
+    else:
+        out[on] = np.abs(grad[on] + wk[on] * np.sign(b[on]))
+        out[~on] = np.maximum(0.0, np.abs(grad[~on]) - wk[~on])
+    return out
 
 
 def _unit_inverse(unit: np.ndarray) -> np.ndarray | None:
@@ -239,23 +238,30 @@ def fit(
     inv = None
     if _block is not None and np.array_equal(np.sort(_block.order), idx):
         idx, inv = _block.order, _block.inv
+    free = live & (beta == 0.0)  # the coordinates that may enter
+    direction = np.zeros(len(hn))  # a step's direction, zero off the block
     full = False  # the last step ended at the block optimum
     refining = False  # the last step re-solved a block optimum from a fresh factorization
     converged = False
     steps = 0
     while True:
-        viol = _violations(2.0 * (hb - hn), beta, wk, nonneg)
-        on = beta != 0
-        active_max = viol[on].max(initial=0.0)
-        entering = np.where(live & ~on, viol, 0.0)
-        if active_max <= tol and entering.max() <= tol:  # False on a NaN residual
+        g = hn - hb  # minus half the gradient of the smooth part
+        sign = np.sign(beta[idx])
+        # the active KKT residuals are 2|rho|, and rho is the block's right-hand side
+        rho = g[idx] - 0.5 * wk[idx] * sign
+        active_max = 2.0 * np.abs(rho).max(initial=0.0)
+        # a zero coordinate's KKT residual is max(0, score)
+        score = 2.0 * (g if nonneg else np.abs(g)) - wk
+        score[~free] = -np.inf
+        entering_max = score.max(initial=-np.inf)
+        if active_max <= tol and entering_max <= tol:  # False on a NaN residual
             converged = True
             break
         if steps == max_sweeps:
             break
         # enter once the block is stationary, or once a fresh solve of it has
         # stayed above tol (roundoff floor); otherwise solve the block again
-        entered = entering.max() > tol and (active_max <= tol or (full and refining))
+        entered = entering_max > tol and (active_max <= tol or (full and refining))
         if not entered and full:
             if refining:
                 break  # a fresh solve left the block above tol: roundoff floor
@@ -263,18 +269,26 @@ def fit(
         refining = not entered and full
         steps += 1
         if entered:
-            j = int(np.argmax(entering))
-            c = hn[j] - hb[j]
-            beta[j] = (c - np.copysign(0.5 * wk[j], c)) / H[j, j]
-            hb += beta[j] * H[j]
-            if inv is not None:
-                inv = _bordered(inv, H[idx, j] * unit_scale[idx] * unit_scale[j])
-            idx = np.append(idx, j)
+            # every violator, the largest first; each entry moves the
+            # gradient of the others, so a candidate is scored again before
+            # it enters and skipped once it no longer violates
+            candidates = np.flatnonzero(score > tol)
+            for j in candidates[np.argsort(-score[candidates], kind="stable")]:
+                c = hn[j] - hb[j]
+                if 2.0 * (c if nonneg else abs(c)) - wk[j] <= tol:
+                    continue
+                beta[j] = (c - math.copysign(0.5 * wk[j], c)) / H[j, j]
+                hb += beta[j] * H[j]
+                if inv is not None:
+                    inv = _bordered(inv, H[idx, j] * unit_scale[idx] * unit_scale[j])
+                idx = np.append(idx, j)
+                free[j] = False
+            sign = np.sign(beta[idx])
+            rho = hn[idx] - hb[idx] - 0.5 * wk[idx] * sign
 
         b = beta[idx]
-        sign = np.sign(b)
         su = unit_scale[idx]
-        r = (hn[idx] - hb[idx] - 0.5 * wk[idx] * sign) * su
+        r = rho * su
         if inv is None:
             block = H[idx][:, idx] * su[:, None] * su[None, :]
             inv = _unit_inverse(block)
@@ -283,9 +297,9 @@ def fit(
         else:
             e, solved = _singular_direction(block, r)
             d = e * su
-        full_d = np.zeros_like(beta)
-        full_d[idx] = d
-        hd = H @ full_d
+        direction[idx] = d
+        hd = H @ direction
+        direction[idx] = 0.0
         # exact minimum of the sign-fixed quadratic along d, cut at the
         # first coordinate that reaches zero
         slope, curve = d @ (r / su), d @ hd[idx]
@@ -308,6 +322,7 @@ def fit(
             if gone.any():
                 if inv is not None:
                     inv = _without(inv, gone)
+                free[idx[gone]] = True
                 idx = idx[~gone]
             hb = H @ beta
         trace.append(penalized())

@@ -17,12 +17,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazlasso.bernstein import PAPER_NUMERIC
 from hazlasso.cli import DEFAULT_THREADS, SCHEMA_VERSION, _write_report, build_parser, main
+from hazlasso.dictionary import linear_dictionary
+from hazlasso.gram import build_gram
 from hazlasso.survival import SurvivalDataset, write_dataset
+from hazlasso.weights import compute_weights
 
 from conftest import random_dataset
 
@@ -230,6 +233,7 @@ def transforms(draw):
 class TestInvariance:
     @settings(max_examples=30, deadline=None)
     @given(case=transforms())
+    @example(case=(421, "shift", 0.0, 0))  # every scale of 1,0.1,0.03,0.01 gives a zero fit
     def test_weights_and_fits_ignore_shift_scale_and_record_order(self, case, tmp_path_factory):
         seed, kind, c, column = case
         rng = np.random.default_rng(seed)
@@ -242,8 +246,15 @@ class TestInvariance:
         else:
             perm = rng.permutation(ds.n)
         moved = SurvivalDataset(times=ds.times[perm], status=ds.status[perm], covariates=covariates[perm])
-        base = run_reports(ds, tmp_path_factory.mktemp("base"))
-        got = run_reports(moved, tmp_path_factory.mktemp("moved"))
+        # below the scale t = max_j 2|hn_j| / w_j the fit is nonzero; the
+        # transformations leave t unchanged, so one scale list serves both runs
+        dictionary = linear_dictionary(ds)
+        system = build_gram(ds, dictionary)
+        w = compute_weights(ds, dictionary, system, 1.0).w
+        t = float(np.max(2.0 * np.abs(system.vector) / w))
+        scales = ",".join(repr(s) for s in [s for s in (1.0, 0.1, 0.03, 0.01) if s > t / 2] + [t / 2])
+        base = run_reports(ds, tmp_path_factory.mktemp("base"), scales=scales)
+        got = run_reports(moved, tmp_path_factory.mktemp("moved"), scales=scales)
 
         factor = np.ones(ds.d)
         if kind == "scale":
@@ -254,7 +265,7 @@ class TestInvariance:
         assert_same_fits(fitted(got), fitted(base), factor)
         assert any(len(active) for _, _, active in fitted(base))
 
-    @pytest.mark.filterwarnings("ignore:all-zero dictionary column")
+    @pytest.mark.filterwarnings("ignore:constant dictionary column")
     @pytest.mark.parametrize("offset", [0.0, 1e-3, 1.0, 1e4, 1e8])
     def test_constant_column_is_weightless_pinned_and_inert(self, offset, tmp_path):
         ds = random_dataset(np.random.default_rng(21), n=60, d=3)
@@ -561,3 +572,15 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "bernstein-mc" in proc.stdout
+
+    def test_import_leaves_out_the_process_pool(self):
+        # only --threads > 1 uses the pool, so no other run pays for its import
+        probe = "import sys, hazlasso, hazlasso.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=source_env(read_pyproject()),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -66,7 +66,7 @@ def test_fast_parse_and_row_scan_agree(tmp_path, header, row_error, loader, body
     path.write_bytes(newline.join([header] + body).encode())
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # all-zero dictionary columns warn by design
+            warnings.simplefilter("ignore")  # constant dictionary columns warn by design
             loaded = loader(path)
     except DataValidationError as exc:
         assert "(end of file)" not in str(exc)

@@ -39,10 +39,19 @@ class TestDictionaryMatrix:
         with pytest.warns(UserWarning, match="dead"):
             DictionaryMatrix(values=np.array([[1.0, 0.0], [2.0, 0.0]]), labels=["ok", "dead"])
 
+    @pytest.mark.parametrize("level", [1e-3, 1e8])
+    def test_nonzero_constant_column_warns_by_name(self, level):
+        values = np.array([[1.0, level], [2.0, level]])
+        with pytest.warns(UserWarning, match="constant dictionary column\\(s\\): flat"):
+            DictionaryMatrix(values=values, labels=["ok", "flat"])
+        with pytest.warns(UserWarning, match="constant dictionary column\\(s\\): flat"):
+            DictionaryMatrix(values=np.stack([values, values[::-1]]), labels=["ok", "flat"])
+
     def test_nonzero_columns_do_not_warn(self):
+        # two rows: in one row every column is constant, and warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            DictionaryMatrix(values=np.array([[1.0, -1.0]]), labels=["a", "b"])
+            DictionaryMatrix(values=np.array([[1.0, -1.0], [0.5, 2.0]]), labels=["a", "b"])
 
 
 class TestLoadDictionary:

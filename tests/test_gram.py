@@ -91,7 +91,7 @@ class TestBuildGram:
             floor = -1e-10 * max(np.linalg.norm(system.matrix), 1.0)
             assert np.linalg.eigvalsh(system.matrix).min() >= floor
 
-    @pytest.mark.filterwarnings("ignore:all-zero dictionary column")
+    @pytest.mark.filterwarnings("ignore:constant dictionary column")
     @settings(max_examples=60, deadline=None)
     @given(case=literal_cases())
     def test_matches_literal_inner_products(self, case):

@@ -362,13 +362,38 @@ class TestCorrelatedDesign:
             assert any(earlier - later for earlier, later in zip(sets, sets[1:]))
 
     def test_step_budget_exhaustion_is_reported(self, correlated_problem):
+        # at 0.1 one step converges (two coordinates enter together); at
+        # 0.03 one step still leaves violators
         system, weights = correlated_problem
-        f = fit(system, weights, weight_scale=0.1, max_sweeps=1)
+        f = fit(system, weights, weight_scale=0.03, max_sweeps=1)
         assert not f.converged
         assert f.sweeps == 1 and len(f.objective_trace) == 2
         viol = kkt_violations(system, weights, f.beta, f.kappa, f.constraint, f.weight_scale)
         assert f.kkt_max_violation == viol.max()
         assert f.kkt_max_violation > 1e-8
+
+    @pytest.mark.parametrize("constraint", ["unconstrained", "nonnegative"])
+    def test_one_step_enters_every_violator(self, correlated_problem, constraint, monkeypatch):
+        # from zero the first step brings in every violator and factors
+        # their block once, so it is larger than one column
+        system, weights = correlated_problem
+        factored = []
+
+        def counted(unit):
+            factored.append(len(unit))
+            return unit_inverse(unit)
+
+        monkeypatch.setattr(solver, "_unit_inverse", counted)
+        f = fit(system, weights, constraint=constraint, tol=1e-10, weight_scale=0.01)
+        assert factored[0] > 1
+        assert f.converged and f.kkt_max_violation <= 1e-10
+        trace = f.objective_trace
+        assert np.all(np.diff(trace) <= 1e-13 * np.abs(trace).max())
+        path = fit_path(system, weights, CORRELATED_GRID, constraint=constraint, tol=1e-10)
+        assert path[-1].weight_scale == 0.01
+        np.testing.assert_allclose(f.beta, path[-1].beta, rtol=0, atol=1e-8)
+        reference = ista(system, 0.01 * weights.w[:, None], constraint)[:, 0]
+        np.testing.assert_allclose(f.beta, reference, rtol=0, atol=1e-7)
 
 
 SCALES = [2.0, 1.0, 0.3, 0.05]
@@ -398,7 +423,7 @@ class TestRankDeficient:
         d = X.shape[1]
         values = np.column_stack([X, X[:, twin], np.full(ds.n, level)])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an all-zero constant column warns
+            warnings.simplefilter("ignore")  # the constant column warns
             dic = DictionaryMatrix(values=values, labels=[f"x{j}" for j in range(d)] + ["twin", "const"])
             reduced = DictionaryMatrix(values=np.delete(values, d, axis=1), labels=dic.labels[:d] + ["const"])
         system = build_gram(ds, dic)

@@ -95,7 +95,7 @@ class TestLoglogTerm:
         ds = random_dataset(np.random.default_rng(12), n=25, d=2)
         for c in (0.0, 1e-3, 1.0 / 3.0, 1.0, 1e4 + 0.1, 1e8):
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # the all-zero column warns
+                warnings.simplefilter("ignore", UserWarning)  # the constant column warns
                 wv = weights_of(ds, np.column_stack([ds.covariates, np.full(ds.n, c)]))
             assert wv.half_range[-1] == wv.loglog[-1] == wv.w[-1] == 0.0
             assert np.all(wv.w[:-1] > 0.0)
