@@ -252,7 +252,8 @@ class TestInvariance:
         system = build_gram(ds, dictionary)
         w = compute_weights(ds, dictionary, system, 1.0).w
         t = float(np.max(2.0 * np.abs(system.vector) / w))
-        scales = ",".join(repr(s) for s in [s for s in (1.0, 0.1, 0.03, 0.01) if s > t / 2] + [t / 2])
+        scales = [s for s in (1.0, 0.1, 0.03, 0.01) if s > t / 2] + [t / 2]
+        scales = ",".join(repr(s) for s in scales)
         base = run_reports(ds, tmp_path_factory.mktemp("base"), scales=scales)
         got = run_reports(moved, tmp_path_factory.mktemp("moved"), scales=scales)
 
