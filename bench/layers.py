@@ -8,14 +8,20 @@ already sets it:
     python3 bench/layers.py                    # writes BENCH_layers.json
     python3 bench/layers.py --smoke --out /tmp/layers.json
 
-Each size runs the pipeline simulate -> build_timeline -> build_gram ->
-compute_weights -> fit_path on the default simulation model with n and d
-changed (AR(1) rho = 0.3, beta0 on the first 3 columns, seed 1), with 10
-geometric scales from 1 down to 0.05. One untimed run warms the caches;
-each layer's time is the median over the timed runs, and ``path_steps``
-is the total number of solver steps of the path, which does not vary
-between runs. The Monte Carlo entries time ``run_mc`` and both modes of
-``run_oracle_mc`` at the default config, serially, in this process.
+Each size draws one dataset from the default simulation model with n and
+d changed (AR(1) rho = 0.3, beta0 on the first 3 columns, seed 1) and
+writes it, untimed, as a CSV to a temporary directory. A run then times
+simulate (a control: the same draw again), load_dataset on that CSV, and
+build_timeline -> build_gram -> compute_weights -> fit_path on the loaded
+data, with 10 geometric scales from 1 down to 0.05. Last, ``cli_path``
+times the whole ``hazlasso path`` command on the same CSV and scales, in
+this process; its excess over the sum of the layers from load_dataset to
+fit_path is argument handling and writing the report. One untimed run
+warms the caches; each layer's time is the median over the timed runs,
+and ``path_steps`` is the total number of solver steps of the path,
+which does not vary between runs. The Monte Carlo entries time
+``run_mc`` and both modes of ``run_oracle_mc`` at the default config,
+serially, in this process.
 ``--smoke`` runs only the smallest size, once, with few replications, so
 that a test can check the script in seconds.
 """
@@ -40,29 +46,35 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 from functools import partial  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from hazlasso import cli  # noqa: E402
 from hazlasso.bernstein import run_mc  # noqa: E402
 from hazlasso.dictionary import linear_dictionary  # noqa: E402
 from hazlasso.gram import build_gram  # noqa: E402
 from hazlasso.oracle import run_oracle_mc  # noqa: E402
 from hazlasso.simulate import default_config, simulate  # noqa: E402
 from hazlasso.solver import fit_path  # noqa: E402
-from hazlasso.survival import build_timeline  # noqa: E402
+from hazlasso.survival import build_timeline, load_dataset, write_dataset  # noqa: E402
 from hazlasso.weights import compute_weights  # noqa: E402
 
 # (n, d, timed runs): fewer runs where one run takes longer
 SIZES = ((200, 50, 20), (2000, 200, 9), (10000, 500, 5))
 SCALES = np.geomspace(1.0, 0.05, 10)
+SCALES_ARG = ",".join(repr(float(s)) for s in SCALES)
 MC = (("run_mc", 2000), ("run_oracle_mc", 100), ("run_oracle_mc identity_gram", 100))
 MC_RUNS = 5
 SMOKE_SIZES = ((200, 50, 1),)
 SMOKE_MC = (("run_mc", 100), ("run_oracle_mc", 4), ("run_oracle_mc identity_gram", 4))
 SMOKE_MC_RUNS = 1
-LAYERS = ("simulate", "build_timeline", "build_gram", "compute_weights", "fit_path")
+LAYERS = (
+    "simulate", "load_dataset", "build_timeline", "build_gram", "compute_weights", "fit_path",
+    "cli_path",
+)
 
 
 def _config(n: int, d: int):
@@ -73,12 +85,17 @@ def _config(n: int, d: int):
     return dataclasses.replace(base, n=n, d=d, beta0=beta0)
 
 
-def pipeline(config) -> tuple[dict, int]:
-    """Seconds spent in each layer of one fit, and the path's solver steps."""
+def pipeline(config, data: Path, report: Path) -> tuple[dict, int]:
+    """Seconds spent in each layer of one fit of the CSV ``data`` (drawn
+    from ``config``) and in the ``path`` command on it, which writes
+    ``report``; and the path's solver steps."""
     times = {}
     start = perf_counter()
-    dataset = simulate(config).dataset
+    simulate(config)
     times["simulate"] = perf_counter() - start
+    start = perf_counter()
+    dataset = load_dataset(data)
+    times["load_dataset"] = perf_counter() - start
     dictionary = linear_dictionary(dataset)
     start = perf_counter()
     timeline = build_timeline(dataset)
@@ -92,16 +109,25 @@ def pipeline(config) -> tuple[dict, int]:
     start = perf_counter()
     fits = fit_path(system, weights, SCALES)
     times["fit_path"] = perf_counter() - start
+    argv = ["path", "--data", str(data), "--scales", SCALES_ARG, "--out", str(report)]
+    start = perf_counter()
+    code = cli.main(argv)
+    times["cli_path"] = perf_counter() - start
+    if code != 0:
+        raise RuntimeError(f"hazlasso path exited with {code}")
     return times, sum(f.sweeps for f in fits)
 
 
 def layer_entry(n: int, d: int, runs: int) -> dict:
     config = _config(n, d)
-    pipeline(config)  # warm-up
-    samples = []
-    for _ in range(runs):
-        times, steps = pipeline(config)
-        samples.append(times)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, report = Path(tmp) / "data.csv", Path(tmp) / "path.json"
+        write_dataset(simulate(config).dataset, data)
+        pipeline(config, data, report)  # warm-up
+        samples = []
+        for _ in range(runs):
+            times, steps = pipeline(config, data, report)
+            samples.append(times)
     return {
         "n": n,
         "d": d,

@@ -12,11 +12,17 @@ Python's ``csv`` module:
   ``1.``, ``inf``, ``nan``), with optional whitespace around it and no
   digit-grouping underscores; there are no comments, so ``#`` is an error.
 
-The body is parsed in one call to numpy's C reader and checked as whole
-arrays. Only when that parse or a check fails does ``scan_rows`` read the
-file again, record by record and by the same rules, to name the first bad
-line. Line numbers count CSV records: the header is line 1, blank lines
-count, and a quoted line break does not start a new line.
+The header is read as text, by ``csv.reader`` over lines pulled one at a
+time, in the platform's default encoding. The body is parsed in one call
+to numpy's C reader from the same file opened in binary just past the
+header: numpy decodes the lines itself, in that encoding, which is
+cheaper than taking lines Python has already decoded. The lines are
+split at "\\n", "\\r\\n" and "\\r", as text mode splits them. The result is
+checked as whole arrays. Only when that parse or a check fails does
+``scan_rows`` read the file again, as text, record by record and by the
+same rules, to name the first bad line. Line numbers count CSV records:
+the header is line 1, blank lines count, and a quoted line break does not
+start a new line.
 """
 
 from __future__ import annotations
@@ -37,6 +43,27 @@ def parse_number(field: str) -> float:
     return float(text)
 
 
+def _pulled(fh, consumed: list):
+    """The lines of a text handle, one ``readline()`` at a time, each also
+    appended to ``consumed``."""
+    for line in iter(fh.readline, ""):
+        consumed.append(line)
+        yield line
+
+
+def _binary_lines(fh):
+    """The lines of a binary handle, split at "\\n", "\\r\\n" and "\\r" as a
+    text handle opened with ``newline=""`` splits them; iterating a binary
+    handle splits only at "\\n"."""
+    for line in fh:
+        # the line's own ending ("\r\n", "\n", "\r" or none) is not searched
+        end = len(line) - 2 if line.endswith(b"\r\n") else len(line) - 1
+        if line.find(b"\r", 0, end) < 0:
+            yield line
+        else:
+            yield from line.splitlines(keepends=True)
+
+
 def read_numeric_csv(path, check_header, row_error, valid=None, converters=None):
     """Header labels and an (n, width) array of the non-blank records.
 
@@ -47,19 +74,30 @@ def read_numeric_csv(path, check_header, row_error, valid=None, converters=None)
     When the parse or a test fails, ``row_error`` locates the bad line
     (see ``scan_rows``).
     """
+    consumed: list[str] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [c.strip() for c in next(reader)]
+            header = [c.strip() for c in next(csv.reader(_pulled(fh, consumed)))]
         except StopIteration:
             raise DataValidationError(f"{path}: empty file") from None
-        check_header(path, header)
+        encoding = fh.encoding
+    check_header(path, header)
+    with open(path, "rb") as fh:
+        # newline="" keeps line endings as written, so the header's lines
+        # encode back to exactly the bytes they came from
+        fh.seek(len("".join(consumed).encode(encoding)))
         try:
             with warnings.catch_warnings():
                 # a body of blank lines is reported as "no data rows" below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 values = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2, converters=converters
+                    _binary_lines(fh),
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=2,
+                    converters=converters,
+                    encoding=encoding,
                 )
         except ValueError as exc:
             failure = str(exc)

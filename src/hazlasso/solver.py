@@ -158,10 +158,15 @@ def _bordered(inv: np.ndarray, col: np.ndarray) -> np.ndarray | None:
 
 
 def _without(inv: np.ndarray, gone: np.ndarray) -> np.ndarray:
-    """Inverse of U with the rows and columns in `gone` removed, in O(k^2)."""
-    keep = ~gone
-    cross = inv[np.ix_(keep, gone)]
-    return inv[np.ix_(keep, keep)] - cross @ np.linalg.solve(inv[np.ix_(gone, gone)], cross.T)
+    """Inverse of U with the rows and columns in `gone` removed: one rank-one
+    downdate per leaving j, inv_keep - c c' / inv_jj with c column j of the
+    inverse without row j, in O(k^2) each."""
+    for j in np.flatnonzero(gone)[::-1]:  # the last first, so j indexes inv
+        c = np.delete(inv[:, j], j)
+        out = np.delete(np.delete(inv, j, 0), j, 1)
+        out -= np.multiply.outer(c, c / inv[j, j])
+        inv = out
+    return inv
 
 
 def _singular_direction(unit: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -24,7 +24,8 @@ from hazlasso.bernstein import PAPER_NUMERIC
 from hazlasso.cli import DEFAULT_THREADS, SCHEMA_VERSION, _write_report, build_parser, main
 from hazlasso.dictionary import linear_dictionary
 from hazlasso.gram import build_gram
-from hazlasso.survival import SurvivalDataset, write_dataset
+from hazlasso.solver import fit_path
+from hazlasso.survival import SurvivalDataset, load_dataset, write_dataset
 from hazlasso.weights import compute_weights
 
 from conftest import random_dataset
@@ -421,6 +422,30 @@ class TestStrictReports:
                      "--reps", "14", "--threads", "1", "--out", str(out)]) == 0
         rows = read_report(out)["rows"]
         assert "inf" in [row["margin_q90"] for row in rows]
+
+    def test_path_report_is_one_line_with_the_fits_floats(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_dataset(random_dataset(np.random.default_rng(4), n=60, d=5), data)
+        out = tmp_path / "path.json"
+        assert main(["path", "--data", str(data), "--scales", "1,0.3,0.1", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+        dataset = load_dataset(data)
+        dictionary = linear_dictionary(dataset)
+        system = build_gram(dataset, dictionary)
+        fits = fit_path(system, compute_weights(dataset, dictionary, system), [1.0, 0.3, 0.1])
+        rows = read_report(out)["rows"]
+        assert any(row["active"] for row in rows)
+        for row, f in zip(rows, fits, strict=True):
+            assert [b.hex() for b in row["beta"]] == [float(b).hex() for b in f.beta]
+            assert row["objective"].hex() == float(f.objective_trace[-1]).hex()
+
+    def test_infinities_in_a_one_line_report(self, tmp_path):
+        out = tmp_path / "inf.json"
+        _write_report({"value": [math.inf, -math.inf, 0.1]}, str(out))
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert read_report(out)["value"] == ["inf", "-inf", 0.1]
 
     def test_nan_raises_before_the_file_opens(self, tmp_path):
         out = tmp_path / "nan.json"

@@ -82,3 +82,58 @@ def test_fast_parse_and_row_scan_agree(tmp_path, header, row_error, loader, body
     else:
         got = loaded.values
     assert got.tobytes() == numbers.tobytes()
+
+
+def _text_mode(path):
+    """Labels and values as csv.reader reads the file in text mode."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    labels = [label.strip() for label in rows[0]]
+    return labels, np.array([[csvio.parse_number(field) for field in row] for row in rows[1:]])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_byte_reader_keeps_the_header_text(tmp_path, newline):
+    """A header with a quoted line break and non-ASCII labels ends where
+    text mode says it does, so the body's numbers are unchanged."""
+    rows = ['"0.5", 1 ,2,0', "", "0.25,0,-3e-2,7", '\xa04,1,"5",1']
+    data = tmp_path / "data.csv"
+    data.write_bytes(newline.join(['time,status,"x\n1",ß-é', *rows]).encode())
+    got = load_dataset(data)
+    labels, values = _text_mode(data)
+    assert got.labels == labels[2:] == ["x\n1", "ß-é"]
+    assert got.covariates.tobytes() == values[:, 2:].tobytes()
+    assert (got.times * got.time_scale).tobytes() == values[:, 0].tobytes()
+
+    # a UTF-8 byte-order mark stays part of the first label, as in text mode
+    dictionary = tmp_path / "dict.csv"
+    dictionary.write_bytes(newline.join(['\ufefff,"g\nh",γ,δ', *rows]).encode())
+    got = load_dictionary(dictionary, 3)
+    labels, values = _text_mode(dictionary)
+    assert got.labels == labels == ["\ufefff", "g\nh", "γ", "δ"]
+    assert got.values.tobytes() == values.tobytes()
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    with pytest.raises(DataValidationError, match="header must be time,status"):
+        load_dataset(bom)
+
+
+@pytest.mark.parametrize("offset", [2**14, 2**16, 50_000, 2**20])
+def test_byte_reader_decodes_a_split_character(tmp_path, offset):
+    """A number padded with a non-breaking space, whose two UTF-8 bytes sit
+    on either side of a body offset where a reader may cut its input,
+    parses as numpy parses it from a text handle."""
+    row = "0.5,0.25,1\n"
+    for shift in range(-2, 3):
+        before = offset + shift - 1  # body bytes before the first byte of "\xa0"
+        count, pad = divmod(before - len(row), len(row))
+        body = " " * pad + row * (count + 1) + "\xa03,0,0\n" + row
+        assert body.encode()[before : before + 2] == "\xa0".encode()
+        path = tmp_path / f"split-{shift}.csv"
+        path.write_bytes(("f,g,h\n" + body).encode())
+        with open(path, newline="") as fh:
+            next(fh)
+            want = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2)
+        got = load_dictionary(path).values
+        assert got.tobytes() == want.tobytes()
+        assert got[-2].tolist() == [3.0, 0.0, 0.0]

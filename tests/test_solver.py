@@ -311,6 +311,22 @@ class TestFitPath:
             np.testing.assert_allclose(f.beta, cold.beta, rtol=0, atol=1e-8)
 
 
+class TestBlockInverseUpdates:
+    @pytest.mark.parametrize("gone", [[0], [4], [8], [1, 5], [0, 3, 8], [2, 3, 4, 6]])
+    def test_leaving_coordinates_downdate_the_inverse(self, gone):
+        """Removing coordinates one rank-one downdate at a time gives the
+        inverse of the remaining block, for one exit or several."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((30, 9)) + 0.8 * rng.standard_normal((30, 1))
+        gram = x.T @ x
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        unit = gram * scale[:, None] * scale[None, :]
+        mask = np.isin(np.arange(9), gone)
+        got = solver._without(unit_inverse(unit), mask)
+        want = np.linalg.inv(unit[np.ix_(~mask, ~mask)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 class TestKernels:
     def test_active_kernel_reports(self):
         assert active_kernel() == "active-set"
