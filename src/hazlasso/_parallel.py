@@ -1,25 +1,32 @@
 """Chunked replication fan-out used by the Monte Carlo drivers.
 
-The drivers cut their replications into fixed-size chunks that go through
-the batched pipeline as one array computation each; workers are
-module-level functions fed picklable argument tuples, one chunk per call,
-so the process pool stays optional: threads = 1 runs the same loop
-serially and produces byte-identical aggregates (results keep submission
-order, and a replication's numbers do not depend on its chunk).
+The drivers cut their replications into chunks that go through the
+batched pipeline as one array computation each; each driver's
+``chunk_length(config)`` sets the length. Workers are module-level
+functions fed picklable argument tuples, one chunk per call, so the
+process pool stays optional: threads = 1 runs the same loop serially and
+produces byte-identical aggregates (results keep submission order, and a
+replication's numbers do not depend on its chunk).
 """
 
 from __future__ import annotations
 
-# Replications per chunk. At the 200 x 50 default config one (R, n, d)
-# batch array is 0.64 MB at 8, and an oracle chunk with the whitened
-# design holds about eight of them at its peak, so the live arrays stay
-# near 5 MB while the per-call overhead is spread over 8 replications.
+# Replications per oracle chunk, and the fewest per Bernstein chunk. At the
+# 200 x 50 default config one (R, n, d) batch array is 0.64 MB at 8, and an
+# oracle chunk with the whitened design holds about eight of them at its
+# peak, so its live arrays stay near 5 MB while the per-call overhead is
+# spread over 8 replications.
 CHUNK = 8
+# A Bernstein chunk holds far fewer (R, n, d) arrays, so it takes as many
+# replications as fit one such array in CHUNK_BYTES, up to MAX_CHUNK: 32
+# at the default config, and CHUNK once n * d passes about 36,000.
+CHUNK_BYTES = 5 << 19  # 2.5 MiB
+MAX_CHUNK = 32
 
 
-def chunks(count: int) -> list[range]:
-    """Replication indices 0..count-1 cut into runs of at most ``CHUNK``."""
-    return [range(start, min(start + CHUNK, count)) for start in range(0, count, CHUNK)]
+def chunks(count: int, size: int) -> list[range]:
+    """Replication indices 0..count-1 cut into runs of at most ``size``."""
+    return [range(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:

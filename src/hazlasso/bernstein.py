@@ -19,10 +19,13 @@ Wilson intervals per x, alongside the classical predictable-variation
 bound sqrt(2Vx/n) + x/(3n) evaluated in oracle mode (it needs the
 unobservable V).
 
-The harness draws fixed-size chunks of replications with
-``simulate_batch`` and evaluates Z, Vhat and V of a whole chunk in one
-``noise_terms`` call along the leading replication axis; a single dataset
-(``noise_process_terminal``) is a batch of one without that axis.
+The harness draws chunks of replications with ``simulate_batch`` and
+evaluates Z, Vhat and V of a whole chunk in one ``noise_terms`` call
+along the leading replication axis; a single dataset
+(``noise_process_terminal``) is a batch of one without that axis. A chunk
+holds only a few (R, n, d) arrays, so ``chunk_length`` makes it as long
+as one such array in 2.5 MiB allows, from 8 up to 32 replications (32 at
+the 200 x 50 default), which spreads the per-chunk overhead further.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import chunks, parallel_map
+from ._parallel import CHUNK, CHUNK_BYTES, MAX_CHUNK, chunks, parallel_map
 from .errors import ConfigError
 from .simulate import (
     SimulatedTruth,
@@ -261,6 +264,12 @@ class BernsteinReport:
         }
 
 
+def chunk_length(config: SimulationConfig) -> int:
+    """Replications per ``run_mc`` chunk: as many as fit one (R, n, d)
+    float array in ``CHUNK_BYTES``, clipped to [CHUNK, MAX_CHUNK]."""
+    return min(max(CHUNK_BYTES // (8 * config.n * config.d), CHUNK), MAX_CHUNK)
+
+
 def _mc_chunk(args):
     """|Z|, Vhat, V and the half-range of one chunk of replications, one
     array each."""
@@ -301,7 +310,8 @@ def run_mc(
         raise ConfigError(f"column {column} out of range for d={config.d}")
     base_seed = config.seed if seed is None else int(seed)
 
-    tasks = [(config, column, base_seed, reps) for reps in chunks(replications)]
+    length = chunk_length(config)
+    tasks = [(config, column, base_seed, reps) for reps in chunks(replications, length)]
     results = parallel_map(_mc_chunk, tasks, threads)
     abs_z, vhat, var, r = (np.concatenate(parts) for parts in zip(*results))
 

@@ -13,16 +13,17 @@ Python's ``csv`` module:
   digit-grouping underscores; there are no comments, so ``#`` is an error.
 
 The header is read as text, by ``csv.reader`` over lines pulled one at a
-time, in the platform's default encoding. The body is parsed in one call
-to numpy's C reader from the same file opened in binary just past the
-header: numpy decodes the lines itself, in that encoding, which is
-cheaper than taking lines Python has already decoded. The lines are
-split at "\\n", "\\r\\n" and "\\r", as text mode splits them. The result is
-checked as whole arrays. Only when that parse or a check fails does
-``scan_rows`` read the file again, as text, record by record and by the
-same rules, to name the first bad line. Line numbers count CSV records:
-the header is line 1, blank lines count, and a quoted line break does not
-start a new line.
+time, in the platform's default encoding; one leading byte-order mark
+(U+FEFF, as spreadsheet programs write "CSV UTF-8") is dropped from the
+first label. The body is parsed in one call to numpy's C reader from the
+same file opened in binary just past the header: numpy decodes the lines
+itself, in that encoding, which is cheaper than taking lines Python has
+already decoded. The lines are split at "\\n", "\\r\\n" and "\\r", as
+text mode splits them. The result is checked as whole arrays. Only when
+that parse or a check fails does ``scan_rows`` read the file again, as
+text, record by record and by the same rules, to name the first bad line.
+Line numbers count CSV records: the header is line 1, blank lines count,
+and a quoted line break does not start a new line.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ def parse_number(field: str) -> float:
 
 def _pulled(fh, consumed: list):
     """The lines of a text handle, one ``readline()`` at a time, each also
-    appended to ``consumed``."""
+    appended to ``consumed``. The first line is yielded without one
+    leading byte-order mark; ``consumed`` keeps it, so its bytes still
+    count in the body offset."""
     for line in iter(fh.readline, ""):
         consumed.append(line)
-        yield line
+        yield line.removeprefix("\ufeff") if len(consumed) == 1 else line
 
 
 def _binary_lines(fh):

@@ -55,8 +55,14 @@ class DictionaryMatrix:
 
 
 def linear_dictionary(dataset: SurvivalDataset) -> DictionaryMatrix:
-    """Identity dictionary: one candidate per covariate, h_j(x) = x_j."""
-    return DictionaryMatrix(values=dataset.covariates.copy(), labels=list(dataset.labels))
+    """Identity dictionary: one candidate per covariate, h_j(x) = x_j.
+
+    The values are a read-only view of the covariates, not a copy, so the
+    data cannot be changed through the dictionary.
+    """
+    values = dataset.covariates.view()
+    values.flags.writeable = False
+    return DictionaryMatrix(values=values, labels=list(dataset.labels))
 
 
 def _check_dictionary_header(path, header: list[str]) -> None:

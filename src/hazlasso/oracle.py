@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import chunks, parallel_map
+from ._parallel import CHUNK, chunks, parallel_map
 from .bernstein import wilson_interval
 from .dictionary import DictionaryMatrix, linear_dictionary
 from .errors import ConfigError, DataValidationError
@@ -467,6 +467,12 @@ def _oracle_chunk(args):
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
+def chunk_length(config: SimulationConfig) -> int:
+    """Replications per ``run_oracle_mc`` chunk: ``CHUNK`` at any size, as
+    one chunk already holds about eight (R, n, d) arrays at its peak."""
+    return CHUNK
+
+
 def run_oracle_mc(
     config: SimulationConfig,
     x: float = DEFAULT_ORACLE_X,
@@ -492,7 +498,8 @@ def run_oracle_mc(
         raise ConfigError(f"confidence level x must be positive and finite, got {x}")
     base_seed = config.seed if seed is None else int(seed)
     tasks = [
-        (config, x, base_seed, reps, identity_gram, mu3_budget) for reps in chunks(replications)
+        (config, x, base_seed, reps, identity_gram, mu3_budget)
+        for reps in chunks(replications, chunk_length(config))
     ]
     rows = [row for part in parallel_map(_oracle_chunk, tasks, threads) for row in part]
     slow_holds = sum(1 for r in rows if r["slow_holds"])

@@ -1,6 +1,6 @@
 """The leading replication axis: a batch of R datasets is R batches of one.
 
-The Monte Carlo harnesses push fixed-size chunks of replications through
+The Monte Carlo harnesses push chunks of replications through
 the batched pipeline (simulate, timeline, noise terms, Gram, weights). A
 replication's numbers must not depend on the batch it lands in, so the
 reports cannot depend on the chunk length or on the number of worker
@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hazlasso._parallel as parallel
+from hazlasso import bernstein, oracle
 from hazlasso import (
     ConfigError,
     DataValidationError,
@@ -154,17 +155,41 @@ def harness_configs():
     )
 
 
+def set_chunk_length(monkeypatch, length: int) -> list:
+    """Give both harnesses chunks of ``length``; the returned list collects
+    the chunk lengths of every harness run, one list per run."""
+    runs = []
+    for module in (bernstein, oracle):
+        monkeypatch.setattr(module, "chunk_length", lambda config: length)
+
+        def spy(fn, items, threads=1):
+            items = list(items)
+            runs.append([len(task[3]) for task in items])  # task[3]: the chunk's replications
+            return parallel.parallel_map(fn, items, threads)
+
+        monkeypatch.setattr(module, "parallel_map", spy)
+    return runs
+
+
+def assert_chunked(runs: list, length: int):
+    for lengths in runs:
+        assert lengths[:-1] == [length] * (len(lengths) - 1) and 0 < lengths[-1] <= length
+
+
 @settings(max_examples=12, **SETTINGS)
 @given(config=harness_configs(), reps=st.integers(2, 14))
 @example(config=rare_events_config(n=12), reps=14)
 def test_reports_do_not_depend_on_the_chunk_length(config, reps, monkeypatch):
     results = []
     for chunk in (1, 7, reps + 1):
-        monkeypatch.setattr(parallel, "CHUNK", chunk)
+        runs = set_chunk_length(monkeypatch, chunk)
         try:
             results.append(reports(config, reps))
         except ConfigError as exc:  # a model the harness refuses is refused at every length
             results.append(repr(exc))
+        else:
+            assert len(runs) == 3
+        assert_chunked(runs, chunk)
     assert results[0] == results[1] == results[2]
 
 
@@ -172,16 +197,19 @@ def test_reports_do_not_depend_on_the_chunk_length(config, reps, monkeypatch):
 @given(config=harness_configs())
 @example(config=rare_events_config(n=12))
 def test_reports_do_not_depend_on_threads(config, monkeypatch):
-    monkeypatch.setattr(parallel, "CHUNK", 3)
+    runs = set_chunk_length(monkeypatch, 3)
     reps = 10
     out = []
     for threads in (1, 2):
         try:
-            bernstein = run_mc(config, 0, [0.5, 2.0], reps, threads=threads)
-            oracle = run_oracle_mc(config, 1.0, 4, threads=threads, identity_gram=True)
-            out.append([json.dumps(r.to_dict(), sort_keys=True) for r in (bernstein, oracle)])
+            bernstein_report = run_mc(config, 0, [0.5, 2.0], reps, threads=threads)
+            oracle_report = run_oracle_mc(config, 1.0, 4, threads=threads, identity_gram=True)
+            out.append(
+                [json.dumps(r.to_dict(), sort_keys=True) for r in (bernstein_report, oracle_report)]
+            )
         except ConfigError as exc:
             out.append(repr(exc))
+    assert_chunked(runs, 3)
     assert out[0] == out[1]
 
 
@@ -227,10 +255,20 @@ def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
         assert "closed-form" in methods and len(methods) > 1
 
 
-def test_chunks_cover_every_replication_once(monkeypatch):
-    monkeypatch.setattr(parallel, "CHUNK", 4)
-    assert [list(c) for c in parallel.chunks(10)] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert parallel.chunks(0) == []
+def test_chunks_cover_every_replication_once():
+    assert [list(c) for c in parallel.chunks(10, 4)] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    assert [list(c) for c in parallel.chunks(3, 32)] == [[0, 1, 2]]
+    assert parallel.chunks(0, 4) == []
+
+
+def test_chunk_length_of_each_harness():
+    """From the config's n and d alone: 32 replications per Bernstein chunk
+    at the default, 8 at larger sizes and in every oracle chunk."""
+    default = default_config()
+    large = dataclasses.replace(default, n=2000, d=200, beta0=np.zeros(200))
+    assert bernstein.chunk_length(default) == 32
+    assert bernstein.chunk_length(large) == 8
+    assert oracle.chunk_length(default) == oracle.chunk_length(large) == 8
 
 
 def test_single_dataset_is_a_batch_of_one():

@@ -95,7 +95,8 @@ def _text_mode(path):
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_byte_reader_keeps_the_header_text(tmp_path, newline):
     """A header with a quoted line break and non-ASCII labels ends where
-    text mode says it does, so the body's numbers are unchanged."""
+    text mode says it does, so the body's numbers are unchanged; a
+    byte-order mark before it changes neither the labels nor the body."""
     rows = ['"0.5", 1 ,2,0', "", "0.25,0,-3e-2,7", '\xa04,1,"5",1']
     data = tmp_path / "data.csv"
     data.write_bytes(newline.join(['time,status,"x\n1",ß-é', *rows]).encode())
@@ -105,17 +106,27 @@ def test_byte_reader_keeps_the_header_text(tmp_path, newline):
     assert got.covariates.tobytes() == values[:, 2:].tobytes()
     assert (got.times * got.time_scale).tobytes() == values[:, 0].tobytes()
 
-    # a UTF-8 byte-order mark stays part of the first label, as in text mode
     dictionary = tmp_path / "dict.csv"
-    dictionary.write_bytes(newline.join(['\ufefff,"g\nh",γ,δ', *rows]).encode())
+    dictionary.write_bytes(newline.join(['"f","g\nh",γ,δ', *rows]).encode())
     got = load_dictionary(dictionary, 3)
     labels, values = _text_mode(dictionary)
-    assert got.labels == labels == ["\ufefff", "g\nh", "γ", "δ"]
+    assert got.labels == labels == ["f", "g\nh", "γ", "δ"]
     assert got.values.tobytes() == values.tobytes()
-    bom = tmp_path / "bom.csv"
-    bom.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
-    with pytest.raises(DataValidationError, match="header must be time,status"):
-        load_dataset(bom)
+
+    # a UTF-8 byte-order mark, as spreadsheet programs write one, is dropped
+    # from the first label (quoted or not) and the body starts after it
+    for plain in (data, dictionary):
+        bom = tmp_path / f"bom-{plain.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        if plain is data:
+            want, got = load_dataset(plain), load_dataset(bom)
+            assert got.labels == want.labels and got.time_scale == want.time_scale
+            for name in ("times", "status", "covariates"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        else:
+            want, got = load_dictionary(plain, 3), load_dictionary(bom, 3)
+            assert got.labels == want.labels
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 @pytest.mark.parametrize("offset", [2**14, 2**16, 50_000, 2**20])

@@ -10,7 +10,7 @@ from hazlasso.survival import SurvivalDataset
 
 
 class TestDictionaryMatrix:
-    def test_linear_dictionary_copies_covariates(self):
+    def test_linear_dictionary_is_a_read_only_view(self):
         ds = SurvivalDataset(
             times=[0.5, 1.0],
             status=[1, 0],
@@ -21,9 +21,12 @@ class TestDictionaryMatrix:
         assert dic.n == 2 and dic.M == 2
         assert dic.labels == ["a", "b"]
         np.testing.assert_array_equal(dic.values, ds.covariates)
-        # independent storage: mutating the dictionary must not touch the data
-        dic.values[0, 0] = 99.0
-        assert ds.covariates[0, 0] == 1.0
+        # shared storage, but the data cannot be changed through the dictionary
+        assert np.shares_memory(dic.values, ds.covariates)
+        assert not dic.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dic.values[0, 0] = 99.0
+        assert ds.covariates.tolist() == [[1.0, -3.0], [2.0, 0.5]]
 
     def test_validation(self):
         with pytest.raises(DataValidationError, match="2-d"):
