@@ -1,11 +1,12 @@
 """Chunked replication fan-out used by the Monte Carlo drivers.
 
 The drivers cut their replications into chunks that go through the
-batched pipeline as one array computation each; each driver's
-``chunk_length(config)`` sets the length. Workers are module-level
-functions fed picklable argument tuples, one chunk per call, so the
-process pool stays optional: threads = 1 runs the same loop serially and
-produces byte-identical aggregates (results keep submission order, and a
+batched pipeline as one array computation each: the oracle harness in
+chunks of ``CHUNK``, the Bernstein harness in chunks its
+``chunk_length(config)`` sets. Workers are module-level functions fed
+picklable argument tuples, one chunk per call, so the process pool stays
+optional: threads = 1 runs the same loop serially and produces
+byte-identical aggregates (results keep submission order, and a
 replication's numbers do not depend on its chunk).
 """
 
@@ -17,11 +18,6 @@ from __future__ import annotations
 # peak, so its live arrays stay near 5 MB while the per-call overhead is
 # spread over 8 replications.
 CHUNK = 8
-# A Bernstein chunk holds far fewer (R, n, d) arrays, so it takes as many
-# replications as fit one such array in CHUNK_BYTES, up to MAX_CHUNK: 32
-# at the default config, and CHUNK once n * d passes about 36,000.
-CHUNK_BYTES = 5 << 19  # 2.5 MiB
-MAX_CHUNK = 32
 
 
 def chunks(count: int, size: int) -> list[range]:

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import CHUNK, CHUNK_BYTES, MAX_CHUNK, chunks, parallel_map
+from ._parallel import CHUNK, chunks, parallel_map
 from .errors import ConfigError
 from .simulate import (
     SimulatedTruth,
@@ -262,6 +262,14 @@ class BernsteinReport:
             "rows": self.rows,
             "passed": self.passed,
         }
+
+
+# A Bernstein chunk holds far fewer (R, n, d) arrays than an oracle chunk,
+# so it takes as many replications as fit one such array in CHUNK_BYTES, up
+# to MAX_CHUNK: 32 at the default config, and CHUNK once n * d passes about
+# 36,000.
+CHUNK_BYTES = 5 << 19  # 2.5 MiB
+MAX_CHUNK = 32
 
 
 def chunk_length(config: SimulationConfig) -> int:

@@ -127,7 +127,7 @@ def scan_rows(path, header, row_error, failure: str):
     ``failure``, the reason the whole-file parse gave.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_pulled(fh, []))  # drops a byte-order mark as the header parse does
         next(reader)
         lineno = 1
         for lineno, row in enumerate(reader, start=2):

@@ -467,12 +467,6 @@ def _oracle_chunk(args):
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
-def chunk_length(config: SimulationConfig) -> int:
-    """Replications per ``run_oracle_mc`` chunk: ``CHUNK`` at any size, as
-    one chunk already holds about eight (R, n, d) arrays at its peak."""
-    return CHUNK
-
-
 def run_oracle_mc(
     config: SimulationConfig,
     x: float = DEFAULT_ORACLE_X,
@@ -499,7 +493,7 @@ def run_oracle_mc(
     base_seed = config.seed if seed is None else int(seed)
     tasks = [
         (config, x, base_seed, reps, identity_gram, mu3_budget)
-        for reps in chunks(replications, chunk_length(config))
+        for reps in chunks(replications, CHUNK)
     ]
     rows = [row for part in parallel_map(_oracle_chunk, tasks, threads) for row in part]
     slow_holds = sum(1 for r in rows if r["slow_holds"])

@@ -18,9 +18,7 @@ noise terms of ``noise_terms`` carry a leading replication axis of length
 R, which the Monte Carlo harnesses push through the rest of the pipeline
 as one array computation. ``simulate`` is a batch of one without that
 axis. Each replication keeps its own random substreams, so its numbers do
-not depend on the batch it is drawn in. A substream is the generator
-``np.random.default_rng(key)``, built by ``substream`` at less set-up
-cost, and each replication's draws go straight into the batch arrays.
+not depend on the batch it is drawn in.
 """
 
 from __future__ import annotations
@@ -223,20 +221,6 @@ def _seed_key(config: SimulationConfig, seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
-def substream(key: list[int]) -> np.random.Generator:
-    """The generator ``np.random.default_rng(key)`` for a list of ints.
-
-    When every entry fits in one 32-bit word the seed is passed as a
-    uint32 array, which SeedSequence takes as the same entropy words
-    without converting entry by entry, so the stream is the same and
-    costs less to set up. Other keys (wider or negative entries) go to
-    ``default_rng`` as they are.
-    """
-    if all(0 <= k <= 0xFFFFFFFF for k in key):
-        return np.random.default_rng(np.array(key, dtype=np.uint32))
-    return np.random.default_rng(key)
-
-
 def _negative_probability(config: SimulationConfig) -> float:
     """Per-draw chance that a fresh covariate row makes the hazard negative.
 
@@ -248,7 +232,7 @@ def _negative_probability(config: SimulationConfig) -> float:
         if np.all(config.beta0 == 0.0):
             prob = 0.0
         else:
-            rng = substream([config.seed, _PROBE_TAG])
+            rng = np.random.default_rng([config.seed, _PROBE_TAG])
             x = config.covariates.draw(rng, _PROBE_DRAWS, config.d)
             prob = float(np.mean(x @ config.beta0 < -floor))
         config._probe = prob
@@ -287,20 +271,18 @@ def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
     n, d = config.n, config.d
     floor = float(config.baseline.values.min())
 
-    rngs_x = [substream(key + [_COVARIATE_TAG]) for key in keys]
+    rngs_x = [np.random.default_rng(key + [_COVARIATE_TAG]) for key in keys]
     x = config.covariates.draw(rngs_x, n, d)
     h0 = x @ config.beta0
     bad = h0 < -floor
-    redraws = np.count_nonzero(bad, axis=-1)
+    redraws = bad.sum(axis=-1)
     for r in np.flatnonzero(redraws):
-        # each round draws and multiplies its own rows: BLAS may round a
-        # row of a (count, d) product differently inside a larger product
-        xr, hr, rows, count = x[r], h0[r], bad[r], int(redraws[r])
+        rows, count = bad[r], int(redraws[r])
         while count:  # redraw the offending rows until none is left
-            xr[rows] = config.covariates.draw(rngs_x[r], count, d)
-            np.matmul(xr, config.beta0, out=hr)
-            np.less(hr, -floor, out=rows)
-            count = np.count_nonzero(rows)
+            x[r, rows] = config.covariates.draw(rngs_x[r], count, d)
+            h0[r] = x[r] @ config.beta0
+            rows = h0[r] < -floor
+            count = int(rows.sum())
             redraws[r] += count
 
     # piecewise-linear cumulative hazard, inverted in closed form
@@ -308,9 +290,9 @@ def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
     lam = config.baseline.values
     cum0 = np.concatenate([[0.0], np.cumsum(lam * np.diff(bp))])
     cum = cum0 + h0[..., None] * bp
-    exp_draw = np.empty((len(keys), n))
-    for key, row in zip(keys, exp_draw):
-        substream(key + [_EVENT_TAG]).standard_exponential(out=row)
+    exp_draw = np.stack(
+        [np.random.default_rng(key + [_EVENT_TAG]).exponential(size=n) for key in keys]
+    )
     np.maximum(exp_draw, 1e-300, out=exp_draw)
     inside = exp_draw <= cum[..., -1]
     # ties on flat pieces resolve forward to the next increasing piece
@@ -320,7 +302,9 @@ def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
     start = cum0[piece] + h0 * left  # cum at the start of the piece, as above
     failure = np.where(inside, left + (exp_draw - start) / np.maximum(rate, 1e-300), np.inf)
 
-    censor = np.stack([config.censoring.draw(substream(key + [_CENSOR_TAG]), n) for key in keys])
+    censor = np.stack(
+        [config.censoring.draw(np.random.default_rng(key + [_CENSOR_TAG]), n) for key in keys]
+    )
     z = np.minimum(np.minimum(failure, censor), 1.0)
     delta = failure <= np.minimum(censor, 1.0)
 

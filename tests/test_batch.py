@@ -158,9 +158,10 @@ def harness_configs():
 def set_chunk_length(monkeypatch, length: int) -> list:
     """Give both harnesses chunks of ``length``; the returned list collects
     the chunk lengths of every harness run, one list per run."""
+    monkeypatch.setattr(bernstein, "chunk_length", lambda config: length)
+    monkeypatch.setattr(oracle, "CHUNK", length)
     runs = []
     for module in (bernstein, oracle):
-        monkeypatch.setattr(module, "chunk_length", lambda config: length)
 
         def spy(fn, items, threads=1):
             items = list(items)
@@ -263,12 +264,12 @@ def test_chunks_cover_every_replication_once():
 
 def test_chunk_length_of_each_harness():
     """From the config's n and d alone: 32 replications per Bernstein chunk
-    at the default, 8 at larger sizes and in every oracle chunk."""
+    at the default and 8 at larger sizes; 8 in every oracle chunk."""
     default = default_config()
     large = dataclasses.replace(default, n=2000, d=200, beta0=np.zeros(200))
     assert bernstein.chunk_length(default) == 32
     assert bernstein.chunk_length(large) == 8
-    assert oracle.chunk_length(default) == oracle.chunk_length(large) == 8
+    assert oracle.CHUNK == 8
 
 
 def test_single_dataset_is_a_batch_of_one():

@@ -129,6 +129,16 @@ def test_byte_reader_keeps_the_header_text(tmp_path, newline):
             assert got.values.tobytes() == want.values.tobytes()
 
 
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_row_scan_reads_the_header_as_the_loader_does(tmp_path, mark):
+    """A quoted first label with a line break is one record with or without
+    a byte-order mark before it, so a bad row is named at the same line."""
+    path = tmp_path / "dict.csv"
+    path.write_bytes(mark + b'"f\ng",h\n1,2\n\n3,oops\n')
+    with pytest.raises(DataValidationError, match=r"line 4: bad value"):
+        load_dictionary(path)
+
+
 @pytest.mark.parametrize("offset", [2**14, 2**16, 50_000, 2**20])
 def test_byte_reader_decodes_a_split_character(tmp_path, offset):
     """A number padded with a non-breaking space, whose two UTF-8 bytes sit

@@ -30,7 +30,6 @@ from hazlasso.simulate import (
     load_config,
     noise_terms,
     simulate,
-    substream,
 )
 
 
@@ -147,24 +146,6 @@ class TestSimulate:
         reps = [simulate(cfg, seed=[7, r]) for r in range(3)]
         assert reps[0].seed == (7, 0)
         assert not np.array_equal(reps[0].dataset.times, reps[1].dataset.times)
-
-    @pytest.mark.parametrize(
-        "key",
-        [[0], [1, 0, 2], [2**32 - 1, 1], [7, 2**32], [2**64 + 5, 3], [0, 1, 2**32 - 1, 2**32]],
-        ids=["zero", "small", "one-word-max", "two-words", "three-words", "mixed"],
-    )
-    def test_substream_is_the_default_rng_stream(self, key):
-        for draw in ("standard_normal", "standard_exponential", "uniform"):
-            got = getattr(substream(key), draw)(size=5)
-            want = getattr(np.random.default_rng(key), draw)(size=5)
-            assert got.tobytes() == want.tobytes(), draw
-
-    def test_substream_refuses_a_negative_entry_as_default_rng_does(self):
-        with pytest.raises(ValueError) as want:
-            np.random.default_rng([3, -1])
-        with pytest.raises(ValueError) as got:
-            substream([3, -1])
-        assert str(got.value) == str(want.value)
 
     def test_basic_invariants(self):
         truth = simulate(small_config(n=150))
