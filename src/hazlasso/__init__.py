@@ -13,7 +13,6 @@ solver.
 from .bernstein import (
     PAPER_NUMERIC,
     BernsteinConstants,
-    BernsteinReport,
     bound_empirical,
     classical_bound,
     half_range,
@@ -34,7 +33,6 @@ from .gram import (
 )
 from .oracle import (
     ConeSearchResult,
-    OracleReport,
     fast_oracle_check,
     guarantee_level,
     identity_gram_check,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernsteinConstants",
-    "BernsteinReport",
     "ConeSearchResult",
     "ConfigError",
     "DEFAULT_X",
@@ -75,7 +72,6 @@ __all__ = [
     "GramSystem",
     "HazLassoError",
     "LassoFit",
-    "OracleReport",
     "PAPER_NUMERIC",
     "RiskSetTimeline",
     "SimulatedTruth",

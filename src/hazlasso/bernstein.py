@@ -17,7 +17,8 @@ are this bound at level x + log M, so with probability at least
 the truth, evaluates Z exactly, and reports violation frequencies with
 Wilson intervals per x, alongside the classical predictable-variation
 bound sqrt(2Vx/n) + x/(3n) evaluated in oracle mode (it needs the
-unobservable V).
+unobservable V). ``run_mc`` returns the report dict that ``hazlasso
+bernstein-mc`` writes, key for key.
 
 The harness draws chunks of replications with ``simulate_batch`` and
 evaluates Z, Vhat and V of a whole chunk in one ``noise_terms`` call
@@ -239,31 +240,6 @@ def noise_process_terminal(
     return float(z), float(vhat), float(var)
 
 
-@dataclass
-class BernsteinReport:
-    x_grid: tuple[float, ...]
-    replications: int
-    column: int
-    constants: BernsteinConstants
-    rows: list[dict]
-    excluded: int
-
-    @property
-    def passed(self) -> bool:
-        return all(row["passed"] for row in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "x_grid": list(self.x_grid),
-            "replications": self.replications,
-            "column": self.column,
-            "constants": self.constants.describe(),
-            "excluded_degenerate": self.excluded,
-            "rows": self.rows,
-            "passed": self.passed,
-        }
-
-
 # A Bernstein chunk holds far fewer (R, n, d) arrays than an oracle chunk,
 # so it takes as many replications as fit one such array in CHUNK_BYTES, up
 # to MAX_CHUNK: 32 at the default config, and CHUNK once n * d passes about
@@ -297,8 +273,9 @@ def run_mc(
     constants: BernsteinConstants = PAPER_NUMERIC,
     seed: int | None = None,
     threads: int = 1,
-) -> BernsteinReport:
-    """Violation frequencies of the data-driven bound over fresh datasets.
+) -> dict:
+    """Violation frequencies of the data-driven bound over fresh datasets,
+    as the report dict that ``hazlasso bernstein-mc`` writes.
 
     Frequencies are meant to be read at >= 1,000 replications; smaller runs
     are fine for smoke tests but the Wilson interval will be wide. Within
@@ -357,11 +334,12 @@ def run_mc(
                 "classical_tail": 2.0 * math.exp(-x),
             }
         )
-    return BernsteinReport(
-        x_grid=x_grid,
-        replications=replications,
-        column=column,
-        constants=constants,
-        rows=rows,
-        excluded=replications - kept,
-    )
+    return {
+        "x_grid": list(x_grid),
+        "replications": replications,
+        "column": column,
+        "constants": constants.describe(),
+        "excluded_degenerate": replications - kept,
+        "rows": rows,
+        "passed": all(row["passed"] for row in rows),
+    }

@@ -4,18 +4,22 @@ One subcommand per workflow stage: ``fit`` and ``weights`` run the
 estimator pieces on CSV input, ``path`` traces a regularization path,
 ``simulate`` writes a synthetic dataset plus its generating truth, and
 ``bernstein-mc`` / ``oracle-check`` run the Monte Carlo validation
-harnesses. Every run writes a single strict JSON report carrying a
-``schema`` field, with infinities as the strings ``"inf"`` and ``"-inf"``.
-The report is compact, one line with sorted keys (``python -m json.tool``
-pretty-prints it), so json writes it with its C encoder; identical inputs
-and seeds reproduce the report byte for byte except for the
-``generated_at`` timestamp. Exit codes: 0 on success,
-2 when a requested fit did not converge, 1 on any input error.
+harnesses, whose report dicts ``run_mc`` and ``run_oracle_mc`` return as
+written. Each subcommand returns its report payload and exit code, and
+``main`` writes every report: a single strict JSON document carrying
+``schema`` and ``command`` fields, with infinities as the strings
+``"inf"`` and ``"-inf"``. The report is compact, one line with sorted keys
+(``python -m json.tool`` pretty-prints it), so json writes it with its C
+encoder; identical inputs and seeds reproduce the report byte for byte
+except for the ``generated_at`` timestamp. Exit codes: 0 on success, 2
+when a requested fit did not converge, 1 on any input error, a usage
+error included (``--help`` exits 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -93,39 +97,43 @@ def _load_problem(args):
     return dataset, dictionary, system, weights
 
 
-def _fit_command(args) -> int:
+def _fit_fields(result, labels) -> dict:
+    """The fields of one fit, shared by the fit report and every path row."""
+    return {
+        "converged": result.converged,
+        "sweeps": result.sweeps,
+        "kkt_max_violation": result.kkt_max_violation,
+        "objective": float(result.objective_trace[-1]),
+        "beta": result.beta.tolist(),
+        "active": [labels[j] for j in result.active_set],
+    }
+
+
+def _fit_command(args):
     dataset, dictionary, system, weights = _load_problem(args)
-    constraint = "nonnegative" if args.nonneg else "unconstrained"
-    result = fit(system, weights, kappa=args.kappa, constraint=constraint, tol=args.tol)
+    result = fit(system, weights, kappa=args.kappa, constraint=args.constraint, tol=args.tol)
     if args.dump_gram:
         dump_gram(system, args.dump_gram)
     payload = {
-        "command": "fit",
         "data": args.data,
         "n": dataset.n,
         "columns": dictionary.M,
         "x": args.x,
         "kappa": args.kappa,
-        "constraint": constraint,
+        "constraint": args.constraint,
         "tol": args.tol,
         "kernel": active_kernel(),
-        "converged": result.converged,
-        "sweeps": result.sweeps,
-        "kkt_max_violation": result.kkt_max_violation,
         "pinned_columns": [dictionary.labels[j] for j in result.pinned],
-        "objective": float(result.objective_trace[-1]),
         "labels": list(dictionary.labels),
-        "beta": result.beta.tolist(),
-        "active": [dictionary.labels[j] for j in result.active_set],
+        **_fit_fields(result, dictionary.labels),
     }
-    _write_report(payload, args.out)
-    return 0 if result.converged else 2
+    return payload, 0 if result.converged else 2
 
 
-def _weights_command(args) -> int:
+def _weights_command(args):
     dataset, dictionary, system, weights = _load_problem(args)
+    loglog = weights.loglog  # a property that computes the whole vector
     payload = {
-        "command": "weights",
         "data": args.data,
         "n": dataset.n,
         "x": args.x,
@@ -136,53 +144,41 @@ def _weights_command(args) -> int:
                 "label": weights.labels[j],
                 "vhat": float(weights.vhat[j]),
                 "half_range": float(weights.half_range[j]),
-                "loglog": float(weights.loglog[j]),
+                "loglog": float(loglog[j]),
                 "weight": float(weights.w[j]),
             }
             for j in range(weights.M)
         ],
     }
-    _write_report(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def _path_command(args) -> int:
+def _path_command(args):
     dataset, dictionary, system, weights = _load_problem(args)
-    constraint = "nonnegative" if args.nonneg else "unconstrained"
     scales = _floats_csv(args.scales)
-    fits = fit_path(system, weights, scales, kappa=args.kappa, constraint=constraint, tol=args.tol)
+    fits = fit_path(
+        system, weights, scales, kappa=args.kappa, constraint=args.constraint, tol=args.tol
+    )
     payload = {
-        "command": "path",
         "data": args.data,
         "n": dataset.n,
         "x": args.x,
         "kappa": args.kappa,
-        "constraint": constraint,
+        "constraint": args.constraint,
         "kernel": active_kernel(),
         "labels": list(dictionary.labels),
         "rows": [
-            {
-                "scale": scale,
-                "converged": f.converged,
-                "sweeps": f.sweeps,
-                "active": [dictionary.labels[j] for j in f.active_set],
-                "objective": float(f.objective_trace[-1]),
-                "kkt_max_violation": f.kkt_max_violation,
-                "beta": f.beta.tolist(),
-            }
-            for scale, f in zip(scales, fits)
+            {"scale": scale, **_fit_fields(f, dictionary.labels)} for scale, f in zip(scales, fits)
         ],
     }
-    _write_report(payload, args.out)
-    return 0 if all(f.converged for f in fits) else 2
+    return payload, 0 if all(f.converged for f in fits) else 2
 
 
-def _simulate_command(args) -> int:
+def _simulate_command(args):
     config = load_config(args.config)
     truth = simulate(config, seed=args.seed)
     write_dataset(truth.dataset, args.out_data)
     payload = {
-        "command": "simulate",
         "config": args.config,
         "seed": list(truth.seed),
         "n": config.n,
@@ -198,18 +194,19 @@ def _simulate_command(args) -> int:
         "negative_prob": truth.negative_prob,
         "data_file": args.out_data,
     }
-    _write_report(payload, args.out_truth)
-    return 0
+    return payload, 0
 
 
 def _constants_from_args(args) -> BernsteinConstants:
-    if args.constants:
-        c_ell, eps, c0 = _floats_csv(args.constants)
-        return BernsteinConstants(c_ell=c_ell, epsilon=eps, c0=c0)
-    return PAPER_NUMERIC
+    if not args.constants:
+        return PAPER_NUMERIC
+    values = _floats_csv(args.constants)
+    if len(values) != 3:
+        raise ValueError(f"--constants takes 3 values c_ell,epsilon,c0, got {len(values)}")
+    return BernsteinConstants(*values)
 
 
-def _bernstein_command(args) -> int:
+def _bernstein_command(args):
     config = load_config(args.config)
     constants = _constants_from_args(args)
     report = run_mc(
@@ -221,15 +218,12 @@ def _bernstein_command(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    payload = {"command": "bernstein-mc", "config": args.config, **report.to_dict()}
-    _write_report(payload, args.out)
-    return 0
+    return {"config": args.config, **report}, 0
 
 
-def _oracle_command(args) -> int:
-    config = load_config(args.config)
+def _oracle_command(args):
     report = run_oracle_mc(
-        config,
+        load_config(args.config),
         x=args.x,
         replications=args.reps,
         seed=args.seed,
@@ -237,88 +231,93 @@ def _oracle_command(args) -> int:
         identity_gram=args.identity_gram,
         mu3_budget=args.mu3_budget,
     )
-    payload = {"command": "oracle-check", "config": args.config, **report.to_dict()}
-    _write_report(payload, args.out)
-    return 0
+    return {"config": args.config, **report}, 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and
+    shared: callers parse with it and do not change it."""
     parser = argparse.ArgumentParser(
         prog="hazlasso",
         description="Weighted Lasso for additive hazard rates, with validation harnesses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_flags(p):
-        p.add_argument("--data", required=True, help="input CSV (time,status,x1,...)")
-        p.add_argument("--dict", default=None, help="optional dictionary CSV (default: linear)")
-        p.add_argument("--x", type=float, default=DEFAULT_X, help="confidence level x > 0")
-        p.add_argument("--out", required=True, help="JSON report path")
+    # flags that several subcommands share, each declared once
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True, help="input CSV (time,status,x1,...)")
+    data.add_argument("--dict", default=None, help="optional dictionary CSV (default: linear)")
+    data.add_argument("--x", type=float, default=DEFAULT_X, help="confidence level x > 0")
+    data.add_argument("--out", required=True, help="JSON report path")
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--kappa", type=float, choices=[1.0, 2.0], default=1.0)
+    fitting.add_argument("--tol", type=float, default=1e-8)
+    fitting.add_argument("--nonneg", dest="constraint", action="store_const", const="nonnegative",
+                         default="unconstrained", help="constrain coefficients >= 0")
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--config", required=True, help="config JSON path, or 'default'")
+    mc.add_argument("--reps", type=int, required=True)
+    mc.add_argument("--seed", type=int, default=None)
+    mc.add_argument("--threads", type=int, default=DEFAULT_THREADS)
+    mc.add_argument("--out", required=True, help="JSON report path")
 
-    p_fit = sub.add_parser("fit", help="fit the weighted Lasso on a dataset")
-    add_data_flags(p_fit)
-    p_fit.add_argument("--kappa", type=float, choices=[1.0, 2.0], default=1.0)
-    p_fit.add_argument("--tol", type=float, default=1e-8)
-    p_fit.add_argument("--nonneg", action="store_true", help="constrain coefficients >= 0")
+    p_fit = sub.add_parser("fit", parents=[data, fitting],
+                           help="fit the weighted Lasso on a dataset")
     p_fit.add_argument("--dump-gram", default=None, help="also write H and hn as CSV")
     p_fit.set_defaults(func=_fit_command)
 
-    p_w = sub.add_parser("weights", help="report the data-driven penalty weights")
-    add_data_flags(p_w)
+    p_w = sub.add_parser("weights", parents=[data], help="report the data-driven penalty weights")
     p_w.set_defaults(func=_weights_command)
 
-    p_path = sub.add_parser("path", help="fit a descending path of penalty scales")
-    add_data_flags(p_path)
+    p_path = sub.add_parser("path", parents=[data, fitting],
+                            help="fit a descending path of penalty scales")
     p_path.add_argument("--scales", required=True, help="descending scales, e.g. 4,2,1,0.5")
-    p_path.add_argument("--kappa", type=float, choices=[1.0, 2.0], default=1.0)
-    p_path.add_argument("--tol", type=float, default=1e-8)
-    p_path.add_argument("--nonneg", action="store_true")
     p_path.set_defaults(func=_path_command)
 
     p_sim = sub.add_parser("simulate", help="draw one synthetic dataset plus truth")
     p_sim.add_argument("--config", required=True, help="config JSON path, or 'default'")
     p_sim.add_argument("--out-data", required=True)
-    p_sim.add_argument("--out-truth", required=True)
+    p_sim.add_argument("--out-truth", dest="out", metavar="OUT_TRUTH", required=True)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=_simulate_command)
 
-    p_mc = sub.add_parser("bernstein-mc", help="Monte Carlo audit of the deviation bound")
-    p_mc.add_argument("--config", required=True)
+    p_mc = sub.add_parser("bernstein-mc", parents=[mc],
+                          help="Monte Carlo audit of the deviation bound")
     p_mc.add_argument("--x-grid", required=True, help="confidence levels, e.g. 4,5,6")
-    p_mc.add_argument("--reps", type=int, required=True)
     p_mc.add_argument("--constants", default=None,
                       help="c_ell,epsilon,c0 (default: the paper's numeric constants)")
     p_mc.add_argument("--column", type=int, default=0, help="tracked dictionary column")
-    p_mc.add_argument("--seed", type=int, default=None)
-    p_mc.add_argument("--threads", type=int, default=DEFAULT_THREADS)
-    p_mc.add_argument("--out", required=True)
     p_mc.set_defaults(func=_bernstein_command)
 
-    p_oc = sub.add_parser("oracle-check", help="Monte Carlo audit of the oracle inequalities")
-    p_oc.add_argument("--config", required=True)
+    p_oc = sub.add_parser("oracle-check", parents=[mc],
+                          help="Monte Carlo audit of the oracle inequalities")
     p_oc.add_argument("--x", type=float, default=DEFAULT_ORACLE_X)
-    p_oc.add_argument("--reps", type=int, required=True)
     p_oc.add_argument("--identity-gram", action="store_true",
                       help="whitened design: exact mu3 for the fast check")
     p_oc.add_argument("--mu3-budget", type=int, default=256,
                       help="random cone points for the fallback search; it runs only "
                            "when mu3 is not exact in closed form (the maximiser leaves "
                            "the cone, or the Gram is singular)")
-    p_oc.add_argument("--seed", type=int, default=None)
-    p_oc.add_argument("--threads", type=int, default=DEFAULT_THREADS)
-    p_oc.add_argument("--out", required=True)
     p_oc.set_defaults(func=_oracle_command)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which is an
+        # input problem here
+        return 1 if exc.code else 0
+    try:
+        payload, code = args.func(args)
+        _write_report({"command": args.command, **payload}, args.out)
     except (HazLassoError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

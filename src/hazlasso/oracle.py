@@ -25,7 +25,10 @@ system and weights (a leading replication axis, as from
 replication; a single dataset is a batch of one without that axis. The
 harness runs fixed-size chunks of replications through that pipeline,
 so only the random draws, the solver fits and the mu3 brackets run one
-replication at a time.
+replication at a time. ``run_oracle_mc`` returns the report dict that
+``hazlasso oracle-check`` writes, key for key: one row per replication,
+and the holding count, frequency and Wilson interval of each check under
+``slow`` and ``fast``.
 """
 
 from __future__ import annotations
@@ -372,48 +375,11 @@ def identity_gram_check(
     }
 
 
-@dataclass
-class OracleReport:
-    x: float
-    replications: int
-    identity_gram: bool
-    mu3_label: str
-    guarantee: float
-    rows: list[dict]
-    slow_holds: int
-    fast_holds: int
-    slow_wilson: tuple[float, float]
-    fast_wilson: tuple[float, float]
-
-    @property
-    def slow_frequency(self) -> float:
-        return self.slow_holds / self.replications
-
-    @property
-    def fast_frequency(self) -> float:
-        return self.fast_holds / self.replications
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "replications": self.replications,
-            "identity_gram": self.identity_gram,
-            "mu3_label": self.mu3_label,
-            "guarantee": self.guarantee,
-            "slow": {
-                "holds": self.slow_holds,
-                "frequency": self.slow_frequency,
-                "wilson_low": self.slow_wilson[0],
-                "wilson_high": self.slow_wilson[1],
-            },
-            "fast": {
-                "holds": self.fast_holds,
-                "frequency": self.fast_frequency,
-                "wilson_low": self.fast_wilson[0],
-                "wilson_high": self.fast_wilson[1],
-            },
-            "rows": self.rows,
-        }
+def _holding(rows: list[dict], key: str) -> dict:
+    """How many rows hold under ``key``, as a frequency with its Wilson interval."""
+    holds = sum(1 for row in rows if row[key])
+    low, high = wilson_interval(holds, len(rows))
+    return {"holds": holds, "frequency": holds / len(rows), "wilson_low": low, "wilson_high": high}
 
 
 def _oracle_chunk(args):
@@ -475,8 +441,9 @@ def run_oracle_mc(
     threads: int = 1,
     identity_gram: bool = False,
     mu3_budget: int = 256,
-) -> OracleReport:
-    """Holding frequencies of both oracle inequalities over fresh datasets.
+) -> dict:
+    """Holding frequencies of both oracle inequalities over fresh datasets,
+    as the report dict that ``hazlasso oracle-check`` writes.
 
     The slow check always runs on the raw linear dictionary; the fast
     check runs either on the same fit (mu3 from ``mu3_bracket``, labeled
@@ -490,24 +457,22 @@ def run_oracle_mc(
         raise ConfigError("need at least one replication")
     if not (math.isfinite(x) and x > 0):
         raise ConfigError(f"confidence level x must be positive and finite, got {x}")
+    if mu3_budget < 1:
+        raise ConfigError(f"mu3 budget must be at least 1, got {mu3_budget}")
     base_seed = config.seed if seed is None else int(seed)
     tasks = [
         (config, x, base_seed, reps, identity_gram, mu3_budget)
         for reps in chunks(replications, CHUNK)
     ]
     rows = [row for part in parallel_map(_oracle_chunk, tasks, threads) for row in part]
-    slow_holds = sum(1 for r in rows if r["slow_holds"])
-    fast_holds = sum(1 for r in rows if r["fast_holds"])
     label = "exact" if all(r["mu3_label"] == "exact" for r in rows) else "indicative"
-    return OracleReport(
-        x=float(x),
-        replications=replications,
-        identity_gram=identity_gram,
-        mu3_label=label,
-        guarantee=guarantee_level(x),
-        rows=rows,
-        slow_holds=slow_holds,
-        fast_holds=fast_holds,
-        slow_wilson=wilson_interval(slow_holds, replications),
-        fast_wilson=wilson_interval(fast_holds, replications),
-    )
+    return {
+        "x": float(x),
+        "replications": replications,
+        "identity_gram": identity_gram,
+        "mu3_label": label,
+        "guarantee": guarantee_level(x),
+        "slow": _holding(rows, "slow_holds"),
+        "fast": _holding(rows, "fast_holds"),
+        "rows": rows,
+    }

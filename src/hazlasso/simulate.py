@@ -326,6 +326,48 @@ def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
     )
 
 
+def _integer(raw: dict, key: str) -> int:
+    """The JSON integer under ``key``: a float, a bool or a string is refused,
+    not rounded."""
+    if key not in raw:
+        raise ConfigError(f"missing config key {key!r}")
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _beta0(spec, d: int) -> np.ndarray:
+    """beta0 from a list of d values, or from {"indices": [...], "values":
+    [...]} with distinct integer indices in [0, d)."""
+    beta0 = np.zeros(max(d, 0))  # SimulationConfig refuses d < 1 by name
+    try:
+        if not isinstance(spec, dict):
+            return beta0 if spec is None else np.asarray(spec, dtype=float)
+        indices = spec["indices"]
+        for j in indices:
+            if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < d:
+                raise ConfigError(f"beta0 indices must be integers in [0, {d}), got {j!r}")
+        if len(set(indices)) < len(indices):
+            raise ConfigError(f"beta0 indices must not repeat, got {indices}")
+        beta0[indices] = np.asarray(spec["values"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad beta0: {exc}") from None
+    return beta0
+
+
+def _model(raw: dict, key: str, kinds: dict, default: str):
+    """The ``key`` section built as the class its ``kind`` names."""
+    try:
+        options = dict(raw.get(key, {}))
+        kind = options.pop("kind", default)
+        if kind not in kinds:
+            raise ConfigError(f"unknown {key}.kind {kind!r}")
+        return kinds[kind](**options)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from None
+
+
 def config_from_dict(raw: dict) -> SimulationConfig:
     """Build a config from parsed JSON; every complaint names its key."""
     if not isinstance(raw, dict):
@@ -337,26 +379,9 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     for key in raw:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    try:
-        n = int(raw["n"])
-        d = int(raw["d"])
-        seed = int(raw.get("seed", 0))
-    except KeyError as exc:
-        raise ConfigError(f"missing config key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad integer field: {exc}") from None
-
-    spec = raw.get("beta0")
-    beta0 = np.zeros(d)
-    try:
-        if isinstance(spec, dict):
-            beta0[np.asarray(spec["indices"], dtype=int)] = np.asarray(
-                spec["values"], dtype=float
-            )
-        elif spec is not None:
-            beta0 = np.asarray(spec, dtype=float)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad beta0: {exc}") from None
+    n, d = _integer(raw, "n"), _integer(raw, "d")
+    seed = _integer(raw, "seed") if "seed" in raw else 0
+    beta0 = _beta0(raw.get("beta0"), d)
 
     base_raw = raw.get("baseline", {"breakpoints": [0.0, 1.0], "values": [2.0]})
     try:
@@ -367,33 +392,19 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad baseline: {exc}") from None
 
-    cov_raw = dict(raw.get("covariates", {"kind": "gaussian"}))
-    cen_raw = dict(raw.get("censoring", {"kind": "administrative"}))
-    cov_kind = cov_raw.pop("kind", "gaussian")
-    cen_kind = cen_raw.pop("kind", "administrative")
     covariate_kinds = {"gaussian": GaussianCovariates, "rademacher": RademacherCovariates}
     censoring_kinds = {
         "uniform": UniformCensoring,
         "exponential": ExponentialCensoring,
         "administrative": AdministrativeCensoring,
     }
-    if cov_kind not in covariate_kinds:
-        raise ConfigError(f"unknown covariates.kind {cov_kind!r}")
-    if cen_kind not in censoring_kinds:
-        raise ConfigError(f"unknown censoring.kind {cen_kind!r}")
-    try:
-        covariates = covariate_kinds[cov_kind](**cov_raw)
-        censoring = censoring_kinds[cen_kind](**cen_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad model options: {exc}") from None
-
     return SimulationConfig(
         n=n,
         d=d,
         beta0=beta0,
         baseline=baseline,
-        covariates=covariates,
-        censoring=censoring,
+        covariates=_model(raw, "covariates", covariate_kinds, "gaussian"),
+        censoring=_model(raw, "censoring", censoring_kinds, "administrative"),
         seed=seed,
         max_negative_prob=float(raw.get("max_negative_prob", 0.2)),
     )

@@ -144,7 +144,7 @@ def reports(config, reps):
     bernstein = run_mc(config, column=0, x_grid=[0.5, 2.0], replications=reps)
     slow = run_oracle_mc(config, x=1.0, replications=max(1, reps // 3), mu3_budget=16)
     whitened = run_oracle_mc(config, x=1.0, replications=max(1, reps // 3), identity_gram=True)
-    return [json.dumps(r.to_dict(), sort_keys=True) for r in (bernstein, slow, whitened)]
+    return [json.dumps(r, sort_keys=True) for r in (bernstein, slow, whitened)]
 
 
 def harness_configs():
@@ -206,7 +206,7 @@ def test_reports_do_not_depend_on_threads(config, monkeypatch):
             bernstein_report = run_mc(config, 0, [0.5, 2.0], reps, threads=threads)
             oracle_report = run_oracle_mc(config, 1.0, 4, threads=threads, identity_gram=True)
             out.append(
-                [json.dumps(r.to_dict(), sort_keys=True) for r in (bernstein_report, oracle_report)]
+                [json.dumps(r, sort_keys=True) for r in (bernstein_report, oracle_report)]
             )
         except ConfigError as exc:
             out.append(repr(exc))
@@ -238,7 +238,7 @@ def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
     budget = 64
     report = run_oracle_mc(config, x=5.0, replications=reps, mu3_budget=budget)
     methods = set()
-    for rep, row in enumerate(report.rows):
+    for rep, row in enumerate(report["rows"]):
         truth = simulate(config, seed=[config.seed, rep])
         dictionary = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dictionary)
@@ -249,10 +249,10 @@ def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
         )
         methods.add(found.method)
     if config.d > config.n:  # the singular fallback: no closed form, the search bounds below
-        assert all(row["mu3_upper"] == np.inf for row in report.rows)
+        assert all(row["mu3_upper"] == np.inf for row in report["rows"])
         assert methods == {"random-cone-sampling"}
     else:  # b* projected onto the cone, against the search
-        assert report.rows[33]["mu3_label"] == "indicative"
+        assert report["rows"][33]["mu3_label"] == "indicative"
         assert "closed-form" in methods and len(methods) > 1
 
 

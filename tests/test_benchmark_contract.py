@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import hazlasso
+from hazlasso import cli
 from hazlasso.cli import build_parser
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -82,3 +83,39 @@ def test_benchmark_command_lines_parse(workload, tmp_path):
     assert commands
     for command in commands:
         build_parser().parse_args(list(command.argv))
+
+
+TRACED_SPANS = {
+    "survival.load_dataset", "survival.build_timeline", "dictionary.linear_dictionary",
+    "gram.build_gram", "weights.compute_weights", "solver.fit_path", "solver.fit",
+    "bernstein.run_mc", "oracle.run_oracle_mc", "oracle.identity_gram_check", "oracle.checks",
+}
+
+
+def test_traced_run_sees_every_layer(tmp_path):
+    # a call that bypasses a name the tracer rebinds would leave its span
+    # empty and blind the benchmark's layer metrics without failing a run
+    spans = load_bench_module("spans")
+    data = tmp_path / "micro.csv"
+    data.write_text("time,status,x1\n0.5,1,0.0\n1.0,1,1.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(
+        '{"n": 30, "d": 2, "beta0": [0.4, -0.2], "seed": 5,'
+        ' "censoring": {"kind": "uniform", "c_max": 2.5}}'
+    )
+    out = str(tmp_path / "report.json")
+    mc = ["--config", str(config), "--reps", "3", "--threads", "1", "--out", out]
+    commands = [
+        ["path", "--data", str(data), "--x", "1.0", "--scales", "1,0.01", "--out", out],
+        ["bernstein-mc", "--x-grid", "4", *mc],
+        ["oracle-check", "--mu3-budget", "16", *mc],
+        ["oracle-check", "--identity-gram", *mc],
+    ]
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        for op, argv in enumerate(commands):
+            assert tracer.call(op, cli.main, argv) == 0
+    assert tracer.counts["solver.sweeps"] > 0
+    assert TRACED_SPANS <= {span[0] for span in tracer.spans}
+    # steps are counted on fit, so the path command must reach it through fit_path
+    assert "solver.fit" in {span[0] for span in tracer.spans if span[4] == 0}

@@ -390,6 +390,67 @@ class TestMonteCarloCommands:
         assert reports[0] == reports[1]
 
 
+REPORT_KEYS = {"schema", "generated_at", "command"}
+FIT_KEYS = {"converged", "sweeps", "kkt_max_violation", "objective", "beta", "active"}
+ORACLE_KEYS = REPORT_KEYS | {
+    "config", "x", "replications", "identity_gram", "mu3_label", "guarantee", "slow", "fast",
+    "rows",
+}
+ORACLE_ROW_KEYS = {
+    "events", "slow_lhs", "slow_rhs", "slow_holds", "slow_converged", "fast_lhs", "fast_rhs",
+    "fast_holds", "fast_converged", "mu3", "mu3_label",
+}
+
+
+class TestReportLayout:
+    """The keys of every report, and of the rows of those that have rows."""
+
+    @pytest.mark.parametrize(
+        "command, keys, row_keys",
+        [
+            ("fit --data {data}", REPORT_KEYS | FIT_KEYS | {
+                "data", "n", "columns", "x", "kappa", "constraint", "tol", "kernel",
+                "pinned_columns", "labels",
+            }, None),
+            ("weights --data {data}", REPORT_KEYS | {"data", "n", "x", "c1", "c2", "columns"}, None),
+            ("path --data {data} --scales 1,0.1", REPORT_KEYS | {
+                "data", "n", "x", "kappa", "constraint", "kernel", "labels", "rows",
+            }, FIT_KEYS | {"scale"}),
+            ("simulate --config {config} --out-data {data_out}", REPORT_KEYS | {
+                "config", "seed", "n", "d", "beta0", "baseline", "h0", "event_counts", "redraws",
+                "negative_prob", "data_file",
+            }, None),
+            ("bernstein-mc {mc} --x-grid 4", REPORT_KEYS | {
+                "config", "x_grid", "replications", "column", "constants",
+                "excluded_degenerate", "rows", "passed",
+            }, {
+                "x", "tail_bound", "violations", "frequency", "wilson_low", "wilson_high",
+                "passed", "margin_min", "margin_q10", "margin_median", "margin_q90",
+                "classical_violations", "classical_frequency", "classical_tail",
+            }),
+            ("oracle-check {mc}", ORACLE_KEYS, ORACLE_ROW_KEYS | {"mu3_upper"}),
+            ("oracle-check {mc} --identity-gram", ORACLE_KEYS, ORACLE_ROW_KEYS | {"gram_offset"}),
+        ],
+        ids=["fit", "weights", "path", "simulate", "bernstein-mc", "oracle-check",
+             "oracle-check-identity-gram"],
+    )
+    def test_keys(self, command, keys, row_keys, micro_csv, config_json, tmp_path):
+        out = tmp_path / "report.json"
+        argv = command.format(
+            data=micro_csv, config=config_json, data_out=tmp_path / "data.csv",
+            mc=f"--config {config_json} --reps 2",
+        ).split()
+        argv += ["--out-truth" if argv[0] == "simulate" else "--out", str(out)]
+        assert main(argv) == 0
+        report = read_report(out)
+        assert set(report) == keys
+        if row_keys is not None:
+            assert report["rows"] and all(set(row) == row_keys for row in report["rows"])
+        if argv[0] == "oracle-check":
+            summary = {"holds", "frequency", "wilson_low", "wilson_high"}
+            assert set(report["slow"]) == set(report["fast"]) == summary
+
+
 class TestStrictReports:
     """Infinite report values are written as "inf" strings, so every
     report parses as strict JSON."""
@@ -455,6 +516,28 @@ class TestStrictReports:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "fit --data {data} --kappa 1.5 --out {out}",
+            "bernstein-mc --config {config} --x-grid 4 --reps abc --out {out}",
+            "fit --data {data}",
+        ],
+        ids=["fit-kappa-1.5", "mc-reps-abc", "fit-without-out"],
+    )
+    def test_usage_error_exits_one(self, command, micro_csv, config_json, tmp_path, capsys):
+        # 2 is the code for a fit that did not converge, so a usage error is
+        # an input problem like any other
+        out = tmp_path / "r.json"
+        argv = command.format(data=micro_csv, config=config_json, out=out).split()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: hazlasso ")
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["fit", "--help"]) == 0
+        assert "--kappa" in capsys.readouterr().out
+
     def test_missing_data_file(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = main(["fit", "--data", str(tmp_path / "nope.csv"), "--out", str(out)])
@@ -503,11 +586,17 @@ class TestErrorPaths:
             ("bernstein-mc {mc} --x-grid 4 --threads 0", "threads must be at least 1, got 0"),
             ("oracle-check {mc} --x inf", "got inf"),
             ("oracle-check {mc} --threads -1", "threads must be at least 1, got -1"),
+            ("bernstein-mc {mc} --x-grid 4 --constants 2,1",
+             "--constants takes 3 values c_ell,epsilon,c0, got 2"),
+            ("oracle-check {mc} --identity-gram --mu3-budget 0",
+             "mu3 budget must be at least 1, got 0"),
+            ("oracle-check {mc} --mu3-budget -5", "mu3 budget must be at least 1, got -5"),
         ],
         ids=[
             "fit-x-nan", "weights-x-inf", "fit-tol-nan", "path-scale-nan", "mc-x-nan",
             "mc-c_ell-nan", "mc-epsilon-nan", "mc-c0-inf", "mc-threads-0", "oracle-x-inf",
-            "oracle-threads-minus-1",
+            "oracle-threads-minus-1", "mc-two-constants", "oracle-id-budget-0",
+            "oracle-budget-minus-5",
         ],
     )
     def test_non_finite_and_out_of_range_numbers(

@@ -6,6 +6,7 @@ so they share no code with the prefix-sum implementations they check.
 """
 
 import json
+import re
 import types
 
 import numpy as np
@@ -222,6 +223,27 @@ class TestConfigIO:
             config_from_dict({"n": 5, "d": 1, "baseline": {"breakpoints": [0.0], "values": []}})
         with pytest.raises(ConfigError, match="beta0"):
             config_from_dict({"n": 5, "d": 2, "beta0": {"indices": [9], "values": [1.0]}})
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"n": 200.7}, "n must be an integer, got 200.7"),
+            ({"n": True}, "n must be an integer, got True"),
+            ({"n": "20"}, "n must be an integer, got '20'"),
+            ({"seed": 2.9}, "seed must be an integer, got 2.9"),
+            ({"beta0": {"indices": [-1], "values": [1.0]}},
+             "beta0 indices must be integers in [0, 4), got -1"),
+            ({"beta0": {"indices": [1, 1], "values": [1.0, 2.0]}},
+             "beta0 indices must not repeat, got [1, 1]"),
+            ({"beta0": {"indices": [1.7], "values": [1.0]}},
+             "beta0 indices must be integers in [0, 4), got 1.7"),
+        ],
+        ids=["n-float", "n-bool", "n-string", "seed-float", "index-negative", "index-repeated",
+             "index-float"],
+    )
+    def test_integers_and_indices_are_refused_not_coerced(self, change, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            config_from_dict({"n": 5, "d": 4, **change})
 
     def test_load_config_file_round_trip(self, tmp_path):
         raw = {
