@@ -23,10 +23,13 @@ bernstein-mc`` writes, key for key.
 The harness draws chunks of replications with ``simulate_batch`` and
 evaluates Z, Vhat and V of a whole chunk in one ``noise_terms`` call
 along the leading replication axis; a single dataset
-(``noise_process_terminal``) is a batch of one without that axis. A chunk
-holds only a few (R, n, d) arrays, so ``chunk_length`` makes it as long
-as one such array in 2.5 MiB allows, from 8 up to 32 replications (32 at
-the 200 x 50 default), which spreads the per-chunk overhead further.
+(``noise_process_terminal``) is a batch of one without that axis. A
+replication reads only the audited column, h0 = X beta0 and the times and
+status, so a chunk draws only the m leading covariate columns these need
+(``simulate.drawn_columns``: 3 for column 0 of the 200 x 50 default). A
+chunk holds only a few (R, n, m) arrays, so ``chunk_length`` makes it as
+long as one such array in 2.5 MiB allows, from 8 up to 32 replications,
+which spreads the per-chunk overhead further.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import ConfigError
 from .simulate import (
     SimulatedTruth,
     SimulationConfig,
+    drawn_columns,
     noise_terms,
     simulate_batch,
 )
@@ -240,25 +244,27 @@ def noise_process_terminal(
     return float(z), float(vhat), float(var)
 
 
-# A Bernstein chunk holds far fewer (R, n, d) arrays than an oracle chunk,
-# so it takes as many replications as fit one such array in CHUNK_BYTES, up
-# to MAX_CHUNK: 32 at the default config, and CHUNK once n * d passes about
-# 36,000.
+# A Bernstein chunk holds far fewer (R, n, m) arrays than an oracle chunk
+# holds (R, n, d) ones, so it takes as many replications as fit one such
+# array in CHUNK_BYTES, up to MAX_CHUNK: 32 at the default config, and
+# CHUNK once n * m passes about 36,000.
 CHUNK_BYTES = 5 << 19  # 2.5 MiB
 MAX_CHUNK = 32
 
 
-def chunk_length(config: SimulationConfig) -> int:
-    """Replications per ``run_mc`` chunk: as many as fit one (R, n, d)
-    float array in ``CHUNK_BYTES``, clipped to [CHUNK, MAX_CHUNK]."""
-    return min(max(CHUNK_BYTES // (8 * config.n * config.d), CHUNK), MAX_CHUNK)
+def chunk_length(config: SimulationConfig, column: int) -> int:
+    """Replications per ``run_mc`` chunk auditing ``column``: as many as
+    fit one (R, n, m) float array in ``CHUNK_BYTES``, m the covariate
+    columns a chunk draws, clipped to [CHUNK, MAX_CHUNK]."""
+    width = drawn_columns(config, column + 1)
+    return min(max(CHUNK_BYTES // (8 * config.n * width), CHUNK), MAX_CHUNK)
 
 
 def _mc_chunk(args):
     """|Z|, Vhat, V and the half-range of one chunk of replications, one
     array each."""
     config, column, seed, reps = args
-    truth = simulate_batch(config, [[seed, rep] for rep in reps])
+    truth = simulate_batch(config, [[seed, rep] for rep in reps], columns=column + 1)
     timeline = build_timeline(truth.dataset)
     v = truth.dataset.covariates[..., column : column + 1]
     z, vhat, var = noise_terms(truth, v[..., 0], timeline)
@@ -284,7 +290,9 @@ def run_mc(
     nonincreasing in x. Replications run in chunks through the batched
     pipeline (simulate, timeline and noise terms along a leading
     replication axis), each on its own substreams, so the report does not
-    depend on the chunking or on ``threads``.
+    depend on the chunking or on ``threads``. Each chunk draws only the
+    leading covariate columns that ``column`` and beta0 need; the
+    negative-hazard refusal still judges the full config.
     """
     x_grid = tuple(float(x) for x in x_grid)
     if not x_grid or not all(math.isfinite(x) and x > 0 for x in x_grid):
@@ -295,7 +303,7 @@ def run_mc(
         raise ConfigError(f"column {column} out of range for d={config.d}")
     base_seed = config.seed if seed is None else int(seed)
 
-    length = chunk_length(config)
+    length = chunk_length(config, column)
     tasks = [(config, column, base_seed, reps) for reps in chunks(replications, length)]
     results = parallel_map(_mc_chunk, tasks, threads)
     abs_z, vhat, var, r = (np.concatenate(parts) for parts in zip(*results))

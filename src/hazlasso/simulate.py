@@ -85,12 +85,24 @@ class GaussianCovariates:
             _chol_cache[key] = np.linalg.cholesky(self.rho ** np.abs(idx[:, None] - idx[None, :]))
         return _chol_cache[key].T
 
+    def leading_columns(self, m: int, d: int) -> int:
+        """Columns to draw so that the first m have the joint law they have
+        in a draw of all d: m. The AR(1) factor is triangular, so column j
+        reads only the normals of columns 0..j, and the leading m x m block
+        of the factor for d is the factor for m."""
+        return m
+
 
 @dataclass(frozen=True)
 class RademacherCovariates:
     """Independent +-1 entries."""
 
     kind = "rademacher"
+
+    def leading_columns(self, m: int, d: int) -> int:
+        """m: the columns are independent, so the first m alone have their
+        joint law."""
+        return m
 
     def draw(self, rng, size: int, d: int) -> np.ndarray:
         """A (size, d) block; a list of generators stacks one block each."""
@@ -249,7 +261,17 @@ def simulate(config: SimulationConfig, seed=None) -> SimulatedTruth:
     return simulate_batch(config, [_seed_key(config, seed)])[0]
 
 
-def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
+def drawn_columns(config: SimulationConfig, columns: int) -> int:
+    """Leading covariate columns ``simulate_batch`` draws when its caller
+    reads the first ``columns``: enough to reach the last nonzero entry of
+    beta0 as well, which h0 and the redraw rule read, and as many as the
+    covariate kind needs for their exact joint law."""
+    support = np.flatnonzero(config.beta0)
+    m = max(columns, int(support[-1]) + 1 if support.size else 0)
+    return config.covariates.leading_columns(m, config.d)
+
+
+def simulate_batch(config: SimulationConfig, keys, columns: int | None = None) -> SimulatedTruth:
     """Draw one dataset per seed key, stacked on a leading replication axis.
 
     Each key (a sequence of ints) owns three substreams, key + [tag] for
@@ -258,6 +280,13 @@ def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
     draws and the redraws of covariate rows that make the hazard negative
     run per replication; everything else is array arithmetic over the
     batch.
+
+    With ``columns`` set, only the ``drawn_columns(config, columns)``
+    leading covariate columns are drawn, and the returned beta0 is cut to
+    them. Those columns, h0, the times and the status have the same law as
+    in a draw of all d columns, but their numbers differ unless all d are
+    drawn. The negative-hazard probe and its refusal always see the full
+    config.
     """
     neg_prob = _negative_probability(config)
     if neg_prob > config.max_negative_prob:
@@ -268,19 +297,21 @@ def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
         )
 
     keys = [[int(k) for k in key] for key in keys]
-    n, d = config.n, config.d
+    n = config.n
+    d = config.d if columns is None else drawn_columns(config, columns)
+    beta0 = config.beta0[:d]
     floor = float(config.baseline.values.min())
 
     rngs_x = [np.random.default_rng(key + [_COVARIATE_TAG]) for key in keys]
     x = config.covariates.draw(rngs_x, n, d)
-    h0 = x @ config.beta0
+    h0 = x @ beta0
     bad = h0 < -floor
     redraws = bad.sum(axis=-1)
     for r in np.flatnonzero(redraws):
         rows, count = bad[r], int(redraws[r])
         while count:  # redraw the offending rows until none is left
             x[r, rows] = config.covariates.draw(rngs_x[r], count, d)
-            h0[r] = x[r] @ config.beta0
+            h0[r] = x[r] @ beta0
             rows = h0[r] < -floor
             count = int(rows.sum())
             redraws[r] += count
@@ -312,7 +343,7 @@ def simulate_batch(config: SimulationConfig, keys) -> SimulatedTruth:
     events = delta.sum(axis=-1)
     return SimulatedTruth(
         dataset=dataset,
-        beta0=config.beta0.copy(),
+        beta0=beta0.copy(),
         baseline=config.baseline,
         h0=h0,
         seed=[tuple(key) for key in keys],
@@ -339,7 +370,7 @@ def _integer(raw: dict, key: str) -> int:
 
 def _beta0(spec, d: int) -> np.ndarray:
     """beta0 from a list of d values, or from {"indices": [...], "values":
-    [...]} with distinct integer indices in [0, d)."""
+    [...]} with distinct integer indices in [0, d) and one value each."""
     beta0 = np.zeros(max(d, 0))  # SimulationConfig refuses d < 1 by name
     try:
         if not isinstance(spec, dict):
@@ -350,7 +381,13 @@ def _beta0(spec, d: int) -> np.ndarray:
                 raise ConfigError(f"beta0 indices must be integers in [0, {d}), got {j!r}")
         if len(set(indices)) < len(indices):
             raise ConfigError(f"beta0 indices must not repeat, got {indices}")
-        beta0[indices] = np.asarray(spec["values"], dtype=float)
+        values = spec["values"]
+        if not isinstance(values, list) or len(values) != len(indices):
+            raise ConfigError(
+                f"beta0 values must be a list of one value per index ({len(indices)}), "
+                f"got {values!r}"
+            )
+        beta0[indices] = np.asarray(values, dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad beta0: {exc}") from None
     return beta0
@@ -382,6 +419,9 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     n, d = _integer(raw, "n"), _integer(raw, "d")
     seed = _integer(raw, "seed") if "seed" in raw else 0
     beta0 = _beta0(raw.get("beta0"), d)
+    max_negative_prob = raw.get("max_negative_prob", 0.2)
+    if isinstance(max_negative_prob, bool) or not isinstance(max_negative_prob, (int, float)):
+        raise ConfigError(f"max_negative_prob must be a number, got {max_negative_prob!r}")
 
     base_raw = raw.get("baseline", {"breakpoints": [0.0, 1.0], "values": [2.0]})
     try:
@@ -406,7 +446,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         covariates=_model(raw, "covariates", covariate_kinds, "gaussian"),
         censoring=_model(raw, "censoring", censoring_kinds, "administrative"),
         seed=seed,
-        max_negative_prob=float(raw.get("max_negative_prob", 0.2)),
+        max_negative_prob=float(max_negative_prob),
     )
 
 

@@ -158,7 +158,7 @@ def harness_configs():
 def set_chunk_length(monkeypatch, length: int) -> list:
     """Give both harnesses chunks of ``length``; the returned list collects
     the chunk lengths of every harness run, one list per run."""
-    monkeypatch.setattr(bernstein, "chunk_length", lambda config: length)
+    monkeypatch.setattr(bernstein, "chunk_length", lambda config, column: length)
     monkeypatch.setattr(oracle, "CHUNK", length)
     runs = []
     for module in (bernstein, oracle):
@@ -263,12 +263,14 @@ def test_chunks_cover_every_replication_once():
 
 
 def test_chunk_length_of_each_harness():
-    """From the config's n and d alone: 32 replications per Bernstein chunk
-    at the default and 8 at larger sizes; 8 in every oracle chunk."""
+    """From n and the covariate columns a Bernstein chunk draws: 32
+    replications at the default and for a narrow draw at a larger size, 8
+    when the draw is wide at that size; 8 in every oracle chunk."""
     default = default_config()
     large = dataclasses.replace(default, n=2000, d=200, beta0=np.zeros(200))
-    assert bernstein.chunk_length(default) == 32
-    assert bernstein.chunk_length(large) == 8
+    assert bernstein.chunk_length(default, 0) == bernstein.chunk_length(default, 49) == 32
+    assert bernstein.chunk_length(large, 0) == 32
+    assert bernstein.chunk_length(large, 199) == 8
     assert oracle.CHUNK == 8
 
 

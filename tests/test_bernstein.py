@@ -11,6 +11,7 @@ closed forms:
     (the loglog ratio there is exactly e/2, clamped to zero)
 """
 
+import dataclasses
 import json
 import math
 
@@ -37,11 +38,19 @@ from hazlasso.bernstein import (
     PAPER_NUMERIC_PRINTED_C3,
     WILSON_Z,
     _margin_quantile,
+    _mc_chunk,
     loglog_correction,
     zeta,
 )
 from hazlasso.gram import build_gram
-from hazlasso.simulate import AdministrativeCensoring, RademacherCovariates, noise_terms, simulate
+from hazlasso.simulate import (
+    AdministrativeCensoring,
+    GaussianCovariates,
+    RademacherCovariates,
+    _negative_probability,
+    noise_terms,
+    simulate,
+)
 
 from test_simulate import small_config
 
@@ -49,6 +58,13 @@ LOGLOG_GENERAL_REFERENCE = 2.0360057814362042
 PRESET_C2 = 9.3076542645438136
 PRESET_C3 = 28.542288455223820
 PRESET_BOUND_REFERENCE = 0.18615308529087627
+
+
+def zero_noise_replications(cfg, reps: int) -> int:
+    """Replications of ``run_mc(cfg, 0, ..., reps)`` that it keeps (column
+    0 not constant) and whose Z is exactly 0, from the draws it makes."""
+    abs_z, _, _, r = _mc_chunk((cfg, 0, cfg.seed, range(reps)))
+    return int(np.sum((abs_z == 0.0) & (r > 0)))
 
 
 class TestZeta:
@@ -304,12 +320,14 @@ class TestRunMC:
         assert "c3_printed_variant" in payload
 
     def test_margin_quantiles_are_never_nan(self):
-        # Rademacher covariates with a zero model and rare events: several
-        # replications have Z exactly 0, so several margin ratios are inf
+        # Rademacher covariates with a zero model and rare events: at this
+        # seed several replications have Z exactly 0 (elsewhere Z can be a
+        # roundoff residual of about 1e-18), so several margin ratios are inf
         cfg = small_config(
             n=12, beta0=[0.0, 0.0], baseline=StepFunction.constant(0.05),
-            covariates=RademacherCovariates(), censoring=AdministrativeCensoring(), seed=1,
+            covariates=RademacherCovariates(), censoring=AdministrativeCensoring(), seed=9,
         )
+        assert zero_noise_replications(cfg, 14) >= 2
         report = run_mc(cfg, 0, [0.5, 2.0], 14)
         assert "NaN" not in json.dumps(report)
         for row in report["rows"]:
@@ -366,3 +384,45 @@ class TestRunMC:
             run_mc(cfg, 0, [1.0], 0)
         with pytest.raises(ConfigError, match="column"):
             run_mc(cfg, 5, [1.0], 10)
+
+
+class TestNarrowedDraws:
+    """``run_mc`` draws only the leading covariate columns it reads."""
+
+    @pytest.mark.parametrize(
+        "covariates, column",
+        [(GaussianCovariates(rho=0.5, clip=2.5), 0), (GaussianCovariates(rho=0.9), 4),
+         (RademacherCovariates(), 1)],
+        ids=["gaussian-clipped", "gaussian-past-the-support", "rademacher"],
+    )
+    def test_report_equals_the_report_on_the_config_narrowed_by_hand(self, covariates, column):
+        beta0 = np.zeros(30)
+        beta0[[0, 2]] = [0.8, -0.4]
+        wide = small_config(n=50, d=30, beta0=beta0, covariates=covariates, seed=6)
+        m = max(column, 2) + 1
+        narrow = dataclasses.replace(wide, d=m, beta0=beta0[:m])
+        reports = [json.dumps(run_mc(cfg, column, [1.0, 3.0], 70)) for cfg in (wide, narrow)]
+        assert reports[0] == reports[1]
+
+    def test_the_negative_hazard_probe_judges_the_full_config(self):
+        beta0 = np.zeros(20)
+        beta0[0] = 1.0
+        full = small_config(
+            n=30, d=20, beta0=beta0, baseline=StepFunction.constant(0.5),
+            covariates=GaussianCovariates(rho=0.3, clip=3.0), seed=4,
+        )
+        p_full = _negative_probability(full)
+        p_narrow = _negative_probability(dataclasses.replace(full, d=1, beta0=beta0[:1]))
+        assert p_full < p_narrow  # a probe of the narrowed config refuses between the two
+        for limit in (p_full - 0.001, p_full, 0.5 * (p_full + p_narrow)):
+            cfg = dataclasses.replace(full, max_negative_prob=limit)
+            refused = []
+            for run in (lambda: simulate(cfg), lambda: run_mc(cfg, 0, [1.0], 5)):
+                try:
+                    run()
+                except ConfigError as exc:
+                    assert "max_negative_prob" in str(exc)
+                    refused.append(True)
+                else:
+                    refused.append(False)
+            assert refused == [limit < p_full] * 2

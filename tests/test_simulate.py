@@ -28,9 +28,11 @@ from hazlasso.simulate import (
     SimulationConfig,
     UniformCensoring,
     config_from_dict,
+    drawn_columns,
     load_config,
     noise_terms,
     simulate,
+    simulate_batch,
 )
 
 
@@ -90,6 +92,37 @@ class TestCovariateModels:
         assert np.abs(x).max() <= 2.0
         r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
         assert abs(r - 0.5) < 0.1  # clipping attenuates a little
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, -0.6, 0.9, 0.99])
+    def test_ar1_factor_for_m_columns_is_the_leading_block_of_the_factor_for_d(self, rho):
+        # column j of a draw reads only the normals of columns 0..j, so m
+        # columns drawn alone have the law of the first m of d
+        model = GaussianCovariates(rho=rho)
+        full = model._factor(50)
+        for m in (1, 3, 17, 50):
+            if full is None:  # rho = 0 has no factor: the identity
+                assert model._factor(m) is None
+            else:
+                np.testing.assert_allclose(model._factor(m), full[:m, :m], rtol=0, atol=1e-13)
+            assert model.leading_columns(m, 50) == m
+        assert RademacherCovariates().leading_columns(3, 50) == 3
+
+    def test_drawn_columns_reach_the_support_of_beta0(self):
+        cfg = default_config()  # beta0 is nonzero on columns 0, 1 and 2 of 50
+        assert [drawn_columns(cfg, c) for c in (1, 3, 4, 50)] == [3, 3, 4, 50]
+        assert drawn_columns(small_config(beta0=[0.0, 0.0]), 1) == 1
+
+    def test_a_kind_without_a_triangular_factor_draws_every_column(self):
+        class Mixed(GaussianCovariates):
+            def leading_columns(self, m, d):
+                return d
+
+        cfg = small_config(n=20, d=6, beta0=[0.5, 0, 0, 0, 0, 0], covariates=Mixed(rho=0.4))
+        keys = [[5, rep] for rep in range(3)]
+        assert drawn_columns(cfg, 1) == 6
+        narrowed, full = simulate_batch(cfg, keys, columns=1), simulate_batch(cfg, keys)
+        np.testing.assert_array_equal(narrowed.dataset.covariates, full.dataset.covariates)
+        np.testing.assert_array_equal(narrowed.dataset.times, full.dataset.times)
 
     def test_rademacher_values(self):
         rng = np.random.default_rng(2)
@@ -237,9 +270,16 @@ class TestConfigIO:
              "beta0 indices must not repeat, got [1, 1]"),
             ({"beta0": {"indices": [1.7], "values": [1.0]}},
              "beta0 indices must be integers in [0, 4), got 1.7"),
+            ({"beta0": {"indices": [0, 2], "values": [1.5]}},
+             "beta0 values must be a list of one value per index (2), got [1.5]"),
+            ({"beta0": {"indices": [0, 2], "values": 1.5}},
+             "beta0 values must be a list of one value per index (2), got 1.5"),
+            ({"max_negative_prob": True}, "max_negative_prob must be a number, got True"),
+            ({"max_negative_prob": "0.5"}, "max_negative_prob must be a number, got '0.5'"),
         ],
         ids=["n-float", "n-bool", "n-string", "seed-float", "index-negative", "index-repeated",
-             "index-float"],
+             "index-float", "values-short", "values-scalar", "max-negative-prob-bool",
+             "max-negative-prob-string"],
     )
     def test_integers_and_indices_are_refused_not_coerced(self, change, named):
         with pytest.raises(ConfigError, match=re.escape(named)):
