@@ -97,6 +97,20 @@ def _load_problem(args):
     return dataset, dictionary, system, weights
 
 
+def _problem_fields(args, dataset, dictionary) -> dict:
+    """The fields of a fitted problem, shared by the fit and path reports."""
+    return {
+        "data": args.data,
+        "n": dataset.n,
+        "time_scale": dataset.time_scale,
+        "x": args.x,
+        "kappa": args.kappa,
+        "constraint": args.constraint,
+        "kernel": active_kernel(),
+        "labels": list(dictionary.labels),
+    }
+
+
 def _fit_fields(result, labels) -> dict:
     """The fields of one fit, shared by the fit report and every path row."""
     return {
@@ -115,16 +129,10 @@ def _fit_command(args):
     if args.dump_gram:
         dump_gram(system, args.dump_gram)
     payload = {
-        "data": args.data,
-        "n": dataset.n,
+        **_problem_fields(args, dataset, dictionary),
         "columns": dictionary.M,
-        "x": args.x,
-        "kappa": args.kappa,
-        "constraint": args.constraint,
         "tol": args.tol,
-        "kernel": active_kernel(),
         "pinned_columns": [dictionary.labels[j] for j in result.pinned],
-        "labels": list(dictionary.labels),
         **_fit_fields(result, dictionary.labels),
     }
     return payload, 0 if result.converged else 2
@@ -136,6 +144,7 @@ def _weights_command(args):
     payload = {
         "data": args.data,
         "n": dataset.n,
+        "time_scale": dataset.time_scale,
         "x": args.x,
         "c1": PAPER_NUMERIC.c1,
         "c2": PAPER_NUMERIC.c2,
@@ -160,13 +169,7 @@ def _path_command(args):
         system, weights, scales, kappa=args.kappa, constraint=args.constraint, tol=args.tol
     )
     payload = {
-        "data": args.data,
-        "n": dataset.n,
-        "x": args.x,
-        "kappa": args.kappa,
-        "constraint": args.constraint,
-        "kernel": active_kernel(),
-        "labels": list(dictionary.labels),
+        **_problem_fields(args, dataset, dictionary),
         "rows": [
             {"scale": scale, **_fit_fields(f, dictionary.labels)} for scale, f in zip(scales, fits)
         ],

@@ -201,6 +201,21 @@ def _cone_project(b, w, support, heavy, theta):
     return b
 
 
+def _cone(system: GramSystem, weights: WeightVector, beta_ref, budget: int):
+    """(J, w, heavy, scale) for the cone around the support J of beta_ref:
+    the weights, the mask of off-support coordinates with w > 0, and the
+    null-direction scale of the Gram. Refuses an empty support and a
+    budget below 1."""
+    support = np.flatnonzero(np.asarray(beta_ref, dtype=float) != 0.0)
+    if support.size == 0:
+        raise ValueError("beta_ref needs a nonempty support")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    heavy = weights.w > 0
+    heavy[support] = False
+    return support, weights.w, heavy, _diag_scale(system.matrix)
+
+
 def mu3_search(
     system: GramSystem,
     weights: WeightVector,
@@ -220,18 +235,8 @@ def mu3_search(
     direction met with |b_J|_2 > 0 stops the stream at +inf: the
     restricted eigenvalue fails outright.
     """
-    beta_ref = np.asarray(beta_ref, dtype=float)
-    support = np.flatnonzero(beta_ref != 0.0)
-    if support.size == 0:
-        raise ValueError("beta_ref needs a nonempty support")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    H = system.matrix
-    M = system.M
-    w = weights.w
-    heavy = w > 0
-    heavy[support] = False
-    scale = _diag_scale(H)
+    support, w, heavy, scale = _cone(system, weights, beta_ref, budget)
+    H, M = system.matrix, system.M
     rng = np.random.default_rng(seed if np.ndim(seed) else [int(seed)])
     # arguments evaluate left to right: the normal vector, then theta
     draws = (
@@ -274,18 +279,8 @@ def mu3_bracket(
     batch is bracketed one replication at a time (``system[r]``,
     ``weights[r]``), each with its own fallback seed.
     """
-    beta_ref = np.asarray(beta_ref, dtype=float)
-    support = np.flatnonzero(beta_ref != 0.0)
-    if support.size == 0:
-        raise ValueError("beta_ref needs a nonempty support")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    H = system.matrix
-    M = system.M
-    scale = _diag_scale(H)
-    w = weights.w
-    heavy = w > 0
-    heavy[support] = False
+    support, w, heavy, scale = _cone(system, weights, beta_ref, budget)
+    H, M = system.matrix, system.M
     try:
         # H - floor*I factors only if every eigenvalue of H clears the null
         # floor (up to rounding of the factorization)
@@ -327,6 +322,21 @@ def _converged(fits) -> bool | list[bool]:
     return [f.converged for f in fits] if isinstance(fits, list) else fits.converged
 
 
+def _fast_columns(truth, dictionary, system, weights, mu3, beta_ref=None) -> dict:
+    """The kappa=2 fit of each replication and its fast check, as the
+    report's fast_* columns."""
+    fit_fast = _fit_each(system, weights, kappa=2.0)
+    lhs, rhs, holds = fast_oracle_check(
+        truth, dictionary, fit_fast, mu3, system, weights, beta_ref=beta_ref
+    )
+    return {
+        "fast_lhs": lhs,
+        "fast_rhs": rhs,
+        "fast_holds": holds,
+        "fast_converged": _converged(fit_fast),
+    }
+
+
 def identity_gram_check(
     truth: SimulatedTruth,
     x: float,
@@ -357,18 +367,11 @@ def identity_gram_check(
     system_w = build_gram(dataset, whitened, timeline)
     weights_w = compute_weights(dataset, whitened, system_w, x)
     beta_ref = _fitted(root, truth.beta0)
-    fit_w = _fit_each(system_w, weights_w, kappa=2.0)
     mu3 = 1.0 / np.sqrt(np.linalg.eigvalsh(system_w.matrix)[..., 0])
-    lhs, rhs, holds = fast_oracle_check(
-        truth, whitened, fit_w, mu3, system_w, weights_w, beta_ref=beta_ref
-    )
     exact = np.all(beta_ref != 0.0, axis=-1) | (not np.any(truth.beta0))
     offset = np.abs(system_w.matrix - np.eye(system_w.M)).max(axis=(-2, -1))
     return {
-        "fast_lhs": lhs,
-        "fast_rhs": rhs,
-        "fast_holds": holds,
-        "fast_converged": _converged(fit_w),
+        **_fast_columns(truth, whitened, system_w, weights_w, mu3, beta_ref),
         "mu3": _python(mu3),
         "mu3_label": _python(np.where(exact, "exact", "indicative")),
         "gram_offset": _python(offset),
@@ -405,7 +408,6 @@ def _oracle_chunk(args):
     if identity_gram:
         columns.update(identity_gram_check(truth, x, system=system))
     else:
-        fit_fast = _fit_each(system, weights, kappa=2.0)
         if np.any(truth.beta0):
             mu3 = [
                 mu3_bracket(system[r], weights[r], truth.beta0, budget, [seed, rep, 55])
@@ -418,14 +420,8 @@ def _oracle_chunk(args):
             # unused: an empty support drops the mu3 term
             mu_value = mu_upper = [math.inf] * len(reps)
             label = ["exact"] * len(reps)
-        f_lhs, f_rhs, f_holds = fast_oracle_check(
-            truth, dictionary, fit_fast, mu_value, system, weights
-        )
         columns.update(
-            fast_lhs=f_lhs,
-            fast_rhs=f_rhs,
-            fast_holds=f_holds,
-            fast_converged=_converged(fit_fast),
+            _fast_columns(truth, dictionary, system, weights, mu_value),
             mu3=mu_value,
             mu3_upper=mu_upper,
             mu3_label=label,

@@ -23,6 +23,7 @@ not depend on the batch it is drawn in.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -54,15 +55,12 @@ class GaussianCovariates:
         if self.clip is not None and not (math.isfinite(self.clip) and self.clip > 0):
             raise ConfigError(f"clip must be finite and positive when set, got {self.clip}")
 
-    def draw(self, rng, size: int, d: int) -> np.ndarray:
-        """A (size, d) block of rows; a list of generators draws one block
-        each, stacked on a leading axis.
+    def draw(self, generators: list, size: int, d: int) -> np.ndarray:
+        """One (size, d) block of rows per generator, stacked on a leading axis.
 
         Each block is multiplied by the AR(1) factor and clipped while it is
         still in cache, straight into the stacked output.
         """
-        batch = isinstance(rng, list)
-        generators = rng if batch else [rng]
         x = np.empty((len(generators), size, d))
         normal = np.empty((size, d))
         factor = self._factor(d)
@@ -73,7 +71,7 @@ class GaussianCovariates:
             if self.clip is not None:  # np.clip, without its per-call overhead
                 np.minimum(block, self.clip, out=block)
                 np.maximum(block, -self.clip, out=block)
-        return x if batch else x[0]
+        return x
 
     def _factor(self, d: int) -> np.ndarray | None:
         """Transposed Cholesky factor of the AR(1) correlation, or None at rho = 0."""
@@ -104,12 +102,10 @@ class RademacherCovariates:
         joint law."""
         return m
 
-    def draw(self, rng, size: int, d: int) -> np.ndarray:
-        """A (size, d) block; a list of generators stacks one block each."""
-        batch = isinstance(rng, list)
-        bits = np.stack([g.integers(0, 2, size=(size, d)) for g in (rng if batch else [rng])])
-        x = bits.astype(float) * 2.0 - 1.0
-        return x if batch else x[0]
+    def draw(self, generators: list, size: int, d: int) -> np.ndarray:
+        """One (size, d) block per generator, stacked on a leading axis."""
+        bits = np.stack([g.integers(0, 2, size=(size, d)) for g in generators])
+        return bits.astype(float) * 2.0 - 1.0
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ def _negative_probability(config: SimulationConfig) -> float:
             prob = 0.0
         else:
             rng = np.random.default_rng([config.seed, _PROBE_TAG])
-            x = config.covariates.draw(rng, _PROBE_DRAWS, config.d)
+            x = config.covariates.draw([rng], _PROBE_DRAWS, config.d)[0]
             prob = float(np.mean(x @ config.beta0 < -floor))
         config._probe = prob
     return config._probe
@@ -310,7 +306,7 @@ def simulate_batch(config: SimulationConfig, keys, columns: int | None = None) -
     for r in np.flatnonzero(redraws):
         rows, count = bad[r], int(redraws[r])
         while count:  # redraw the offending rows until none is left
-            x[r, rows] = config.covariates.draw(rngs_x[r], count, d)
+            x[r, rows] = config.covariates.draw([rngs_x[r]], count, d)[0]
             h0[r] = x[r] @ beta0
             rows = h0[r] < -floor
             count = int(rows.sum())
@@ -368,13 +364,26 @@ def _integer(raw: dict, key: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool or a numeric string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(values, key: str) -> np.ndarray:
+    """The list of JSON numbers ``values`` as floats; a bool or a string in
+    it is refused, not coerced."""
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise ConfigError(f"{key} must be a list of numbers, got {values!r}")
+    return np.asarray(values, dtype=float)
+
+
 def _beta0(spec, d: int) -> np.ndarray:
     """beta0 from a list of d values, or from {"indices": [...], "values":
     [...]} with distinct integer indices in [0, d) and one value each."""
     beta0 = np.zeros(max(d, 0))  # SimulationConfig refuses d < 1 by name
     try:
         if not isinstance(spec, dict):
-            return beta0 if spec is None else np.asarray(spec, dtype=float)
+            return beta0 if spec is None else _numbers(spec, "beta0")
         indices = spec["indices"]
         for j in indices:
             if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < d:
@@ -387,7 +396,7 @@ def _beta0(spec, d: int) -> np.ndarray:
                 f"beta0 values must be a list of one value per index ({len(indices)}), "
                 f"got {values!r}"
             )
-        beta0[indices] = np.asarray(values, dtype=float)
+        beta0[indices] = _numbers(values, "beta0 values")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad beta0: {exc}") from None
     return beta0
@@ -400,6 +409,11 @@ def _model(raw: dict, key: str, kinds: dict, default: str):
         kind = options.pop("kind", default)
         if kind not in kinds:
             raise ConfigError(f"unknown {key}.kind {kind!r}")
+        # every option is a number; null leaves one whose default is None unset
+        unset = {f.name for f in dataclasses.fields(kinds[kind]) if f.default is None}
+        for name, value in options.items():
+            if not (_is_number(value) or (value is None and name in unset)):
+                raise ConfigError(f"{key}.{name} must be a number, got {value!r}")
         return kinds[kind](**options)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {key}: {exc}") from None
@@ -420,14 +434,14 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     seed = _integer(raw, "seed") if "seed" in raw else 0
     beta0 = _beta0(raw.get("beta0"), d)
     max_negative_prob = raw.get("max_negative_prob", 0.2)
-    if isinstance(max_negative_prob, bool) or not isinstance(max_negative_prob, (int, float)):
+    if not _is_number(max_negative_prob):
         raise ConfigError(f"max_negative_prob must be a number, got {max_negative_prob!r}")
 
     base_raw = raw.get("baseline", {"breakpoints": [0.0, 1.0], "values": [2.0]})
     try:
         baseline = StepFunction(
-            np.asarray(base_raw["breakpoints"], dtype=float),
-            np.asarray(base_raw["values"], dtype=float),
+            _numbers(base_raw["breakpoints"], "baseline breakpoints"),
+            _numbers(base_raw["values"], "baseline values"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad baseline: {exc}") from None

@@ -54,6 +54,8 @@ def active_kernel() -> str:
 
 
 CONSTRAINTS = ("unconstrained", "nonnegative")
+# the most solver steps one fit takes before it ends with converged=False
+MAX_STEPS = 10000
 
 
 @dataclass
@@ -99,6 +101,20 @@ def _dead_mask(system: GramSystem, weights: WeightVector) -> np.ndarray:
     return (r == 0.0) | (np.diag(system.matrix) <= 1e-13 * r**2)
 
 
+def _residuals(g: np.ndarray, beta: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:
+    """Per-coordinate KKT residuals at beta from g = hn - H beta (minus half
+    the gradient of the smooth part) and the penalty weights wk.
+
+    A zero coordinate's residual is max(0, 2|g| - wk), or max(0, 2g - wk)
+    on a nonnegative fit; an active one's is 2|g - (wk/2) sign(beta)|, twice
+    the active block's right-hand side.
+    """
+    out = np.maximum(0.0, 2.0 * (g if nonneg else np.abs(g)) - wk)
+    on = beta != 0
+    out[on] = 2.0 * np.abs(g[on] - 0.5 * wk[on] * np.sign(beta[on]))
+    return out
+
+
 def kkt_violations(
     system: GramSystem,
     weights: WeightVector,
@@ -114,17 +130,8 @@ def kkt_violations(
     subgradient. Nonnegative fits only require one-sided stationarity at 0.
     """
     b = np.asarray(beta, dtype=float)
-    grad = 2.0 * (system.matrix @ b - system.vector)
     wk = kappa * weight_scale * weights.w
-    out = np.empty(len(b))
-    on = b != 0
-    if constraint == "nonnegative":
-        out[on] = np.abs(grad[on] + wk[on])
-        out[~on] = np.maximum(0.0, -(grad[~on] + wk[~on]))
-    else:
-        out[on] = np.abs(grad[on] + wk[on] * np.sign(b[on]))
-        out[~on] = np.maximum(0.0, np.abs(grad[~on]) - wk[~on])
-    return out
+    return _residuals(system.vector - system.matrix @ b, b, wk, constraint == "nonnegative")
 
 
 def _unit_inverse(unit: np.ndarray) -> np.ndarray | None:
@@ -192,7 +199,6 @@ def fit(
     kappa: float = 1.0,
     constraint: str = "unconstrained",
     tol: float = 1e-8,
-    max_sweeps: int = 10000,
     start: np.ndarray | None = None,
     weight_scale: float = 1.0,
     *,
@@ -200,7 +206,7 @@ def fit(
 ) -> LassoFit:
     """Active-set steps until the KKT residual on live columns is <= tol.
 
-    ``max_sweeps`` bounds the number of solver steps (see the module
+    ``MAX_STEPS`` bounds the number of solver steps (see the module
     docstring). Running out of steps, a freshly factored block solve that
     leaves the block above tol with nothing left to bring in (the
     roundoff floor), or a step that can change nothing ends the fit with
@@ -250,19 +256,13 @@ def fit(
     converged = False
     steps = 0
     while True:
-        g = hn - hb  # minus half the gradient of the smooth part
-        sign = np.sign(beta[idx])
-        # the active KKT residuals are 2|rho|, and rho is the block's right-hand side
-        rho = g[idx] - 0.5 * wk[idx] * sign
-        active_max = 2.0 * np.abs(rho).max(initial=0.0)
-        # a zero coordinate's KKT residual is max(0, score)
-        score = 2.0 * (g if nonneg else np.abs(g)) - wk
-        score[~free] = -np.inf
-        entering_max = score.max(initial=-np.inf)
+        viol = _residuals(hn - hb, beta, wk, nonneg)
+        active_max = viol[idx].max(initial=0.0)
+        entering_max = viol[free].max(initial=0.0)
         if active_max <= tol and entering_max <= tol:  # False on a NaN residual
             converged = True
             break
-        if steps == max_sweeps:
+        if steps == MAX_STEPS:
             break
         # enter once the block is stationary, or once a fresh solve of it has
         # stayed above tol (roundoff floor); otherwise solve the block again
@@ -277,8 +277,8 @@ def fit(
             # every violator, the largest first; each entry moves the
             # gradient of the others, so a candidate is scored again before
             # it enters and skipped once it no longer violates
-            candidates = np.flatnonzero(score > tol)
-            for j in candidates[np.argsort(-score[candidates], kind="stable")]:
+            candidates = np.flatnonzero(free & (viol > tol))
+            for j in candidates[np.argsort(-viol[candidates], kind="stable")]:
                 c = hn[j] - hb[j]
                 if 2.0 * (c if nonneg else abs(c)) - wk[j] <= tol:
                     continue
@@ -288,9 +288,10 @@ def fit(
                     inv = _bordered(inv, H[idx, j] * unit_scale[idx] * unit_scale[j])
                 idx = np.append(idx, j)
                 free[j] = False
-            sign = np.sign(beta[idx])
-            rho = hn[idx] - hb[idx] - 0.5 * wk[idx] * sign
 
+        # the block's right-hand side; the active KKT residuals are 2|rho|
+        sign = np.sign(beta[idx])
+        rho = hn[idx] - hb[idx] - 0.5 * wk[idx] * sign
         b = beta[idx]
         su = unit_scale[idx]
         r = rho * su
@@ -359,7 +360,6 @@ def fit_path(
     kappa: float = 1.0,
     constraint: str = "unconstrained",
     tol: float = 1e-8,
-    max_sweeps: int = 10000,
 ) -> list[LassoFit]:
     """Warm-started fits over a descending grid of global weight scales.
 
@@ -381,7 +381,6 @@ def fit_path(
             kappa=kappa,
             constraint=constraint,
             tol=tol,
-            max_sweeps=max_sweeps,
             start=start,
             weight_scale=scale,
             _block=block,

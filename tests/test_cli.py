@@ -394,6 +394,7 @@ class TestMonteCarloCommands:
 
 REPORT_KEYS = {"schema", "generated_at", "command"}
 FIT_KEYS = {"converged", "sweeps", "kkt_max_violation", "objective", "beta", "active"}
+PROBLEM_KEYS = {"data", "n", "time_scale", "x", "kappa", "constraint", "kernel", "labels"}
 ORACLE_KEYS = REPORT_KEYS | {
     "config", "x", "replications", "identity_gram", "mu3_label", "guarantee", "slow", "fast",
     "rows",
@@ -410,14 +411,14 @@ class TestReportLayout:
     @pytest.mark.parametrize(
         "command, keys, row_keys",
         [
-            ("fit --data {data}", REPORT_KEYS | FIT_KEYS | {
-                "data", "n", "columns", "x", "kappa", "constraint", "tol", "kernel",
-                "pinned_columns", "labels",
+            ("fit --data {data}", REPORT_KEYS | FIT_KEYS | PROBLEM_KEYS | {
+                "columns", "tol", "pinned_columns",
             }, None),
-            ("weights --data {data}", REPORT_KEYS | {"data", "n", "x", "c1", "c2", "columns"}, None),
-            ("path --data {data} --scales 1,0.1", REPORT_KEYS | {
-                "data", "n", "x", "kappa", "constraint", "kernel", "labels", "rows",
-            }, FIT_KEYS | {"scale"}),
+            ("weights --data {data}", REPORT_KEYS | {
+                "data", "n", "time_scale", "x", "c1", "c2", "columns",
+            }, None),
+            ("path --data {data} --scales 1,0.1", REPORT_KEYS | PROBLEM_KEYS | {"rows"},
+             FIT_KEYS | {"scale"}),
             ("simulate --config {config} --out-data {data_out}", REPORT_KEYS | {
                 "config", "seed", "n", "d", "beta0", "baseline", "h0", "event_counts", "redraws",
                 "negative_prob", "data_file",
@@ -451,6 +452,17 @@ class TestReportLayout:
         if argv[0] == "oracle-check":
             summary = {"holds", "frequency", "wilson_low", "wilson_high"}
             assert set(report["slow"]) == set(report["fast"]) == summary
+
+
+    def test_reports_quote_the_time_scale(self, micro_csv, tmp_path):
+        # raw times up to 8 are divided by 8 on load; 1.0 when none exceeds 1
+        raw = tmp_path / "raw.csv"
+        raw.write_text("time,status,x1\n2.0,1,0.5\n8.0,0,1.5\n4.0,1,-1.0\n")
+        for command in (["weights"], ["fit"], ["path", "--scales", "1,0.1"]):
+            for data, scale in ((raw, 8.0), (micro_csv, 1.0)):
+                out = tmp_path / "report.json"
+                assert main(command + ["--data", str(data), "--out", str(out)]) == 0
+                assert read_report(out)["time_scale"] == scale
 
 
 class TestStrictReports:

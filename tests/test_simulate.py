@@ -87,7 +87,7 @@ class TestCovariateModels:
     def test_gaussian_shape_clip_and_correlation(self):
         rng = np.random.default_rng(1)
         model = GaussianCovariates(rho=0.5, clip=2.0)
-        x = model.draw(rng, 4000, 3)
+        x = model.draw([rng], 4000, 3)[0]
         assert x.shape == (4000, 3)
         assert np.abs(x).max() <= 2.0
         r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
@@ -126,7 +126,7 @@ class TestCovariateModels:
 
     def test_rademacher_values(self):
         rng = np.random.default_rng(2)
-        x = RademacherCovariates().draw(rng, 100, 2)
+        x = RademacherCovariates().draw([rng], 100, 2)[0]
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_censoring_supports(self):
@@ -240,6 +240,9 @@ class TestConfigIO:
         assert cfg.n == 10 and cfg.d == 2
         np.testing.assert_array_equal(cfg.beta0, [0.0, 0.0])
         assert cfg.censoring.kind == "administrative"
+        # null leaves an optional option unset
+        covariates = {"kind": "gaussian", "rho": 0.2, "clip": None}
+        assert config_from_dict({"n": 10, "d": 2, "covariates": covariates}).covariates.clip is None
 
     def test_sparse_beta0(self):
         cfg = config_from_dict({"n": 5, "d": 4, "beta0": {"indices": [1, 3], "values": [2.0, -1.0]}})
@@ -276,10 +279,28 @@ class TestConfigIO:
              "beta0 values must be a list of one value per index (2), got 1.5"),
             ({"max_negative_prob": True}, "max_negative_prob must be a number, got True"),
             ({"max_negative_prob": "0.5"}, "max_negative_prob must be a number, got '0.5'"),
+            ({"beta0": ["1.5", True, 0, 0]},
+             "beta0 must be a list of numbers, got ['1.5', True, 0, 0]"),
+            ({"beta0": {"indices": [0], "values": ["2"]}},
+             "beta0 values must be a list of numbers, got ['2']"),
+            ({"baseline": {"breakpoints": [0.0, 1.0], "values": [True]}},
+             "baseline values must be a list of numbers, got [True]"),
+            ({"baseline": {"breakpoints": ["0", True], "values": [1.0]}},
+             "baseline breakpoints must be a list of numbers, got ['0', True]"),
+            ({"covariates": {"kind": "gaussian", "rho": False}},
+             "covariates.rho must be a number, got False"),
+            ({"covariates": {"kind": "gaussian", "rho": "0.3"}},
+             "covariates.rho must be a number, got '0.3'"),
+            ({"covariates": {"kind": "gaussian", "rho": None}},
+             "covariates.rho must be a number, got None"),
+            ({"censoring": {"kind": "uniform", "c_max": True}},
+             "censoring.c_max must be a number, got True"),
         ],
         ids=["n-float", "n-bool", "n-string", "seed-float", "index-negative", "index-repeated",
              "index-float", "values-short", "values-scalar", "max-negative-prob-bool",
-             "max-negative-prob-string"],
+             "max-negative-prob-string", "beta0-string-and-bool", "values-string",
+             "baseline-values-bool", "baseline-breakpoints-string-and-bool", "rho-bool",
+             "rho-string", "rho-null", "c-max-bool"],
     )
     def test_integers_and_indices_are_refused_not_coerced(self, change, named):
         with pytest.raises(ConfigError, match=re.escape(named)):

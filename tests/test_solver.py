@@ -31,7 +31,7 @@ from hazlasso.simulate import GaussianCovariates, UniformCensoring, simulate
 import hazlasso.solver as solver
 from hazlasso.solver import _singular_direction as singular_direction
 from hazlasso.solver import _unit_inverse as unit_inverse
-from hazlasso.solver import kkt_violations
+from hazlasso.solver import CONSTRAINTS, kkt_violations
 
 from conftest import flat_weights, random_dataset
 
@@ -181,17 +181,29 @@ class TestCertificates:
             f = fit(system, weights)
             assert np.all(np.diff(f.objective_trace) <= 1e-12)
 
-    def test_converged_means_kkt_within_tol(self):
+    def test_converged_means_kkt_within_tol(self, correlated_problem):
+        # the residual that stops the solver is the one it reports: plain
+        # and nonnegative fits, and every row of a descending path
         rng = np.random.default_rng(6)
+        problems = []
         for tol in (1e-6, 1e-10):
             ds = random_dataset(rng, n=30, d=4)
             system = build_gram(ds, linear_dictionary(ds))
             weights = flat_weights(rng.uniform(0.01, 0.2, size=ds.d), ds.n)
-            f = fit(system, weights, tol=tol)
-            assert f.converged
-            assert f.kkt_max_violation <= tol
-            viol = kkt_violations(system, weights, f.beta, f.kappa, f.constraint, f.weight_scale)
-            assert viol.max() == f.kkt_max_violation
+            problems.append((system, weights, tol, [4.0, 1.0, 0.25, 0.05]))
+        problems.append((*correlated_problem, 1e-10, CORRELATED_GRID))
+        for system, weights, tol, grid in problems:
+            fits = []
+            for constraint in CONSTRAINTS:
+                fits.append(fit(system, weights, constraint=constraint, tol=tol))
+                fits += fit_path(system, weights, grid, constraint=constraint, tol=tol)
+            for f in fits:
+                assert f.converged
+                assert f.kkt_max_violation <= tol
+                viol = kkt_violations(
+                    system, weights, f.beta, f.kappa, f.constraint, f.weight_scale
+                )
+                assert np.delete(viol, f.pinned).max(initial=0.0) == f.kkt_max_violation
 
     def test_perturbation_breaks_kkt(self):
         rng = np.random.default_rng(7)
@@ -377,11 +389,12 @@ class TestCorrelatedDesign:
         if n == 60:
             assert any(earlier - later for earlier, later in zip(sets, sets[1:]))
 
-    def test_step_budget_exhaustion_is_reported(self, correlated_problem):
+    def test_step_budget_exhaustion_is_reported(self, correlated_problem, monkeypatch):
         # at 0.1 one step converges (two coordinates enter together); at
         # 0.03 one step still leaves violators
         system, weights = correlated_problem
-        f = fit(system, weights, weight_scale=0.03, max_sweeps=1)
+        monkeypatch.setattr(solver, "MAX_STEPS", 1)
+        f = fit(system, weights, weight_scale=0.03)
         assert not f.converged
         assert f.sweeps == 1 and len(f.objective_trace) == 2
         viol = kkt_violations(system, weights, f.beta, f.kappa, f.constraint, f.weight_scale)
