@@ -106,12 +106,13 @@ def _residuals(g: np.ndarray, beta: np.ndarray, wk: np.ndarray, nonneg: bool) ->
     the gradient of the smooth part) and the penalty weights wk.
 
     A zero coordinate's residual is max(0, 2|g| - wk), or max(0, 2g - wk)
-    on a nonnegative fit; an active one's is 2|g - (wk/2) sign(beta)|, twice
-    the active block's right-hand side.
+    on a nonnegative fit; an active one's is 2|g - (wk/2) s| with s =
+    sign(beta), or s = 1 on a nonnegative fit: twice the active block's
+    right-hand side.
     """
     out = np.maximum(0.0, 2.0 * (g if nonneg else np.abs(g)) - wk)
     on = beta != 0
-    out[on] = 2.0 * np.abs(g[on] - 0.5 * wk[on] * np.sign(beta[on]))
+    out[on] = 2.0 * np.abs(g[on] - 0.5 * wk[on] * (1.0 if nonneg else np.sign(beta[on])))
     return out
 
 
