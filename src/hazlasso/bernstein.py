@@ -289,10 +289,12 @@ def run_mc(
     x on each fixed dataset), so reported frequencies are exactly
     nonincreasing in x. Replications run in chunks through the batched
     pipeline (simulate, timeline and noise terms along a leading
-    replication axis), each on its own substreams, so the report does not
+    replication axis), each from its own generator, so the report does not
     depend on the chunking or on ``threads``. Each chunk draws only the
-    leading covariate columns that ``column`` and beta0 need; the
-    negative-hazard refusal still judges the full config.
+    leading covariate columns that ``column`` and beta0 need, a prefix of
+    the full draw, so narrowing changes no number of the report on a column
+    of beta0's support; past it the audited column differs from a full
+    draw's only by the roundoff of the AR(1) product.
     """
     x_grid = tuple(float(x) for x in x_grid)
     if not x_grid or not all(math.isfinite(x) and x > 0 for x in x_grid):

@@ -34,7 +34,6 @@ and the holding count, frequency and Wilson interval of each check under
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -175,15 +174,14 @@ def _diag_scale(H: np.ndarray) -> float:
     return max(1.0, float(np.max(np.diag(H), initial=0.0)))
 
 
-def _cone_ratio(H: np.ndarray, support: np.ndarray, b: np.ndarray, scale: float) -> float:
-    """|b_J|_2 / sqrt(b'Hb): 0 when b_J = 0, inf on a null direction."""
-    num2 = float(b[support] @ b[support])
-    if num2 == 0.0:
-        return 0.0
-    den2 = float(b @ (H @ b))
-    if den2 > 1e-14 * float(b @ b) * scale:
-        return math.sqrt(num2 / den2)
-    return math.inf
+def _cone_ratio(H: np.ndarray, support: np.ndarray, b: np.ndarray, scale: float):
+    """|b_J|_2 / sqrt(b'Hb) of each row of b (..., M): 0 where b_J = 0, inf
+    on a null direction."""
+    num2 = np.einsum("...j,...j", b[..., support], b[..., support])
+    den2 = np.asarray(np.einsum("...j,...j", b @ H, b))
+    live = den2 > 1e-14 * np.einsum("...j,...j", b, b) * scale
+    ratio = np.sqrt(np.divide(num2, den2, out=np.full_like(den2, math.inf), where=live))
+    return np.where(num2 == 0.0, 0.0, ratio)[()]
 
 
 def _in_cone(b, w, support, heavy) -> bool:
@@ -192,12 +190,12 @@ def _in_cone(b, w, support, heavy) -> bool:
 
 
 def _cone_project(b, w, support, heavy, theta):
-    """Shrink the weighted off-support mass of b (in place) onto the cone
-    |b_Jc|_{1,w} <= 3 theta |b_J|_{1,w}; coordinates with w = 0 are free."""
-    cap = 3.0 * theta * float(w[support] @ np.abs(b[support]))
-    load = float(w[heavy] @ np.abs(b[heavy]))
-    if load > cap:
-        b[heavy] *= 0.0 if cap == 0.0 else cap / load
+    """Shrink the weighted off-support mass of each row of b (..., M), in
+    place, onto the cone |b_Jc|_{1,w} <= 3 theta |b_J|_{1,w}; coordinates
+    with w = 0 are free."""
+    cap = 3.0 * theta * (np.abs(b[..., support]) @ w[support])
+    load = np.asarray(np.abs(b[..., heavy]) @ w[heavy])
+    b[..., heavy] *= np.divide(cap, load, out=np.ones_like(load), where=load > cap)[..., None]
     return b
 
 
@@ -238,18 +236,17 @@ def mu3_search(
     support, w, heavy, scale = _cone(system, weights, beta_ref, budget)
     H, M = system.matrix, system.M
     rng = np.random.default_rng(seed if np.ndim(seed) else [int(seed)])
-    # arguments evaluate left to right: the normal vector, then theta
-    draws = (
-        _cone_project(rng.standard_normal(M), w, support, heavy, rng.uniform())
-        for _ in range(budget)
+    draws, theta = np.empty((budget, M)), np.empty(budget)
+    for k in range(budget):  # one candidate at a time: the normal vector, then theta
+        rng.standard_normal(out=draws[k])
+        theta[k] = rng.uniform()
+    _cone_project(draws, w, support, heavy, theta)
+    ratio = _cone_ratio(H, support, np.vstack([np.eye(M)[support], draws]), scale)
+    # the stream stops at its first infinite ratio
+    count = int(np.argmax(ratio == math.inf)) + 1 if np.isinf(ratio).any() else len(ratio)
+    return ConeSearchResult(
+        mu3_lower=float(ratio[:count].max()), candidates=count, method="random-cone-sampling"
     )
-    best, count = 0.0, 0
-    for b in itertools.chain(np.eye(M)[support], draws):
-        count += 1
-        best = max(best, _cone_ratio(H, support, b, scale))
-        if best == math.inf:
-            break
-    return ConeSearchResult(mu3_lower=best, candidates=count, method="random-cone-sampling")
 
 
 def mu3_bracket(
@@ -303,7 +300,8 @@ def mu3_bracket(
     b_star = np.linalg.solve(chol.T, half @ vecs[:, -1])  # H^-1 E_J v
     if _in_cone(b_star, w, support, heavy):
         return ConeSearchResult(upper, 1, "closed-form", upper)
-    projected = _cone_ratio(H, support, _cone_project(b_star, w, support, heavy, 1.0), scale)
+    _cone_project(b_star, w, support, heavy, 1.0)
+    projected = float(_cone_ratio(H, support, b_star, scale))
     found = mu3_search(system, weights, beta_ref, budget, seed)
     found = dataclasses.replace(found, candidates=found.candidates + 1, mu3_upper=upper)
     if projected > found.mu3_lower:
@@ -446,7 +444,7 @@ def run_oracle_mc(
     "exact" when the bracket is closed and otherwise "indicative") or,
     with identity_gram, on the whitened construction where mu3 is a
     closed form and the check is exact. Replications run in chunks through
-    the batched pipeline, each on its own substreams, so the report does
+    the batched pipeline, each from its own generator, so the report does
     not depend on the chunking or on ``threads``.
     """
     if replications < 1:

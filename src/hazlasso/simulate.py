@@ -8,17 +8,17 @@ exponential, or administrative-at-1 only. Everything downstream that the
 theory calls unobservable (h0, compensators, predictable variation) is
 computable exactly from the returned truth object.
 
-Covariate rows violating lambda0(t) + x' beta0 >= 0 are redrawn and
+Covariate rows violating lambda0(t) + x' beta0 >= 0 are rejected and
 counted; a configuration whose per-draw violation probability (estimated
-on a dedicated probe substream) exceeds ``max_negative_prob`` is rejected
+on a dedicated probe substream) exceeds ``max_negative_prob`` is refused
 with a diagnostic.
 
 ``simulate_batch`` draws R datasets at once: the dataset, ``h0`` and the
 noise terms of ``noise_terms`` carry a leading replication axis of length
 R, which the Monte Carlo harnesses push through the rest of the pipeline
 as one array computation. ``simulate`` is a batch of one without that
-axis. Each replication keeps its own random substreams, so its numbers do
-not depend on the batch it is drawn in.
+axis. Each replication draws from one generator seeded by its key, so
+its numbers do not depend on the batch it is drawn in.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 from .errors import ConfigError
 from .survival import RiskSetTimeline, StepFunction, SurvivalDataset, take_rows
 
-_PROBE_TAG = 9901
+# substream tags, above any replication index: key + [tag] never seeds a replication
+_PROBE_TAG, _TOPUP_TAG = 2**32 - 1, 2**32 - 2
 _PROBE_DRAWS = 1000
-_COVARIATE_TAG, _EVENT_TAG, _CENSOR_TAG = 1, 2, 3
 
 _chol_cache: dict[tuple[int, float], np.ndarray] = {}
 
@@ -55,22 +55,18 @@ class GaussianCovariates:
         if self.clip is not None and not (math.isfinite(self.clip) and self.clip > 0):
             raise ConfigError(f"clip must be finite and positive when set, got {self.clip}")
 
-    def draw(self, generators: list, size: int, d: int) -> np.ndarray:
-        """One (size, d) block of rows per generator, stacked on a leading axis.
+    def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with the noise rows are made from: standard normals."""
+        rng.standard_normal(out=out)
 
-        Each block is multiplied by the AR(1) factor and clipped while it is
-        still in cache, straight into the stacked output.
-        """
-        x = np.empty((len(generators), size, d))
-        normal = np.empty((size, d))
-        factor = self._factor(d)
-        for g, block in zip(generators, x):
-            g.standard_normal(out=normal if factor is not None else block)
-            if factor is not None:
-                np.matmul(normal, factor, out=block)
-            if self.clip is not None:  # np.clip, without its per-call overhead
-                np.minimum(block, self.clip, out=block)
-                np.maximum(block, -self.clip, out=block)
+    def rows(self, noise: np.ndarray) -> np.ndarray:
+        """The rows (..., m) made from the noise of their m leading columns:
+        the AR(1) product with the factor for m, clipped."""
+        factor = self._factor(noise.shape[-1])
+        x = noise.copy() if factor is None else noise @ factor
+        if self.clip is not None:  # np.clip, without its per-call overhead
+            np.minimum(x, self.clip, out=x)
+            np.maximum(x, -self.clip, out=x)
         return x
 
     def _factor(self, d: int) -> np.ndarray | None:
@@ -79,9 +75,10 @@ class GaussianCovariates:
             return None
         key = (d, self.rho)
         if key not in _chol_cache:
-            idx = np.arange(d)
-            _chol_cache[key] = np.linalg.cholesky(self.rho ** np.abs(idx[:, None] - idx[None, :]))
-        return _chol_cache[key].T
+            lag = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+            # C-ordered, which keeps stacked products on the fast BLAS path
+            _chol_cache[key] = np.ascontiguousarray(np.linalg.cholesky(self.rho**lag).T)
+        return _chol_cache[key]
 
     def leading_columns(self, m: int, d: int) -> int:
         """Columns to draw so that the first m have the joint law they have
@@ -102,10 +99,13 @@ class RademacherCovariates:
         joint law."""
         return m
 
-    def draw(self, generators: list, size: int, d: int) -> np.ndarray:
-        """One (size, d) block per generator, stacked on a leading axis."""
-        bits = np.stack([g.integers(0, 2, size=(size, d)) for g in generators])
-        return bits.astype(float) * 2.0 - 1.0
+    def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with uniforms on [0, 1), one per entry."""
+        rng.random(out=out)
+
+    def rows(self, noise: np.ndarray) -> np.ndarray:
+        """-1 where the noise is below 1/2, else +1, C-ordered."""
+        return np.ascontiguousarray(np.where(noise < 0.5, -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,8 @@ class UniformCensoring:
             raise ConfigError(f"uniform censoring needs a finite c_max > 0, got {self.c_max}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        c = rng.uniform(0.0, self.c_max, size=size)
-        while np.any(c == 0.0):  # keep Z strictly positive
-            c[c == 0.0] = rng.uniform(0.0, self.c_max, size=int((c == 0.0).sum()))
-        return c
+        # 1 - U lies in (0, 1], so Z stays strictly positive with one call
+        return self.c_max * (1.0 - rng.random(size))
 
 
 @dataclass(frozen=True)
@@ -229,26 +227,31 @@ def _seed_key(config: SimulationConfig, seed) -> tuple[int, ...]:
     return tuple(int(s) for s in seed)
 
 
+def _support_rows(config: SimulationConfig, noise: np.ndarray):
+    """The rows made from first-block noise (..., rows, w), their h0, and
+    which of them keep the hazard nonnegative."""
+    x = config.covariates.rows(noise)
+    h0 = x @ config.beta0[: x.shape[-1]]
+    return x, h0, h0 >= -float(config.baseline.values.min())
+
+
 def _negative_probability(config: SimulationConfig) -> float:
     """Per-draw chance that a fresh covariate row makes the hazard negative.
 
     Estimated once per config on a probe substream keyed by the config seed
-    only, so the answer does not depend on which replication asks.
+    only, so no replication changes it. It draws only the columns that
+    decide h0, so a config narrowed to its leading columns probes alike.
     """
     if config._probe is None:
-        floor = float(config.baseline.values.min())
-        if np.all(config.beta0 == 0.0):
-            prob = 0.0
-        else:
-            rng = np.random.default_rng([config.seed, _PROBE_TAG])
-            x = config.covariates.draw([rng], _PROBE_DRAWS, config.d)[0]
-            prob = float(np.mean(x @ config.beta0 < -floor))
-        config._probe = prob
+        noise = np.zeros((_PROBE_DRAWS, drawn_columns(config, 0)))
+        if np.any(config.beta0):  # else h0 = 0 on every row
+            config.covariates.noise(np.random.default_rng([config.seed, _PROBE_TAG]), noise)
+        config._probe = float(np.mean(~_support_rows(config, noise)[2]))
     return config._probe
 
 
 def simulate(config: SimulationConfig, seed=None) -> SimulatedTruth:
-    """Draw one dataset; reproducible from (config, seed) via substreams.
+    """Draw one dataset; reproducible from (config, seed).
 
     ``seed`` overrides the config seed and may be a sequence (used by Monte
     Carlo drivers as (base_seed, replication_index)). The dataset is a
@@ -260,8 +263,8 @@ def simulate(config: SimulationConfig, seed=None) -> SimulatedTruth:
 def drawn_columns(config: SimulationConfig, columns: int) -> int:
     """Leading covariate columns ``simulate_batch`` draws when its caller
     reads the first ``columns``: enough to reach the last nonzero entry of
-    beta0 as well, which h0 and the redraw rule read, and as many as the
-    covariate kind needs for their exact joint law."""
+    beta0 as well, which h0 and the acceptance rule read, and as many as
+    the covariate kind needs for their exact joint law."""
     support = np.flatnonzero(config.beta0)
     m = max(columns, int(support[-1]) + 1 if support.size else 0)
     return config.covariates.leading_columns(m, config.d)
@@ -270,19 +273,20 @@ def drawn_columns(config: SimulationConfig, columns: int) -> int:
 def simulate_batch(config: SimulationConfig, keys, columns: int | None = None) -> SimulatedTruth:
     """Draw one dataset per seed key, stacked on a leading replication axis.
 
-    Each key (a sequence of ints) owns three substreams, key + [tag] for
-    the covariates, the event times and the censoring times, so a
-    replication's numbers do not depend on the batch it is drawn in. The
-    draws and the redraws of covariate rows that make the hazard negative
-    run per replication; everything else is array arithmetic over the
-    batch.
+    Each key (a sequence of ints) seeds one generator, which draws a first
+    block of rows of the w = ``drawn_columns(config, 0)`` leading columns'
+    noise (they decide h0), n event exponentials, n censoring times, then
+    the other drawn columns' noise, column by column; the rest is array
+    arithmetic over the batch. A row is kept when lambda_min + h0 >= 0: the
+    dataset holds the first n kept rows, ``redraws`` counts the rows
+    rejected before the n-th, and in the rare replication whose first
+    block falls short the rows come on from the substream key + [_TOPUP_TAG].
 
     With ``columns`` set, only the ``drawn_columns(config, columns)``
-    leading covariate columns are drawn, and the returned beta0 is cut to
-    them. Those columns, h0, the times and the status have the same law as
-    in a draw of all d columns, but their numbers differ unless all d are
-    drawn. The negative-hazard probe and its refusal always see the full
-    config.
+    leading columns are drawn, and the returned beta0 is cut to them. That
+    reads a prefix of the full draw's stream: h0, the times, the status and
+    the w leading columns are bitwise the full draw's, the other columns
+    equal up to the roundoff of the AR(1) product.
     """
     neg_prob = _negative_probability(config)
     if neg_prob > config.max_negative_prob:
@@ -293,53 +297,65 @@ def simulate_batch(config: SimulationConfig, keys, columns: int | None = None) -
         )
 
     keys = [[int(k) for k in key] for key in keys]
-    n = config.n
+    n, covariates = config.n, config.covariates
+    w = drawn_columns(config, 0)
     d = config.d if columns is None else drawn_columns(config, columns)
-    beta0 = config.beta0[:d]
-    floor = float(config.baseline.values.min())
+    # first-block rows, so that keeping fewer than n is a five-sigma shortfall
+    q = max(1.0 - neg_prob, 1.0 / _PROBE_DRAWS)
+    pq = neg_prob * q
+    extra = (12.5 * pq + 5.0 * math.sqrt(pq * (6.25 * pq + q * n))) / q**2  # 0 when pq = 0
+    noise = np.empty((len(keys), math.ceil(n / q + extra), w))
+    events, censor = np.empty((len(keys), n)), np.empty((len(keys), n))
+    spread = np.empty((len(keys), d, n))  # all d columns' noise, a row per column
+    for r, key in enumerate(keys):
+        rng = np.random.default_rng(key)
+        covariates.noise(rng, noise[r])
+        rng.standard_exponential(out=events[r])
+        censor[r] = config.censoring.draw(rng, n)
+        covariates.noise(rng, spread[r, w:])
 
-    rngs_x = [np.random.default_rng(key + [_COVARIATE_TAG]) for key in keys]
-    x = config.covariates.draw(rngs_x, n, d)
-    h0 = x @ beta0
-    bad = h0 < -floor
-    redraws = bad.sum(axis=-1)
-    for r in np.flatnonzero(redraws):
-        rows, count = bad[r], int(redraws[r])
-        while count:  # redraw the offending rows until none is left
-            x[r, rows] = config.covariates.draw([rngs_x[r]], count, d)[0]
-            h0[r] = x[r] @ beta0
-            rows = h0[r] < -floor
-            count = int(rows.sum())
-            redraws[r] += count
+    x, h0, keep = _support_rows(config, noise)
+    redraws = np.zeros(len(keys), dtype=int)
+    for r in np.flatnonzero(keep.sum(axis=-1) < n):  # rare: draw on from key + [_TOPUP_TAG]
+        rng = np.random.default_rng(keys[r] + [_TOPUP_TAG])
+        parts = [(noise[r], x[r], h0[r], keep[r])]
+        while sum(part[3].sum() for part in parts) < n:
+            more = np.empty_like(noise[r])
+            covariates.noise(rng, more)
+            parts.append((more, *_support_rows(config, more)))
+        rows = np.flatnonzero(np.concatenate([part[3] for part in parts]))[:n]
+        for out, blocks in zip((noise[r], x[r], h0[r]), zip(*parts)):
+            out[:n] = np.concatenate(blocks)[rows]  # the first n rows become the kept ones
+        keep[r], redraws[r] = np.arange(keep.shape[-1]) < n, rows[-1] + 1 - n
+    keep &= np.cumsum(keep, axis=-1) <= n
+    kept = np.flatnonzero(keep)  # n flat row indices per replication
+    redraws += kept[n - 1 :: n] % keep.shape[-1] + 1 - n
+    x = np.take(x.reshape(keep.size, w), kept, axis=0).reshape(len(keys), n, w)
+    h0 = np.take(h0, kept).reshape(len(keys), n)
+    if d > w:  # all d columns from their noise, then the w leading ones as kept
+        support = np.take(noise.reshape(keep.size, w), kept, axis=0).reshape(x.shape)
+        spread[:, :w] = support.transpose(0, 2, 1)
+        x, leading = covariates.rows(spread.transpose(0, 2, 1)), x
+        x[..., :w] = leading
 
-    # piecewise-linear cumulative hazard, inverted in closed form
-    bp = config.baseline.breakpoints
-    lam = config.baseline.values
+    # the piecewise-linear cumulative hazard, inverted in closed form on the
+    # last piece whose start the draw reaches (ties resolve forward)
+    bp, lam = config.baseline.breakpoints, config.baseline.values
     cum0 = np.concatenate([[0.0], np.cumsum(lam * np.diff(bp))])
-    cum = cum0 + h0[..., None] * bp
-    exp_draw = np.stack(
-        [np.random.default_rng(key + [_EVENT_TAG]).exponential(size=n) for key in keys]
-    )
-    np.maximum(exp_draw, 1e-300, out=exp_draw)
-    inside = exp_draw <= cum[..., -1]
-    # ties on flat pieces resolve forward to the next increasing piece
-    piece = np.clip((cum <= exp_draw[..., None]).sum(axis=-1) - 1, 0, len(lam) - 1)
-    rate = lam[piece] + h0
-    left = bp[piece]
-    start = cum0[piece] + h0 * left  # cum at the start of the piece, as above
-    failure = np.where(inside, left + (exp_draw - start) / np.maximum(rate, 1e-300), np.inf)
-
-    censor = np.stack(
-        [config.censoring.draw(np.random.default_rng(key + [_CENSOR_TAG]), n) for key in keys]
-    )
+    np.maximum(events, 1e-300, out=events)
+    piece = 0
+    for k in range(1, len(lam)):
+        piece = piece + (cum0[k] + h0 * bp[k] <= events)
+    left, rate = bp[piece], np.maximum(lam[piece] + h0, 1e-300)
+    inside = events <= cum0[-1] + h0  # bp[-1] = 1
+    failure = np.where(inside, left + (events - cum0[piece] - h0 * left) / rate, np.inf)
     z = np.minimum(np.minimum(failure, censor), 1.0)
     delta = failure <= np.minimum(censor, 1.0)
 
-    dataset = SurvivalDataset(times=z, status=delta, covariates=x)
     events = delta.sum(axis=-1)
     return SimulatedTruth(
-        dataset=dataset,
-        beta0=beta0.copy(),
+        dataset=SurvivalDataset(times=z, status=delta, covariates=x),
+        beta0=config.beta0[:d].copy(),
         baseline=config.baseline,
         h0=h0,
         seed=[tuple(key) for key in keys],
@@ -377,6 +393,13 @@ def _numbers(values, key: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _known(section: dict, keys: tuple, name: str) -> None:
+    """Refuse the first key of ``section`` outside ``keys``, by name."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown {name} key {key!r}")
+
+
 def _beta0(spec, d: int) -> np.ndarray:
     """beta0 from a list of d values, or from {"indices": [...], "values":
     [...]} with distinct integer indices in [0, d) and one value each."""
@@ -384,6 +407,7 @@ def _beta0(spec, d: int) -> np.ndarray:
     try:
         if not isinstance(spec, dict):
             return beta0 if spec is None else _numbers(spec, "beta0")
+        _known(spec, ("indices", "values"), "beta0")
         indices = spec["indices"]
         for j in indices:
             if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < d:
@@ -423,13 +447,8 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     """Build a config from parsed JSON; every complaint names its key."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {
-        "n", "d", "beta0", "baseline", "covariates", "censoring", "seed",
-        "max_negative_prob",
-    }
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+    known = ("n", "d", "beta0", "baseline", "covariates", "censoring", "seed", "max_negative_prob")
+    _known(raw, known, "config")
     n, d = _integer(raw, "n"), _integer(raw, "d")
     seed = _integer(raw, "seed") if "seed" in raw else 0
     beta0 = _beta0(raw.get("beta0"), d)
@@ -439,6 +458,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
 
     base_raw = raw.get("baseline", {"breakpoints": [0.0, 1.0], "values": [2.0]})
     try:
+        _known(base_raw, ("breakpoints", "values"), "baseline")
         baseline = StepFunction(
             _numbers(base_raw["breakpoints"], "baseline breakpoints"),
             _numbers(base_raw["values"], "baseline values"),

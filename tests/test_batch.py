@@ -130,9 +130,13 @@ def test_batch_equals_batches_of_one(config, reps):
 
 
 def test_rare_events_config_has_empty_replications():
-    # the model the properties below lean on for the no-event case
-    truth = simulate_batch(rare_events_config(), [[3, rep] for rep in range(8)])
-    events = truth.event_counts["events"]
+    # the model the properties below lean on for the no-event case, at the
+    # first base seed from 3 whose 8 replications have both kinds
+    for seed in range(3, 23):
+        truth = simulate_batch(rare_events_config(), [[seed, rep] for rep in range(8)])
+        events = truth.event_counts["events"]
+        if (events == 0).any() and (events > 0).any():
+            break
     assert (events == 0).any() and (events > 0).any()
     system, weights, (z, vhat, var) = pipeline(truth)
     empty = events == 0
@@ -215,7 +219,8 @@ def test_reports_do_not_depend_on_threads(config, monkeypatch):
 
 
 def correlated_config():
-    """The default 200 x 50 model at rho = 0.9: rep 33 has b* outside the cone."""
+    """The default 200 x 50 model at rho = 0.9, where b* leaves the cone in
+    a few replications in a hundred."""
     return dataclasses.replace(
         default_config(seed=5), covariates=GaussianCovariates(rho=0.9, clip=3.0)
     )
@@ -236,7 +241,13 @@ def wide_config():
                          ids=["correlated", "wide"])
 def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
     budget = 64
-    report = run_oracle_mc(config, x=5.0, replications=reps, mu3_budget=budget)
+    # the correlated model at the first seed from 5 where some replication
+    # has b* outside the cone
+    for seed in range(config.seed, config.seed + 20):
+        config = dataclasses.replace(config, seed=seed)
+        report = run_oracle_mc(config, x=5.0, replications=reps, mu3_budget=budget)
+        if config.d > config.n or any(r["mu3_label"] == "indicative" for r in report["rows"]):
+            break
     methods = set()
     for rep, row in enumerate(report["rows"]):
         truth = simulate(config, seed=[config.seed, rep])
@@ -252,7 +263,7 @@ def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
         assert all(row["mu3_upper"] == np.inf for row in report["rows"])
         assert methods == {"random-cone-sampling"}
     else:  # b* projected onto the cone, against the search
-        assert report["rows"][33]["mu3_label"] == "indicative"
+        assert "indicative" in [row["mu3_label"] for row in report["rows"]]
         assert "closed-form" in methods and len(methods) > 1
 
 

@@ -27,6 +27,7 @@ from hazlasso.simulate import (
     RademacherCovariates,
     SimulationConfig,
     UniformCensoring,
+    _TOPUP_TAG,
     config_from_dict,
     drawn_columns,
     load_config,
@@ -85,9 +86,10 @@ def literal_noise(truth, phi, timeline):
 
 class TestCovariateModels:
     def test_gaussian_shape_clip_and_correlation(self):
-        rng = np.random.default_rng(1)
         model = GaussianCovariates(rho=0.5, clip=2.0)
-        x = model.draw([rng], 4000, 3)[0]
+        noise = np.empty((4000, 3))
+        model.noise(np.random.default_rng(1), noise)
+        x = model.rows(noise)
         assert x.shape == (4000, 3)
         assert np.abs(x).max() <= 2.0
         r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
@@ -125,8 +127,9 @@ class TestCovariateModels:
         np.testing.assert_array_equal(narrowed.dataset.times, full.dataset.times)
 
     def test_rademacher_values(self):
-        rng = np.random.default_rng(2)
-        x = RademacherCovariates().draw([rng], 100, 2)[0]
+        noise = np.empty((100, 2))
+        RademacherCovariates().noise(np.random.default_rng(2), noise)
+        x = RademacherCovariates().rows(noise)
         assert set(np.unique(x)) == {-1.0, 1.0}
 
     def test_censoring_supports(self):
@@ -137,6 +140,66 @@ class TestCovariateModels:
         assert e.min() > 0.0
         a = AdministrativeCensoring().draw(rng, 5)
         assert np.all(np.isinf(a))
+
+
+class TestStreamLayout:
+    """One generator per replication: the support noise, the event and
+    censoring times, then the other columns, column by column."""
+
+    @pytest.mark.parametrize(
+        "covariates",
+        [GaussianCovariates(rho=0.5, clip=2.5), GaussianCovariates(), RademacherCovariates()],
+        ids=["gaussian-clipped", "gaussian-independent", "rademacher"],
+    )
+    def test_a_narrowed_draw_is_a_prefix_of_the_full_draw(self, covariates):
+        beta0 = np.zeros(30)
+        beta0[[0, 2]] = [0.8, -0.4]
+        cfg = small_config(n=50, d=30, beta0=beta0, covariates=covariates, seed=6)
+        keys = [[6, rep] for rep in range(5)]
+        full = simulate_batch(cfg, keys)
+        for columns in (1, 3, 7):
+            narrow = simulate_batch(cfg, keys, columns=columns)
+            m = drawn_columns(cfg, columns)
+            assert narrow.dataset.covariates.shape == (5, 50, m)
+            for got, want in [
+                (narrow.h0, full.h0),
+                (narrow.dataset.times, full.dataset.times),
+                (narrow.dataset.status, full.dataset.status),
+                (narrow.dataset.covariates[..., :3], full.dataset.covariates[..., :3]),
+                (narrow.redraws, full.redraws),
+            ]:
+                assert got.tobytes() == want.tobytes()
+            np.testing.assert_allclose(
+                narrow.dataset.covariates, full.dataset.covariates[..., :m], rtol=0, atol=1e-13
+            )
+
+    def test_a_short_first_block_tops_up_from_its_own_substream(self):
+        # about 40% of rows make the hazard negative here, past the default
+        # limit; a probe that read 0 sizes the first block at n rows, so
+        # every replication falls short and draws on from key + [tag]
+        n, floor = 30, 0.5
+        cfg = small_config(
+            n=n, d=3, beta0=[2.0, 0.0, 0.0], baseline=StepFunction.constant(floor),
+            covariates=GaussianCovariates(), max_negative_prob=0.5,
+        )
+        cfg._probe = 0.0
+        keys = [[5, rep] for rep in range(4)]
+        batch, again = simulate_batch(cfg, keys), simulate_batch(cfg, keys)
+        assert batch.dataset.covariates.tobytes() == again.dataset.covariates.tobytes()
+        assert np.all(floor + batch.h0 >= 0.0)
+        for r, key in enumerate(keys):
+            one = simulate(cfg, seed=key)
+            assert one.dataset.covariates.tobytes() == batch[r].dataset.covariates.tobytes()
+            assert one.dataset.times.tobytes() == batch[r].dataset.times.tobytes()
+            # the first block's kept rows, then the top-up stream's, in order
+            first = np.random.default_rng(key).standard_normal(n)
+            more = np.random.default_rng(key + [_TOPUP_TAG]).standard_normal(20 * n)
+            kept_first = first[2.0 * first >= -floor]
+            assert kept_first.size < n
+            kept_more = np.flatnonzero(2.0 * more >= -floor)[: n - kept_first.size]
+            want = np.concatenate([kept_first, more[kept_more]])
+            assert batch.dataset.covariates[r, :, 0].tobytes() == want.tobytes()
+            assert batch.redraws[r] == n - kept_first.size + kept_more[-1] + 1 - kept_more.size
 
 
 class TestConfigValidation:
@@ -247,6 +310,18 @@ class TestConfigIO:
     def test_sparse_beta0(self):
         cfg = config_from_dict({"n": 5, "d": 4, "beta0": {"indices": [1, 3], "values": [2.0, -1.0]}})
         np.testing.assert_array_equal(cfg.beta0, [0.0, 2.0, 0.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "section, spec, key",
+        [
+            ("beta0", {"indices": [0], "values": [1.0], "scale": 10}, "scale"),
+            ("baseline", {"breakpoints": [0, 1], "values": [2.0], "kind": "weibull"}, "kind"),
+        ],
+    )
+    def test_unknown_keys_inside_a_section_are_refused(self, section, spec, key):
+        # a misspelt or unsupported option is refused, not dropped
+        with pytest.raises(ConfigError, match=f"unknown {section} key '{key}'"):
+            config_from_dict({"n": 5, "d": 3, section: spec})
 
     def test_error_messages_name_the_key(self):
         with pytest.raises(ConfigError, match="bogus"):
