@@ -21,7 +21,9 @@ warms the caches; each layer's time is the median over the timed runs,
 and ``path_steps`` is the total number of solver steps of the path,
 which does not vary between runs. The Monte Carlo entries time
 ``run_mc`` and both modes of ``run_oracle_mc`` at the default config,
-serially, in this process.
+serially, in this process, and count the minor page faults the process
+takes over the timed runs, per replication (``minor_faults_per_rep``): a
+harness whose chunks get their memory back from malloc takes almost none.
 ``--smoke`` runs only the smallest size, once, with few replications, so
 that a test can check the script in seconds.
 """
@@ -44,6 +46,7 @@ import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
@@ -146,10 +149,12 @@ def mc_entry(name: str, reps: int, runs: int) -> dict:
         call = partial(run_oracle_mc, config, replications=reps, identity_gram=identity)
     call()  # warm-up
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(runs):
         start = perf_counter()
         call()
         times.append(perf_counter() - start)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     median = statistics.median(times)
     return {
         "harness": name,
@@ -157,6 +162,7 @@ def mc_entry(name: str, reps: int, runs: int) -> dict:
         "runs": runs,
         "median_s": median,
         "reps_per_s": reps / median,
+        "minor_faults_per_rep": faults / (runs * reps),
     }
 
 
@@ -203,7 +209,8 @@ def main(argv=None) -> int:
         print(f"{entry['n']}x{entry['d']}: {cells}  steps {entry['path_steps']}")
     for entry in report["monte_carlo"]:
         rate, reps = entry["reps_per_s"], entry["replications"]
-        print(f"{entry['harness']}: {rate:.0f} reps/s ({reps} reps)")
+        faults = entry["minor_faults_per_rep"]
+        print(f"{entry['harness']}: {rate:.0f} reps/s ({reps} reps), {faults:.3g} minor faults per rep")
     return 0
 
 

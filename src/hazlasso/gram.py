@@ -84,10 +84,8 @@ def build_gram(
     if phi.shape[:-1] != tl.end_interval.shape:
         raise ValueError("dictionary rows do not match the dataset")
     centered = tl.centered(phi)  # one prefix pass serves H, hn and vhat
-    dev = tl.event_deviations(centered)
-    vector = dev.sum(axis=-2) / tl.n  # before vhat squares dev in place
-    vhat = np.square(dev, out=dev).sum(axis=-2) / tl.n
-    del dev  # freed before the increments of H take its place
+    # the event deviations are freed before the increments of H take their place
+    vector, vhat = event_moments(tl, centered)
     return GramSystem(
         matrix=tl.cross_moment(centered, centered),
         vector=vector,
@@ -95,6 +93,15 @@ def build_gram(
         labels=list(dictionary.labels),
         vhat=vhat,
     )
+
+
+def event_moments(timeline: RiskSetTimeline, centered) -> tuple[np.ndarray, np.ndarray]:
+    """hn and vhat of the columns of a ``centered`` pair: the sum of their
+    event deviations and of the squares of those, each over n."""
+    dev = timeline.event_deviations(centered)
+    vector = dev.sum(axis=-2) / timeline.n  # before vhat squares dev in place
+    vhat = np.square(dev, out=dev).sum(axis=-2) / timeline.n
+    return vector, vhat
 
 
 def empirical_norm_sq(system: GramSystem, beta: np.ndarray) -> float:

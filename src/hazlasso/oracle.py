@@ -15,9 +15,13 @@ eigenvector v, so ``mu3_bracket`` is exact whenever b* lies in the cone.
 When b* leaves the cone, mu3 is bracketed: the lower end comes from
 feasible cone points (b* projected onto the cone, and the plain random
 stream of ``mu3_search``), and every report states which case it is.
-For an exact fast check on any design, whiten the dictionary: the Gram
-becomes the identity up to roundoff, the reference support is full, the
-cone is the whole space, and mu3 collapses to 1/sqrt(lambda_min).
+For an exact fast check on any design, whiten the dictionary: with R =
+H^{-1/2} the rotated columns X R have Gram R H R = I, the reference R^{-1}
+beta0 has full support almost surely, the cone is the whole space, and
+mu3 = 1. On the identity the kappa=2 fit is soft-thresholding of the
+event vector at the weights, so ``identity_gram_check`` needs no second
+Gram matrix and no solver: one eigh of H, the event deviations of X R and
+the weights they give.
 
 The checks and the whitened construction take a batched truth, dictionary,
 system and weights (a leading replication axis, as from
@@ -28,7 +32,7 @@ so only the random draws, the solver fits and the mu3 brackets run one
 replication at a time. ``run_oracle_mc`` returns the report dict that
 ``hazlasso oracle-check`` writes, key for key: one row per replication,
 and the holding count, frequency and Wilson interval of each check under
-``slow`` and ``fast``.
+``slow`` and ``fast``, with the count of its fits that did not converge.
 """
 
 from __future__ import annotations
@@ -40,14 +44,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import CHUNK, chunks, parallel_map
-from .bernstein import wilson_interval
+from .bernstein import half_range, wilson_interval
 from .dictionary import DictionaryMatrix, linear_dictionary
 from .errors import ConfigError, DataValidationError
-from .gram import GramSystem, build_gram, empirical_norm_sq_fn
+from .gram import GramSystem, build_gram, empirical_norm_sq_fn, event_moments
 from .simulate import SimulatedTruth, SimulationConfig, simulate_batch
 from .solver import LassoFit, fit
 from .survival import build_timeline
-from .weights import WeightVector, compute_weights
+from .weights import WeightVector, bernstein_weights, compute_weights
 
 GUARANTEE_CONSTANT = 29.0  # both inequalities hold with probability >= 1 - 29 e^{-x}
 DEFAULT_ORACLE_X = 5.0
@@ -79,16 +83,15 @@ def _fitted(values: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return (values @ beta[..., None])[..., 0]
 
 
-def _distances(truth, dictionary, system, beta, beta_ref):
-    """(|h_fit - h0|_n^2, |h_ref - h0|_n^2, ref) with ref = beta0 unless
-    ``beta_ref`` is given; one entry per replication of a batch."""
+def _distances(truth, phi, tl, beta, beta_ref):
+    """(|h_fit - h0|_n^2, |h_ref - h0|_n^2, ref) for dictionary values
+    ``phi`` on timeline ``tl``, with ref = beta0 unless ``beta_ref`` is
+    given; one entry per replication of a batch."""
     if not isinstance(truth, SimulatedTruth):
         raise DataValidationError(
             "oracle checks need simulated truth; h0 is unobservable on real data"
         )
     ref = truth.beta0 if beta_ref is None else np.asarray(beta_ref, dtype=float)
-    tl = system.timeline
-    phi = dictionary.values
     lhs = np.maximum(0.0, empirical_norm_sq_fn(tl, _fitted(phi, beta) - truth.h0))
     approx = np.maximum(0.0, empirical_norm_sq_fn(tl, _fitted(phi, ref) - truth.h0))
     return lhs, approx, ref
@@ -111,7 +114,7 @@ def slow_oracle_check(
     fit per replication and each returned item is a list.
     """
     beta = _fitted_beta(fit_result, 1.0)
-    lhs, approx, ref = _distances(truth, dictionary, system, beta, beta_ref)
+    lhs, approx, ref = _distances(truth, dictionary.values, system.timeline, beta, beta_ref)
     rhs = approx + 2.0 * (np.abs(ref) * weights.w).sum(axis=-1)
     return _python(lhs), _python(rhs), _python(lhs <= rhs + SLACK)
 
@@ -136,11 +139,17 @@ def fast_oracle_check(
     each returned item is a list.
     """
     beta = _fitted_beta(fit_result, 2.0)
+    return _fast_sides(truth, dictionary.values, system.timeline, beta, mu3, weights.w, beta_ref)
+
+
+def _fast_sides(truth, phi, tl, beta, mu3, w, beta_ref):
+    """The fast check of coefficients ``beta`` of dictionary values ``phi``
+    penalised by weights ``w``, as ``fast_oracle_check`` returns it."""
     mu = np.asarray(mu3, dtype=float)
     if np.any(np.isnan(mu) | (mu <= 0)):
         raise ValueError("mu3 must be positive")
-    lhs, approx, ref = _distances(truth, dictionary, system, beta, beta_ref)
-    w_j = np.where(ref != 0.0, weights.w, 0.0)
+    lhs, approx, ref = _distances(truth, phi, tl, beta, beta_ref)
+    w_j = np.where(ref != 0.0, w, 0.0)
     mu = np.where(np.any(ref != 0.0, axis=-1), mu, 0.0)
     rhs = approx + 2.25 * mu * mu * (w_j * w_j).sum(axis=-1)
     return _python(lhs), _python(rhs), _python(lhs <= rhs + SLACK)
@@ -309,30 +318,9 @@ def mu3_bracket(
     return found
 
 
-def _fit_each(system: GramSystem, weights: WeightVector, **options):
-    """One solver fit for a single system, a list of them for a batch."""
-    if system.matrix.ndim == 2:
-        return fit(system, weights, **options)
+def _fit_each(system: GramSystem, weights: WeightVector, **options) -> list[LassoFit]:
+    """One solver fit per replication of a batch."""
     return [fit(system[r], weights[r], **options) for r in range(len(system.matrix))]
-
-
-def _converged(fits) -> bool | list[bool]:
-    return [f.converged for f in fits] if isinstance(fits, list) else fits.converged
-
-
-def _fast_columns(truth, dictionary, system, weights, mu3, beta_ref=None) -> dict:
-    """The kappa=2 fit of each replication and its fast check, as the
-    report's fast_* columns."""
-    fit_fast = _fit_each(system, weights, kappa=2.0)
-    lhs, rhs, holds = fast_oracle_check(
-        truth, dictionary, fit_fast, mu3, system, weights, beta_ref=beta_ref
-    )
-    return {
-        "fast_lhs": lhs,
-        "fast_rhs": rhs,
-        "fast_holds": holds,
-        "fast_converged": _converged(fit_fast),
-    }
 
 
 def identity_gram_check(
@@ -341,46 +329,63 @@ def identity_gram_check(
     *,
     system: GramSystem,
 ) -> dict:
-    """Fast-oracle check on a whitened copy of the linear dictionary.
+    """Fast-oracle check on a whitened copy of the linear dictionary, in
+    closed form.
 
-    Rotating the columns by H^{-1/2} leaves the spanned class (hence h0)
-    unchanged, makes the rebuilt Gram the identity up to roundoff, and
-    turns the reference into H^{1/2} beta0, which is dense almost surely:
-    the cone is all of R^M and mu3 = 1/sqrt(lambda_min) exactly, no search.
-    ``system`` is the Gram of the linear dictionary of ``truth.dataset``.
-    The keys are the oracle report's column names; for a batch every value
-    is a list with one entry per replication.
+    Rotating the columns X by R = H^{-1/2} leaves the spanned class (hence
+    h0) unchanged, makes the Gram of X R exactly R H R = I, and turns the
+    reference into H^{1/2} beta0, which is dense almost surely: the cone is
+    all of R^M and mu3 = 1, no search. The event vector hn_w and the
+    variances vhat_w are read from the event deviations of X R, hn_w = R hn
+    up to roundoff; the weights w_w are those of X R at level x, and on the
+    identity the kappa=2 fit is beta_w = sign(hn_w) max(|hn_w| - w_w, 0),
+    so no Gram matrix is rebuilt and no fit is run. ``fast_converged`` is
+    therefore always true, and ``gram_offset`` = max |R H R - I| is the
+    roundoff of the whitening. ``system`` is the Gram of the linear
+    dictionary of ``truth.dataset``. The keys are the oracle report's
+    column names; for a batch every value is a list with one entry per
+    replication.
     """
-    dataset = truth.dataset
-    timeline = system.timeline
+    tl = system.timeline
     lam, vecs = np.linalg.eigh(system.matrix)
     if np.any(lam[..., 0] <= 1e-10 * np.maximum(lam[..., -1], 1.0)):
         raise ConfigError("gram matrix is numerically singular; cannot whiten")
     root = (vecs * np.sqrt(lam)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     inv_root = (vecs / np.sqrt(lam)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     # the linear dictionary's values are the covariates
-    whitened = DictionaryMatrix(
-        dataset.covariates @ inv_root, labels=[f"w{j + 1}" for j in range(system.M)]
-    )
-    system_w = build_gram(dataset, whitened, timeline)
-    weights_w = compute_weights(dataset, whitened, system_w, x)
+    whitened = truth.dataset.covariates @ inv_root
+    vector, vhat = event_moments(tl, tl.centered(whitened))
+    w = bernstein_weights(vhat, half_range(whitened), x, tl.n)
+    beta = np.sign(vector) * np.maximum(np.abs(vector) - w, 0.0)
     beta_ref = _fitted(root, truth.beta0)
-    mu3 = 1.0 / np.sqrt(np.linalg.eigvalsh(system_w.matrix)[..., 0])
+    lhs, rhs, holds = _fast_sides(truth, whitened, tl, beta, 1.0, w, beta_ref)
     exact = np.all(beta_ref != 0.0, axis=-1) | (not np.any(truth.beta0))
-    offset = np.abs(system_w.matrix - np.eye(system_w.M)).max(axis=(-2, -1))
+    offset = np.abs(inv_root @ system.matrix @ inv_root - np.eye(system.M)).max(axis=(-2, -1))
+    rows = lam.shape[:-1]
     return {
-        **_fast_columns(truth, whitened, system_w, weights_w, mu3, beta_ref),
-        "mu3": _python(mu3),
+        "fast_lhs": lhs,
+        "fast_rhs": rhs,
+        "fast_holds": holds,
+        "fast_converged": _python(np.ones(rows, dtype=bool)),
+        "mu3": _python(np.ones(rows)),
         "mu3_label": _python(np.where(exact, "exact", "indicative")),
         "gram_offset": _python(offset),
     }
 
 
-def _holding(rows: list[dict], key: str) -> dict:
-    """How many rows hold under ``key``, as a frequency with its Wilson interval."""
-    holds = sum(1 for row in rows if row[key])
+def _holding(rows: list[dict], check: str) -> dict:
+    """How many rows hold under the ``check`` ("slow" or "fast"), as a
+    frequency with its Wilson interval, and how many of its fits did not
+    converge."""
+    holds = sum(1 for row in rows if row[f"{check}_holds"])
     low, high = wilson_interval(holds, len(rows))
-    return {"holds": holds, "frequency": holds / len(rows), "wilson_low": low, "wilson_high": high}
+    return {
+        "holds": holds,
+        "frequency": holds / len(rows),
+        "wilson_low": low,
+        "wilson_high": high,
+        "nonconverged": sum(1 for row in rows if not row[f"{check}_converged"]),
+    }
 
 
 def _oracle_chunk(args):
@@ -399,7 +404,7 @@ def _oracle_chunk(args):
         "slow_lhs": s_lhs,
         "slow_rhs": s_rhs,
         "slow_holds": s_holds,
-        "slow_converged": _converged(fit_slow),
+        "slow_converged": [f.converged for f in fit_slow],
         "events": _python(truth.event_counts["events"]),
     }
 
@@ -418,8 +423,15 @@ def _oracle_chunk(args):
             # unused: an empty support drops the mu3 term
             mu_value = mu_upper = [math.inf] * len(reps)
             label = ["exact"] * len(reps)
+        fit_fast = _fit_each(system, weights, kappa=2.0)
+        f_lhs, f_rhs, f_holds = fast_oracle_check(
+            truth, dictionary, fit_fast, mu_value, system, weights
+        )
         columns.update(
-            _fast_columns(truth, dictionary, system, weights, mu_value),
+            fast_lhs=f_lhs,
+            fast_rhs=f_rhs,
+            fast_holds=f_holds,
+            fast_converged=[f.converged for f in fit_fast],
             mu3=mu_value,
             mu3_upper=mu_upper,
             mu3_label=label,
@@ -466,7 +478,7 @@ def run_oracle_mc(
         "identity_gram": identity_gram,
         "mu3_label": label,
         "guarantee": guarantee_level(x),
-        "slow": _holding(rows, "slow_holds"),
-        "fast": _holding(rows, "fast_holds"),
+        "slow": _holding(rows, "slow"),
+        "fast": _holding(rows, "fast"),
         "rows": rows,
     }

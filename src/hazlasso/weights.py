@@ -86,12 +86,17 @@ def compute_weights(
         raise ValueError("dictionary columns do not match the gram system")
     vhat = system.vhat.copy()
     r = half_range(dictionary.values)
-    level = _union_level(x, dictionary.M)
     return WeightVector(
         x=float(x),
         n=dataset.n,
         vhat=vhat,
         half_range=r,
-        w=bound_empirical(vhat, r, level, dataset.n, PAPER_NUMERIC),
+        w=bernstein_weights(vhat, r, x, dataset.n),
         labels=list(dictionary.labels),
     )
+
+
+def bernstein_weights(vhat: np.ndarray, r: np.ndarray, x: float, n: int) -> np.ndarray:
+    """The weights w_j of columns with empirical variances ``vhat`` and
+    half-ranges ``r``, shape (..., M), on n records at confidence level x."""
+    return bound_empirical(vhat, r, _union_level(x, vhat.shape[-1]), n, PAPER_NUMERIC)

@@ -450,7 +450,7 @@ class TestReportLayout:
         if row_keys is not None:
             assert report["rows"] and all(set(row) == row_keys for row in report["rows"])
         if argv[0] == "oracle-check":
-            summary = {"holds", "frequency", "wilson_low", "wilson_high"}
+            summary = {"holds", "frequency", "wilson_low", "wilson_high", "nonconverged"}
             assert set(report["slow"]) == set(report["fast"]) == summary
 
 

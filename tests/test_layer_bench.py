@@ -37,3 +37,4 @@ def test_smoke_run_writes_a_complete_report(tmp_path):
     harnesses = [mc["harness"] for mc in report["monte_carlo"]]
     assert harnesses == ["run_mc", "run_oracle_mc", "run_oracle_mc identity_gram"]
     assert all(mc["reps_per_s"] > 0 for mc in report["monte_carlo"])
+    assert all(mc["minor_faults_per_rep"] >= 0 for mc in report["monte_carlo"])

@@ -18,10 +18,12 @@ from hazlasso import (
     ConeSearchResult,
     ConfigError,
     DataValidationError,
+    DictionaryMatrix,
     StepFunction,
     build_gram,
     build_timeline,
     compute_weights,
+    default_config,
     fast_oracle_check,
     fit,
     guarantee_level,
@@ -30,6 +32,7 @@ from hazlasso import (
     mu3_bracket,
     mu3_search,
     run_oracle_mc,
+    simulate_batch,
     slow_oracle_check,
 )
 from hazlasso.cli import SCHEMA_VERSION, main
@@ -366,9 +369,27 @@ class TestIdentityGramCheck:
         out = identity_gram_check(truth, x=5.0, system=system)
         assert out["mu3_label"] == "exact"
         assert out["gram_offset"] <= 1e-10
-        np.testing.assert_allclose(out["mu3"], 1.0, rtol=1e-6)
-        assert out["fast_converged"]
+        assert out["mu3"] == 1.0
+        assert out["fast_converged"] is True
         assert out["fast_holds"] and out["fast_lhs"] <= out["fast_rhs"] + 1e-12
+
+    @pytest.mark.parametrize("n, d, x, least_kept", [(200, 50, 5.0, 0), (2000, 10, 0.5, 1)],
+                             ids=["default", "kept-coefficients"])
+    def test_closed_form_matches_the_solver_on_the_rebuilt_gram(self, n, d, x, least_kept):
+        # at 2000 x 10 and x = 0.5 every whitened fit keeps coefficients, so
+        # the soft-thresholding itself is compared, not only zero fits
+        beta0 = np.zeros(d)
+        beta0[:3] = [1.0, 1.0, -0.5]
+        config = dataclasses.replace(default_config(), n=n, d=d, beta0=beta0)
+        truth = simulate_batch(config, [[3, rep] for rep in range(8)])
+        system = build_gram(truth.dataset, linear_dictionary(truth.dataset))
+        out = identity_gram_check(truth, x=x, system=system)
+        lhs, rhs, holds, kept = whitened_by_solver(truth, x, system)
+        np.testing.assert_allclose(out["fast_lhs"], lhs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out["fast_rhs"], rhs, rtol=1e-12, atol=0)
+        assert out["fast_holds"] == holds
+        assert out["mu3"] == [1.0] * 8 and out["fast_converged"] == [True] * 8
+        assert min(kept) >= least_kept
 
     def test_singular_design_is_refused(self):
         truth = simulate(oracle_config())
@@ -380,6 +401,28 @@ class TestIdentityGramCheck:
         system = build_gram(truth.dataset, linear_dictionary(truth.dataset))
         with pytest.raises(ConfigError, match="singular"):
             identity_gram_check(truth, x=5.0, system=system)
+
+
+def whitened_by_solver(truth, x, system):
+    """The whitened fast check the long way: rotate the covariates by R =
+    H^{-1/2}, rebuild the Gram and the weights of the rotated dictionary,
+    fit each replication at kappa=2 and take mu3 = 1/sqrt(lambda_min) of
+    the rebuilt Gram. Returns the check's (lhs, rhs, holds) and the
+    number of coefficients each fit keeps."""
+    lam, vecs = np.linalg.eigh(system.matrix)
+    root = (vecs * np.sqrt(lam)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+    inv_root = (vecs / np.sqrt(lam)[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+    dataset = truth.dataset
+    labels = [f"w{j + 1}" for j in range(system.M)]
+    whitened = DictionaryMatrix(dataset.covariates @ inv_root, labels=labels)
+    system_w = build_gram(dataset, whitened, system.timeline)
+    weights_w = compute_weights(dataset, whitened, system_w, x)
+    fits = [fit(system_w[r], weights_w[r], kappa=2.0) for r in range(len(lam))]
+    assert all(f.converged for f in fits)
+    mu3 = 1.0 / np.sqrt(np.linalg.eigvalsh(system_w.matrix)[:, 0])
+    beta_ref = (root @ truth.beta0[:, None])[..., 0]
+    sides = fast_oracle_check(truth, whitened, fits, mu3, system_w, weights_w, beta_ref)
+    return (*sides, [np.count_nonzero(f.beta) for f in fits])
 
 
 class TestRunOracleMC:
@@ -394,6 +437,9 @@ class TestRunOracleMC:
         assert report["mu3_label"] in ("indicative", "exact")
         np.testing.assert_allclose(report["guarantee"], 1.0 - 29.0 * math.exp(-5.0))
         assert len(report["rows"]) == 12
+        for check in ("slow", "fast"):
+            stuck = sum(1 for row in report["rows"] if not row[f"{check}_converged"])
+            assert report[check]["nonconverged"] == stuck
         json.dumps(report)
 
     def test_identity_gram_mode(self):

@@ -262,6 +262,43 @@ class TestLoadDatasetSyntax:
         assert_allclose(fitted(back), expected, rtol=0, atol=1e-12 * max(1.0, np.abs(expected).max()))
 
 
+def stable_sort_timeline(z, status) -> dict:
+    """The timeline's arrays from two stable sorts of the times, ascending
+    and descending: ties keep record order in both."""
+    n = z.shape[-1]
+    ascending = np.argsort(z, axis=-1, kind="stable")
+    zasc = np.take_along_axis(z, ascending, axis=-1)
+    tie_start = np.ones(z.shape, dtype=bool)
+    tie_start[..., 1:] = zasc[..., 1:] != zasc[..., :-1]
+    first = np.maximum.accumulate(np.where(tie_start, np.arange(n), 0), axis=-1)
+    end_interval = np.empty_like(first)
+    np.put_along_axis(end_interval, ascending, first, axis=-1)
+    breakpoints = np.concatenate([np.zeros(z.shape[:-1] + (1,)), zasc], axis=-1)
+    return {
+        "breakpoints": breakpoints,
+        "lengths": np.diff(breakpoints, axis=-1),
+        "at_risk": n - first,
+        "desc_order": np.argsort(-z, axis=-1, kind="stable"),
+        "status": status,
+        "end_interval": end_interval,
+    }
+
+
+@st.composite
+def tied_batches(draw):
+    """Times of R <= 4 replications of n >= 1 records on a coarse grid
+    k / levels, with a run of 1.0 (the end of follow-up) in each, and
+    event flags: ties everywhere."""
+    R, n, levels = draw(st.integers(1, 4)), draw(st.integers(1, 60)), draw(st.integers(1, 8))
+    grid = st.lists(st.integers(1, levels), min_size=R * n, max_size=R * n)
+    times = np.array(draw(grid), dtype=float).reshape(R, n) / levels
+    for r in range(R):
+        start = draw(st.integers(0, n - 1))
+        times[r, start:start + draw(st.integers(0, n - start))] = 1.0
+    status = np.array(draw(st.lists(st.booleans(), min_size=R * n, max_size=R * n)))
+    return times, status.reshape(R, n)
+
+
 class TestTimeline:
     def test_micro_instance_bookkeeping(self, micro_dataset):
         tl = build_timeline(micro_dataset)
@@ -298,6 +335,19 @@ class TestTimeline:
         mean = StepFunction(tl.breakpoints, tl.means(np.array([0.0, 1.0])))
         assert mean(0.25) == pytest.approx(0.5)
         assert mean(0.75) == pytest.approx(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=tied_batches())
+    def test_timeline_equals_the_two_stable_sort_construction(self, batch):
+        times, status = batch
+        ds = SurvivalDataset(times=times, status=status, covariates=np.zeros(times.shape + (1,)))
+        for data in (ds, ds[0]):
+            tl, want = build_timeline(data), stable_sort_timeline(data.times, data.status)
+            assert tl.n == data.n
+            for name, value in want.items():
+                got = getattr(tl, name)
+                assert got.dtype == np.asarray(value).dtype, name
+                assert np.array_equal(got, value), name
 
 
 class TestOrthogonality:
