@@ -12,7 +12,6 @@ no events at all.
 import ctypes
 import dataclasses
 import json
-import resource
 import types
 
 import numpy as np
@@ -291,7 +290,7 @@ def test_chunk_length_of_each_harness():
 def has_mallopt() -> bool:
     try:
         return hasattr(ctypes.CDLL(None), "mallopt")
-    except OSError:
+    except (OSError, TypeError):
         return False
 
 
@@ -316,6 +315,8 @@ def test_keeping_chunk_memory_without_mallopt_does_nothing(monkeypatch):
 def test_a_repeated_oracle_run_reuses_its_chunk_memory():
     # the arrays of a chunk come back from malloc, not from the kernel page
     # by page; without the setting this run takes about 2500 minor faults
+    import resource  # POSIX only, like mallopt
+
     config = default_config()
     run_oracle_mc(config, replications=16, identity_gram=True)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

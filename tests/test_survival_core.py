@@ -294,7 +294,7 @@ def tied_batches(draw):
     times = np.array(draw(grid), dtype=float).reshape(R, n) / levels
     for r in range(R):
         start = draw(st.integers(0, n - 1))
-        times[r, start:start + draw(st.integers(0, n - start))] = 1.0
+        times[r, start:start + draw(st.integers(1, n - start))] = 1.0
     status = np.array(draw(st.lists(st.booleans(), min_size=R * n, max_size=R * n)))
     return times, status.reshape(R, n)
 
