@@ -1,13 +1,10 @@
-"""Chunked replication fan-out used by the Monte Carlo drivers.
+"""Replication chunks for the Monte Carlo drivers.
 
 The drivers cut their replications into chunks that go through the
 batched pipeline as one array computation each: the oracle harness in
 chunks of ``CHUNK``, the Bernstein harness in chunks its
-``chunk_length(config)`` sets. Workers are module-level functions fed
-picklable argument tuples, one chunk per call, so the process pool stays
-optional: threads = 1 runs the same loop serially and produces
-byte-identical aggregates (results keep submission order, and a
-replication's numbers do not depend on its chunk).
+``chunk_length(config)`` sets. Each replication draws from its own
+generator, so a report does not depend on the chunking.
 
 Every chunk allocates and frees arrays of the same few sizes. glibc's
 malloc takes blocks above its mmap threshold straight from the kernel and
@@ -16,11 +13,11 @@ to the kernel once more than its trim threshold lies free there. Both
 thresholds start near 128 KiB and adapt only to the largest block freed
 so far, so a chunk's arrays go back to the kernel when it ends and are
 faulted in again, page by page, by the next.
-``parallel_map`` therefore raises both thresholds once per process, and
-in every pool worker, so that freed chunk memory stays with malloc for the
-next chunk. The setting is process-wide and outlives the call; it changes
-no number, and where the C library has no ``mallopt`` (anything but glibc)
-nothing is done.
+The drivers therefore call ``_keep_chunk_memory`` before their first
+chunk; it raises both thresholds once per process, so that freed chunk
+memory stays with malloc for the next chunk. The setting is process-wide
+and outlives the call; it changes no number, and where the C library has
+no ``mallopt`` (anything but glibc) nothing is done.
 """
 
 from __future__ import annotations
@@ -65,18 +62,3 @@ def _keep_chunk_memory() -> bool:
 def chunks(count: int, size: int) -> list[range]:
     """Replication indices 0..count-1 cut into runs of at most ``size``."""
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    _keep_chunk_memory()
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # imported here: the pool brings in multiprocessing and socket, which
-    # a serial run never uses
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads, initializer=_keep_chunk_memory) as pool:
-        return list(pool.map(fn, items))

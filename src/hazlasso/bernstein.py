@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._parallel import CHUNK, chunks, parallel_map
+from ._chunks import CHUNK, _keep_chunk_memory, chunks
 from .errors import ConfigError
 from .simulate import (
     SimulatedTruth,
@@ -260,10 +260,9 @@ def chunk_length(config: SimulationConfig, column: int) -> int:
     return min(max(CHUNK_BYTES // (8 * config.n * width), CHUNK), MAX_CHUNK)
 
 
-def _mc_chunk(args):
+def _mc_chunk(config: SimulationConfig, column: int, seed: int, reps: range):
     """|Z|, Vhat, V and the half-range of one chunk of replications, one
     array each."""
-    config, column, seed, reps = args
     truth = simulate_batch(config, [[seed, rep] for rep in reps], columns=column + 1)
     timeline = build_timeline(truth.dataset)
     v = truth.dataset.covariates[..., column : column + 1]
@@ -278,7 +277,6 @@ def run_mc(
     replications: int,
     constants: BernsteinConstants = PAPER_NUMERIC,
     seed: int | None = None,
-    threads: int = 1,
 ) -> dict:
     """Violation frequencies of the data-driven bound over fresh datasets,
     as the report dict that ``hazlasso bernstein-mc`` writes.
@@ -290,7 +288,7 @@ def run_mc(
     nonincreasing in x. Replications run in chunks through the batched
     pipeline (simulate, timeline and noise terms along a leading
     replication axis), each from its own generator, so the report does not
-    depend on the chunking or on ``threads``. Each chunk draws only the
+    depend on the chunking. Each chunk draws only the
     leading covariate columns that ``column`` and beta0 need, a prefix of
     the full draw, so narrowing changes no number of the report on a column
     of beta0's support; past it the audited column differs from a full
@@ -305,9 +303,11 @@ def run_mc(
         raise ConfigError(f"column {column} out of range for d={config.d}")
     base_seed = config.seed if seed is None else int(seed)
 
+    _keep_chunk_memory()
     length = chunk_length(config, column)
-    tasks = [(config, column, base_seed, reps) for reps in chunks(replications, length)]
-    results = parallel_map(_mc_chunk, tasks, threads)
+    results = [
+        _mc_chunk(config, column, base_seed, reps) for reps in chunks(replications, length)
+    ]
     abs_z, vhat, var, r = (np.concatenate(parts) for parts in zip(*results))
 
     # r == 0 makes the bound degenerate (a constant column has Z = 0); drop those

@@ -37,15 +37,6 @@ from .weights import DEFAULT_X, compute_weights
 
 SCHEMA_VERSION = "3"
 
-# Worker processes for the Monte Carlo commands. Measured on a 2-CPU
-# machine with the replications in chunks: with BLAS threads left at their
-# default, as the command line runs, 2 workers were slower than 1 for both
-# `oracle-check` modes at 15, 100 and 500 replications and for
-# `bernstein-mc` at 2000 (up to 2.2 times slower), because each worker's
-# BLAS starts its own threads. Only with BLAS pinned to one thread per
-# process did 2 workers win, from 100 replications up.
-DEFAULT_THREADS = 1
-
 
 def _strict(value):
     """The report with every infinite float written as the string "inf" or
@@ -79,10 +70,17 @@ def _write_report(payload: dict, path: str) -> None:
 
 
 def _floats_csv(text: str) -> list[float]:
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
-    return values
+    fields = text.split(",")
+    if not all(tok.strip() for tok in fields):
+        raise ValueError(f"expected comma-separated numbers with no empty field, got {text!r}")
+    return [float(tok) for tok in fields]
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds only from nonnegative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _load_problem(args):
@@ -219,7 +217,6 @@ def _bernstein_command(args):
         replications=args.reps,
         constants=constants,
         seed=args.seed,
-        threads=args.threads,
     )
     return {"config": args.config, **report}, 0
 
@@ -230,7 +227,6 @@ def _oracle_command(args):
         x=args.x,
         replications=args.reps,
         seed=args.seed,
-        threads=args.threads,
         identity_gram=args.identity_gram,
         mu3_budget=args.mu3_budget,
     )
@@ -261,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument("--config", required=True, help="config JSON path, or 'default'")
     mc.add_argument("--reps", type=int, required=True)
-    mc.add_argument("--seed", type=int, default=None)
-    mc.add_argument("--threads", type=int, default=DEFAULT_THREADS)
+    mc.add_argument("--seed", type=_seed, default=None)
+    mc.add_argument("--threads", type=int, choices=[1],
+                    help="replications run serially in this process; only 1 is accepted")
     mc.add_argument("--out", required=True, help="JSON report path")
 
     p_fit = sub.add_parser("fit", parents=[data, fitting],
@@ -282,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="config JSON path, or 'default'")
     p_sim.add_argument("--out-data", required=True)
     p_sim.add_argument("--out-truth", dest="out", metavar="OUT_TRUTH", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_seed, default=None)
     p_sim.set_defaults(func=_simulate_command)
 
     p_mc = sub.add_parser("bernstein-mc", parents=[mc],

@@ -43,7 +43,8 @@ class DictionaryMatrix:
         dead = np.flatnonzero(constant.reshape(-1, self.M).any(axis=0))
         if dead.size:
             names = ", ".join(self.labels[j] for j in dead)
-            warnings.warn(f"constant dictionary column(s): {names}", stacklevel=2)
+            # 3: past the dataclass's generated __init__, at its caller
+            warnings.warn(f"constant dictionary column(s): {names}", stacklevel=3)
 
     @property
     def n(self) -> int:

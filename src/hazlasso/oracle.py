@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import CHUNK, chunks, parallel_map
+from ._chunks import CHUNK, _keep_chunk_memory, chunks
 from .bernstein import half_range, wilson_interval
 from .dictionary import DictionaryMatrix, linear_dictionary
 from .errors import ConfigError, DataValidationError
@@ -388,9 +388,10 @@ def _holding(rows: list[dict], check: str) -> dict:
     }
 
 
-def _oracle_chunk(args):
+def _oracle_chunk(
+    config: SimulationConfig, x: float, seed: int, reps: range, identity_gram: bool, budget: int
+) -> list[dict]:
     """Report rows of one chunk of replications, in replication order."""
-    config, x, seed, reps, identity_gram, budget = args
     truth = simulate_batch(config, [[seed, rep] for rep in reps])
     dataset = truth.dataset
     dictionary = linear_dictionary(dataset)
@@ -444,7 +445,6 @@ def run_oracle_mc(
     x: float = DEFAULT_ORACLE_X,
     replications: int = 500,
     seed: int | None = None,
-    threads: int = 1,
     identity_gram: bool = False,
     mu3_budget: int = 256,
 ) -> dict:
@@ -457,7 +457,7 @@ def run_oracle_mc(
     with identity_gram, on the whitened construction where mu3 is a
     closed form and the check is exact. Replications run in chunks through
     the batched pipeline, each from its own generator, so the report does
-    not depend on the chunking or on ``threads``.
+    not depend on the chunking.
     """
     if replications < 1:
         raise ConfigError("need at least one replication")
@@ -466,11 +466,12 @@ def run_oracle_mc(
     if mu3_budget < 1:
         raise ConfigError(f"mu3 budget must be at least 1, got {mu3_budget}")
     base_seed = config.seed if seed is None else int(seed)
-    tasks = [
-        (config, x, base_seed, reps, identity_gram, mu3_budget)
+    _keep_chunk_memory()
+    rows = [
+        row
         for reps in chunks(replications, CHUNK)
+        for row in _oracle_chunk(config, x, base_seed, reps, identity_gram, mu3_budget)
     ]
-    rows = [row for part in parallel_map(_oracle_chunk, tasks, threads) for row in part]
     label = "exact" if all(r["mu3_label"] == "exact" for r in rows) else "indicative"
     return {
         "x": float(x),

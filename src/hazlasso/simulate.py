@@ -451,6 +451,8 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     _known(raw, known, "config")
     n, d = _integer(raw, "n"), _integer(raw, "d")
     seed = _integer(raw, "seed") if "seed" in raw else 0
+    if seed < 0:  # numpy seeds only from nonnegative integers
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     beta0 = _beta0(raw.get("beta0"), d)
     max_negative_prob = raw.get("max_negative_prob", 0.2)
     if not _is_number(max_negative_prob):

@@ -110,11 +110,11 @@ class SurvivalDataset:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.status = np.asarray(self.status, dtype=bool)
+        status = np.asarray(self.status)
         self.covariates = np.asarray(self.covariates, dtype=float)
         if self.times.ndim not in (1, 2) or self.covariates.ndim != self.times.ndim + 1:
             raise DataValidationError("covariates must be a 2-d array (3-d for a batch)")
-        if self.status.shape != self.times.shape or self.covariates.shape[:-1] != self.times.shape:
+        if status.shape != self.times.shape or self.covariates.shape[:-1] != self.times.shape:
             raise DataValidationError("times, status and covariates disagree on n")
         if self.times.shape[-1] == 0:
             raise DataValidationError("empty dataset")
@@ -123,6 +123,13 @@ class SurvivalDataset:
         if outside.any():
             at = tuple(np.argwhere(outside)[0])
             raise DataValidationError(f"{_record(at)}: time {self.times[at]} outside (0, 1]")
+        if status.dtype != bool:  # bool, as every simulated batch has, needs no check
+            bad = ~((status == 0) | (status == 1))
+            if bad.any():
+                at = tuple(np.argwhere(bad)[0])
+                value = status[at].item()
+                raise DataValidationError(f"{_record(at)}: status {value!r} is not 0 or 1")
+        self.status = status.astype(bool, copy=False)
         # NaN and inf carry through max and min, which make no temporary
         x = self.covariates
         if x.size and not (np.isfinite(x.max()) and np.isfinite(x.min())):

@@ -3,10 +3,9 @@
 The Monte Carlo harnesses push chunks of replications through
 the batched pipeline (simulate, timeline, noise terms, Gram, weights). A
 replication's numbers must not depend on the batch it lands in, so the
-reports cannot depend on the chunk length or on the number of worker
-processes. The configs drawn here include administrative censoring (ties
-at 1), Rademacher covariates and a model whose replications often have
-no events at all.
+reports cannot depend on the chunk length. The configs drawn here include
+administrative censoring (ties at 1), Rademacher covariates and a model
+whose replications often have no events at all.
 """
 
 import ctypes
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import hazlasso._parallel as parallel
+import hazlasso._chunks as chunking
 from hazlasso import bernstein, oracle
 from hazlasso import (
     ConfigError,
@@ -106,6 +105,7 @@ def pipeline(truth):
     return system, weights, noise
 
 
+@pytest.mark.filterwarnings("ignore:constant dictionary column")  # drawn small or binary
 @settings(max_examples=40, **SETTINGS)
 @given(config=configs(), reps=st.integers(1, 6))
 def test_batch_equals_batches_of_one(config, reps):
@@ -167,14 +167,14 @@ def set_chunk_length(monkeypatch, length: int) -> list:
     monkeypatch.setattr(bernstein, "chunk_length", lambda config, column: length)
     monkeypatch.setattr(oracle, "CHUNK", length)
     runs = []
+
+    def spy(count, size):
+        parts = chunking.chunks(count, size)
+        runs.append([len(part) for part in parts])
+        return parts
+
     for module in (bernstein, oracle):
-
-        def spy(fn, items, threads=1):
-            items = list(items)
-            runs.append([len(task[3]) for task in items])  # task[3]: the chunk's replications
-            return parallel.parallel_map(fn, items, threads)
-
-        monkeypatch.setattr(module, "parallel_map", spy)
+        monkeypatch.setattr(module, "chunks", spy)
     return runs
 
 
@@ -198,26 +198,6 @@ def test_reports_do_not_depend_on_the_chunk_length(config, reps, monkeypatch):
             assert len(runs) == 3
         assert_chunked(runs, chunk)
     assert results[0] == results[1] == results[2]
-
-
-@settings(max_examples=3, **SETTINGS)
-@given(config=harness_configs())
-@example(config=rare_events_config(n=12))
-def test_reports_do_not_depend_on_threads(config, monkeypatch):
-    runs = set_chunk_length(monkeypatch, 3)
-    reps = 10
-    out = []
-    for threads in (1, 2):
-        try:
-            bernstein_report = run_mc(config, 0, [0.5, 2.0], reps, threads=threads)
-            oracle_report = run_oracle_mc(config, 1.0, 4, threads=threads, identity_gram=True)
-            out.append(
-                [json.dumps(r, sort_keys=True) for r in (bernstein_report, oracle_report)]
-            )
-        except ConfigError as exc:
-            out.append(repr(exc))
-    assert_chunked(runs, 3)
-    assert out[0] == out[1]
 
 
 def correlated_config():
@@ -270,9 +250,9 @@ def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
 
 
 def test_chunks_cover_every_replication_once():
-    assert [list(c) for c in parallel.chunks(10, 4)] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-    assert [list(c) for c in parallel.chunks(3, 32)] == [[0, 1, 2]]
-    assert parallel.chunks(0, 4) == []
+    assert [list(c) for c in chunking.chunks(10, 4)] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    assert [list(c) for c in chunking.chunks(3, 32)] == [[0, 1, 2]]
+    assert chunking.chunks(0, 4) == []
 
 
 def test_chunk_length_of_each_harness():
@@ -295,20 +275,21 @@ def has_mallopt() -> bool:
 
 
 def test_keeping_chunk_memory_twice_is_harmless():
-    first = parallel._keep_chunk_memory()
-    assert parallel._keep_chunk_memory() == first
-    parallel._keep_chunk_memory.cache_clear()  # the settings again, from scratch
-    assert parallel._keep_chunk_memory() == first
+    first = chunking._keep_chunk_memory()
+    assert chunking._keep_chunk_memory() == first
+    chunking._keep_chunk_memory.cache_clear()  # the settings again, from scratch
+    assert chunking._keep_chunk_memory() == first
 
 
 def test_keeping_chunk_memory_without_mallopt_does_nothing(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
-    parallel._keep_chunk_memory.cache_clear()
+    chunking._keep_chunk_memory.cache_clear()
     try:
-        assert parallel._keep_chunk_memory() is False
-        assert parallel.parallel_map(len, ["ab", "c"]) == [2, 1]
+        assert chunking._keep_chunk_memory() is False
+        # a harness still runs, with malloc's settings left as they were
+        assert run_mc(default_config(), 0, [4.0], 8)["replications"] == 8
     finally:
-        parallel._keep_chunk_memory.cache_clear()
+        chunking._keep_chunk_memory.cache_clear()
 
 
 @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")

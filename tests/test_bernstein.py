@@ -65,7 +65,7 @@ PRESET_BOUND_REFERENCE = 0.18615308529087627
 def zero_noise_replications(cfg, reps: int) -> int:
     """Replications of ``run_mc(cfg, 0, ..., reps)`` that it keeps (column
     0 not constant) and whose Z is exactly 0, from the draws it makes."""
-    abs_z, _, _, r = _mc_chunk((cfg, 0, cfg.seed, range(reps)))
+    abs_z, _, _, r = _mc_chunk(cfg, 0, cfg.seed, range(reps))
     return int(np.sum((abs_z == 0.0) & (r > 0)))
 
 

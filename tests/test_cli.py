@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hazlasso.bernstein import PAPER_NUMERIC
-from hazlasso.cli import DEFAULT_THREADS, SCHEMA_VERSION, _write_report, build_parser, main
+from hazlasso.cli import SCHEMA_VERSION, _write_report, main
 from hazlasso.dictionary import linear_dictionary
 from hazlasso.gram import build_gram
 from hazlasso.simulate import config_from_dict, load_config
@@ -379,17 +379,39 @@ class TestMonteCarloCommands:
         assert code == 0
         assert read_report(out)["mu3_label"] == "exact"
 
-    def test_default_threads_give_the_serial_report(self, config_json, tmp_path):
+    def test_threads_1_gives_the_report_without_the_flag(self, config_json, tmp_path):
+        # --threads is kept for command lines that pass 1; runs are serial
         head = ["bernstein-mc", "--config", config_json, "--x-grid", "1,4", "--reps", "12"]
-        assert build_parser().parse_args(head + ["--out", "x"]).threads == DEFAULT_THREADS
-        oracle = ["oracle-check", "--config", config_json, "--reps", "2", "--out", "x"]
-        assert build_parser().parse_args(oracle).threads == DEFAULT_THREADS
         reports = []
         for name, extra in (("default.json", []), ("serial.json", ["--threads", "1"])):
             out = tmp_path / name
             assert main(head + ["--seed", "9", "--out", str(out)] + extra) == 0
             reports.append(stable(read_report(out)))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate --config {config} --out-data {out}.csv --out-truth {out}",
+         "bernstein-mc --config {config} --x-grid 4 --reps 2 --out {out}",
+         "oracle-check --config {config} --reps 2 --out {out}"],
+        ids=["simulate", "bernstein-mc", "oracle-check"],
+    )
+    def test_negative_seed_flag_is_refused_by_name(self, command, config_json, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = command.format(config=config_json, out=out).split() + ["--seed", "-1"]
+        assert main(argv) == 1
+        assert "--seed: seed must be a nonnegative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed_is_refused_by_name(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "seed": -4}))
+        out = tmp_path / "r.json"
+        argv = ["oracle-check", "--config", str(config), "--reps", "2", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: seed must be a nonnegative integer, got -4\n"
+        assert not out.exists()
 
 
 REPORT_KEYS = {"schema", "generated_at", "command"}
@@ -603,9 +625,11 @@ class TestErrorPaths:
             ("bernstein-mc {mc} --x-grid 4 --constants nan,1,20", "c_ell must be finite, got nan"),
             ("bernstein-mc {mc} --x-grid 4 --constants 2,nan,20", "epsilon must be finite, got nan"),
             ("bernstein-mc {mc} --x-grid 4 --constants 2,1,inf", "c0 must be finite, got inf"),
-            ("bernstein-mc {mc} --x-grid 4 --threads 0", "threads must be at least 1, got 0"),
+            ("bernstein-mc {mc} --x-grid 4 --threads 2", "--threads: invalid choice: 2"),
             ("oracle-check {mc} --x inf", "got inf"),
-            ("oracle-check {mc} --threads -1", "threads must be at least 1, got -1"),
+            ("path --data {data} --scales 1,,0.5", "no empty field, got '1,,0.5'"),
+            ("bernstein-mc {mc} --x-grid 4,,5", "no empty field, got '4,,5'"),
+            ("bernstein-mc {mc} --x-grid 4,5,", "no empty field, got '4,5,'"),
             ("bernstein-mc {mc} --x-grid 4 --constants 2,1",
              "--constants takes 3 values c_ell,epsilon,c0, got 2"),
             ("oracle-check {mc} --identity-gram --mu3-budget 0",
@@ -614,16 +638,17 @@ class TestErrorPaths:
         ],
         ids=[
             "fit-x-nan", "weights-x-inf", "fit-tol-nan", "path-scale-nan", "mc-x-nan",
-            "mc-c_ell-nan", "mc-epsilon-nan", "mc-c0-inf", "mc-threads-0", "oracle-x-inf",
-            "oracle-threads-minus-1", "mc-two-constants", "oracle-id-budget-0",
+            "mc-c_ell-nan", "mc-epsilon-nan", "mc-c0-inf", "mc-threads-2", "oracle-x-inf",
+            "path-scale-empty", "mc-x-empty", "mc-x-trailing-comma", "mc-two-constants",
+            "oracle-id-budget-0",
             "oracle-budget-minus-5",
         ],
     )
     def test_non_finite_and_out_of_range_numbers(
         self, command, named, micro_csv, config_json, tmp_path, capsys
     ):
-        # NaN passes every `<= 0` test, so finiteness is checked by name;
-        # a thread count below 1 is refused instead of running serially
+        # NaN passes every `<= 0` test, so finiteness is checked by name; an
+        # empty field in a list is refused instead of being dropped
         out = tmp_path / "r.json"
         mc = f"--config {config_json} --reps 2"
         argv = command.format(data=micro_csv, mc=mc).split() + ["--out", str(out)]
@@ -708,14 +733,25 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0
         assert "bernstein-mc" in proc.stdout
 
-    def test_import_leaves_out_the_process_pool(self):
-        # only --threads > 1 uses the pool, so no other run pays for its import
-        probe = "import sys, hazlasso, hazlasso.cli; print('concurrent.futures' in sys.modules)"
+    def test_import_leaves_out_the_process_pool(self, config_json, tmp_path):
+        # the harnesses run their chunks in this process, so neither the
+        # import nor a run of any harness pulls in a process pool
+        probe = (
+            "import sys, hazlasso, hazlasso.cli\n"
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "print(sorted(set(pool) & set(sys.modules)))\n"
+            "config, out = sys.argv[1:]\n"
+            "for run in (['bernstein-mc', '--x-grid', '4'], ['oracle-check'],\n"
+            "            ['oracle-check', '--identity-gram']):\n"
+            "    assert hazlasso.cli.main(run + ['--config', config, '--reps', '2',\n"
+            "                                    '--out', out]) == 0\n"
+            "print(sorted(set(pool) & set(sys.modules)))\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", probe, config_json, str(tmp_path / "r.json")],
             capture_output=True,
             text=True,
             env=source_env(read_pyproject()),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split("\n") == ["[]", "[]", ""]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hazlasso import DataValidationError, DictionaryMatrix, linear_dictionary, load_dictionary
+from hazlasso import dictionary
 from hazlasso.survival import SurvivalDataset
 
 
@@ -49,6 +50,16 @@ class TestDictionaryMatrix:
             DictionaryMatrix(values=values, labels=["ok", "flat"])
         with pytest.warns(UserWarning, match="constant dictionary column\\(s\\): flat"):
             DictionaryMatrix(values=np.stack([values, values[::-1]]), labels=["ok", "flat"])
+
+    def test_constant_column_warning_names_the_constructor_caller(self):
+        # not the dataclass's generated __init__, whose file reads "<string>"
+        with pytest.warns(UserWarning, match="constant dictionary column") as record:
+            DictionaryMatrix(values=np.ones((3, 2)), labels=["a", "b"])
+        assert [w.filename for w in record] == [__file__]
+        ds = SurvivalDataset(times=[0.5, 0.7], status=[1, 0], covariates=[[1.0], [1.0]])
+        with pytest.warns(UserWarning, match="constant dictionary column") as record:
+            linear_dictionary(ds)
+        assert [w.filename for w in record] == [dictionary.__file__]
 
     def test_nonzero_columns_do_not_warn(self):
         # two rows: in one row every column is constant, and warns

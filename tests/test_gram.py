@@ -59,7 +59,9 @@ class TestBuildGram:
     def test_single_record_is_degenerate(self):
         # one subject is its own risk-set mean, so everything centers to zero
         ds = SurvivalDataset(times=[1.0], status=[1], covariates=[[3.0]])
-        system = build_gram(ds, linear_dictionary(ds))
+        with pytest.warns(UserWarning, match="constant dictionary column\\(s\\): x1"):
+            dictionary = linear_dictionary(ds)
+        system = build_gram(ds, dictionary)
         assert system.matrix[0, 0] == 0.0
         assert system.vector[0] == 0.0
 
@@ -78,7 +80,9 @@ class TestBuildGram:
             status=[1, 0, 1],
             covariates=[[5.0, 1.0], [5.0, -2.0], [5.0, 0.5]],
         )
-        system = build_gram(ds, linear_dictionary(ds))
+        with pytest.warns(UserWarning, match="constant dictionary column\\(s\\): x1$"):
+            dictionary = linear_dictionary(ds)
+        system = build_gram(ds, dictionary)
         np.testing.assert_allclose(system.matrix[0], 0.0, atol=1e-14)
         assert abs(system.vector[0]) <= 1e-14
 
@@ -143,7 +147,8 @@ class TestBuildGram:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
     def test_dictionary_row_mismatch_raises(self, micro_dataset):
-        dic = DictionaryMatrix(values=np.ones((3, 1)), labels=["a"])
+        with pytest.warns(UserWarning, match="constant dictionary column"):
+            dic = DictionaryMatrix(values=np.ones((3, 1)), labels=["a"])
         with pytest.raises(ValueError, match="match"):
             build_gram(micro_dataset, dic)
 

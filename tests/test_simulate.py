@@ -342,6 +342,7 @@ class TestConfigIO:
             ({"n": True}, "n must be an integer, got True"),
             ({"n": "20"}, "n must be an integer, got '20'"),
             ({"seed": 2.9}, "seed must be an integer, got 2.9"),
+            ({"seed": -4}, "seed must be a nonnegative integer, got -4"),
             ({"beta0": {"indices": [-1], "values": [1.0]}},
              "beta0 indices must be integers in [0, 4), got -1"),
             ({"beta0": {"indices": [1, 1], "values": [1.0, 2.0]}},
@@ -371,9 +372,10 @@ class TestConfigIO:
             ({"censoring": {"kind": "uniform", "c_max": True}},
              "censoring.c_max must be a number, got True"),
         ],
-        ids=["n-float", "n-bool", "n-string", "seed-float", "index-negative", "index-repeated",
-             "index-float", "values-short", "values-scalar", "max-negative-prob-bool",
-             "max-negative-prob-string", "beta0-string-and-bool", "values-string",
+        ids=["n-float", "n-bool", "n-string", "seed-float", "seed-negative", "index-negative",
+             "index-repeated", "index-float", "values-short", "values-scalar",
+             "max-negative-prob-bool", "max-negative-prob-string", "beta0-string-and-bool",
+             "values-string",
              "baseline-values-bool", "baseline-breakpoints-string-and-bool", "rho-bool",
              "rho-string", "rho-null", "c-max-bool"],
     )

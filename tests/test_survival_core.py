@@ -5,6 +5,7 @@ functions on explicit grids; each is rederivable with pencil and paper.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -98,6 +99,28 @@ class TestSurvivalDataset:
                 status=np.array([True, False]),
                 covariates=np.array([[1.0], [2.0]]),
             )
+
+    @pytest.mark.parametrize(
+        "status, named",
+        [
+            ([2, 0.5, np.nan], "record 0: status 2.0 is not 0 or 1"),
+            ([1, 0, np.nan], "record 2: status nan is not 0 or 1"),
+            ([[1, 0, 1], [0, -1, 1]], "replication 1, record 1: status -1 is not 0 or 1"),
+            (["1", "0", "1"], "record 0: status '1' is not 0 or 1"),
+        ],
+        ids=["two-and-half", "nan", "batch", "strings"],
+    )
+    def test_rejects_status_other_than_0_or_1(self, status, named):
+        shape = np.shape(status)
+        with pytest.raises(DataValidationError, match=re.escape(named)):
+            SurvivalDataset(
+                times=np.full(shape, 0.5), status=status, covariates=np.zeros(shape + (1,))
+            )
+
+    def test_status_of_0_and_1_in_any_dtype_becomes_bool(self):
+        for status in ([1, 0, 1], [1.0, 0.0, 1.0], np.array([1, 0, 1], dtype=np.int8)):
+            ds = SurvivalDataset(times=[0.2, 0.5, 0.9], status=status, covariates=np.zeros((3, 1)))
+            assert ds.status.dtype == bool and ds.status.tolist() == [True, False, True]
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(DataValidationError):
