@@ -19,11 +19,20 @@ this process; its excess over the sum of the layers from load_dataset to
 fit_path is argument handling and writing the report. One untimed run
 warms the caches; each layer's time is the median over the timed runs,
 and ``path_steps`` is the total number of solver steps of the path,
-which does not vary between runs. The Monte Carlo entries time
-``run_mc`` and both modes of ``run_oracle_mc`` at the default config,
-serially, in this process, and count the minor page faults the process
-takes over the timed runs, per replication (``minor_faults_per_rep``): a
-harness whose chunks get their memory back from malloc takes almost none.
+which does not vary between runs. ``minor_faults`` counts the minor page
+faults of each ``load_dataset`` and ``build_gram`` call, averaged over the
+timed runs, and ``peak_traced_mb`` is the peak of the memory ``tracemalloc``
+traces during one more call of each, made after the timed runs so that
+tracing slows none of them. The Monte Carlo entries time ``run_mc`` and
+both modes of ``run_oracle_mc`` at the default config, serially, in this
+process, and count the minor page faults the process takes over the timed
+runs, per replication (``minor_faults_per_rep``): a harness whose chunks
+get their memory back from malloc takes almost none.
+
+Every fit layer is timed before any Monte Carlo entry runs. A harness
+raises glibc's mmap and trim thresholds for the rest of its process, which
+changes the faults and the time of every later build; the fit layers are
+measured with glibc's defaults, as a single command meets them.
 ``--smoke`` runs only the smallest size, once, with few replications, so
 that a test can check the script in seconds.
 """
@@ -50,6 +59,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
+import tracemalloc  # noqa: E402
 from functools import partial  # noqa: E402
 from time import perf_counter  # noqa: E402
 
@@ -78,6 +88,8 @@ LAYERS = (
     "simulate", "load_dataset", "build_timeline", "build_gram", "compute_weights", "fit_path",
     "cli_path",
 )
+# the layers whose page faults and traced peak memory are recorded
+MEMORY_LAYERS = ("load_dataset", "build_gram")
 
 
 def _config(n: int, d: int):
@@ -88,24 +100,33 @@ def _config(n: int, d: int):
     return dataclasses.replace(base, n=n, d=d, beta0=beta0)
 
 
-def pipeline(config, data: Path, report: Path) -> tuple[dict, int]:
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def pipeline(config, data: Path, report: Path) -> tuple[dict, dict, int]:
     """Seconds spent in each layer of one fit of the CSV ``data`` (drawn
     from ``config``) and in the ``path`` command on it, which writes
-    ``report``; and the path's solver steps."""
-    times = {}
+    ``report``; the minor page faults of ``load_dataset`` and
+    ``build_gram``; and the path's solver steps."""
+    times, faults = {}, {}
     start = perf_counter()
     simulate(config)
     times["simulate"] = perf_counter() - start
+    faults["load_dataset"] = _minor_faults()
     start = perf_counter()
     dataset = load_dataset(data)
     times["load_dataset"] = perf_counter() - start
+    faults["load_dataset"] = _minor_faults() - faults["load_dataset"]
     dictionary = linear_dictionary(dataset)
     start = perf_counter()
     timeline = build_timeline(dataset)
     times["build_timeline"] = perf_counter() - start
+    faults["build_gram"] = _minor_faults()
     start = perf_counter()
     system = build_gram(dataset, dictionary, timeline)
     times["build_gram"] = perf_counter() - start
+    faults["build_gram"] = _minor_faults() - faults["build_gram"]
     start = perf_counter()
     weights = compute_weights(dataset, dictionary, system)
     times["compute_weights"] = perf_counter() - start
@@ -118,7 +139,25 @@ def pipeline(config, data: Path, report: Path) -> tuple[dict, int]:
     times["cli_path"] = perf_counter() - start
     if code != 0:
         raise RuntimeError(f"hazlasso path exited with {code}")
-    return times, sum(f.sweeps for f in fits)
+    return times, faults, sum(f.sweeps for f in fits)
+
+
+def traced_peaks(data: Path) -> dict:
+    """Peak traced memory, in MB, of one ``load_dataset`` call on ``data``
+    and of one ``build_gram`` call on what it loaded."""
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(data)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        dictionary = linear_dictionary(dataset)
+        timeline = build_timeline(dataset)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build_gram(dataset, dictionary, timeline)
+        gram_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return {"load_dataset": load_peak / 2**20, "build_gram": gram_peak / 2**20}
 
 
 def layer_entry(n: int, d: int, runs: int) -> dict:
@@ -127,15 +166,21 @@ def layer_entry(n: int, d: int, runs: int) -> dict:
         data, report = Path(tmp) / "data.csv", Path(tmp) / "path.json"
         write_dataset(simulate(config).dataset, data)
         pipeline(config, data, report)  # warm-up
-        samples = []
+        samples, fault_samples = [], []
         for _ in range(runs):
-            times, steps = pipeline(config, data, report)
+            times, faults, steps = pipeline(config, data, report)
             samples.append(times)
+            fault_samples.append(faults)
+        peaks = traced_peaks(data)
     return {
         "n": n,
         "d": d,
         "runs": runs,
         "median_ms": {name: 1e3 * statistics.median(s[name] for s in samples) for name in LAYERS},
+        "minor_faults": {
+            name: sum(f[name] for f in fault_samples) / runs for name in MEMORY_LAYERS
+        },
+        "peak_traced_mb": peaks,
         "path_steps": steps,
     }
 
@@ -149,12 +194,12 @@ def mc_entry(name: str, reps: int, runs: int) -> dict:
         call = partial(run_oracle_mc, config, replications=reps, identity_gram=identity)
     call()  # warm-up
     times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = _minor_faults()
     for _ in range(runs):
         start = perf_counter()
         call()
         times.append(perf_counter() - start)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    faults = _minor_faults() - faults
     median = statistics.median(times)
     return {
         "harness": name,
@@ -195,10 +240,13 @@ def main(argv=None) -> int:
     sizes, mc, mc_runs = (
         (SMOKE_SIZES, SMOKE_MC, SMOKE_MC_RUNS) if args.smoke else (SIZES, MC, MC_RUNS)
     )
+    # the layers run first: the harnesses change the allocator for the rest
+    # of the process
+    layers = [layer_entry(n, d, runs) for n, d, runs in sizes]
     report = {
         "provenance": provenance(),
         "path_scales": [float(s) for s in SCALES],
-        "layers": [layer_entry(n, d, runs) for n, d, runs in sizes],
+        "layers": layers,
         "monte_carlo": [mc_entry(name, reps, mc_runs) for name, reps in mc],
     }
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -207,6 +255,9 @@ def main(argv=None) -> int:
     for entry in report["layers"]:
         cells = "  ".join(f"{k} {v:.3g} ms" for k, v in entry["median_ms"].items())
         print(f"{entry['n']}x{entry['d']}: {cells}  steps {entry['path_steps']}")
+        for name in MEMORY_LAYERS:
+            faults, peak = entry["minor_faults"][name], entry["peak_traced_mb"][name]
+            print(f"  {name}: {faults:.4g} minor faults per call, traced peak {peak:.3g} MB")
     for entry in report["monte_carlo"]:
         rate, reps = entry["reps_per_s"], entry["replications"]
         faults = entry["minor_faults_per_rep"]

@@ -33,6 +33,10 @@ def test_smoke_run_writes_a_complete_report(tmp_path):
         "fit_path", "cli_path",
     }
     assert all(t > 0 for t in entry["median_ms"].values())
+    assert set(entry["minor_faults"]) == {"load_dataset", "build_gram"}
+    assert all(f >= 0 for f in entry["minor_faults"].values())
+    assert set(entry["peak_traced_mb"]) == {"load_dataset", "build_gram"}
+    assert all(mb > 0 for mb in entry["peak_traced_mb"].values())
     assert entry["path_steps"] > 0
     harnesses = [mc["harness"] for mc in report["monte_carlo"]]
     assert harnesses == ["run_mc", "run_oracle_mc", "run_oracle_mc identity_gram"]
