@@ -9,7 +9,7 @@ inner product <f, g>_n = (1/n) sum_i int (f_i - fbar_Y)(g_i - gbar_Y) Y_i dt
 and hn collects the centered dictionary values read at the observed event
 times (Lin & Ying 1994). Every integrand is a step function on the
 risk-set timeline, so H and hn are exact finite sums; the timeline's
-``cross_moment`` and ``event_deviations`` evaluate them from one
+``cross_moment`` and ``event_moments`` evaluate them from one
 ``centered`` pass, and this module only assembles and reports the system.
 H is one symmetric product a'a of the dictionary's weighted Welford
 increments, so it is exactly symmetric.
@@ -75,17 +75,19 @@ def build_gram(
     the timeline, and H is exactly symmetric. hn averages the centered
     dictionary rows at the event times (left-continuous risk-set means),
     and vhat averages their squares. H, hn and vhat all come from one
-    centered prefix pass over the dictionary; the event deviations are
-    freed before the increments are built, so at most three (n, M)
-    arrays are alive besides the dictionary.
+    centered prefix pass over the dictionary, whose running sums are the
+    one (n, M) array alive besides the dictionary: the centered rows and
+    the event deviations are made a block of rows at a time, and the
+    increments of H are written over the running sums once hn and vhat
+    have read them.
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
     if phi.shape[:-1] != tl.end_interval.shape:
         raise ValueError("dictionary rows do not match the dataset")
     centered = tl.centered(phi)  # one prefix pass serves H, hn and vhat
-    # the event deviations are freed before the increments of H take their place
-    vector, vhat = event_moments(tl, centered)
+    # hn and vhat first: the increments of H take the running sums' place
+    vector, vhat = tl.event_moments(centered)
     return GramSystem(
         matrix=tl.cross_moment(centered, centered),
         vector=vector,
@@ -93,15 +95,6 @@ def build_gram(
         labels=list(dictionary.labels),
         vhat=vhat,
     )
-
-
-def event_moments(timeline: RiskSetTimeline, centered) -> tuple[np.ndarray, np.ndarray]:
-    """hn and vhat of the columns of a ``centered`` pair: the sum of their
-    event deviations and of the squares of those, each over n."""
-    dev = timeline.event_deviations(centered)
-    vector = dev.sum(axis=-2) / timeline.n  # before vhat squares dev in place
-    vhat = np.square(dev, out=dev).sum(axis=-2) / timeline.n
-    return vector, vhat
 
 
 def empirical_norm_sq(system: GramSystem, beta: np.ndarray) -> float:

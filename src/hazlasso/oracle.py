@@ -47,7 +47,7 @@ from ._chunks import CHUNK, _keep_chunk_memory, chunks
 from .bernstein import half_range, wilson_interval
 from .dictionary import DictionaryMatrix, linear_dictionary
 from .errors import ConfigError, DataValidationError
-from .gram import GramSystem, build_gram, empirical_norm_sq_fn, event_moments
+from .gram import GramSystem, build_gram, empirical_norm_sq_fn
 from .simulate import SimulatedTruth, SimulationConfig, simulate_batch
 from .solver import LassoFit, fit
 from .survival import build_timeline
@@ -354,7 +354,7 @@ def identity_gram_check(
     inv_root = (vecs / np.sqrt(lam)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     # the linear dictionary's values are the covariates
     whitened = truth.dataset.covariates @ inv_root
-    vector, vhat = event_moments(tl, tl.centered(whitened))
+    vector, vhat = tl.event_moments(tl.centered(whitened))
     w = bernstein_weights(vhat, half_range(whitened), x, tl.n)
     beta = np.sign(vector) * np.maximum(np.abs(vector) - w, 0.0)
     beta_ref = _fitted(root, truth.beta0)

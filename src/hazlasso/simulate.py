@@ -534,7 +534,7 @@ def noise_terms(
     """
     tl = timeline
     centered = tl.centered(column_values)
-    c, mean = centered[0], tl.centered_means(centered)
+    c, mean = centered[0] - centered[1], tl.centered_means(centered)
     resid = tl.event_deviations(centered)
     lam = tl.interval_integrals(truth.baseline)
     h0 = truth.h0

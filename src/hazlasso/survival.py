@@ -14,15 +14,17 @@ risk-set mean. Risk sets are nested: with the records in decreasing
 follow-up, each is a prefix of that order. ``centered`` makes the one
 centered prefix pass, the running sums in that order, which
 ``centered_means`` (the risk-set means), ``event_deviations`` (the
-centered values at the event times) and ``cross_moment`` (the centered
-at-risk moment, hence the inner product <u, v>_n) read. The Gram matrix,
-the inner products, the weights and the noise processes all start from
-it, and a caller needing several of them shares one pass. Because the
-sets are nested, ``cross_moment`` is one matrix product of Welford
-increments (each record less the mean of the records followed longer)
-rather than a sum over intervals. ``interval_integrals`` integrates a
-deterministic step function, such as a baseline hazard, over each
-interval of the grid.
+centered values at the event times), ``event_moments`` (their sums and
+sums of squares) and ``cross_moment`` (the centered at-risk moment,
+hence the inner product <u, v>_n) read. The Gram matrix, the inner
+products, the weights and the noise processes all start from it, and a
+caller needing several of them shares one pass; the running sums are the
+pass's only (n, M) array, and ``cross_moment`` reads it last because it
+overwrites it. Because the sets are nested, ``cross_moment`` is one
+matrix product of Welford increments (each record less the mean of the
+records followed longer) rather than a sum over intervals.
+``interval_integrals`` integrates a deterministic step function, such as
+a baseline hazard, over each interval of the grid.
 
 Leading-axis convention: a dataset, its timeline and everything built
 from them may carry a leading replication axis of length R, so that R
@@ -96,7 +98,10 @@ class SurvivalDataset:
     """Right-censored sample with follow-up times normalized into (0, 1].
 
     ``times`` and ``status`` have shape (n,) and ``covariates`` (n, d); a
-    batch of R datasets adds a leading axis, (R, n) and (R, n, d).
+    batch of R datasets adds a leading axis, (R, n) and (R, n, d). The
+    covariates may be a view rather than a contiguous array of their own:
+    ``load_dataset`` keeps them as columns of the parsed CSV block, so the
+    block is not copied.
     ``time_scale`` records the factor raw times were divided by when a file
     carried follow-up beyond the unit window (1.0 when no rescaling
     happened); reports quote it so results can be mapped back.
@@ -223,7 +228,7 @@ def load_dataset(path) -> SurvivalDataset:
     return SurvivalDataset(
         times=times / scale,
         status=values[:, 1] == 1.0,
-        covariates=np.ascontiguousarray(values[:, 2:]),
+        covariates=values[:, 2:],  # a view: the parsed block is not copied
         labels=header[2:],
         time_scale=scale,
     )
@@ -241,20 +246,31 @@ def write_dataset(dataset: SurvivalDataset, path) -> None:
             )
 
 
-def take_rows(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+def take_rows(values: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``values[index]`` along the record or interval axis, per replication.
 
     ``index`` has shape (k,) or, for a batch, (R, k); ``values`` has the
     same leading axes followed by the indexed axis and any trailing ones.
     Whole trailing rows are copied, which is much cheaper than gathering
-    element by element.
+    element by element. A batch is one flat gather: the replication and
+    indexed axes merge, and replication r's indices move by r times the
+    indexed axis's length. ``out``, when given, receives the rows.
     """
-    if index.ndim == 1:
+    batch = index.ndim == 2
+    if batch:
+        index = index + (np.arange(len(index)) * values.shape[1])[:, None]
+        values = values.reshape((-1,) + values.shape[2:])
+    if out is None and not (batch and values.flags.c_contiguous):
+        # np.take is no faster on one replication, and it would first copy
+        # a strided array whole
         return values[index]
-    return values[np.arange(len(index))[:, None], index]
+    # every index is in range, so "clip" changes none; unlike the default
+    # "raise", it lets np.take write into ``out`` without a buffer
+    return np.take(values, index, 0, out, "clip")
 
 
-# rows per block when building the Welford increments in place
+# rows per block of the centered values that the event moments and the
+# Welford increments read
 _BLOCK_ROWS = 256
 
 
@@ -310,16 +326,22 @@ class RiskSetTimeline:
         single = v.ndim == self.desc_order.ndim
         return (v[..., None] if single else v), single
 
-    def _running_sums(self, v: np.ndarray) -> np.ndarray:
-        """Cumulative sums of (..., n, M) values with the records in
-        decreasing follow-up order: row p - 1 sums the p longest."""
+    def _running_sums(self, v: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+        """Cumulative sums of (..., n, M) values, less ``shift`` if given,
+        with the records in decreasing follow-up order: row p - 1 sums the
+        p longest."""
         cs = take_rows(v, self.desc_order)
+        if shift is not None:
+            cs -= shift
         np.cumsum(cs, axis=-2, out=cs)
         return cs
 
-    def _leading_means(self, running: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Means of the ``counts`` longest-followed records, from running sums."""
-        sums = take_rows(running, counts - 1)
+    def _leading_means(
+        self, running: np.ndarray, counts: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Means of the ``counts`` longest-followed records, from running
+        sums, written into ``out`` if given."""
+        sums = take_rows(running, counts - 1, out)
         sums /= counts.astype(float)[..., None]  # a float divisor keeps the division fast
         return sums
 
@@ -342,63 +364,108 @@ class RiskSetTimeline:
         mean = self._leading_means(self._running_sums(v), self.at_risk)
         return mean[..., 0] if single else mean
 
-    def centered(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def centered(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The centered prefix pass that every centered quantity starts from.
 
-        Returns the per-record values less their column means over all
-        records, shape (n, M), and the running sums of those with the
+        Returns three arrays: the per-record values as given, shape (n, M)
+        (a view, not a copy), their column means over all records, shape
+        (1, M), and the running sums of the centered values with the
         records in decreasing follow-up order, shape (n, M): row p - 1 sums
         the p longest-followed records, so every risk set's sum is one of
-        its rows. Risk-set centering ignores constant shifts, so removing
-        the global means first changes no centered quantity and keeps the
-        sums free of cancellation (stable centering, Chan, Golub & LeVeque
-        1983). ``centered_means``, ``event_deviations`` and
-        ``cross_moment`` take this pair, so one pass can serve several of
-        them.
+        its rows. The running sums are the pass's one new (n, M) array; the
+        centered values are read as values less means, a block of rows at a
+        time, with the same arithmetic as a centered copy. Risk-set
+        centering ignores constant shifts, so removing the global means
+        first changes no centered quantity and keeps the sums free of
+        cancellation (stable centering, Chan, Golub & LeVeque 1983).
+        ``centered_means``, ``event_deviations``, ``event_moments`` and
+        ``cross_moment`` take this pass, so one pass can serve several of
+        them; ``cross_moment`` overwrites the running sums, so it comes
+        last.
         """
         v, _ = self._per_record(values)
-        c = v - v.mean(axis=-2, keepdims=True)
-        return c, self._running_sums(c)
+        mean = v.mean(axis=-2, keepdims=True)
+        return v, mean, self._running_sums(v, mean)
 
-    def centered_means(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def centered_means(self, centered: tuple) -> np.ndarray:
         """At-risk means of the centered values, shape (K, M), from a
-        ``centered`` pair; the same arithmetic as ``means``."""
-        return self._leading_means(centered[1], self.at_risk)
+        ``centered`` pass; the same arithmetic as ``means``."""
+        return self._leading_means(centered[2], self.at_risk)
 
-    def event_deviations(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Centered values minus their at-risk mean at Z_i, from a
-        ``centered`` pair; shape (n, M), zero on the censored records."""
-        c, running = centered
-        out = self._leading_means(running, take_rows(self.at_risk, self.end_interval))
-        np.subtract(c, out, out=out)
-        out[~self.status] = 0.0
+    def _deviations(self, centered: tuple, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Event deviations of records lo..hi - 1, written into ``out``."""
+        v, mean, running = centered
+        self._leading_means(running, take_rows(self.at_risk, self.end_interval[..., lo:hi]), out)
+        np.subtract(v[..., lo:hi, :] - mean, out, out=out)
+        out[~self.status[..., lo:hi]] = 0.0
         return out
 
-    def _increments(self, centered: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Weighted Welford increments of a ``centered`` pair, shape (n, M).
+    def event_deviations(self, centered: tuple) -> np.ndarray:
+        """Centered values minus their at-risk mean at Z_i, from a
+        ``centered`` pass; shape (n, M), zero on the censored records."""
+        return self._deviations(centered, 0, self.n, np.empty(centered[0].shape))
+
+    def event_moments(self, centered: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """hn and vhat of the columns of a ``centered`` pass: the sum of
+        their event deviations and of the squares of those, each over n,
+        shape (M,) each.
+
+        The deviations are made a block of rows at a time in one buffer.
+        Past the first block, row 0 of the buffer carries the totals so
+        far, so each column is summed row after row in record order, as
+        numpy sums all n deviations of several columns at once: the result
+        is that sum's bit for bit. Up to ``_BLOCK_ROWS`` records there is
+        one block and no carry row, and so there is for a single column,
+        which numpy sums pairwise rather than row after row.
+        """
+        v = centered[0]
+        n = self.n
+        rows = n if v.shape[-1] == 1 else min(n, _BLOCK_ROWS)
+        carry = int(n > rows)
+        buf = np.empty(v.shape[:-2] + (carry + rows, v.shape[-1]))
+        total = square = None
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            dev = self._deviations(centered, lo, hi, buf[..., carry:carry + hi - lo, :])
+            # the first block's sums start at its first deviation, the
+            # others' at the carry row
+            summed = buf[..., (0 if lo else carry):carry + hi - lo, :]
+            if lo:
+                buf[..., 0, :] = total
+            total = summed.sum(axis=-2)
+            np.square(dev, out=dev)
+            if lo:
+                buf[..., 0, :] = square
+            square = summed.sum(axis=-2)
+        return total / n, square / n
+
+    def _increments(self, centered: tuple) -> np.ndarray:
+        """Weighted Welford increments of a ``centered`` pass, shape (n, M),
+        written over its running sums.
 
         Row p - 1, with the records in decreasing follow-up, is
         sqrt(Z_(p) (p - 1) / (p n)) times u_(p) less the mean of the p - 1
-        records before it; the first row is 0. The rows are built in place
-        in one buffer, a block of rows at a time, so the temporaries stay
-        small next to the (n, M) arrays.
+        records before it; the first row is 0. The rows are built a block
+        at a time from the last block back, so each block still reads the
+        running sums before it; the pass's running sums are gone after.
         """
-        c, running = centered
-        out = take_rows(c, self.desc_order)
+        v, mean, running = centered
         n = self.n
         before = np.arange(1.0, n)  # p - 1 for p = 2..n
         zdesc = self.breakpoints[..., :0:-1]  # Z_(p), decreasing
         scale = np.sqrt(zdesc[..., 1:] * (before / ((before + 1.0) * n)))
-        out[..., 0, :] = 0.0
-        for lo in range(1, n, _BLOCK_ROWS):
+        for lo in reversed(range(1, n, _BLOCK_ROWS)):
             hi = min(lo + _BLOCK_ROWS, n)
-            rows = out[..., lo:hi, :]
+            rows = take_rows(v, self.desc_order[..., lo:hi])
+            rows -= mean
             rows -= running[..., lo - 1:hi - 1, :] / before[lo - 1:hi - 1, None]
             rows *= scale[..., lo - 1:hi - 1, None]
-        return out
+            running[..., lo:hi, :] = rows
+        running[..., 0, :] = 0.0
+        return running
 
     def cross_moment(self, left, right) -> np.ndarray:
-        """Centered at-risk moment of two ``centered`` pairs (u, v), the
+        """Centered at-risk moment of two ``centered`` passes (u, v), the
         empirical inner products <u_j, v_l>_n of their columns,
 
             (1/n) sum_k len_k sum_{i at risk on k} (u_i - ubar_k)(v_i - vbar_k),
@@ -415,7 +482,9 @@ class RiskSetTimeline:
         with du_p = u_(p) less the mean of the p - 1 records before it;
         ties are zero-length intervals and change nothing. For
         ``left is right`` the product is a'a of one buffer (BLAS ``syrk``),
-        exactly symmetric.
+        exactly symmetric. The increments are written over the passes'
+        running sums, so the passes are used up: read anything else from
+        them first.
         """
         a = self._increments(left)
         b = a if right is left else self._increments(right)

@@ -5,6 +5,7 @@ fixture docstring: H = [[1/8]], hn = [-1/4], risk-set means 1/2 then 1.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hazlasso import (
     linear_dictionary,
     objective,
 )
-from hazlasso.survival import SurvivalDataset
+from hazlasso.survival import _BLOCK_ROWS, SurvivalDataset, build_timeline
 
 from conftest import literal_inner, literal_norm_sq, random_dataset
 
@@ -151,6 +152,82 @@ class TestBuildGram:
             dic = DictionaryMatrix(values=np.ones((3, 1)), labels=["a"])
         with pytest.raises(ValueError, match="match"):
             build_gram(micro_dataset, dic)
+
+
+def materialised_system(timeline, values):
+    """H, hn and vhat with every (n, M) array made whole: the centered
+    values, their running sums in decreasing follow-up, the event
+    deviations and the Welford increments, with the arithmetic of the
+    blocked build."""
+    tl = timeline
+    c = values - values.mean(axis=-2, keepdims=True)
+    desc = np.take_along_axis(c, tl.desc_order[..., None], axis=-2)
+    running = np.cumsum(desc, axis=-2)
+    counts = np.take_along_axis(tl.at_risk, tl.end_interval, axis=-1)
+    leading = np.take_along_axis(running, (counts - 1)[..., None], axis=-2)
+    dev = c - leading / counts.astype(float)[..., None]
+    dev[~tl.status] = 0.0
+    before = np.arange(1.0, tl.n)
+    scale = np.sqrt(tl.breakpoints[..., :0:-1][..., 1:] * (before / ((before + 1.0) * tl.n)))
+    inc = np.zeros_like(desc)
+    inc[..., 1:, :] = (desc[..., 1:, :] - running[..., :-1, :] / before[:, None]) * scale[..., None]
+    matrix = np.swapaxes(inc, -1, -2) @ inc
+    return matrix, dev.sum(axis=-2) / tl.n, (dev * dev).sum(axis=-2) / tl.n
+
+
+def block_edge_records(rng, n, d):
+    """Times, status and an (n, d + 2) block of values whose last d columns
+    are the covariates. Half the times sit on a coarse grid, so the
+    decreasing follow-up order has long tied runs; a tied run straddles
+    every record block boundary, and the records on both sides of each
+    boundary, the first and the last are censored."""
+    times = rng.uniform(0.01, 1.0, size=n)
+    coarse = rng.uniform(size=n) < 0.5
+    times[coarse] = rng.choice([0.15, 0.4, 0.65, 1.0], size=coarse.sum())
+    status = rng.uniform(size=n) < 0.7
+    for edge in range(_BLOCK_ROWS, n, _BLOCK_ROWS):
+        times[edge - 3:edge + 3] = rng.uniform(0.05, 0.95)
+        status[[edge - 1, edge]] = False
+    status[[0, n - 1]] = False
+    return times, status, rng.standard_normal((n, d + 2)) + 3.0
+
+
+class TestBlockedBuild:
+    """build_gram reads the centered rows and makes the event deviations a
+    block of rows at a time, and writes the increments of H over the
+    running sums; it gives what the whole arrays give, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 77, _BLOCK_ROWS + 1, _BLOCK_ROWS])
+    def test_equals_the_materialised_route(self, n, d, batch):
+        rng = np.random.default_rng(n + d)
+        times, status, block = (
+            np.stack(arrays) for arrays in zip(*(block_edge_records(rng, n, d) for _ in range(batch or 1)))
+        )
+        if batch is None:
+            times, status, block = times[0], status[0], block[0]
+        # a strided view of the covariates, as load_dataset gives them
+        ds = SurvivalDataset(times=times, status=status, covariates=block[..., 2:])
+        system = build_gram(ds, linear_dictionary(ds))
+        matrix, vector, vhat = materialised_system(system.timeline, ds.covariates)
+        np.testing.assert_array_equal(system.matrix, matrix)
+        np.testing.assert_array_equal(system.vector, vector)
+        np.testing.assert_array_equal(system.vhat, vhat)
+
+    def test_holds_one_full_size_array(self):
+        n, d = 3000, 60
+        ds = random_dataset(np.random.default_rng(5), n=n, d=d)
+        dictionary, timeline = linear_dictionary(ds), build_timeline(ds)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_gram(ds, dictionary, timeline)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the running sums are n * d * 8 bytes; blocks of rows add little
+        assert peak < 1.5 * n * d * 8
 
 
 class TestNorms:

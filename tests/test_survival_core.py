@@ -28,6 +28,7 @@ from hazlasso import (
     load_dataset,
     write_dataset,
 )
+from hazlasso.survival import take_rows
 
 FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -144,6 +145,8 @@ class TestSurvivalDataset:
         assert np.array_equal(back.status, ds.status)
         assert_allclose(back.covariates, ds.covariates, rtol=0, atol=0)
         assert back.labels == ds.labels
+        # the covariates are columns of the parsed block, not a copy of them
+        assert not back.covariates.flags.owndata
 
     def test_load_rescales_raw_times(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -358,6 +361,19 @@ class TestTimeline:
         mean = StepFunction(tl.breakpoints, tl.means(np.array([0.0, 1.0])))
         assert mean(0.25) == pytest.approx(0.5)
         assert mean(0.75) == pytest.approx(1.0)
+
+    def test_take_rows_is_the_row_gather(self):
+        rng = np.random.default_rng(31)
+        wide = rng.standard_normal((4, 30, 5))
+        index = rng.integers(0, 30, size=(4, 12))
+        # contiguous and strided values, with and without trailing axes
+        for values in (wide, wide[..., 2:], wide[..., 0], wide[..., 0].copy()):
+            want = values[np.arange(4)[:, None], index]
+            assert np.array_equal(take_rows(values, index), want)
+            out = np.empty(want.shape)
+            assert take_rows(values, index, out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(take_rows(values[1], index[1]), values[1][index[1]])
 
     @settings(max_examples=200, deadline=None)
     @given(batch=tied_batches())
