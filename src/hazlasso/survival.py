@@ -367,14 +367,14 @@ class RiskSetTimeline:
     def centered(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The centered prefix pass that every centered quantity starts from.
 
-        Returns three arrays: the per-record values as given, shape (n, M)
-        (a view, not a copy), their column means over all records, shape
-        (1, M), and the running sums of the centered values with the
-        records in decreasing follow-up order, shape (n, M): row p - 1 sums
-        the p longest-followed records, so every risk set's sum is one of
-        its rows. The running sums are the pass's one new (n, M) array; the
-        centered values are read as values less means, a block of rows at a
-        time, with the same arithmetic as a centered copy. Risk-set
+        Returns three arrays: the per-record values, shape (n, M) (not
+        copied when they are floats already), their column means over all
+        records, shape (1, M), and the running sums of the centered values
+        with the records in decreasing follow-up order, shape (n, M): row
+        p - 1 sums the p longest-followed records, so every risk set's sum
+        is one of its rows. The running sums are the pass's one new (n, M)
+        array; the centered values are read as values less means, a block
+        of rows at a time, with the same arithmetic as a centered copy. Risk-set
         centering ignores constant shifts, so removing the global means
         first changes no centered quantity and keeps the sums free of
         cancellation (stable centering, Chan, Golub & LeVeque 1983).

@@ -202,9 +202,8 @@ class TestBlockedBuild:
     @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS + 77, _BLOCK_ROWS + 1, _BLOCK_ROWS])
     def test_equals_the_materialised_route(self, n, d, batch):
         rng = np.random.default_rng(n + d)
-        times, status, block = (
-            np.stack(arrays) for arrays in zip(*(block_edge_records(rng, n, d) for _ in range(batch or 1)))
-        )
+        draws = [block_edge_records(rng, n, d) for _ in range(batch or 1)]
+        times, status, block = (np.stack(arrays) for arrays in zip(*draws))
         if batch is None:
             times, status, block = times[0], status[0], block[0]
         # a strided view of the covariates, as load_dataset gives them
