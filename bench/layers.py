@@ -33,6 +33,15 @@ Every fit layer is timed before any Monte Carlo entry runs. A harness
 raises glibc's mmap and trim thresholds for the rest of its process, which
 changes the faults and the time of every later build; the fit layers are
 measured with glibc's defaults, as a single command meets them.
+
+The same code runs faster or slower as a shared machine's load changes,
+so ``reference`` records how fast the machine was during the run: one
+unit of the fixed ``sweep`` and ``accumulate`` kernels of
+``perfbench/reference.py`` (interpreter-bound and cache-bound code) is
+timed after every timed pipeline run and every timed Monte Carlo call,
+and ``median_unit_ms`` is the median unit. Two reports made at different
+times compare by their layer times in units of it.
+
 ``--smoke`` runs only the smallest size, once, with few replications, so
 that a test can check the script in seconds.
 """
@@ -53,6 +62,7 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -90,6 +100,18 @@ LAYERS = (
 )
 # the layers whose page faults and traced peak memory are recorded
 MEMORY_LAYERS = ("load_dataset", "build_gram")
+REFERENCE_KERNELS = ("sweep", "accumulate")
+
+
+def reference():
+    """A ``Reference`` of ``perfbench/reference.py`` running the
+    ``REFERENCE_KERNELS``, imported by path: it is benchmark code, not a
+    module of the package."""
+    path = ROOT / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Reference(REFERENCE_KERNELS, share=0.0)
 
 
 def _config(n: int, d: int):
@@ -128,7 +150,7 @@ def pipeline(config, data: Path, report: Path) -> tuple[dict, dict, int]:
     times["build_gram"] = perf_counter() - start
     faults["build_gram"] = _minor_faults() - faults["build_gram"]
     start = perf_counter()
-    weights = compute_weights(dataset, dictionary, system)
+    weights = compute_weights(system)
     times["compute_weights"] = perf_counter() - start
     start = perf_counter()
     fits = fit_path(system, weights, SCALES)
@@ -160,7 +182,7 @@ def traced_peaks(data: Path) -> dict:
     return {"load_dataset": load_peak / 2**20, "build_gram": gram_peak / 2**20}
 
 
-def layer_entry(n: int, d: int, runs: int) -> dict:
+def layer_entry(n: int, d: int, runs: int, ref) -> dict:
     config = _config(n, d)
     with tempfile.TemporaryDirectory() as tmp:
         data, report = Path(tmp) / "data.csv", Path(tmp) / "path.json"
@@ -169,6 +191,7 @@ def layer_entry(n: int, d: int, runs: int) -> dict:
         samples, fault_samples = [], []
         for _ in range(runs):
             times, faults, steps = pipeline(config, data, report)
+            ref.unit()
             samples.append(times)
             fault_samples.append(faults)
         peaks = traced_peaks(data)
@@ -185,7 +208,7 @@ def layer_entry(n: int, d: int, runs: int) -> dict:
     }
 
 
-def mc_entry(name: str, reps: int, runs: int) -> dict:
+def mc_entry(name: str, reps: int, runs: int, ref) -> dict:
     config = default_config()
     if name == "run_mc":
         call = partial(run_mc, config, 0, (4.0, 5.0, 6.0), reps)
@@ -199,6 +222,7 @@ def mc_entry(name: str, reps: int, runs: int) -> dict:
         start = perf_counter()
         call()
         times.append(perf_counter() - start)
+        ref.unit()
     faults = _minor_faults() - faults
     median = statistics.median(times)
     return {
@@ -240,18 +264,27 @@ def main(argv=None) -> int:
     sizes, mc, mc_runs = (
         (SMOKE_SIZES, SMOKE_MC, SMOKE_MC_RUNS) if args.smoke else (SIZES, MC, MC_RUNS)
     )
+    ref = reference()
     # the layers run first: the harnesses change the allocator for the rest
     # of the process
-    layers = [layer_entry(n, d, runs) for n, d, runs in sizes]
+    layers = [layer_entry(n, d, runs, ref) for n, d, runs in sizes]
+    monte_carlo = [mc_entry(name, reps, mc_runs, ref) for name, reps in mc]
     report = {
         "provenance": provenance(),
+        "reference": {
+            "kernels": list(REFERENCE_KERNELS),
+            "units": len(ref.times),
+            "median_unit_ms": 1e3 * statistics.median(ref.times),
+        },
         "path_scales": [float(s) for s in SCALES],
         "layers": layers,
-        "monte_carlo": [mc_entry(name, reps, mc_runs) for name, reps in mc],
+        "monte_carlo": monte_carlo,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
+    unit = report["reference"]
+    print(f"reference unit ({', '.join(unit['kernels'])}): {unit['median_unit_ms']:.3g} ms")
     for entry in report["layers"]:
         cells = "  ".join(f"{k} {v:.3g} ms" for k, v in entry["median_ms"].items())
         print(f"{entry['n']}x{entry['d']}: {cells}  steps {entry['path_steps']}")

@@ -91,7 +91,7 @@ def _load_problem(args):
         dictionary = linear_dictionary(dataset)
     timeline = build_timeline(dataset)
     system = build_gram(dataset, dictionary, timeline)
-    weights = compute_weights(dataset, dictionary, system, args.x)
+    weights = compute_weights(system, args.x)
     return dataset, dictionary, system, weights
 
 

@@ -5,13 +5,19 @@ the covariate rows; the estimator only ever sees these evaluations, so
 the matrix is the whole interface. The default choice is the linear
 dictionary h_j(x) = x_j. A batch of datasets gives an (R, n, M) batch of
 evaluations with shared labels.
+
+Validation reads each column through one max and one min reduction, and
+makes no (n, M) temporary: the same two reductions give the finiteness
+check, the column half-range (max - min) / 2 that the penalty weights
+read, and the constant columns, which are those of half-range 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,29 +28,42 @@ from .survival import SurvivalDataset
 
 @dataclass
 class DictionaryMatrix:
-    """Evaluations h_j(X_i), one column per candidate function."""
+    """Evaluations h_j(X_i), one column per candidate function.
+
+    ``values`` is a read-only view of the array given, not a copy, so the
+    half-range taken when it is checked always describes it:
+    ``half_range[j]`` is (max_i h_j - min_i h_j) / 2, shape (M,) or (R, M)
+    for a batch, the arithmetic of ``bernstein.half_range``.
+    """
 
     values: np.ndarray
     labels: list[str]
+    half_range: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.asarray(self.values, dtype=float).view()
+        self.values.flags.writeable = False
         if self.values.ndim not in (2, 3):
             raise DataValidationError("dictionary values must be a 2-d array (3-d for a batch)")
         if len(self.labels) != self.values.shape[-1]:
             raise DataValidationError("one label per dictionary column required")
         if len(set(self.labels)) != len(self.labels):
             raise DataValidationError("duplicate dictionary labels")
-        if not np.all(np.isfinite(self.values)):
+        if self.n == 0:
+            raise DataValidationError("dictionary has no rows")
+        # NaN and inf carry through max and min; checked before the
+        # difference, which is NaN for an all-inf column
+        high = np.maximum.reduce(self.values, axis=-2)
+        low = np.minimum.reduce(self.values, axis=-2)
+        if not (np.isfinite(high).all() and np.isfinite(low).all()):
             raise DataValidationError("dictionary values must be finite")
+        self.half_range = 0.5 * (high - low)
         # a constant column (half-range 0) carries no information: the fit
         # pins it at zero, whatever its level
-        constant = np.all(self.values == self.values[..., :1, :], axis=-2)
-        dead = np.flatnonzero(constant.reshape(-1, self.M).any(axis=0))
+        dead = np.flatnonzero((self.half_range == 0.0).reshape(-1, self.M).any(axis=0))
         if dead.size:
             names = ", ".join(self.labels[j] for j in dead)
-            # 3: past the dataclass's generated __init__, at its caller
-            warnings.warn(f"constant dictionary column(s): {names}", stacklevel=3)
+            warnings.warn(f"constant dictionary column(s): {names}", stacklevel=_caller_level())
 
     @property
     def n(self) -> int:
@@ -55,15 +74,25 @@ class DictionaryMatrix:
         return self.values.shape[-1]
 
 
+def _caller_level() -> int:
+    """The ``stacklevel`` of the first frame outside this package, for a
+    warning issued by this function's caller: the user's line, whichever
+    library function built the dictionary."""
+    level, frame = 1, sys._getframe(1)
+    # by module name: the dataclass's generated __init__ runs in this
+    # module's globals, and a module run as a script is "__main__"
+    while frame.f_back and frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def linear_dictionary(dataset: SurvivalDataset) -> DictionaryMatrix:
     """Identity dictionary: one candidate per covariate, h_j(x) = x_j.
 
     The values are a read-only view of the covariates, not a copy, so the
     data cannot be changed through the dictionary.
     """
-    values = dataset.covariates.view()
-    values.flags.writeable = False
-    return DictionaryMatrix(values=values, labels=list(dataset.labels))
+    return DictionaryMatrix(values=dataset.covariates, labels=list(dataset.labels))
 
 
 def _check_dictionary_header(path, header: list[str]) -> None:

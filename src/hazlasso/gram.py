@@ -12,12 +12,15 @@ risk-set timeline, so H and hn are exact finite sums; the timeline's
 ``cross_moment`` and ``event_moments`` evaluate them from one
 ``centered`` pass, and this module only assembles and reports the system.
 H is one symmetric product a'a of the dictionary's weighted Welford
-increments, so it is exactly symmetric.
+increments, so it is exactly symmetric. The system also carries the two
+column statistics the penalty weights read, vhat from the same pass and
+the half-range the dictionary took when it was checked, so the weights
+need nothing else.
 
 A batch of datasets (a leading replication axis on the dataset, the
 dictionary values and the timeline) gives a batch of systems: H of shape
-(R, M, M), hn and vhat of shape (R, M), and ``system[r]`` is replication
-r. A single dataset is a batch of one without that axis.
+(R, M, M), hn, vhat and half_range of shape (R, M), and ``system[r]`` is
+replication r. A single dataset is a batch of one without that axis.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ class GramSystem:
     """Gram matrix H, event vector hn and vhat on the dataset's timeline.
 
     ``vhat[j]`` is the empirical variance of column j, (1/n) times the sum
-    of its squared event deviations, which the penalty weights read. The
-    risk-set means are the timeline's (``timeline.means``).
+    of its squared event deviations, and ``half_range[j]`` is the
+    dictionary's half-range of column j: the two column statistics the
+    penalty weights read. The risk-set means are the timeline's
+    (``timeline.means``).
     """
 
     matrix: np.ndarray
@@ -45,6 +50,7 @@ class GramSystem:
     timeline: RiskSetTimeline
     labels: list[str]
     vhat: np.ndarray
+    half_range: np.ndarray
 
     @property
     def M(self) -> int:
@@ -57,7 +63,8 @@ class GramSystem:
     def __getitem__(self, r: int) -> "GramSystem":
         """Replication r of a batch."""
         return GramSystem(
-            self.matrix[r], self.vector[r], self.timeline[r], self.labels, self.vhat[r]
+            self.matrix[r], self.vector[r], self.timeline[r], self.labels, self.vhat[r],
+            self.half_range[r],
         )
 
 
@@ -79,7 +86,8 @@ def build_gram(
     one (n, M) array alive besides the dictionary: the centered rows and
     the event deviations are made a block of rows at a time, and the
     increments of H are written over the running sums once hn and vhat
-    have read them.
+    have read them. The half-range is the dictionary's own, not taken
+    again.
     """
     tl = timeline if timeline is not None else build_timeline(dataset)
     phi = dictionary.values
@@ -90,10 +98,11 @@ def build_gram(
     vector, vhat = tl.event_moments(centered)
     return GramSystem(
         matrix=tl.cross_moment(centered, centered),
-        vector=vector,
+        vector=vector / tl.n,
         timeline=tl,
         labels=list(dictionary.labels),
-        vhat=vhat,
+        vhat=vhat / tl.n,
+        half_range=dictionary.half_range,
     )
 
 

@@ -354,7 +354,7 @@ def identity_gram_check(
     inv_root = (vecs / np.sqrt(lam)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
     # the linear dictionary's values are the covariates
     whitened = truth.dataset.covariates @ inv_root
-    vector, vhat = tl.event_moments(tl.centered(whitened))
+    vector, vhat = (s / tl.n for s in tl.event_moments(tl.centered(whitened)))
     w = bernstein_weights(vhat, half_range(whitened), x, tl.n)
     beta = np.sign(vector) * np.maximum(np.abs(vector) - w, 0.0)
     beta_ref = _fitted(root, truth.beta0)
@@ -397,7 +397,7 @@ def _oracle_chunk(
     dictionary = linear_dictionary(dataset)
     timeline = build_timeline(dataset)
     system = build_gram(dataset, dictionary, timeline)
-    weights = compute_weights(dataset, dictionary, system, x)
+    weights = compute_weights(system, x)
 
     fit_slow = _fit_each(system, weights, kappa=1.0)
     s_lhs, s_rhs, s_holds = slow_oracle_check(truth, dictionary, fit_slow, system, weights)

@@ -80,24 +80,12 @@ class GaussianCovariates:
             _chol_cache[key] = np.ascontiguousarray(np.linalg.cholesky(self.rho**lag).T)
         return _chol_cache[key]
 
-    def leading_columns(self, m: int, d: int) -> int:
-        """Columns to draw so that the first m have the joint law they have
-        in a draw of all d: m. The AR(1) factor is triangular, so column j
-        reads only the normals of columns 0..j, and the leading m x m block
-        of the factor for d is the factor for m."""
-        return m
-
 
 @dataclass(frozen=True)
 class RademacherCovariates:
     """Independent +-1 entries."""
 
     kind = "rademacher"
-
-    def leading_columns(self, m: int, d: int) -> int:
-        """m: the columns are independent, so the first m alone have their
-        joint law."""
-        return m
 
     def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill ``out`` with uniforms on [0, 1), one per entry."""
@@ -263,11 +251,14 @@ def simulate(config: SimulationConfig, seed=None) -> SimulatedTruth:
 def drawn_columns(config: SimulationConfig, columns: int) -> int:
     """Leading covariate columns ``simulate_batch`` draws when its caller
     reads the first ``columns``: enough to reach the last nonzero entry of
-    beta0 as well, which h0 and the acceptance rule read, and as many as
-    the covariate kind needs for their exact joint law."""
+    beta0 as well, which h0 and the acceptance rule read. The first m
+    columns drawn alone have the joint law they have in a draw of all d:
+    Rademacher columns are independent, and the AR(1) factor is
+    triangular, so gaussian column j reads only the normals of columns
+    0..j and the leading m x m block of the factor for d is the factor
+    for m."""
     support = np.flatnonzero(config.beta0)
-    m = max(columns, int(support[-1]) + 1 if support.size else 0)
-    return config.covariates.leading_columns(m, config.d)
+    return max(columns, int(support[-1]) + 1 if support.size else 0)
 
 
 def simulate_batch(config: SimulationConfig, keys, columns: int | None = None) -> SimulatedTruth:
@@ -524,8 +515,9 @@ def noise_terms(
         V    = (1/n) sum_i int (c_i - m)^2 alpha_i Y_i dt
 
     One pass: the timeline's ``centered`` primitive centers the column
-    once, its risk-set means m_k are read from that pass's running sums,
-    and the baseline interval integrals are computed once. Record i's
+    once, its risk-set means m_k and the event sums of Z and Vhat
+    (``event_moments``) are read from that pass's running sums, and the
+    baseline interval integrals are computed once. Record i's
     cumulative hazard A_i = int_0^{Z_i} alpha_i dt turns the at-risk
     integrals of c_i and c_i^2 into dot products; rho_k, the hazard of
     the whole risk set on interval k, carries the mean terms. The
@@ -535,7 +527,7 @@ def noise_terms(
     tl = timeline
     centered = tl.centered(column_values)
     c, mean = centered[0] - centered[1], tl.centered_means(centered)
-    resid = tl.event_deviations(centered)
+    events, squares = tl.event_moments(centered)
     lam = tl.interval_integrals(truth.baseline)
     h0 = truth.h0
     cum_lam = take_rows(np.cumsum(lam, axis=-1), tl.end_interval)
@@ -547,7 +539,7 @@ def noise_terms(
     m_mu = _vecmat(base_count, mean * mean) + _vecmat(tl.lengths, mean * s_ch)
     compensator = _vecmat(cum_hazard, c) - _vecmat(rho, mean)
     variation = _vecmat(cum_hazard, c * c) - 2.0 * m_mu + _vecmat(rho, mean * mean)
-    terms = (resid.sum(axis=-2) - compensator, (resid * resid).sum(axis=-2), variation)
+    terms = (events - compensator, squares, variation)
     # the input's shape without its record axis; [()] turns the 0-d result
     # of a single column back into a scalar
     axis = tl.end_interval.ndim - 1

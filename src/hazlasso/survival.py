@@ -13,14 +13,18 @@ The timeline is the single home of the risk-set arithmetic: its
 risk-set mean. Risk sets are nested: with the records in decreasing
 follow-up, each is a prefix of that order. ``centered`` makes the one
 centered prefix pass, the running sums in that order, which
-``centered_means`` (the risk-set means), ``event_deviations`` (the
-centered values at the event times), ``event_moments`` (their sums and
-sums of squares) and ``cross_moment`` (the centered at-risk moment,
-hence the inner product <u, v>_n) read. The Gram matrix, the inner
-products, the weights and the noise processes all start from it, and a
-caller needing several of them shares one pass; the running sums are the
-pass's only (n, M) array, and ``cross_moment`` reads it last because it
-overwrites it. Because the sets are nested, ``cross_moment`` is one
+``centered_means`` (the risk-set means), ``event_moments`` (the sums and
+sums of squares of the centered values less their risk-set means at the
+event times) and ``cross_moment`` (the centered at-risk moment, hence
+the inner product <u, v>_n) read. Their readers: ``gram.build_gram``
+takes hn and vhat from ``event_moments`` and H from ``cross_moment``;
+``simulate.noise_terms`` takes the event sums of the noise terms from
+``event_moments`` and the compensators from ``centered_means``;
+``oracle.identity_gram_check`` takes the whitened hn and vhat from
+``event_moments``; ``gram.empirical_norm_sq_fn`` is a ``cross_moment``.
+A caller needing several of them shares one pass; the running sums are
+the pass's only (n, M) array, and ``cross_moment`` reads it last because
+it overwrites it. Because the sets are nested, ``cross_moment`` is one
 matrix product of Welford increments (each record less the mean of the
 records followed longer) rather than a sum over intervals.
 ``interval_integrals`` integrates a deterministic step function, such as
@@ -378,10 +382,9 @@ class RiskSetTimeline:
         centering ignores constant shifts, so removing the global means
         first changes no centered quantity and keeps the sums free of
         cancellation (stable centering, Chan, Golub & LeVeque 1983).
-        ``centered_means``, ``event_deviations``, ``event_moments`` and
-        ``cross_moment`` take this pass, so one pass can serve several of
-        them; ``cross_moment`` overwrites the running sums, so it comes
-        last.
+        ``centered_means``, ``event_moments`` and ``cross_moment`` take
+        this pass, so one pass can serve several of them;
+        ``cross_moment`` overwrites the running sums, so it comes last.
         """
         v, _ = self._per_record(values)
         mean = v.mean(axis=-2, keepdims=True)
@@ -400,15 +403,11 @@ class RiskSetTimeline:
         out[~self.status[..., lo:hi]] = 0.0
         return out
 
-    def event_deviations(self, centered: tuple) -> np.ndarray:
-        """Centered values minus their at-risk mean at Z_i, from a
-        ``centered`` pass; shape (n, M), zero on the censored records."""
-        return self._deviations(centered, 0, self.n, np.empty(centered[0].shape))
-
     def event_moments(self, centered: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """hn and vhat of the columns of a ``centered`` pass: the sum of
-        their event deviations and of the squares of those, each over n,
-        shape (M,) each.
+        """Sums over the observed events of the event deviations of the
+        columns of a ``centered`` pass, and of their squares, shape (M,)
+        each. Record i's event deviation is its centered value less the
+        at-risk mean at Z_i; over n, the two sums are hn and vhat.
 
         The deviations are made a block of rows at a time in one buffer.
         Past the first block, row 0 of the buffer carries the totals so
@@ -437,7 +436,7 @@ class RiskSetTimeline:
             if lo:
                 buf[..., 0, :] = square
             square = summed.sum(axis=-2)
-        return total / n, square / n
+        return total, square
 
     def _increments(self, centered: tuple) -> np.ndarray:
         """Weighted Welford increments of a ``centered`` pass, shape (n, M),

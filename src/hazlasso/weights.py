@@ -8,14 +8,18 @@ numeric constants) at the union level x + log M:
 
 built from two observable quantities, the empirical variance vhat_j
 (average squared centered column value at the event times) and the
-column half-range r_j = (max_i h_j - min_i h_j) / 2. The bound fails for
+column half-range r_j = (max_i h_j - min_i h_j) / 2. Both are computed
+once, elsewhere, and read here from the Gram system: vhat_j by
+``build_gram`` in the centered pass that gives H and hn, r_j by the
+dictionary when it checks its values. So are n and the labels, and the
+weights need nothing but the system and x. The bound fails for
 one column with probability at most c3 e^{-x - log M}, so it holds for all
 M columns at once with probability at least 1 - c3 e^{-x}. A shift of a
 column changes neither vhat_j nor r_j, and a constant column gets weight
 0. The confidence level x > 0 is the caller's choice; log(1/0.05) is the
-conventional default of the command-line tools. A batched Gram system and
-dictionary (a leading replication axis) give one weight vector per
-replication, shape (R, M); ``weights[r]`` is replication r.
+conventional default of the command-line tools. A batched Gram system
+(a leading replication axis) gives one weight vector per replication,
+shape (R, M); ``weights[r]`` is replication r.
 """
 
 from __future__ import annotations
@@ -25,10 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import PAPER_NUMERIC, bound_empirical, half_range, loglog_correction
-from .dictionary import DictionaryMatrix
+from .bernstein import PAPER_NUMERIC, bound_empirical, loglog_correction
 from .gram import GramSystem
-from .survival import SurvivalDataset
 
 DEFAULT_X = math.log(1.0 / 0.05)
 
@@ -67,32 +69,23 @@ class WeightVector:
         )
 
 
-def compute_weights(
-    dataset: SurvivalDataset,
-    dictionary: DictionaryMatrix,
-    system: GramSystem,
-    x: float = DEFAULT_X,
-) -> WeightVector:
-    """Weights for every dictionary column at confidence level x.
+def compute_weights(system: GramSystem, x: float = DEFAULT_X) -> WeightVector:
+    """Weights for every column of ``system`` at confidence level x.
 
-    vhat is read from ``system``, which must have been built from
-    ``dictionary``. Constant columns get weight exactly 0 (and are pinned
-    to 0 by the solver); for any other column the weight is strictly
-    positive.
+    vhat, the half-ranges, n and the labels are all read from ``system``.
+    Constant columns get weight exactly 0 (and are pinned to 0 by the
+    solver); for any other column the weight is strictly positive.
     """
     if not (math.isfinite(x) and x > 0):
         raise ValueError(f"confidence level x must be positive and finite, got {x}")
-    if dictionary.M != system.M:
-        raise ValueError("dictionary columns do not match the gram system")
-    vhat = system.vhat.copy()
-    r = half_range(dictionary.values)
+    vhat, r = system.vhat.copy(), system.half_range.copy()
     return WeightVector(
         x=float(x),
-        n=dataset.n,
+        n=system.n,
         vhat=vhat,
         half_range=r,
-        w=bernstein_weights(vhat, r, x, dataset.n),
-        labels=list(dictionary.labels),
+        w=bernstein_weights(vhat, r, x, system.n),
+        labels=list(system.labels),
     )
 
 

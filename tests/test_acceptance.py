@@ -153,7 +153,7 @@ def test_criterion_09_constants():
     # the weights are the bound under these constants, at level x + log M
     truth = simulate(default_config())
     dic = linear_dictionary(truth.dataset)
-    weights = compute_weights(truth.dataset, dic, build_gram(truth.dataset, dic), x=2.0)
+    weights = compute_weights(build_gram(truth.dataset, dic), x=2.0)
     level, n = 2.0 + math.log(dic.M), truth.dataset.n
     ell, r = weights.loglog, weights.half_range
     want = PAPER_NUMERIC.c1 * np.sqrt((level + ell) / n * weights.vhat)

@@ -100,7 +100,7 @@ def pipeline(truth):
     timeline = build_timeline(truth.dataset)
     dictionary = linear_dictionary(truth.dataset)
     system = build_gram(truth.dataset, dictionary, timeline)
-    weights = compute_weights(truth.dataset, dictionary, system, 3.0)
+    weights = compute_weights(system, 3.0)
     noise = noise_terms(truth, dictionary.values, timeline)
     return system, weights, noise
 
@@ -126,6 +126,8 @@ def test_batch_equals_batches_of_one(config, reps):
         assert_close(system.matrix[r], system1.matrix)
         assert_close(system.vector[r], system1.vector)
         assert_close(system.vhat[r], system1.vhat)
+        # max and min are exact, so replication r's half-range is bit for bit
+        np.testing.assert_array_equal(system[r].half_range, system1.half_range)
         assert_close(weights.w[r], weights1.w)
         for batched, single in ((z, z1), (vhat, vhat1), (var, var1)):
             assert_close(batched[r], single)
@@ -235,7 +237,7 @@ def test_harness_mu3_column_is_one_bracket_per_replication(config, reps):
         truth = simulate(config, seed=[config.seed, rep])
         dictionary = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dictionary)
-        weights = compute_weights(truth.dataset, dictionary, system, 5.0)
+        weights = compute_weights(system, 5.0)
         found = mu3_bracket(system, weights, config.beta0, budget, [config.seed, rep, 55])
         assert (row["mu3"], row["mu3_upper"], row["mu3_label"]) == (
             found.mu3_lower, found.mu3_upper, found.label

@@ -277,7 +277,7 @@ class TestNoiseProcessTerminal:
         truth = simulate(small_config(n=60))
         dic = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dic)
-        by_weights = compute_weights(truth.dataset, dic, system).vhat
+        by_weights = compute_weights(system).vhat
         for j in range(dic.M):
             _, vhat, _ = noise_process_terminal(truth, dic.values[:, j], system.timeline)
             np.testing.assert_allclose(vhat, by_weights[j], rtol=1e-12)

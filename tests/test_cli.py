@@ -258,7 +258,7 @@ class TestInvariance:
         # transformations leave t unchanged, so one scale list serves both runs
         dictionary = linear_dictionary(ds)
         system = build_gram(ds, dictionary)
-        w = compute_weights(ds, dictionary, system, 1.0).w
+        w = compute_weights(system, 1.0).w
         t = float(np.max(2.0 * np.abs(system.vector) / w))
         scales = [s for s in (1.0, 0.1, 0.03, 0.01) if s > t / 2] + [t / 2]
         scales = ",".join(repr(s) for s in scales)
@@ -541,7 +541,7 @@ class TestStrictReports:
         dataset = load_dataset(data)
         dictionary = linear_dictionary(dataset)
         system = build_gram(dataset, dictionary)
-        fits = fit_path(system, compute_weights(dataset, dictionary, system), [1.0, 0.3, 0.1])
+        fits = fit_path(system, compute_weights(system), [1.0, 0.3, 0.1])
         rows = read_report(out)["rows"]
         assert any(row["active"] for row in rows)
         for row, f in zip(rows, fits, strict=True):

@@ -129,8 +129,8 @@ class TestBuildGram:
         b = build_gram(shuffled, linear_dictionary(shuffled))
         np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-13)
         np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-13)
-        weights = compute_weights(ds, linear_dictionary(ds), a)
-        shuffled_w = compute_weights(shuffled, linear_dictionary(shuffled), b).w
+        weights = compute_weights(a)
+        shuffled_w = compute_weights(b).w
         np.testing.assert_allclose(shuffled_w, weights.w, rtol=1e-13)
         # risk-set centering also ignores a constant shift of every covariate,
         # and raw-scale columns must not lose accuracy to it; neither may the
@@ -141,7 +141,7 @@ class TestBuildGram:
             )
             dic = linear_dictionary(moved)
             c = build_gram(moved, dic)
-            moved_w = compute_weights(moved, dic, c)
+            moved_w = compute_weights(c)
             pairs = [(c.matrix, a.matrix), (c.vector, a.vector)]
             pairs += [(moved_w.vhat, weights.vhat), (moved_w.w, weights.w)]
             for got, want in pairs:

@@ -26,6 +26,10 @@ def test_smoke_run_writes_a_complete_report(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse)
     provenance = {"commit", "python", "numpy", "blas_threads_env", "cpu_count"}
     assert set(report["provenance"]) >= provenance
+    reference = report["reference"]
+    assert reference["kernels"] == ["sweep", "accumulate"]
+    assert reference["units"] == 1 + len(report["monte_carlo"])  # one per timed run
+    assert reference["median_unit_ms"] > 0
     (entry,) = report["layers"]
     assert (entry["n"], entry["d"], entry["runs"]) == (200, 50, 1)
     assert set(entry["median_ms"]) == {

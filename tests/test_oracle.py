@@ -109,7 +109,7 @@ class TestChecks:
         truth = simulate(oracle_config(beta0=[0.0] * 4))
         dictionary = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dictionary)
-        weights = compute_weights(truth.dataset, dictionary, system, 5.0)
+        weights = compute_weights(system, 5.0)
         f = fit(system, weights, kappa=1.0)
         lhs, rhs, holds = slow_oracle_check(truth, dictionary, f, system, weights)
         assert holds and lhs == 0.0 and rhs == 0.0
@@ -118,7 +118,7 @@ class TestChecks:
         truth = simulate(oracle_config())
         dictionary = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dictionary)
-        weights = compute_weights(truth.dataset, dictionary, system, 5.0)
+        weights = compute_weights(system, 5.0)
         f = fit(system, weights, kappa=1.0)
         lhs, rhs, holds = slow_oracle_check(truth, dictionary, f, system, weights)
         assert lhs >= 0.0
@@ -142,7 +142,7 @@ class TestChecks:
         for t in (truth, shuffled):
             dictionary = linear_dictionary(t.dataset)
             system = build_gram(t.dataset, dictionary)
-            weights = compute_weights(t.dataset, dictionary, system, 5.0)
+            weights = compute_weights(system, 5.0)
             f = fit(system, weights, kappa=1.0, tol=1e-10)
             out.append(slow_oracle_check(t, dictionary, f, system, weights))
         np.testing.assert_allclose(out[0][:2], out[1][:2], rtol=1e-8)
@@ -416,7 +416,7 @@ def whitened_by_solver(truth, x, system):
     labels = [f"w{j + 1}" for j in range(system.M)]
     whitened = DictionaryMatrix(dataset.covariates @ inv_root, labels=labels)
     system_w = build_gram(dataset, whitened, system.timeline)
-    weights_w = compute_weights(dataset, whitened, system_w, x)
+    weights_w = compute_weights(system_w, x)
     fits = [fit(system_w[r], weights_w[r], kappa=2.0) for r in range(len(lam))]
     assert all(f.converged for f in fits)
     mu3 = 1.0 / np.sqrt(np.linalg.eigvalsh(system_w.matrix)[:, 0])

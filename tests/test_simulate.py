@@ -106,25 +106,11 @@ class TestCovariateModels:
                 assert model._factor(m) is None
             else:
                 np.testing.assert_allclose(model._factor(m), full[:m, :m], rtol=0, atol=1e-13)
-            assert model.leading_columns(m, 50) == m
-        assert RademacherCovariates().leading_columns(3, 50) == 3
 
     def test_drawn_columns_reach_the_support_of_beta0(self):
         cfg = default_config()  # beta0 is nonzero on columns 0, 1 and 2 of 50
         assert [drawn_columns(cfg, c) for c in (1, 3, 4, 50)] == [3, 3, 4, 50]
         assert drawn_columns(small_config(beta0=[0.0, 0.0]), 1) == 1
-
-    def test_a_kind_without_a_triangular_factor_draws_every_column(self):
-        class Mixed(GaussianCovariates):
-            def leading_columns(self, m, d):
-                return d
-
-        cfg = small_config(n=20, d=6, beta0=[0.5, 0, 0, 0, 0, 0], covariates=Mixed(rho=0.4))
-        keys = [[5, rep] for rep in range(3)]
-        assert drawn_columns(cfg, 1) == 6
-        narrowed, full = simulate_batch(cfg, keys, columns=1), simulate_batch(cfg, keys)
-        np.testing.assert_array_equal(narrowed.dataset.covariates, full.dataset.covariates)
-        np.testing.assert_array_equal(narrowed.dataset.times, full.dataset.times)
 
     def test_rademacher_values(self):
         noise = np.empty((100, 2))

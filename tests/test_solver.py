@@ -102,7 +102,7 @@ def correlated(n, seed=909):
     ds = simulate(config).dataset
     dic = linear_dictionary(ds)
     system = build_gram(ds, dic)
-    return system, compute_weights(ds, dic, system)
+    return system, compute_weights(system)
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +250,7 @@ class TestCertificates:
             labels = [f"x{j}" for j in range(40)]
             dic = DictionaryMatrix(values=1e3 * ds.covariates, labels=labels)
             system = build_gram(ds, dic)
-            weights = compute_weights(ds, dic, system)
+            weights = compute_weights(system)
             for scale in (1e-2, 1e-3):
                 f = fit(system, weights, tol=1e-12, weight_scale=scale)
                 assert f.kkt_max_violation <= 1e-10
@@ -462,7 +462,7 @@ class TestRankDeficient:
             dic = DictionaryMatrix(values=values, labels=[f"x{j}" for j in range(d)] + ["twin", "const"])
             reduced = DictionaryMatrix(values=np.delete(values, d, axis=1), labels=dic.labels[:d] + ["const"])
         system = build_gram(ds, dic)
-        weights = compute_weights(ds, dic, system)
+        weights = compute_weights(system)
         assert weights.w[d] == weights.w[twin]
         assert weights.w[-1] == 0.0  # a constant column has half-range 0 at any level
         # the reduced problem keeps the full problem's weights (they depend on M)

@@ -281,7 +281,7 @@ class TestLoadDatasetSyntax:
         def fitted(data):
             dictionary = linear_dictionary(data)
             system = build_gram(data, dictionary)
-            weights = compute_weights(data, dictionary, system)
+            weights = compute_weights(system)
             return fit(system, weights, tol=1e-13, weight_scale=0.05).beta
 
         expected = fitted(ds)

@@ -38,7 +38,7 @@ MICRO_LOGLOG_X4 = 1.0841606589152755
 
 def weights_of(ds, values, x=1.0):
     dic = DictionaryMatrix(values=values, labels=[f"h{j}" for j in range(values.shape[-1])])
-    return compute_weights(ds, dic, build_gram(ds, dic), x=x)
+    return compute_weights(build_gram(ds, dic), x=x)
 
 
 class TestConstants:
@@ -60,7 +60,7 @@ class TestConstants:
             dic = linear_dictionary(ds)
             system = build_gram(ds, dic)
             for x in (0.5, DEFAULT_X):
-                wv = compute_weights(ds, dic, system, x=x)
+                wv = compute_weights(system, x=x)
                 level = x + math.log(dic.M)
                 r = half_range(dic.values)
                 np.testing.assert_array_equal(wv.half_range, r)
@@ -77,7 +77,7 @@ class TestLoglogTerm:
 
     def test_frozen_reference(self, micro_dataset):
         dic = linear_dictionary(micro_dataset)
-        wv = compute_weights(micro_dataset, dic, build_gram(micro_dataset, dic), x=4.0)
+        wv = compute_weights(build_gram(micro_dataset, dic), x=4.0)
         np.testing.assert_allclose(wv.loglog, [MICRO_LOGLOG_X4], rtol=1e-14)
 
     def test_clamps_to_zero_when_variance_vanishes(self):
@@ -113,14 +113,14 @@ class TestLoglogTerm:
         system = build_gram(micro_dataset, dic)
         for x in (-2.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
-                compute_weights(micro_dataset, dic, system, x=x)
+                compute_weights(system, x=x)
 
 
 class TestComputeWeights:
     def test_micro_weight_frozen(self, micro_dataset):
         dic = linear_dictionary(micro_dataset)
         system = build_gram(micro_dataset, dic)
-        wv = compute_weights(micro_dataset, dic, system, x=1.0)
+        wv = compute_weights(system, x=1.0)
         np.testing.assert_allclose(wv.vhat, [0.125], rtol=0, atol=1e-15)
         np.testing.assert_array_equal(wv.half_range, [0.5])
         np.testing.assert_array_equal(wv.loglog, [0.0])
@@ -134,7 +134,7 @@ class TestComputeWeights:
                 labels=["live", "dead"],
             )
         system = build_gram(micro_dataset, dic)
-        wv = compute_weights(micro_dataset, dic, system, x=1.0)
+        wv = compute_weights(system, x=1.0)
         assert wv.w[1] == 0.0
         assert wv.w[0] > 0.0
 
@@ -144,7 +144,7 @@ class TestComputeWeights:
             ds = random_dataset(rng)
             dic = linear_dictionary(ds)
             live = np.ptp(dic.values, axis=0) > 0.0
-            wv = compute_weights(ds, dic, build_gram(ds, dic), x=1.0)
+            wv = compute_weights(build_gram(ds, dic), x=1.0)
             assert np.all(wv.w[live] > 0.0)
             assert np.all(wv.w[~live] == 0.0)
 
@@ -155,10 +155,10 @@ class TestComputeWeights:
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n=30, d=3)
         dic = linear_dictionary(ds)
-        base = compute_weights(ds, dic, build_gram(ds, dic), x=1.0)
+        base = compute_weights(build_gram(ds, dic), x=1.0)
         for c, shift in ((-4.0, 0.0), (1.0, 7.5), (-4.0, -1e3)):
             moved = DictionaryMatrix(values=c * dic.values + shift, labels=dic.labels)
-            got = compute_weights(ds, moved, build_gram(ds, moved), x=1.0)
+            got = compute_weights(build_gram(ds, moved), x=1.0)
             np.testing.assert_allclose(got.w, abs(c) * base.w, rtol=1e-12)
 
     def test_monotone_in_x(self):
@@ -167,14 +167,14 @@ class TestComputeWeights:
         dic = linear_dictionary(ds)
         system = build_gram(ds, dic)
         grid = [0.5, 1.0, 2.0, 5.0, 10.0]
-        stack = np.array([compute_weights(ds, dic, system, x=x).w for x in grid])
+        stack = np.array([compute_weights(system, x=x).w for x in grid])
         assert np.all(np.diff(stack, axis=0) >= 0.0)
 
     def test_rejects_nonpositive_x(self, micro_dataset):
         dic = linear_dictionary(micro_dataset)
         system = build_gram(micro_dataset, dic)
         with pytest.raises(ValueError, match="positive"):
-            compute_weights(micro_dataset, dic, system, x=0.0)
+            compute_weights(system, x=0.0)
 
 
 class TestEmpiricalVariance:
@@ -199,20 +199,19 @@ class TestEmpiricalVariance:
 
     def test_reads_the_gram_pass_bit_for_bit(self):
         # build_gram squares the event deviations it already computes for
-        # hn; the result must be the separate centered pass, bit for bit
+        # hn; the weights read that, the separate centered pass bit for
+        # bit, and the half-range the dictionary took, which is
+        # bernstein.half_range's
         rng = np.random.default_rng(11)
         for _ in range(10):
             ds = random_dataset(rng)
             dic = linear_dictionary(ds)
             system = build_gram(ds, dic)
             tl = system.timeline
-            want = (tl.event_deviations(tl.centered(dic.values)) ** 2).sum(axis=0) / ds.n
-            np.testing.assert_array_equal(compute_weights(ds, dic, system).vhat, want)
-        wider = DictionaryMatrix(
-            values=np.hstack([dic.values, dic.values[:, :1]]), labels=dic.labels + ["extra"]
-        )
-        with pytest.raises(ValueError, match="columns"):
-            compute_weights(ds, wider, system)
+            want = tl.event_moments(tl.centered(dic.values))[1] / ds.n
+            wv = compute_weights(system)
+            np.testing.assert_array_equal(wv.vhat, want)
+            np.testing.assert_array_equal(wv.half_range, half_range(dic.values))
 
     def test_tracks_predictable_variation_as_n_grows(self):
         # vhat and the predictable variation estimate the same limit; their
