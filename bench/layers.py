@@ -12,8 +12,8 @@ Each size draws one dataset from the default simulation model with n and
 d changed (AR(1) rho = 0.3, beta0 on the first 3 columns, seed 1) and
 writes it, untimed, as a CSV to a temporary directory. A run then times
 simulate (a control: the same draw again), load_dataset on that CSV, and
-build_timeline -> build_gram -> compute_weights -> fit_path on the loaded
-data, with 10 geometric scales from 1 down to 0.05. Last, ``cli_path``
+linear_dictionary -> build_timeline -> build_gram -> compute_weights ->
+fit_path on the loaded data, with 10 geometric scales from 1 down to 0.05. Last, ``cli_path``
 times the whole ``hazlasso path`` command on the same CSV and scales, in
 this process; its excess over the sum of the layers from load_dataset to
 fit_path is argument handling and writing the report. One untimed run
@@ -95,8 +95,8 @@ SMOKE_SIZES = ((200, 50, 1),)
 SMOKE_MC = (("run_mc", 100), ("run_oracle_mc", 4), ("run_oracle_mc identity_gram", 4))
 SMOKE_MC_RUNS = 1
 LAYERS = (
-    "simulate", "load_dataset", "build_timeline", "build_gram", "compute_weights", "fit_path",
-    "cli_path",
+    "simulate", "load_dataset", "linear_dictionary", "build_timeline", "build_gram",
+    "compute_weights", "fit_path", "cli_path",
 )
 # the layers whose page faults and traced peak memory are recorded
 MEMORY_LAYERS = ("load_dataset", "build_gram")
@@ -140,7 +140,9 @@ def pipeline(config, data: Path, report: Path) -> tuple[dict, dict, int]:
     dataset = load_dataset(data)
     times["load_dataset"] = perf_counter() - start
     faults["load_dataset"] = _minor_faults() - faults["load_dataset"]
+    start = perf_counter()
     dictionary = linear_dictionary(dataset)
+    times["linear_dictionary"] = perf_counter() - start
     start = perf_counter()
     timeline = build_timeline(dataset)
     times["build_timeline"] = perf_counter() - start

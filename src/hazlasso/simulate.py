@@ -36,6 +36,12 @@ from .survival import RiskSetTimeline, StepFunction, SurvivalDataset, take_rows
 # substream tags, above any replication index: key + [tag] never seeds a replication
 _PROBE_TAG, _TOPUP_TAG = 2**32 - 1, 2**32 - 2
 _PROBE_DRAWS = 1000
+# noise_terms reads a negative predictable variation V as 0 when it is at
+# most this many times n * eps times the summed magnitudes of the terms V
+# is formed from: each of its sums over records or intervals errs by at
+# most about n * eps / 2 of that, and V, an integral of a square, is
+# nonnegative. Anything further below 0 is left for the callers to refuse.
+_VARIATION_ROUNDOFF = 4.0
 
 _chol_cache: dict[tuple[int, float], np.ndarray] = {}
 
@@ -523,6 +529,9 @@ def noise_terms(
     the whole risk set on interval k, carries the mean terms. The
     baseline part of the compensator vanishes analytically and is still
     evaluated honestly, so Z carries the true floating-point residual.
+    V is a difference of such sums; where the hazard vanishes it can come
+    out below 0 by roundoff, and a value within ``_VARIATION_ROUNDOFF``
+    n eps of the summed magnitudes of its terms reads 0.
     """
     tl = timeline
     centered = tl.centered(column_values)
@@ -539,6 +548,16 @@ def noise_terms(
     m_mu = _vecmat(base_count, mean * mean) + _vecmat(tl.lengths, mean * s_ch)
     compensator = _vecmat(cum_hazard, c) - _vecmat(rho, mean)
     variation = _vecmat(cum_hazard, c * c) - 2.0 * m_mu + _vecmat(rho, mean * mean)
+    negative = variation < 0.0
+    if negative.any():  # roundoff where every hazard (nearly) vanishes
+        size = (
+            _vecmat(cum_lam + tl.follow_up * np.abs(h0), c * c)
+            + 2.0 * _vecmat(base_count, mean * mean)
+            + 2.0 * _vecmat(tl.lengths, np.abs(mean) * tl.prefix_sums(np.abs(c * h0[..., None])))
+            + _vecmat(base_count + tl.lengths * tl.prefix_sums(np.abs(h0)), mean * mean)
+        )
+        tolerance = _VARIATION_ROUNDOFF * tl.n * np.finfo(float).eps * size
+        variation[negative & (variation >= -tolerance)] = 0.0
     terms = (events - compensator, squares, variation)
     # the input's shape without its record axis; [()] turns the 0-d result
     # of a single column back into a scalar

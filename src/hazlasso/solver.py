@@ -19,15 +19,19 @@ search of Lee, Battle, Raina & Ng (NIPS 2007). Each step
    the sign-fixed quadratic, so it never rises.
 
 Without an entry the step re-solves the block, as after a sign change.
-The inverse of the block's unit-diagonal form is updated in O(k^2) as
-each coordinate enters or leaves, and refactored when a block optimum turns
-out not to be stationary. Along a path it carries across the scales:
-each fit hands its final active order and block inverse to the next, so
-a scale starts from the block where the last one ended instead of
-factoring it afresh. A singular active block (duplicated or
-collinear columns) is moved along its null space instead, until a
-coordinate reaches zero and leaves. Convergence is certified by the KKT
-residual, never assumed.
+The block's unit-diagonal form U is held as a square factor W of its
+inverse, U^-1 = W W' (Golub & Van Loan, Matrix Computations, 6.5): an
+entering coordinate appends one column and one zero row to W, O(k) new
+values after two matrix-vector products; a leaving one costs one
+Householder reflection; a block solve is W (W' r); and W takes O(k^2)
+memory in a buffer that doubles as k grows. W is factored afresh from a
+Cholesky factor of U when a block optimum turns out not to be stationary.
+Along a path it carries across the scales: each fit hands its final
+active order and factor to the next, so a scale starts from the block
+where the last one ended instead of factoring it afresh. A singular
+active block (duplicated or collinear columns) is moved along its null
+space instead, until a coordinate reaches zero and leaves. Convergence is
+certified by the KKT residual, never assumed.
 """
 
 from __future__ import annotations
@@ -58,14 +62,99 @@ CONSTRAINTS = ("unconstrained", "nonnegative")
 MAX_STEPS = 10000
 
 
+class _Factor:
+    """A square W with W W' = U^-1 for a unit-diagonal block U.
+
+    Row j of W belongs to the block's j-th coordinate, so [U^-1]_jj is the
+    squared norm of row j. W is the leading k x k corner of a column-major
+    buffer that is zero outside it and doubles when an entering column
+    outgrows it, so the buffer holds at most about twice the largest k
+    the factor reached.
+    """
+
+    def __init__(self, w: np.ndarray):
+        self.k = len(w)
+        self._buf = np.zeros((max(self.k, 1),) * 2, order="F")
+        self._buf[: self.k, : self.k] = w
+
+    @property
+    def capacity(self) -> int:
+        return len(self._buf)
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._buf[: self.k, : self.k]
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """U^-1 r = W (W' r)."""
+        w = self.w
+        return w @ (r @ w)
+
+    def append(self, col: np.ndarray) -> bool:
+        """Border U with the column col and a unit corner: with q = W' col
+        and the Schur complement s = 1 - q'q, W gains the column
+        [-W q; 1] / sqrt(s) and a zero row. Returns False, and leaves W as
+        it was, when s is at most _RCOND."""
+        w = self.w
+        q = col @ w
+        schur = 1.0 - q @ q
+        if schur <= _RCOND:
+            return False
+        k = self.k
+        if k == self.capacity:
+            grown = np.zeros((2 * k,) * 2, order="F")
+            grown[:k, :k] = w
+            self._buf, w = grown, grown[:k, :k]
+        root = math.sqrt(schur)
+        self._buf[:k, k] = (w @ q) * (-1.0 / root)
+        self._buf[k, k] = 1.0 / root
+        self.k = k + 1
+        return True
+
+    def remove(self, gone: np.ndarray) -> None:
+        """Drop the coordinates in the mask `gone`. For each, one
+        Householder reflection from the right sends its row of W onto the
+        last axis; then its row and the last column go, which leaves a
+        factor of the inverse of the remaining block."""
+        for p in np.flatnonzero(gone)[::-1]:  # the last first, so p indexes W
+            k = self.k
+            w = self.w
+            v = w[p].copy()
+            v[-1] += math.copysign(math.sqrt(v @ v), v[-1])
+            u, z = w @ v, v[:-1] * (2.0 / (v @ v))
+            # the reflection puts all of row p in the last column, so only
+            # the other rows' first k - 1 columns are kept, those below p
+            # moving up by one
+            w[:p, :-1] -= np.multiply.outer(u[:p], z)
+            w[p:-1, :-1] = w[p + 1 :, :-1] - np.multiply.outer(u[p + 1 :], z)
+            self._buf[k - 1, :k] = 0.0
+            self._buf[:k, k - 1] = 0.0
+            self.k = k - 1
+
+
+def _fresh_factor(unit: np.ndarray) -> _Factor | None:
+    """W = (chol U)^-T for a unit-diagonal block U, or None when U is
+    singular."""
+    try:
+        w = np.linalg.inv(np.linalg.cholesky(unit)).T
+    except np.linalg.LinAlgError:
+        return None
+    # every Schur complement 1 / [U^-1]_jj must be above _RCOND
+    diag = np.einsum("ij,ij->i", w, w)
+    if not (diag.min(initial=1.0) > 0.0 and diag.max(initial=1.0) < 1.0 / _RCOND):
+        return None
+    return _Factor(w)
+
+
 @dataclass
 class _ActiveBlock:
-    """A fit's final active coordinates, in the order of ``inv``, the
-    inverse of their unit-diagonal Gram block (None when it must be
-    refactored); ``fit_path`` hands it from one scale to the next."""
+    """A fit's final active coordinates, in the order of the rows of
+    ``factor``, the square factor of the inverse of their unit-diagonal
+    Gram block (None when it must be factored afresh); ``fit_path`` hands
+    it from one scale to the next."""
 
     order: np.ndarray
-    inv: np.ndarray | None
+    factor: _Factor | None
 
 
 @dataclass
@@ -135,48 +224,6 @@ def kkt_violations(
     return _residuals(system.vector - system.matrix @ b, b, wk, constraint == "nonnegative")
 
 
-def _unit_inverse(unit: np.ndarray) -> np.ndarray | None:
-    """Inverse of a unit-diagonal block, or None when it is singular."""
-    try:
-        inv = np.linalg.inv(unit)
-    except np.linalg.LinAlgError:
-        return None
-    # every Schur complement 1 / [U^-1]_jj must be above _RCOND
-    diag = np.diag(inv)
-    if not (diag.min(initial=1.0) > 0.0 and diag.max(initial=1.0) < 1.0 / _RCOND):
-        return None
-    return inv
-
-
-def _bordered(inv: np.ndarray, col: np.ndarray) -> np.ndarray | None:
-    """Inverse of [[U, col], [col', 1]] from inv = U^-1 in O(k^2), or None
-    when the Schur complement of the new column is at most _RCOND."""
-    u = inv @ col
-    schur = 1.0 - col @ u
-    if schur <= _RCOND:
-        return None
-    k = len(u)
-    v = u / schur
-    out = np.empty((k + 1, k + 1))
-    np.multiply.outer(u, v, out=out[:k, :k])  # no (k, k) temporaries
-    out[:k, :k] += inv
-    out[:k, k] = out[k, :k] = -v
-    out[k, k] = 1.0 / schur
-    return out
-
-
-def _without(inv: np.ndarray, gone: np.ndarray) -> np.ndarray:
-    """Inverse of U with the rows and columns in `gone` removed: one rank-one
-    downdate per leaving j, inv_keep - c c' / inv_jj with c column j of the
-    inverse without row j, in O(k^2) each."""
-    for j in np.flatnonzero(gone)[::-1]:  # the last first, so j indexes inv
-        c = np.delete(inv[:, j], j)
-        out = np.delete(np.delete(inv, j, 0), j, 1)
-        out -= np.multiply.outer(c, c / inv[j, j])
-        inv = out
-    return inv
-
-
 def _singular_direction(unit: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
     """Descent direction for e' U e - 2 e' r on a singular unit-diagonal block.
 
@@ -215,7 +262,7 @@ def fit(
     Coordinates with H_jj = 0 are pinned at 0 and never enter; their
     (unfixable) KKT residual is reported separately as pinned_violation.
     ``_block`` is ``fit_path``'s carrier: when its coordinates are those
-    of ``start``, the fit starts from its inverse, and the fit leaves its
+    of ``start``, the fit starts from its factor, and the fit leaves its
     own final block there.
     """
     for name, value in (("kappa", kappa), ("tol", tol), ("weight_scale", weight_scale)):
@@ -244,12 +291,13 @@ def fit(
         return float(beta @ hb - 2.0 * (beta @ hn) + wk @ np.abs(beta))
 
     trace = [penalized()]
-    # active coordinates, in the order of `inv`, the inverse of their
-    # unit-diagonal Gram block (None when it must be refactored)
+    # active coordinates, in the order of the rows of `factor`, the square
+    # factor of the inverse of their unit-diagonal Gram block (None when it
+    # must be factored afresh)
     idx = np.flatnonzero(beta)
-    inv = None
+    factor = None
     if _block is not None and np.array_equal(np.sort(_block.order), idx):
-        idx, inv = _block.order, _block.inv
+        idx, factor = _block.order, _block.factor
     free = live & (beta == 0.0)  # the coordinates that may enter
     direction = np.zeros(len(hn))  # a step's direction, zero off the block
     full = False  # the last step ended at the block optimum
@@ -271,7 +319,7 @@ def fit(
         if not entered and full:
             if refining:
                 break  # a fresh solve left the block above tol: roundoff floor
-            inv = None  # refactor before solving the block again
+            factor = None  # factor afresh before solving the block again
         refining = not entered and full
         steps += 1
         if entered:
@@ -285,8 +333,10 @@ def fit(
                     continue
                 beta[j] = (c - math.copysign(0.5 * wk[j], c)) / H[j, j]
                 hb += beta[j] * H[j]
-                if inv is not None:
-                    inv = _bordered(inv, H[idx, j] * unit_scale[idx] * unit_scale[j])
+                if factor is not None:
+                    col = H[idx, j] * unit_scale[idx] * unit_scale[j]
+                    if not factor.append(col):
+                        factor = None
                 idx = np.append(idx, j)
                 free[j] = False
 
@@ -296,11 +346,11 @@ def fit(
         b = beta[idx]
         su = unit_scale[idx]
         r = rho * su
-        if inv is None:
+        if factor is None:
             block = H[idx][:, idx] * su[:, None] * su[None, :]
-            inv = _unit_inverse(block)
-        if inv is not None:
-            d, solved = (inv @ r) * su, True
+            factor = _fresh_factor(block)
+        if factor is not None:
+            d, solved = factor.solve(r) * su, True
         else:
             e, solved = _singular_direction(block, r)
             d = e * su
@@ -327,8 +377,8 @@ def fit(
             new[gone] = 0.0
             beta[idx] = new
             if gone.any():
-                if inv is not None:
-                    inv = _without(inv, gone)
+                if factor is not None:
+                    factor.remove(gone)
                 free[idx[gone]] = True
                 idx = idx[~gone]
             hb = H @ beta
@@ -338,7 +388,7 @@ def fit(
             break  # nothing can change any more
 
     if _block is not None:
-        _block.order, _block.inv = idx, inv
+        _block.order, _block.factor = idx, factor
     viol = kkt_violations(system, weights, beta, kappa, constraint, weight_scale)
     return LassoFit(
         beta=beta,
@@ -364,8 +414,8 @@ def fit_path(
 ) -> list[LassoFit]:
     """Warm-started fits over a descending grid of global weight scales.
 
-    Each scale starts from the previous scale's coefficients and active
-    block inverse.
+    Each scale starts from the previous scale's coefficients and the
+    factor of its active block.
     """
     grid = [float(s) for s in scale_grid]
     if not grid or not all(math.isfinite(s) and s > 0 for s in grid):

@@ -114,7 +114,13 @@ def test_traced_run_sees_every_layer(tmp_path):
     tracer = spans.Tracer()
     with spans.patched(tracer):
         for op, argv in enumerate(commands):
+            tracer.last_fit = None
             assert tracer.call(op, cli.main, argv) == 0
+            # the benchmark's cross check unpacks the latest fit after every
+            # traced operation, and an mc-audit operation ends with the
+            # oracle checks: each command but bernstein-mc must record a fit
+            if argv[0] != "bernstein-mc":
+                assert tracer.last_fit is not None, argv[0]
     assert tracer.counts["solver.sweeps"] > 0
     assert TRACED_SPANS <= {span[0] for span in tracer.spans}
     # steps are counted on fit, so the path command must reach it through fit_path

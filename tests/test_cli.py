@@ -363,6 +363,25 @@ class TestMonteCarloCommands:
             reports.append(stable(read_report(out)))
         assert reports[0] == reports[1]
 
+    def test_bernstein_replication_with_zero_hazard_writes_a_report(self, tmp_path):
+        # at seed 3 one replication draws x0 = -1 on all five records, so
+        # every hazard is 0.5 - 0.5 = 0 and its V comes out at -1.4e-48 by
+        # roundoff; the run still completes
+        raw = {
+            "n": 5, "d": 3, "beta0": {"indices": [0], "values": [0.5]},
+            "covariates": {"kind": "rademacher"}, "censoring": {"kind": "administrative"},
+            "baseline": {"breakpoints": [0.0, 1.0], "values": [0.5]},
+        }
+        config = tmp_path / "zero-hazard.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "mc.json"
+        code = main(
+            ["bernstein-mc", "--config", str(config), "--column", "1", "--x-grid", "1",
+             "--reps", "3000", "--seed", "3", "--out", str(out)]
+        )
+        assert code == 0
+        assert read_report(out)["replications"] == 3000
+
     def test_oracle_check(self, config_json, tmp_path):
         out = tmp_path / "oracle.json"
         code = main(

@@ -33,8 +33,8 @@ def test_smoke_run_writes_a_complete_report(tmp_path):
     (entry,) = report["layers"]
     assert (entry["n"], entry["d"], entry["runs"]) == (200, 50, 1)
     assert set(entry["median_ms"]) == {
-        "simulate", "load_dataset", "build_timeline", "build_gram", "compute_weights",
-        "fit_path", "cli_path",
+        "simulate", "load_dataset", "linear_dictionary", "build_timeline", "build_gram",
+        "compute_weights", "fit_path", "cli_path",
     }
     assert all(t > 0 for t in entry["median_ms"].values())
     assert set(entry["minor_faults"]) == {"load_dataset", "build_gram"}

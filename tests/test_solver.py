@@ -30,8 +30,8 @@ from hazlasso import (
 from hazlasso.simulate import GaussianCovariates, UniformCensoring, simulate
 import hazlasso.solver as solver
 from hazlasso.solver import _singular_direction as singular_direction
-from hazlasso.solver import _unit_inverse as unit_inverse
-from hazlasso.solver import CONSTRAINTS, kkt_violations
+from hazlasso.solver import _fresh_factor as fresh_factor
+from hazlasso.solver import _RCOND, CONSTRAINTS, kkt_violations
 
 from conftest import flat_weights, random_dataset
 
@@ -323,20 +323,107 @@ class TestFitPath:
             np.testing.assert_allclose(f.beta, cold.beta, rtol=0, atol=1e-8)
 
 
-class TestBlockInverseUpdates:
+def unit_block(x):
+    """The unit-diagonal Gram block of the columns of x."""
+    gram = x.T @ x
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    return gram * scale[:, None] * scale[None, :]
+
+
+def assert_factors(factor, unit, order):
+    """W W' is the inverse of unit's block on `order`, to 1e-12."""
+    want = np.linalg.inv(unit[np.ix_(order, order)])
+    np.testing.assert_allclose(factor.w @ factor.w.T, want, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def factor_updates(draw):
+    """A unit-diagonal SPD matrix on m coordinates (a random Gram block, one
+    whose last column repeats its first, or AR(1) at rho = +-0.9), a start
+    block without that twin, and a sequence of entries and exits."""
+    m = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["gram", "twin", "ar1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ar1":
+        lags = np.arange(m)
+        unit = draw(st.sampled_from([0.9, -0.9])) ** np.abs(lags[:, None] - lags[None, :])
+    else:
+        x = rng.standard_normal((30, m)) + 0.8 * rng.standard_normal((30, 1))
+        if kind == "twin":
+            x[:, -1] = x[:, 0]  # entering one twin after the other is refused
+        unit = unit_block(x)
+    order = [int(j) for j in rng.permutation(m - 1)[: draw(st.integers(0, m - 1))]]
+    entry = st.tuples(st.just("enter"), st.integers(0, m - 1))
+    leave = st.tuples(st.just("leave"), st.sampled_from(["first", "middle", "last", "several"]))
+    return unit, order, draw(st.lists(entry | leave, min_size=1, max_size=20)), rng
+
+
+class TestInverseFactor:
     @pytest.mark.parametrize("gone", [[0], [4], [8], [1, 5], [0, 3, 8], [2, 3, 4, 6]])
-    def test_leaving_coordinates_downdate_the_inverse(self, gone):
-        """Removing coordinates one rank-one downdate at a time gives the
-        inverse of the remaining block, for one exit or several."""
+    def test_leaving_coordinates_downdate_the_factor(self, gone):
+        """Removing coordinates one reflection at a time leaves a factor of
+        the inverse of the remaining block, for one exit or several."""
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((30, 9)) + 0.8 * rng.standard_normal((30, 1))
-        gram = x.T @ x
-        scale = 1.0 / np.sqrt(np.diag(gram))
-        unit = gram * scale[:, None] * scale[None, :]
+        unit = unit_block(rng.standard_normal((30, 9)) + 0.8 * rng.standard_normal((30, 1)))
         mask = np.isin(np.arange(9), gone)
-        got = solver._without(unit_inverse(unit), mask)
-        want = np.linalg.inv(unit[np.ix_(~mask, ~mask)])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        factor = fresh_factor(unit)
+        factor.remove(mask)
+        assert_factors(factor, unit, np.flatnonzero(~mask))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=factor_updates())
+    def test_entries_and_exits_keep_the_factor(self, case):
+        """After every entry and exit W W' is the inverse of the current
+        block, an entry is refused exactly when its Schur complement
+        1 - c' U^-1 c is at most _RCOND, and the buffer stays within
+        twice the largest block."""
+        unit, order, updates, rng = case
+        factor = fresh_factor(unit[np.ix_(order, order)])
+        largest = len(order)
+        for kind, arg in updates:
+            if kind == "enter":
+                outside = [j for j in range(len(unit)) if j not in order]
+                if not outside:
+                    continue
+                j = outside[arg % len(outside)]
+                col = unit[order, j]
+                schur = 1.0 - col @ np.linalg.solve(unit[np.ix_(order, order)], col) if order else 1.0
+                assert factor.append(col) == (schur > _RCOND)
+                if schur > _RCOND:
+                    order.append(j)
+            elif order:
+                k = len(order)
+                gone = np.zeros(k, dtype=bool)
+                if arg == "several":
+                    gone[rng.permutation(k)[: rng.integers(1, k + 1)]] = True
+                else:
+                    gone[{"first": 0, "middle": k // 2, "last": k - 1}[arg]] = True
+                factor.remove(gone)
+                order = [j for j, out in zip(order, gone) if not out]
+            assert factor.k == len(order)
+            assert_factors(factor, unit, order)
+            largest = max(largest, len(order))
+            assert factor.capacity <= max(2 * largest, 1)
+
+    def test_buffer_grows_with_the_block_not_the_dictionary(self, monkeypatch):
+        # 400 columns, but the path's blocks hold under a hundred: the factor's
+        # buffer doubles with them and never approaches 400 x 400
+        seen = []
+        append = solver._Factor.append
+
+        def recorded(factor, col):
+            entered = append(factor, col)
+            seen.append((factor.k, factor.capacity))
+            return entered
+
+        monkeypatch.setattr(solver._Factor, "append", recorded)
+        rng = np.random.default_rng(21)
+        ds = random_dataset(rng, n=80, d=400)
+        system = build_gram(ds, linear_dictionary(ds))
+        path = fit_path(system, compute_weights(system), np.geomspace(0.1, 0.01, 6))
+        largest = max(k for k, _ in seen)
+        assert largest >= max(len(f.active_set) for f in path) > 40
+        assert max(capacity for _, capacity in seen) <= 2 * largest < 400 / 2
 
 
 class TestKernels:
@@ -382,9 +469,9 @@ class TestCorrelatedDesign:
 
         def counted(unit):
             factored.append(len(unit))
-            return unit_inverse(unit)
+            return fresh_factor(unit)
 
-        monkeypatch.setattr(solver, "_unit_inverse", counted)
+        monkeypatch.setattr(solver, "_fresh_factor", counted)
         path = fit_path(system, weights, CORRELATED_GRID, constraint=constraint, tol=1e-10)
         in_path = len(factored)
         assert_chained_cold_fits(system, weights, path, constraint=constraint, tol=1e-10)
@@ -416,9 +503,9 @@ class TestCorrelatedDesign:
 
         def counted(unit):
             factored.append(len(unit))
-            return unit_inverse(unit)
+            return fresh_factor(unit)
 
-        monkeypatch.setattr(solver, "_unit_inverse", counted)
+        monkeypatch.setattr(solver, "_fresh_factor", counted)
         f = fit(system, weights, constraint=constraint, tol=1e-10, weight_scale=0.01)
         assert factored[0] > 1
         assert f.converged and f.kkt_max_violation <= 1e-10
