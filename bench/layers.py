@@ -13,13 +13,13 @@ d changed (AR(1) rho = 0.3, beta0 on the first 3 columns, seed 1) and
 writes it, untimed, as a CSV to a temporary directory. A run then times
 simulate (a control: the same draw again), load_dataset on that CSV, and
 linear_dictionary -> build_timeline -> build_gram -> compute_weights ->
-fit_path on the loaded data, with 10 geometric scales from 1 down to 0.05. Last, ``cli_path``
-times the whole ``hazlasso path`` command on the same CSV and scales, in
-this process; its excess over the sum of the layers from load_dataset to
-fit_path is argument handling and writing the report. One untimed run
-warms the caches; each layer's time is the median over the timed runs,
-and ``path_steps`` is the total number of solver steps of the path,
-which does not vary between runs. ``minor_faults`` counts the minor page
+fit_path on the loaded data, with 10 geometric scales from 1 down to
+0.05. Last, ``cli_path`` times the whole ``hazlasso path`` command on the
+same CSV and scales, in this process; its excess over the sum of the
+layers from load_dataset to fit_path is argument handling and writing the
+report. One untimed run warms the caches; each layer's time is the median
+over the timed runs, and ``path_steps`` is the total number of solver
+steps of the path, which does not vary between runs. ``minor_faults`` counts the minor page
 faults of each ``load_dataset`` and ``build_gram`` call, averaged over the
 timed runs, and ``peak_traced_mb`` is the peak of the memory ``tracemalloc``
 traces during one more call of each, made after the timed runs so that
