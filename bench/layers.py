@@ -85,8 +85,9 @@ from hazlasso.solver import fit_path  # noqa: E402
 from hazlasso.survival import build_timeline, load_dataset, write_dataset  # noqa: E402
 from hazlasso.weights import compute_weights  # noqa: E402
 
-# (n, d, timed runs): fewer runs where one run takes longer
-SIZES = ((200, 50, 20), (2000, 200, 9), (10000, 500, 5))
+# (n, d, timed runs): fewer runs where one run takes longer; the last size
+# has M > n, the regime of the paper, where the solver is the cost
+SIZES = ((200, 50, 20), (2000, 200, 9), (10000, 500, 5), (200, 1000, 9))
 SCALES = np.geomspace(1.0, 0.05, 10)
 SCALES_ARG = ",".join(repr(float(s)) for s in SCALES)
 MC = (("run_mc", 2000), ("run_oracle_mc", 100), ("run_oracle_mc identity_gram", 100))

@@ -19,19 +19,20 @@ search of Lee, Battle, Raina & Ng (NIPS 2007). Each step
    the sign-fixed quadratic, so it never rises.
 
 Without an entry the step re-solves the block, as after a sign change.
-The block's unit-diagonal form U is held as a square factor W of its
-inverse, U^-1 = W W' (Golub & Van Loan, Matrix Computations, 6.5): an
-entering coordinate appends one column and one zero row to W, O(k) new
-values after two matrix-vector products; a leaving one costs one
-Householder reflection; a block solve is W (W' r); and W takes O(k^2)
-memory in a buffer that doubles as k grows. W is factored afresh from a
-Cholesky factor of U when a block optimum turns out not to be stationary.
-Along a path it carries across the scales: each fit hands its final
-active order and factor to the next, so a scale starts from the block
-where the last one ended instead of factoring it afresh. A singular
-active block (duplicated or collinear columns) is moved along its null
-space instead, until a coordinate reaches zero and leaves. Convergence is
-certified by the KKT residual, never assumed.
+The active block carries its rows of H and a square factor W of the
+inverse of its unit-diagonal form U, U^-1 = W W' (Golub & Van Loan,
+Matrix Computations, 6.5), both in the block's order and in buffers that
+double as k grows. An entry copies its row of H and appends one column
+and one zero row to W after two matrix-vector products; an exit costs one
+Householder reflection and moves the last coordinate into its place; a
+block solve is W (W' r). A step's products with H read only the k carried
+rows, so it costs O(k M) and a fixed set of numpy calls. W is factored
+afresh from U when a block optimum turns out not to be stationary. Along
+a path the block carries across the scales, so each scale starts where
+the last one ended. A singular block (duplicated or collinear columns)
+is moved along its null space until a coordinate reaches zero and leaves.
+Convergence is certified by the KKT residual, recomputed from H, never
+assumed.
 """
 
 from __future__ import annotations
@@ -67,15 +68,14 @@ class _Factor:
 
     Row j of W belongs to the block's j-th coordinate, so [U^-1]_jj is the
     squared norm of row j. W is the leading k x k corner of a column-major
-    buffer that is zero outside it and doubles when an entering column
-    outgrows it, so the buffer holds at most about twice the largest k
-    the factor reached.
+    buffer that is zero outside it and doubles when an entry outgrows it.
     """
 
     def __init__(self, w: np.ndarray):
         self.k = len(w)
         self._buf = np.zeros((max(self.k, 1),) * 2, order="F")
         self._buf[: self.k, : self.k] = w
+        self._scratch = np.empty_like(self._buf)  # the rank-one update of an exit
 
     @property
     def capacity(self) -> int:
@@ -105,31 +105,30 @@ class _Factor:
             grown = np.zeros((2 * k,) * 2, order="F")
             grown[:k, :k] = w
             self._buf, w = grown, grown[:k, :k]
+            self._scratch = np.empty_like(grown)
         root = math.sqrt(schur)
         self._buf[:k, k] = (w @ q) * (-1.0 / root)
         self._buf[k, k] = 1.0 / root
         self.k = k + 1
         return True
 
-    def remove(self, gone: np.ndarray) -> None:
-        """Drop the coordinates in the mask `gone`. For each, one
-        Householder reflection from the right sends its row of W onto the
-        last axis; then its row and the last column go, which leaves a
-        factor of the inverse of the remaining block."""
-        for p in np.flatnonzero(gone)[::-1]:  # the last first, so p indexes W
-            k = self.k
-            w = self.w
-            v = w[p].copy()
-            v[-1] += math.copysign(math.sqrt(v @ v), v[-1])
-            u, z = w @ v, v[:-1] * (2.0 / (v @ v))
-            # the reflection puts all of row p in the last column, so only
-            # the other rows' first k - 1 columns are kept, those below p
-            # moving up by one
-            w[:p, :-1] -= np.multiply.outer(u[:p], z)
-            w[p:-1, :-1] = w[p + 1 :, :-1] - np.multiply.outer(u[p + 1 :], z)
-            self._buf[k - 1, :k] = 0.0
-            self._buf[:k, k - 1] = 0.0
-            self.k = k - 1
+    def remove(self, p: int) -> None:
+        """Drop the coordinate at position p. One Householder reflection
+        from the right, written through the scratch block, sends row p of
+        W onto the last axis; then the last column goes and the last row
+        moves into p, a factor of the remaining block's inverse."""
+        k = self.k
+        v = self._buf[p, :k].copy()
+        v[-1] += math.copysign(math.sqrt(v @ v), v[-1])
+        # whole columns are contiguous; below row k they stay zero
+        u, z = self._buf[:, :k] @ v, v[:-1] * (2.0 / (v @ v))
+        kept, outer = self._buf[:, : k - 1], self._scratch[:, : k - 1]
+        np.einsum("i,j->ij", u, z, out=outer)
+        np.subtract(kept, outer, out=kept)
+        kept[p] = kept[k - 1]
+        self._buf[k - 1, :k] = 0.0
+        self._buf[:k, k - 1] = 0.0
+        self.k = k - 1
 
 
 def _fresh_factor(unit: np.ndarray) -> _Factor | None:
@@ -146,15 +145,80 @@ def _fresh_factor(unit: np.ndarray) -> _Factor | None:
     return _Factor(w)
 
 
-@dataclass
 class _ActiveBlock:
-    """A fit's final active coordinates, in the order of the rows of
-    ``factor``, the square factor of the inverse of their unit-diagonal
-    Gram block (None when it must be factored afresh); ``fit_path`` hands
-    it from one scale to the next."""
+    """A fit's active coordinates, ``order``, with their ``rows`` of H and
+    their square ``factor`` (None when it must be factored afresh), both in
+    that order, in buffers that double when an entry outgrows them. An
+    exit moves the last coordinate into its place. It is set up once per
+    system; ``fit_path`` hands it from one scale to the next, with H beta
+    at the beta where the last fit ended.
+    """
 
-    order: np.ndarray
-    factor: _Factor | None
+    def __init__(self, system: GramSystem, weights: WeightVector):
+        self._H = np.asarray(system.matrix, dtype=float)
+        w = np.asarray(weights.w, dtype=float)
+        if w.shape != (system.M,) or not np.all(np.isfinite(w)):
+            raise ValueError(f"weights must be finite, {system.M} of them, got shape {w.shape}")
+        # H_jj = 0 makes the coordinate unidentifiable: dead. A constant
+        # column has half-range r = 0; for the others allow for roundoff at
+        # the scale r^2 (a column constant up to roundoff lands at
+        # |H_jj| <= 1e-13 r^2, a live column is far above)
+        r, diag = weights.half_range, np.diag(self._H)
+        self.dead = (r == 0.0) | (diag <= 1e-13 * r**2)
+        self.unit_scale = 1.0 / np.sqrt(np.where(self.dead, 1.0, diag))
+        self.k = 0
+        self._order = np.empty(1, dtype=np.intp)
+        self._rows = np.empty((1, system.M))
+        self.factor: _Factor | None = None
+        self.beta = self.hb = None  # where the last fit ended, and H beta there
+
+    @property
+    def order(self) -> np.ndarray:
+        return self._order[: self.k]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: self.k]
+
+    def start(self, beta: np.ndarray) -> np.ndarray:
+        """H beta. Unless beta is where the last fit ended, the block is
+        set to the support of beta, in index order, without a factor."""
+        if self.beta is not None and np.array_equal(beta, self.beta):
+            return self.hb
+        self.k, self.factor = 0, None
+        for j in np.flatnonzero(beta):
+            self.enter(j)
+        return beta[self.order] @ self.rows
+
+    def enter(self, j: int) -> np.ndarray:
+        """Append coordinate j and return its row of H, whose entries at
+        the order, in unit scale, are its factor column."""
+        k = self.k
+        if k == len(self._order):
+            cap = min(2 * k, len(self._H))
+            order, rows = np.empty(cap, dtype=np.intp), np.empty((cap, len(self._H)))
+            order[:k], rows[:k] = self.order, self.rows
+            self._order, self._rows = order, rows
+        row = self._rows[k]
+        row[:] = self._H[j]
+        if self.factor is not None:
+            order, su = self.order, self.unit_scale
+            if not self.factor.append(row[order] * su[order] * su[j]):
+                self.factor = None
+        self._order[k] = j
+        self.k = k + 1
+        return row
+
+    def leave(self, gone: np.ndarray) -> None:
+        """Drop the coordinates at the positions in the mask ``gone``, the
+        last first, so each position still indexes the block."""
+        for p in np.flatnonzero(gone)[::-1]:
+            last = self.k - 1
+            if self.factor is not None:
+                self.factor.remove(p)
+            self._order[p] = self._order[last]
+            self._rows[p] = self._rows[last]
+            self.k = last
 
 
 @dataclass
@@ -179,15 +243,6 @@ class LassoFit:
     @property
     def active_set(self) -> np.ndarray:
         return np.flatnonzero(self.beta)
-
-
-def _dead_mask(system: GramSystem, weights: WeightVector) -> np.ndarray:
-    # H_jj = 0 makes the coordinate unidentifiable. A constant column has
-    # half-range r = 0; for the others allow for roundoff at the scale r^2
-    # when deciding (a column constant up to roundoff lands at
-    # |H_jj| <= 1e-13 r^2, a live column is far above).
-    r = weights.half_range
-    return (r == 0.0) | (np.diag(system.matrix) <= 1e-13 * r**2)
 
 
 def _residuals(g: np.ndarray, beta: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:
@@ -220,8 +275,14 @@ def kkt_violations(
     subgradient. Nonnegative fits only require one-sided stationarity at 0.
     """
     b = np.asarray(beta, dtype=float)
-    wk = kappa * weight_scale * weights.w
-    return _residuals(system.vector - system.matrix @ b, b, wk, constraint == "nonnegative")
+    g = system.vector - _gram_product(system.matrix, b)
+    return _residuals(g, b, kappa * weight_scale * weights.w, constraint == "nonnegative")
+
+
+def _gram_product(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """H beta from the rows of H where beta is nonzero, in index order."""
+    idx = np.flatnonzero(beta)
+    return beta[idx] @ H[idx]
 
 
 def _singular_direction(unit: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -261,52 +322,47 @@ def fit(
     ``converged=False``, never silently.
     Coordinates with H_jj = 0 are pinned at 0 and never enter; their
     (unfixable) KKT residual is reported separately as pinned_violation.
-    ``_block`` is ``fit_path``'s carrier: when its coordinates are those
-    of ``start``, the fit starts from its factor, and the fit leaves its
-    own final block there.
+    ``_block`` is ``fit_path``'s carrier: when ``start`` is where its last
+    fit ended, the fit starts from its rows, factor and H beta, and it
+    leaves its own final block there.
     """
     for name, value in (("kappa", kappa), ("tol", tol), ("weight_scale", weight_scale)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}")
-    if not np.all(np.isfinite(weights.w)):
-        raise ValueError("weights must be finite")
+    block = _ActiveBlock(system, weights) if _block is None else _block
+    beta = np.zeros(system.M) if start is None else np.array(start, dtype=float)
+    if beta.shape != (system.M,) or not np.all(np.isfinite(beta)):
+        raise ValueError(f"start must be {system.M} finite values, got shape {beta.shape}")
 
     H = np.asarray(system.matrix, dtype=float)
     hn = np.asarray(system.vector, dtype=float)
     wk = kappa * weight_scale * np.asarray(weights.w, dtype=float)
-    dead = _dead_mask(system, weights)
-    live = ~dead
+    live = ~block.dead
     nonneg = constraint == "nonnegative"
-    unit_scale = 1.0 / np.sqrt(np.where(live, np.diag(H), 1.0))
-
-    beta = np.zeros(len(hn)) if start is None else np.array(start, dtype=float)
-    beta[dead] = 0.0
+    beta[block.dead] = 0.0
     if nonneg:
         np.maximum(beta, 0.0, out=beta)
-    hb = H @ beta
+    hb = block.start(beta)
 
     def penalized() -> float:
         return float(beta @ hb - 2.0 * (beta @ hn) + wk @ np.abs(beta))
 
     trace = [penalized()]
-    # active coordinates, in the order of the rows of `factor`, the square
-    # factor of the inverse of their unit-diagonal Gram block (None when it
-    # must be factored afresh)
-    idx = np.flatnonzero(beta)
-    factor = None
-    if _block is not None and np.array_equal(np.sort(_block.order), idx):
-        idx, factor = _block.order, _block.factor
     free = live & (beta == 0.0)  # the coordinates that may enter
-    direction = np.zeros(len(hn))  # a step's direction, zero off the block
     full = False  # the last step ended at the block optimum
     refining = False  # the last step re-solved a block optimum from a fresh factorization
     converged = False
     steps = 0
     while True:
-        viol = _residuals(hn - hb, beta, wk, nonneg)
-        active_max = viol[idx].max(initial=0.0)
+        idx = block.order
+        g = hn - hb
+        sign = np.sign(beta[idx])
+        # the block's right-hand side; the active KKT residuals are 2|rho|
+        rho = g[idx] - 0.5 * wk[idx] * sign
+        viol = np.maximum(0.0, 2.0 * (g if nonneg else np.abs(g)) - wk)
+        active_max = 2.0 * np.abs(rho).max(initial=0.0)
         entering_max = viol[free].max(initial=0.0)
         if active_max <= tol and entering_max <= tol:  # False on a NaN residual
             converged = True
@@ -319,7 +375,7 @@ def fit(
         if not entered and full:
             if refining:
                 break  # a fresh solve left the block above tol: roundoff floor
-            factor = None  # factor afresh before solving the block again
+            block.factor = None  # factor afresh before solving the block again
         refining = not entered and full
         steps += 1
         if entered:
@@ -332,31 +388,24 @@ def fit(
                 if 2.0 * (c if nonneg else abs(c)) - wk[j] <= tol:
                     continue
                 beta[j] = (c - math.copysign(0.5 * wk[j], c)) / H[j, j]
-                hb += beta[j] * H[j]
-                if factor is not None:
-                    col = H[idx, j] * unit_scale[idx] * unit_scale[j]
-                    if not factor.append(col):
-                        factor = None
-                idx = np.append(idx, j)
+                hb += beta[j] * block.enter(j)
                 free[j] = False
+            idx = block.order
+            sign = np.sign(beta[idx])
+            rho = hn[idx] - hb[idx] - 0.5 * wk[idx] * sign
 
-        # the block's right-hand side; the active KKT residuals are 2|rho|
-        sign = np.sign(beta[idx])
-        rho = hn[idx] - hb[idx] - 0.5 * wk[idx] * sign
         b = beta[idx]
-        su = unit_scale[idx]
+        su = block.unit_scale[idx]
         r = rho * su
-        if factor is None:
-            block = H[idx][:, idx] * su[:, None] * su[None, :]
-            factor = _fresh_factor(block)
-        if factor is not None:
-            d, solved = factor.solve(r) * su, True
+        if block.factor is None:
+            unit = block.rows[:, idx] * su[:, None] * su[None, :]
+            block.factor = _fresh_factor(unit)
+        if block.factor is not None:
+            d, solved = block.factor.solve(r) * su, True
         else:
-            e, solved = _singular_direction(block, r)
+            e, solved = _singular_direction(unit, r)
             d = e * su
-        direction[idx] = d
-        hd = H @ direction
-        direction[idx] = 0.0
+        hd = d @ block.rows
         # exact minimum of the sign-fixed quadratic along d, cut at the
         # first coordinate that reaches zero
         slope, curve = d @ (r / su), d @ hd[idx]
@@ -377,19 +426,18 @@ def fit(
             new[gone] = 0.0
             beta[idx] = new
             if gone.any():
-                if factor is not None:
-                    factor.remove(gone)
                 free[idx[gone]] = True
-                idx = idx[~gone]
-            hb = H @ beta
+                block.leave(gone)
+            hb = beta[block.order] @ block.rows
         trace.append(penalized())
         full = solved and moved and crossed is None
         if not (entered or moved):
             break  # nothing can change any more
 
-    if _block is not None:
-        _block.order, _block.factor = idx, factor
-    viol = kkt_violations(system, weights, beta, kappa, constraint, weight_scale)
+    # the certificate is recomputed from H, never carried; its H beta is
+    # where the next scale of a path starts
+    block.beta, block.hb = beta.copy(), _gram_product(H, beta)
+    viol = _residuals(hn - block.hb, beta, wk, nonneg)
     return LassoFit(
         beta=beta,
         converged=converged,
@@ -399,8 +447,8 @@ def fit(
         kappa=float(kappa),
         constraint=constraint,
         weight_scale=float(weight_scale),
-        pinned=np.flatnonzero(dead),
-        pinned_violation=float(viol[dead].max(initial=0.0)),
+        pinned=np.flatnonzero(block.dead),
+        pinned_violation=float(viol[block.dead].max(initial=0.0)),
     )
 
 
@@ -424,7 +472,7 @@ def fit_path(
         raise ValueError("scale grid must be sorted descending")
     fits: list[LassoFit] = []
     start = None
-    block = _ActiveBlock(np.array([], dtype=np.int64), None)
+    block = _ActiveBlock(system, weights)
     for scale in grid:
         f = fit(
             system,

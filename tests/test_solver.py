@@ -8,6 +8,7 @@ the solver's code, so agreement certifies it.
 
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from hazlasso import (
     DictionaryMatrix,
+    GramSystem,
     LassoFit,
     SimulationConfig,
     StepFunction,
@@ -32,8 +34,10 @@ import hazlasso.solver as solver
 from hazlasso.solver import _singular_direction as singular_direction
 from hazlasso.solver import _fresh_factor as fresh_factor
 from hazlasso.solver import _RCOND, CONSTRAINTS, kkt_violations
+from hazlasso.solver import _gram_product
 
 from conftest import flat_weights, random_dataset
+from exact_lasso import exact_lasso
 
 MICRO_SOFT_THRESHOLD = -1.6  # ST(-0.25, 0.05) / 0.125 on the micro instance
 
@@ -267,6 +271,21 @@ class TestCertificates:
         with pytest.raises(ValueError, match="weight_scale"):
             fit(system, weights, weight_scale=-1.0)
 
+    def test_malformed_start_and_weights_are_refused_by_name(self):
+        rng = np.random.default_rng(5)
+        ds = random_dataset(rng, n=40, d=50)
+        system = build_gram(ds, linear_dictionary(ds))
+        weights = compute_weights(system)
+        for start in (np.zeros(3), np.zeros((50, 1)), np.full(50, np.nan), np.full(50, np.inf)):
+            with pytest.raises(ValueError, match="start must be 50 finite values"):
+                fit(system, weights, start=start)
+        short = flat_weights(np.ones(10), ds.n)
+        with pytest.raises(ValueError, match="weights must be finite, 50 of them, got shape \\(10,\\)"):
+            fit(system, short)
+        with pytest.raises(ValueError, match="weights must be finite, 50 of them"):
+            fit_path(system, short, [1.0, 0.5])
+        assert fit(system, weights, start=np.zeros(50)).converged
+
     def test_nan_is_never_convergence(self, micro_dataset):
         # max(0.0, nan) is 0.0 in Python, so a NaN residual once passed the
         # stopping test; every non-finite input is now refused by name, and
@@ -336,6 +355,27 @@ def assert_factors(factor, unit, order):
     np.testing.assert_allclose(factor.w @ factor.w.T, want, rtol=1e-12, atol=1e-12)
 
 
+def block_on(unit, order):
+    """An active block of the Gram matrix `unit` on the coordinates `order`
+    (index order), with a fresh factor."""
+    m = len(unit)
+    system = GramSystem(unit, np.zeros(m), None, [f"c{j}" for j in range(m)], np.ones(m), np.ones(m))
+    block = solver._ActiveBlock(system, flat_weights(np.ones(m), 1))
+    beta = np.zeros(m)
+    beta[order] = 1.0
+    np.testing.assert_array_equal(block.start(beta), _gram_product(unit, beta))
+    block.factor = fresh_factor(unit[np.ix_(block.order, block.order)])
+    return block
+
+
+def assert_block(block, unit):
+    """The block's rows are those of `unit` at its order, bit for bit, and
+    its factor is that of their unit-diagonal block."""
+    np.testing.assert_array_equal(block.rows, unit[block.order])
+    assert block.factor.k == block.k
+    assert_factors(block.factor, unit, block.order)
+
+
 @st.composite
 def factor_updates(draw):
     """A unit-diagonal SPD matrix on m coordinates (a random Gram block, one
@@ -361,26 +401,29 @@ def factor_updates(draw):
 class TestInverseFactor:
     @pytest.mark.parametrize("gone", [[0], [4], [8], [1, 5], [0, 3, 8], [2, 3, 4, 6]])
     def test_leaving_coordinates_downdate_the_factor(self, gone):
-        """Removing coordinates one reflection at a time leaves a factor of
-        the inverse of the remaining block, for one exit or several."""
+        """Removing coordinates one reflection at a time, each taking the
+        last coordinate into its place, leaves a factor of the inverse of
+        the remaining block, for one exit or several."""
         rng = np.random.default_rng(3)
         unit = unit_block(rng.standard_normal((30, 9)) + 0.8 * rng.standard_normal((30, 1)))
-        mask = np.isin(np.arange(9), gone)
-        factor = fresh_factor(unit)
-        factor.remove(mask)
-        assert_factors(factor, unit, np.flatnonzero(~mask))
+        block = block_on(unit, np.arange(9))
+        block.leave(np.isin(np.arange(9), gone))
+        np.testing.assert_array_equal(np.sort(block.order), np.setdiff1d(np.arange(9), gone))
+        assert_block(block, unit)
 
     @settings(max_examples=60, deadline=None)
     @given(case=factor_updates())
     def test_entries_and_exits_keep_the_factor(self, case):
-        """After every entry and exit W W' is the inverse of the current
-        block, an entry is refused exactly when its Schur complement
-        1 - c' U^-1 c is at most _RCOND, and the buffer stays within
-        twice the largest block."""
+        """After every entry and exit (first, middle, last or several) the
+        carried rows are the block's rows of H bit for bit and W W' is the
+        inverse of the block; an entry drops the factor exactly when its
+        Schur complement 1 - c' U^-1 c is at most _RCOND; and the buffers
+        stay within twice the largest block."""
         unit, order, updates, rng = case
-        factor = fresh_factor(unit[np.ix_(order, order)])
-        largest = len(order)
+        block = block_on(unit, order)
+        largest = block.k
         for kind, arg in updates:
+            order = list(block.order)
             if kind == "enter":
                 outside = [j for j in range(len(unit)) if j not in order]
                 if not outside:
@@ -388,9 +431,18 @@ class TestInverseFactor:
                 j = outside[arg % len(outside)]
                 col = unit[order, j]
                 schur = 1.0 - col @ np.linalg.solve(unit[np.ix_(order, order)], col) if order else 1.0
-                assert factor.append(col) == (schur > _RCOND)
-                if schur > _RCOND:
-                    order.append(j)
+                factor = block.factor
+                np.testing.assert_array_equal(block.enter(j), unit[j])
+                largest = max(largest, block.k)
+                if schur <= _RCOND:
+                    # refused: the factor goes; take the twin out again by
+                    # its rows alone and restore the factor it left as it was
+                    assert block.factor is None
+                    block.leave(np.arange(block.k) == block.k - 1)
+                    np.testing.assert_array_equal(block.order, order)
+                    block.factor = factor
+                else:
+                    assert block.factor is factor
             elif order:
                 k = len(order)
                 gone = np.zeros(k, dtype=bool)
@@ -398,32 +450,79 @@ class TestInverseFactor:
                     gone[rng.permutation(k)[: rng.integers(1, k + 1)]] = True
                 else:
                     gone[{"first": 0, "middle": k // 2, "last": k - 1}[arg]] = True
-                factor.remove(gone)
-                order = [j for j, out in zip(order, gone) if not out]
-            assert factor.k == len(order)
-            assert_factors(factor, unit, order)
-            largest = max(largest, len(order))
-            assert factor.capacity <= max(2 * largest, 1)
+                block.leave(gone)
+                assert sorted(block.order) == sorted(j for j, out in zip(order, gone) if not out)
+            assert_block(block, unit)
+            assert block.factor.capacity <= max(2 * largest, 1)
+            assert len(block._rows) == len(block._order) <= max(2 * largest, 1)
 
     def test_buffer_grows_with_the_block_not_the_dictionary(self, monkeypatch):
-        # 400 columns, but the path's blocks hold under a hundred: the factor's
-        # buffer doubles with them and never approaches 400 x 400
+        # 400 columns, but the path's blocks hold under a hundred: the
+        # factor's buffer and the rows buffer double with them, and neither
+        # approaches 400 x 400
         seen = []
-        append = solver._Factor.append
+        enter = solver._ActiveBlock.enter
 
-        def recorded(factor, col):
-            entered = append(factor, col)
-            seen.append((factor.k, factor.capacity))
-            return entered
+        def recorded(block, j):
+            row = enter(block, j)
+            factor = block.factor.capacity if block.factor is not None else 0
+            seen.append((block.k, factor, len(block._rows)))
+            return row
 
-        monkeypatch.setattr(solver._Factor, "append", recorded)
+        monkeypatch.setattr(solver._ActiveBlock, "enter", recorded)
         rng = np.random.default_rng(21)
         ds = random_dataset(rng, n=80, d=400)
         system = build_gram(ds, linear_dictionary(ds))
         path = fit_path(system, compute_weights(system), np.geomspace(0.1, 0.01, 6))
-        largest = max(k for k, _ in seen)
+        largest = max(k for k, _, _ in seen)
         assert largest >= max(len(f.active_set) for f in path) > 40
-        assert max(capacity for _, capacity in seen) <= 2 * largest < 400 / 2
+        assert max(capacity for _, capacity, _ in seen) <= 2 * largest < 400 / 2
+        assert max(rows for _, _, rows in seen) <= 2 * largest < 400 / 2
+
+
+EPS = np.finfo(float).eps
+# |beta - beta*| <= EXACT_BOUND * eps * cond(H) * (|beta*| + (|hn| + |p|) / |H|),
+# max norms but the spectral |H|, against the exact minimiser beta* under
+# the penalties p; the largest ratio seen over 6400 random path scales was 0.53
+EXACT_BOUND = 8.0
+
+
+@st.composite
+def small_lassos(draw):
+    """A random SPD Gram matrix on M <= 4 coordinates (correlated columns
+    and a ridge of 1e-4 to 1, so cond(H) reaches about 1e5), hn, weights
+    and kappa in {1, 2}."""
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m + 3, m)) + draw(st.floats(0.0, 2.0)) * rng.standard_normal((m + 3, 1))
+    H = a.T @ a / (m + 3) + draw(st.sampled_from([1e-4, 1e-2, 1.0])) * np.eye(m)
+    system = GramSystem(H, rng.standard_normal(m), None, [f"c{j}" for j in range(m)], np.ones(m), np.ones(m))
+    return system, flat_weights(rng.uniform(0.0, 1.0, m), 1), draw(st.sampled_from([1.0, 2.0]))
+
+
+class TestExactReference:
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @settings(max_examples=40, deadline=None)
+    @given(case=small_lassos())
+    def test_fit_and_path_match_the_exact_minimiser(self, case, constraint):
+        """Every scale of a path, and a cold fit at it, lies within the
+        stated multiple of eps * cond(H) of the minimiser found by sign
+        enumeration in rational arithmetic."""
+        system, weights, kappa = case
+        H, hn, w = system.matrix, system.vector, weights.w
+        grid = [2.0, 0.5, 0.1, 0.01]
+        options = dict(kappa=kappa, constraint=constraint, tol=1e-12)
+        path = fit_path(system, weights, grid, **options)
+        penalties = [[Fraction(kappa) * Fraction(s) * Fraction(x) for x in w] for s in grid]
+        exact = exact_lasso(H, hn, penalties, nonneg=constraint == "nonnegative")
+        cond, norm = np.linalg.cond(H), np.linalg.norm(H, 2)
+        for f, scale, b in zip(path, grid, exact):
+            want = np.array([float(x) for x in b])
+            size = np.abs(want).max() + (np.abs(hn).max() + kappa * scale * w.max()) / norm
+            bound = EXACT_BOUND * EPS * cond * size
+            cold = fit(system, weights, weight_scale=scale, **options)
+            assert np.abs(f.beta - want).max() <= bound
+            assert np.abs(cold.beta - want).max() <= bound
 
 
 class TestKernels:
