@@ -280,7 +280,8 @@ class TestCertificates:
             with pytest.raises(ValueError, match="start must be 50 finite values"):
                 fit(system, weights, start=start)
         short = flat_weights(np.ones(10), ds.n)
-        with pytest.raises(ValueError, match="weights must be finite, 50 of them, got shape \\(10,\\)"):
+        message = "weights must be finite, 50 of them, got shape \\(10,\\)"
+        with pytest.raises(ValueError, match=message):
             fit(system, short)
         with pytest.raises(ValueError, match="weights must be finite, 50 of them"):
             fit_path(system, short, [1.0, 0.5])
@@ -355,12 +356,17 @@ def assert_factors(factor, unit, order):
     np.testing.assert_allclose(factor.w @ factor.w.T, want, rtol=1e-12, atol=1e-12)
 
 
+def gram_system(H, hn):
+    """A Gram system of H and hn alone, all the solver reads."""
+    m = len(hn)
+    return GramSystem(H, hn, None, [f"c{j}" for j in range(m)], np.ones(m), np.ones(m))
+
+
 def block_on(unit, order):
     """An active block of the Gram matrix `unit` on the coordinates `order`
     (index order), with a fresh factor."""
     m = len(unit)
-    system = GramSystem(unit, np.zeros(m), None, [f"c{j}" for j in range(m)], np.ones(m), np.ones(m))
-    block = solver._ActiveBlock(system, flat_weights(np.ones(m), 1))
+    block = solver._ActiveBlock(gram_system(unit, np.zeros(m)), flat_weights(np.ones(m), 1))
     beta = np.zeros(m)
     beta[order] = 1.0
     np.testing.assert_array_equal(block.start(beta), _gram_product(unit, beta))
@@ -418,7 +424,7 @@ class TestInverseFactor:
         carried rows are the block's rows of H bit for bit and W W' is the
         inverse of the block; an entry drops the factor exactly when its
         Schur complement 1 - c' U^-1 c is at most _RCOND; and the buffers
-        stay within twice the largest block."""
+        stay within twice the largest block, the rows within M."""
         unit, order, updates, rng = case
         block = block_on(unit, order)
         largest = block.k
@@ -454,7 +460,7 @@ class TestInverseFactor:
                 assert sorted(block.order) == sorted(j for j, out in zip(order, gone) if not out)
             assert_block(block, unit)
             assert block.factor.capacity <= max(2 * largest, 1)
-            assert len(block._rows) == len(block._order) <= max(2 * largest, 1)
+            assert len(block._rows) == len(block._order) <= min(max(2 * largest, 1), len(unit))
 
     def test_buffer_grows_with_the_block_not_the_dictionary(self, monkeypatch):
         # 400 columns, but the path's blocks hold under a hundred: the
@@ -494,10 +500,11 @@ def small_lassos(draw):
     and kappa in {1, 2}."""
     m = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = rng.standard_normal((m + 3, m)) + draw(st.floats(0.0, 2.0)) * rng.standard_normal((m + 3, 1))
+    common = draw(st.floats(0.0, 2.0)) * rng.standard_normal((m + 3, 1))
+    a = rng.standard_normal((m + 3, m)) + common
     H = a.T @ a / (m + 3) + draw(st.sampled_from([1e-4, 1e-2, 1.0])) * np.eye(m)
-    system = GramSystem(H, rng.standard_normal(m), None, [f"c{j}" for j in range(m)], np.ones(m), np.ones(m))
-    return system, flat_weights(rng.uniform(0.0, 1.0, m), 1), draw(st.sampled_from([1.0, 2.0]))
+    weights = flat_weights(rng.uniform(0.0, 1.0, m), 1)
+    return gram_system(H, rng.standard_normal(m)), weights, draw(st.sampled_from([1.0, 2.0]))
 
 
 class TestExactReference:
