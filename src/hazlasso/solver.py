@@ -22,10 +22,10 @@ Without an entry the step re-solves the block, as after a sign change.
 The active block carries its rows of H and a square factor W of the
 inverse of its unit-diagonal form U, U^-1 = W W' (Golub & Van Loan,
 Matrix Computations, 6.5), both in the block's order and in buffers that
-double as k grows. An entry copies its row of H and appends one column
-and one zero row to W after two matrix-vector products; an exit costs one
-Householder reflection and moves the last coordinate into its place; a
-block solve is W (W' r). A step's products with H read only the k carried
+double as k grows, up to M. An entry copies its row of H and appends one
+column and one zero row to W after two matrix-vector products; an exit
+costs one Householder reflection and moves the last coordinate into its
+place; a block solve is W (W' r). A step's products with H read only the k carried
 rows, so it costs O(k M) and a fixed set of numpy calls. W is factored
 afresh from U when a block optimum turns out not to be stationary. Along
 a path the block carries across the scales, so each scale starts where
@@ -68,11 +68,11 @@ class _Factor:
 
     Row j of W belongs to the block's j-th coordinate, so [U^-1]_jj is the
     squared norm of row j. W is the leading k x k corner of a column-major
-    buffer that is zero outside it and doubles when an entry outgrows it.
+    buffer that is zero outside it and doubles, up to ``limit``, as k grows.
     """
 
-    def __init__(self, w: np.ndarray):
-        self.k = len(w)
+    def __init__(self, w: np.ndarray, limit: int):
+        self.k, self.limit = len(w), limit
         self._buf = np.zeros((max(self.k, 1),) * 2, order="F")
         self._buf[: self.k, : self.k] = w
         self._scratch = np.empty_like(self._buf)  # the rank-one update of an exit
@@ -102,7 +102,7 @@ class _Factor:
             return False
         k = self.k
         if k == self.capacity:
-            grown = np.zeros((2 * k,) * 2, order="F")
+            grown = np.zeros((min(2 * k, self.limit),) * 2, order="F")
             grown[:k, :k] = w
             self._buf, w = grown, grown[:k, :k]
             self._scratch = np.empty_like(grown)
@@ -131,9 +131,9 @@ class _Factor:
         self.k = k - 1
 
 
-def _fresh_factor(unit: np.ndarray) -> _Factor | None:
-    """W = (chol U)^-T for a unit-diagonal block U, or None when U is
-    singular."""
+def _fresh_factor(unit: np.ndarray, limit: int) -> _Factor | None:
+    """W = (chol U)^-T for a unit-diagonal block U, in a buffer that grows
+    up to ``limit``, or None when U is singular."""
     try:
         w = np.linalg.inv(np.linalg.cholesky(unit)).T
     except np.linalg.LinAlgError:
@@ -142,16 +142,16 @@ def _fresh_factor(unit: np.ndarray) -> _Factor | None:
     diag = np.einsum("ij,ij->i", w, w)
     if not (diag.min(initial=1.0) > 0.0 and diag.max(initial=1.0) < 1.0 / _RCOND):
         return None
-    return _Factor(w)
+    return _Factor(w, limit)
 
 
 class _ActiveBlock:
     """A fit's active coordinates, ``order``, with their ``rows`` of H and
     their square ``factor`` (None when it must be factored afresh), both in
-    that order, in buffers that double when an entry outgrows them. An
-    exit moves the last coordinate into its place. It is set up once per
-    system; ``fit_path`` hands it from one scale to the next, with H beta
-    at the beta where the last fit ended.
+    that order, in buffers that double, up to M, as k grows. An exit
+    moves the last coordinate into its place. It is set up once per system;
+    ``fit_path`` hands it from one scale to the next, with H beta at the
+    beta where the last fit ended.
     """
 
     def __init__(self, system: GramSystem, weights: WeightVector):
@@ -245,16 +245,18 @@ class LassoFit:
         return np.flatnonzero(self.beta)
 
 
-def _residuals(g: np.ndarray, beta: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:
-    """Per-coordinate KKT residuals at beta from g = hn - H beta (minus half
-    the gradient of the smooth part) and the penalty weights wk.
+def _zero_residuals(g: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:
+    """KKT residuals at zero from g = hn - H beta (minus half the gradient of
+    the smooth part) and the penalty weights wk: max(0, 2|g| - wk), or
+    max(0, 2g - wk) on a nonnegative fit."""
+    return np.maximum(0.0, 2.0 * (g if nonneg else np.abs(g)) - wk)
 
-    A zero coordinate's residual is max(0, 2|g| - wk), or max(0, 2g - wk)
-    on a nonnegative fit; an active one's is 2|g - (wk/2) s| with s =
-    sign(beta), or s = 1 on a nonnegative fit: twice the active block's
-    right-hand side.
-    """
-    out = np.maximum(0.0, 2.0 * (g if nonneg else np.abs(g)) - wk)
+
+def _residuals(g: np.ndarray, beta: np.ndarray, wk: np.ndarray, nonneg: bool) -> np.ndarray:
+    """Per-coordinate KKT residuals at beta: `_zero_residuals` off the
+    support; 2|g - (wk/2) s| on it, with s = sign(beta), or s = 1 on a
+    nonnegative fit: twice the active block's right-hand side."""
+    out = _zero_residuals(g, wk, nonneg)
     on = beta != 0
     out[on] = 2.0 * np.abs(g[on] - 0.5 * wk[on] * (1.0 if nonneg else np.sign(beta[on])))
     return out
@@ -361,7 +363,7 @@ def fit(
         sign = np.sign(beta[idx])
         # the block's right-hand side; the active KKT residuals are 2|rho|
         rho = g[idx] - 0.5 * wk[idx] * sign
-        viol = np.maximum(0.0, 2.0 * (g if nonneg else np.abs(g)) - wk)
+        viol = _zero_residuals(g, wk, nonneg)
         active_max = 2.0 * np.abs(rho).max(initial=0.0)
         entering_max = viol[free].max(initial=0.0)
         if active_max <= tol and entering_max <= tol:  # False on a NaN residual
@@ -399,7 +401,7 @@ def fit(
         r = rho * su
         if block.factor is None:
             unit = block.rows[:, idx] * su[:, None] * su[None, :]
-            block.factor = _fresh_factor(unit)
+            block.factor = _fresh_factor(unit, system.M)
         if block.factor is not None:
             d, solved = block.factor.solve(r) * su, True
         else:

@@ -370,7 +370,7 @@ def block_on(unit, order):
     beta = np.zeros(m)
     beta[order] = 1.0
     np.testing.assert_array_equal(block.start(beta), _gram_product(unit, beta))
-    block.factor = fresh_factor(unit[np.ix_(block.order, block.order)])
+    block.factor = fresh_factor(unit[np.ix_(block.order, block.order)], m)
     return block
 
 
@@ -423,11 +423,12 @@ class TestInverseFactor:
         """After every entry and exit (first, middle, last or several) the
         carried rows are the block's rows of H bit for bit and W W' is the
         inverse of the block; an entry drops the factor exactly when its
-        Schur complement 1 - c' U^-1 c is at most _RCOND; and the buffers
-        stay within twice the largest block, the rows within M."""
+        Schur complement 1 - c' U^-1 c is at most _RCOND; and each buffer
+        stays within M and within twice the largest block it held: the
+        factor's counts only accepted entries, the rows' a refused twin too."""
         unit, order, updates, rng = case
         block = block_on(unit, order)
-        largest = block.k
+        largest = largest_factor = block.k
         for kind, arg in updates:
             order = list(block.order)
             if kind == "enter":
@@ -459,7 +460,8 @@ class TestInverseFactor:
                 block.leave(gone)
                 assert sorted(block.order) == sorted(j for j, out in zip(order, gone) if not out)
             assert_block(block, unit)
-            assert block.factor.capacity <= max(2 * largest, 1)
+            largest_factor = max(largest_factor, block.factor.k)
+            assert block.factor.capacity <= min(max(2 * largest_factor, 1), len(unit))
             assert len(block._rows) == len(block._order) <= min(max(2 * largest, 1), len(unit))
 
     def test_buffer_grows_with_the_block_not_the_dictionary(self, monkeypatch):
@@ -484,6 +486,26 @@ class TestInverseFactor:
         assert largest >= max(len(f.active_set) for f in path) > 40
         assert max(capacity for _, capacity, _ in seen) <= 2 * largest < 400 / 2
         assert max(rows for _, _, rows in seen) <= 2 * largest < 400 / 2
+
+    def test_buffers_stop_at_the_dictionary(self, monkeypatch):
+        # 40 columns, all active at the end of the path: doubling would take
+        # the factor's buffer, and its scratch block, to 64 x 64
+        seen = []
+        enter = solver._ActiveBlock.enter
+
+        def recorded(block, j):
+            row = enter(block, j)
+            if block.factor is not None:
+                seen.append((block.k, block.factor.capacity, len(block._rows)))
+            return row
+
+        monkeypatch.setattr(solver._ActiveBlock, "enter", recorded)
+        rng = np.random.default_rng(21)
+        ds = random_dataset(rng, n=400, d=40)
+        system = build_gram(ds, linear_dictionary(ds))
+        fit_path(system, compute_weights(system), np.geomspace(0.1, 1e-4, 8))
+        assert max(k for k, _, _ in seen) > 32
+        assert max(max(capacity, rows) for _, capacity, rows in seen) <= 40
 
 
 EPS = np.finfo(float).eps
@@ -573,9 +595,9 @@ class TestCorrelatedDesign:
                 break
         factored = []
 
-        def counted(unit):
+        def counted(unit, limit):
             factored.append(len(unit))
-            return fresh_factor(unit)
+            return fresh_factor(unit, limit)
 
         monkeypatch.setattr(solver, "_fresh_factor", counted)
         path = fit_path(system, weights, CORRELATED_GRID, constraint=constraint, tol=1e-10)
@@ -607,9 +629,9 @@ class TestCorrelatedDesign:
         system, weights = correlated_problem
         factored = []
 
-        def counted(unit):
+        def counted(unit, limit):
             factored.append(len(unit))
-            return fresh_factor(unit)
+            return fresh_factor(unit, limit)
 
         monkeypatch.setattr(solver, "_fresh_factor", counted)
         f = fit(system, weights, constraint=constraint, tol=1e-10, weight_scale=0.01)
