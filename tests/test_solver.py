@@ -464,10 +464,16 @@ class TestInverseFactor:
             assert block.factor.capacity <= min(max(2 * largest_factor, 1), len(unit))
             assert len(block._rows) == len(block._order) <= min(max(2 * largest, 1), len(unit))
 
-    def test_buffer_grows_with_the_block_not_the_dictionary(self, monkeypatch):
-        # 400 columns, but the path's blocks hold under a hundred: the
-        # factor's buffer and the rows buffer double with them, and neither
-        # approaches 400 x 400
+    @pytest.mark.parametrize(
+        "n, d, last, least, most",
+        [(80, 400, 0.01, 40, 99), (400, 40, 1e-4, 32, 40)],
+        ids=["block-far-below-M", "block-reaches-M"],
+    )
+    def test_buffer_grows_with_the_block_not_the_dictionary(self, monkeypatch, n, d, last, least, most):
+        # the factor's buffer (with its scratch block) and the rows buffer
+        # double with the block, up to M: at 80 x 400 the blocks hold under
+        # a hundred columns and neither buffer approaches 400 x 400; at
+        # 400 x 40 they reach 40, where doubling without the cap goes past M
         seen = []
         enter = solver._ActiveBlock.enter
 
@@ -479,33 +485,12 @@ class TestInverseFactor:
 
         monkeypatch.setattr(solver._ActiveBlock, "enter", recorded)
         rng = np.random.default_rng(21)
-        ds = random_dataset(rng, n=80, d=400)
+        ds = random_dataset(rng, n=n, d=d)
         system = build_gram(ds, linear_dictionary(ds))
-        path = fit_path(system, compute_weights(system), np.geomspace(0.1, 0.01, 6))
+        path = fit_path(system, compute_weights(system), np.geomspace(0.1, last, 6))
         largest = max(k for k, _, _ in seen)
-        assert largest >= max(len(f.active_set) for f in path) > 40
-        assert max(capacity for _, capacity, _ in seen) <= 2 * largest < 400 / 2
-        assert max(rows for _, _, rows in seen) <= 2 * largest < 400 / 2
-
-    def test_buffers_stop_at_the_dictionary(self, monkeypatch):
-        # 40 columns, all active at the end of the path: doubling would take
-        # the factor's buffer, and its scratch block, to 64 x 64
-        seen = []
-        enter = solver._ActiveBlock.enter
-
-        def recorded(block, j):
-            row = enter(block, j)
-            if block.factor is not None:
-                seen.append((block.k, block.factor.capacity, len(block._rows)))
-            return row
-
-        monkeypatch.setattr(solver._ActiveBlock, "enter", recorded)
-        rng = np.random.default_rng(21)
-        ds = random_dataset(rng, n=400, d=40)
-        system = build_gram(ds, linear_dictionary(ds))
-        fit_path(system, compute_weights(system), np.geomspace(0.1, 1e-4, 8))
-        assert max(k for k, _, _ in seen) > 32
-        assert max(max(capacity, rows) for _, capacity, rows in seen) <= 40
+        assert most >= largest >= max(len(f.active_set) for f in path) > least
+        assert max(max(capacity, rows) for _, capacity, rows in seen) <= min(2 * largest, d)
 
 
 EPS = np.finfo(float).eps
