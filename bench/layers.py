@@ -39,8 +39,10 @@ so ``reference`` records how fast the machine was during the run: one
 unit of the fixed ``sweep`` and ``accumulate`` kernels of
 ``perfbench/reference.py`` (interpreter-bound and cache-bound code) is
 timed after every timed pipeline run and every timed Monte Carlo call,
-and ``median_unit_ms`` is the median unit. Two reports made at different
-times compare by their layer times in units of it.
+and ``median_unit_ms`` is the median unit. Each unit runs in a fresh
+interpreter, so it carries none of the cache and allocator state that the
+measured code leaves in this process, and two reports made at different
+times, of different code, compare by their layer times in units of it.
 
 ``--smoke`` runs only the smallest size, once, with few replications, so
 that a test can check the script in seconds.
@@ -62,7 +64,6 @@ if __name__ == "__main__":
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
-import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -104,15 +105,26 @@ MEMORY_LAYERS = ("load_dataset", "build_gram")
 REFERENCE_KERNELS = ("sweep", "accumulate")
 
 
-def reference():
-    """A ``Reference`` of ``perfbench/reference.py`` running the
-    ``REFERENCE_KERNELS``, imported by path: it is benchmark code, not a
-    module of the package."""
+# Prints the seconds of one unit of the kernels named in argv[2:], after
+# the untimed warm-up unit that ``Reference`` makes; the reference module
+# at path argv[1] is imported by path: it is benchmark code, not a module
+# of the package
+UNIT_SCRIPT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("perfbench_reference", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+ref = module.Reference(sys.argv[2:], share=0.0)
+ref.unit()
+print(repr(ref.times[-1]))
+"""
+
+
+def reference_unit() -> float:
+    """Seconds of one reference unit, timed in a fresh interpreter."""
     path = ROOT / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Reference(REFERENCE_KERNELS, share=0.0)
+    argv = [sys.executable, "-c", UNIT_SCRIPT, str(path), *REFERENCE_KERNELS]
+    return float(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
 
 
 def _config(n: int, d: int):
@@ -185,7 +197,7 @@ def traced_peaks(data: Path) -> dict:
     return {"load_dataset": load_peak / 2**20, "build_gram": gram_peak / 2**20}
 
 
-def layer_entry(n: int, d: int, runs: int, ref) -> dict:
+def layer_entry(n: int, d: int, runs: int, units: list) -> dict:
     config = _config(n, d)
     with tempfile.TemporaryDirectory() as tmp:
         data, report = Path(tmp) / "data.csv", Path(tmp) / "path.json"
@@ -194,7 +206,7 @@ def layer_entry(n: int, d: int, runs: int, ref) -> dict:
         samples, fault_samples = [], []
         for _ in range(runs):
             times, faults, steps = pipeline(config, data, report)
-            ref.unit()
+            units.append(reference_unit())
             samples.append(times)
             fault_samples.append(faults)
         peaks = traced_peaks(data)
@@ -211,7 +223,7 @@ def layer_entry(n: int, d: int, runs: int, ref) -> dict:
     }
 
 
-def mc_entry(name: str, reps: int, runs: int, ref) -> dict:
+def mc_entry(name: str, reps: int, runs: int, units: list) -> dict:
     config = default_config()
     if name == "run_mc":
         call = partial(run_mc, config, 0, (4.0, 5.0, 6.0), reps)
@@ -225,7 +237,7 @@ def mc_entry(name: str, reps: int, runs: int, ref) -> dict:
         start = perf_counter()
         call()
         times.append(perf_counter() - start)
-        ref.unit()
+        units.append(reference_unit())
     faults = _minor_faults() - faults
     median = statistics.median(times)
     return {
@@ -267,17 +279,17 @@ def main(argv=None) -> int:
     sizes, mc, mc_runs = (
         (SMOKE_SIZES, SMOKE_MC, SMOKE_MC_RUNS) if args.smoke else (SIZES, MC, MC_RUNS)
     )
-    ref = reference()
+    units = []
     # the layers run first: the harnesses change the allocator for the rest
     # of the process
-    layers = [layer_entry(n, d, runs, ref) for n, d, runs in sizes]
-    monte_carlo = [mc_entry(name, reps, mc_runs, ref) for name, reps in mc]
+    layers = [layer_entry(n, d, runs, units) for n, d, runs in sizes]
+    monte_carlo = [mc_entry(name, reps, mc_runs, units) for name, reps in mc]
     report = {
         "provenance": provenance(),
         "reference": {
             "kernels": list(REFERENCE_KERNELS),
-            "units": len(ref.times),
-            "median_unit_ms": 1e3 * statistics.median(ref.times),
+            "units": len(units),
+            "median_unit_ms": 1e3 * statistics.median(units),
         },
         "path_scales": [float(s) for s in SCALES],
         "layers": layers,

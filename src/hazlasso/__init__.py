@@ -15,13 +15,12 @@ from .bernstein import (
     BernsteinConstants,
     bound_empirical,
     classical_bound,
-    half_range,
     noise_process_terminal,
     run_mc,
     wilson_interval,
     zeta,
 )
-from .dictionary import DictionaryMatrix, linear_dictionary, load_dictionary
+from .dictionary import DictionaryMatrix, half_range, linear_dictionary, load_dictionary
 from .errors import ConfigError, DataValidationError, HazLassoError
 from .gram import (
     GramSystem,
@@ -58,7 +57,7 @@ from .survival import (
     load_dataset,
     write_dataset,
 )
-from .weights import DEFAULT_X, WeightVector, compute_weights
+from .weights import DEFAULT_X, compute_weights
 
 __version__ = "0.1.0"
 
@@ -78,7 +77,6 @@ __all__ = [
     "SimulationConfig",
     "StepFunction",
     "SurvivalDataset",
-    "WeightVector",
     "active_kernel",
     "bound_empirical",
     "build_gram",

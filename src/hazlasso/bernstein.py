@@ -41,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._chunks import CHUNK, _keep_chunk_memory, chunks
+from .dictionary import half_range
 from .errors import ConfigError
 from .simulate import (
     SimulatedTruth,
@@ -138,14 +139,6 @@ class BernsteinConstants:
 # in reports but never used for bounds.
 PAPER_NUMERIC = BernsteinConstants(stated_c3=28.55)
 PAPER_NUMERIC_PRINTED_C3 = 8.0 + math.log(2.0) ** -2 * math.pi**2 + 4.0
-
-
-def half_range(values) -> np.ndarray:
-    """Half-range (max_i h_j - min_i h_j) / 2 of each column of (..., n, M)
-    evaluations, the only column scale of the bound. It equals
-    min_c max_i |h_j - c|, so it ignores a shift of the column, and it is
-    0 exactly when the column is constant."""
-    return 0.5 * (np.maximum.reduce(values, axis=-2) - np.minimum.reduce(values, axis=-2))
 
 
 def _checked_pair(vhat, r, x: float, n: int) -> tuple[np.ndarray, np.ndarray]:

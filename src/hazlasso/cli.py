@@ -33,7 +33,7 @@ from .oracle import DEFAULT_ORACLE_X, run_oracle_mc
 from .simulate import load_config, simulate
 from .solver import active_kernel, fit, fit_path
 from .survival import build_timeline, load_dataset, write_dataset
-from .weights import DEFAULT_X, compute_weights
+from .weights import DEFAULT_X, compute_weights, weight_loglog
 
 SCHEMA_VERSION = "3"
 
@@ -125,7 +125,7 @@ def _fit_command(args):
     dataset, dictionary, system, weights = _load_problem(args)
     result = fit(system, weights, kappa=args.kappa, constraint=args.constraint, tol=args.tol)
     if args.dump_gram:
-        dump_gram(system, args.dump_gram)
+        dump_gram(system, dictionary.labels, args.dump_gram)
     payload = {
         **_problem_fields(args, dataset, dictionary),
         "columns": dictionary.M,
@@ -138,7 +138,7 @@ def _fit_command(args):
 
 def _weights_command(args):
     dataset, dictionary, system, weights = _load_problem(args)
-    loglog = weights.loglog  # a property that computes the whole vector
+    loglog = weight_loglog(system, args.x)
     payload = {
         "data": args.data,
         "n": dataset.n,
@@ -148,13 +148,13 @@ def _weights_command(args):
         "c2": PAPER_NUMERIC.c2,
         "columns": [
             {
-                "label": weights.labels[j],
-                "vhat": float(weights.vhat[j]),
-                "half_range": float(weights.half_range[j]),
+                "label": label,
+                "vhat": float(system.vhat[j]),
+                "half_range": float(system.half_range[j]),
                 "loglog": float(loglog[j]),
-                "weight": float(weights.w[j]),
+                "weight": float(weights[j]),
             }
-            for j in range(weights.M)
+            for j, label in enumerate(dictionary.labels)
         ],
     }
     return payload, 0

@@ -7,9 +7,11 @@ dictionary h_j(x) = x_j. A batch of datasets gives an (R, n, M) batch of
 evaluations with shared labels.
 
 Validation reads each column through one max and one min reduction, and
-makes no (n, M) temporary: the same two reductions give the finiteness
-check, the column half-range (max - min) / 2 that the penalty weights
-read, and the constant columns, which are those of half-range 0.
+makes no (n, M) temporary: they give the column half-range (max - min) / 2
+(``half_range``, the one home of that formula) that the penalty weights
+read, and every check reads the half-range alone. It is finite exactly
+when the column is, at most ``MAX_HALF_RANGE`` when the column's squares
+stay finite, and 0 exactly when the column is constant.
 """
 
 from __future__ import annotations
@@ -25,6 +27,23 @@ from .csvio import parse_number, read_numeric_csv
 from .errors import DataValidationError
 from .survival import SurvivalDataset
 
+# The largest column half-range the arithmetic takes: H, vhat and the
+# weights sum squared centered column values, at most 2^1002 here, so
+# they stay finite up to millions of records.
+MAX_HALF_RANGE = 2.0**500
+
+
+def half_range(values) -> np.ndarray:
+    """Half-range (max_i h_j - min_i h_j) / 2 of each column of (..., n, M)
+    evaluations, the only column scale of the deviation bound. It equals
+    min_c max_i |h_j - c|, so it ignores a shift of the column, and it is
+    0 exactly when the column is constant. It is finite exactly when the
+    column is: halved before the difference, finite values never overflow,
+    and a column holding NaN, or both infinities, gives NaN."""
+    high, low = np.maximum.reduce(values, axis=-2), np.minimum.reduce(values, axis=-2)
+    with np.errstate(invalid="ignore"):  # inf - inf, in a column of infinities
+        return 0.5 * high - 0.5 * low
+
 
 @dataclass
 class DictionaryMatrix:
@@ -32,8 +51,8 @@ class DictionaryMatrix:
 
     ``values`` is a read-only view of the array given, not a copy, so the
     half-range taken when it is checked always describes it:
-    ``half_range[j]`` is (max_i h_j - min_i h_j) / 2, shape (M,) or (R, M)
-    for a batch, the arithmetic of ``bernstein.half_range``.
+    ``half_range[j]`` is ``half_range`` of column j, shape (M,) or (R, M)
+    for a batch.
     """
 
     values: np.ndarray
@@ -51,19 +70,25 @@ class DictionaryMatrix:
             raise DataValidationError("duplicate dictionary labels")
         if self.n == 0:
             raise DataValidationError("dictionary has no rows")
-        # NaN and inf carry through max and min; checked before the
-        # difference, which is NaN for an all-inf column
-        high = np.maximum.reduce(self.values, axis=-2)
-        low = np.minimum.reduce(self.values, axis=-2)
-        if not (np.isfinite(high).all() and np.isfinite(low).all()):
+        self.half_range = half_range(self.values)
+        if not np.isfinite(self.half_range).all():
             raise DataValidationError("dictionary values must be finite")
-        self.half_range = 0.5 * (high - low)
+        wide = self._columns(self.half_range > MAX_HALF_RANGE)
+        if wide:
+            raise DataValidationError(
+                f"dictionary values too large in column(s) {wide}: half-range above "
+                f"2^500 (about {MAX_HALF_RANGE:.2g}), where their squares overflow"
+            )
         # a constant column (half-range 0) carries no information: the fit
         # pins it at zero, whatever its level
-        dead = np.flatnonzero((self.half_range == 0.0).reshape(-1, self.M).any(axis=0))
-        if dead.size:
-            names = ", ".join(self.labels[j] for j in dead)
-            warnings.warn(f"constant dictionary column(s): {names}", stacklevel=_caller_level())
+        dead = self._columns(self.half_range == 0.0)
+        if dead:
+            warnings.warn(f"constant dictionary column(s): {dead}", stacklevel=_caller_level())
+
+    def _columns(self, mask: np.ndarray) -> str:
+        """The labels of the columns ``mask`` marks in any replication."""
+        marked = np.flatnonzero(mask.reshape(-1, self.M).any(axis=0))
+        return ", ".join(self.labels[j] for j in marked)
 
     @property
     def n(self) -> int:

@@ -12,10 +12,11 @@ risk-set timeline, so H and hn are exact finite sums; the timeline's
 ``cross_moment`` and ``event_moments`` evaluate them from one
 ``centered`` pass, and this module only assembles and reports the system.
 H is one symmetric product a'a of the dictionary's weighted Welford
-increments, so it is exactly symmetric. The system also carries the two
-column statistics the penalty weights read, vhat from the same pass and
-the half-range the dictionary took when it was checked, so the weights
-need nothing else.
+increments, so it is exactly symmetric. The system is also the one home
+of the two column statistics the penalty weights read: vhat from the
+same pass and the half-range the dictionary took when it was checked.
+The weights, the solver's dead-column mask and the ``weights`` report
+read them here and nowhere else. Column names stay on the dictionary.
 
 A batch of datasets (a leading replication axis on the dataset, the
 dictionary values and the timeline) gives a batch of systems: H of shape
@@ -41,14 +42,13 @@ class GramSystem:
     ``vhat[j]`` is the empirical variance of column j, (1/n) times the sum
     of its squared event deviations, and ``half_range[j]`` is the
     dictionary's half-range of column j: the two column statistics the
-    penalty weights read. The risk-set means are the timeline's
-    (``timeline.means``).
+    penalty weights read. The risk-set means behind H and hn are the
+    timeline's, ``centered_means`` of its ``centered`` pass.
     """
 
     matrix: np.ndarray
     vector: np.ndarray
     timeline: RiskSetTimeline
-    labels: list[str]
     vhat: np.ndarray
     half_range: np.ndarray
 
@@ -63,8 +63,7 @@ class GramSystem:
     def __getitem__(self, r: int) -> "GramSystem":
         """Replication r of a batch."""
         return GramSystem(
-            self.matrix[r], self.vector[r], self.timeline[r], self.labels, self.vhat[r],
-            self.half_range[r],
+            self.matrix[r], self.vector[r], self.timeline[r], self.vhat[r], self.half_range[r]
         )
 
 
@@ -100,7 +99,6 @@ def build_gram(
         matrix=tl.cross_moment(centered, centered),
         vector=vector / tl.n,
         timeline=tl,
-        labels=list(dictionary.labels),
         vhat=vhat / tl.n,
         half_range=dictionary.half_range,
     )
@@ -137,11 +135,14 @@ def objective(
     return value
 
 
-def dump_gram(system: GramSystem, path) -> None:
-    """Write H and hn as one CSV (row j: label, H[j, :], hn[j])."""
+def dump_gram(system: GramSystem, labels: list[str], path) -> None:
+    """Write H and hn as one CSV (row j: labels[j], H[j, :], hn[j]); the
+    labels are the dictionary's."""
+    if len(labels) != system.M:
+        raise ValueError(f"{system.M} labels required, got {len(labels)}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label"] + list(system.labels) + ["hn"])
-        for j, label in enumerate(system.labels):
+        writer.writerow(["label"] + list(labels) + ["hn"])
+        for j, label in enumerate(labels):
             row = [repr(float(v)) for v in system.matrix[j]]
             writer.writerow([label] + row + [repr(float(system.vector[j]))])

@@ -27,9 +27,11 @@ The checks and the whitened construction take a batched truth, dictionary,
 system and weights (a leading replication axis, as from
 ``simulate_batch``) with one fit per replication, and return one entry per
 replication; a single dataset is a batch of one without that axis. The
-harness runs fixed-size chunks of replications through that pipeline,
-so only the random draws, the solver fits and the mu3 brackets run one
-replication at a time. ``run_oracle_mc`` returns the report dict that
+weights are the plain array ``compute_weights`` returns, shape (R, M) for
+a batch, so the searched and the whitened checks hold them in one form,
+and ``weights[r]`` is replication r. The harness runs fixed-size chunks
+of replications through that pipeline, so only the random draws, the
+solver fits and the mu3 brackets run one replication at a time. ``run_oracle_mc`` returns the report dict that
 ``hazlasso oracle-check`` writes, key for key: one row per replication,
 and the holding count, frequency and Wilson interval of each check under
 ``slow`` and ``fast``, with the count of its fits that did not converge.
@@ -44,14 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._chunks import CHUNK, _keep_chunk_memory, chunks
-from .bernstein import half_range, wilson_interval
-from .dictionary import DictionaryMatrix, linear_dictionary
+from .bernstein import wilson_interval
+from .dictionary import DictionaryMatrix, half_range, linear_dictionary
 from .errors import ConfigError, DataValidationError
 from .gram import GramSystem, build_gram, empirical_norm_sq_fn
 from .simulate import SimulatedTruth, SimulationConfig, simulate_batch
 from .solver import LassoFit, fit
 from .survival import build_timeline
-from .weights import WeightVector, bernstein_weights, compute_weights
+from .weights import bernstein_weights, compute_weights
 
 GUARANTEE_CONSTANT = 29.0  # both inequalities hold with probability >= 1 - 29 e^{-x}
 DEFAULT_ORACLE_X = 5.0
@@ -102,7 +104,7 @@ def slow_oracle_check(
     dictionary: DictionaryMatrix,
     fit_result: LassoFit | list[LassoFit],
     system: GramSystem,
-    weights: WeightVector,
+    weights: np.ndarray,
     beta_ref: np.ndarray | None = None,
 ) -> tuple[float, float, bool]:
     """Both sides of the slow inequality at the reference coefficients.
@@ -115,7 +117,7 @@ def slow_oracle_check(
     """
     beta = _fitted_beta(fit_result, 1.0)
     lhs, approx, ref = _distances(truth, dictionary.values, system.timeline, beta, beta_ref)
-    rhs = approx + 2.0 * (np.abs(ref) * weights.w).sum(axis=-1)
+    rhs = approx + 2.0 * (np.abs(ref) * weights).sum(axis=-1)
     return _python(lhs), _python(rhs), _python(lhs <= rhs + SLACK)
 
 
@@ -125,7 +127,7 @@ def fast_oracle_check(
     fit_result: LassoFit | list[LassoFit],
     mu3,
     system: GramSystem,
-    weights: WeightVector,
+    weights: np.ndarray,
     beta_ref: np.ndarray | None = None,
 ) -> tuple[float, float, bool]:
     """Both sides of the fast inequality at the reference coefficients.
@@ -139,7 +141,7 @@ def fast_oracle_check(
     each returned item is a list.
     """
     beta = _fitted_beta(fit_result, 2.0)
-    return _fast_sides(truth, dictionary.values, system.timeline, beta, mu3, weights.w, beta_ref)
+    return _fast_sides(truth, dictionary.values, system.timeline, beta, mu3, weights, beta_ref)
 
 
 def _fast_sides(truth, phi, tl, beta, mu3, w, beta_ref):
@@ -208,7 +210,7 @@ def _cone_project(b, w, support, heavy, theta):
     return b
 
 
-def _cone(system: GramSystem, weights: WeightVector, beta_ref, budget: int):
+def _cone(system: GramSystem, weights: np.ndarray, beta_ref, budget: int):
     """(J, w, heavy, scale) for the cone around the support J of beta_ref:
     the weights, the mask of off-support coordinates with w > 0, and the
     null-direction scale of the Gram. Refuses an empty support and a
@@ -218,14 +220,15 @@ def _cone(system: GramSystem, weights: WeightVector, beta_ref, budget: int):
         raise ValueError("beta_ref needs a nonempty support")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    heavy = weights.w > 0
+    w = np.asarray(weights, dtype=float)
+    heavy = w > 0
     heavy[support] = False
-    return support, weights.w, heavy, _diag_scale(system.matrix)
+    return support, w, heavy, _diag_scale(system.matrix)
 
 
 def mu3_search(
     system: GramSystem,
-    weights: WeightVector,
+    weights: np.ndarray,
     beta_ref: np.ndarray,
     budget: int = 512,
     seed=0,
@@ -260,7 +263,7 @@ def mu3_search(
 
 def mu3_bracket(
     system: GramSystem,
-    weights: WeightVector,
+    weights: np.ndarray,
     beta_ref: np.ndarray,
     budget: int = 256,
     seed=0,
@@ -318,7 +321,7 @@ def mu3_bracket(
     return found
 
 
-def _fit_each(system: GramSystem, weights: WeightVector, **options) -> list[LassoFit]:
+def _fit_each(system: GramSystem, weights: np.ndarray, **options) -> list[LassoFit]:
     """One solver fit per replication of a batch."""
     return [fit(system[r], weights[r], **options) for r in range(len(system.matrix))]
 

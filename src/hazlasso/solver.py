@@ -33,6 +33,11 @@ the last one ended. A singular block (duplicated or collinear columns)
 is moved along its null space until a coordinate reaches zero and leaves.
 Convergence is certified by the KKT residual, recomputed from H, never
 assumed.
+
+The weights are a plain array of M nonnegative numbers, as
+``weights.compute_weights`` returns them. A coordinate is dead, pinned at
+0, when its column's half-range, read from the Gram system, is 0 or its
+H_jj is roundoff at that scale.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import GramSystem
-from .weights import WeightVector
 
 # A column of an active block counts as lying in the span of the others
 # when its Schur complement in the block's unit-diagonal form U (its
@@ -154,16 +158,16 @@ class _ActiveBlock:
     beta where the last fit ended.
     """
 
-    def __init__(self, system: GramSystem, weights: WeightVector):
+    def __init__(self, system: GramSystem, weights: np.ndarray):
         self._H = np.asarray(system.matrix, dtype=float)
-        w = np.asarray(weights.w, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if w.shape != (system.M,) or not np.all(np.isfinite(w)):
             raise ValueError(f"weights must be finite, {system.M} of them, got shape {w.shape}")
         # H_jj = 0 makes the coordinate unidentifiable: dead. A constant
         # column has half-range r = 0; for the others allow for roundoff at
         # the scale r^2 (a column constant up to roundoff lands at
         # |H_jj| <= 1e-13 r^2, a live column is far above)
-        r, diag = weights.half_range, np.diag(self._H)
+        r, diag = system.half_range, np.diag(self._H)
         self.dead = (r == 0.0) | (diag <= 1e-13 * r**2)
         self.unit_scale = 1.0 / np.sqrt(np.where(self.dead, 1.0, diag))
         self.k = 0
@@ -264,7 +268,7 @@ def _residuals(g: np.ndarray, beta: np.ndarray, wk: np.ndarray, nonneg: bool) ->
 
 def kkt_violations(
     system: GramSystem,
-    weights: WeightVector,
+    weights: np.ndarray,
     beta: np.ndarray,
     kappa: float = 1.0,
     constraint: str = "unconstrained",
@@ -278,7 +282,8 @@ def kkt_violations(
     """
     b = np.asarray(beta, dtype=float)
     g = system.vector - _gram_product(system.matrix, b)
-    return _residuals(g, b, kappa * weight_scale * weights.w, constraint == "nonnegative")
+    w = kappa * weight_scale * np.asarray(weights, dtype=float)
+    return _residuals(g, b, w, constraint == "nonnegative")
 
 
 def _gram_product(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -306,7 +311,7 @@ def _singular_direction(unit: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, bo
 
 def fit(
     system: GramSystem,
-    weights: WeightVector,
+    weights: np.ndarray,
     kappa: float = 1.0,
     constraint: str = "unconstrained",
     tol: float = 1e-8,
@@ -340,7 +345,7 @@ def fit(
 
     H = np.asarray(system.matrix, dtype=float)
     hn = np.asarray(system.vector, dtype=float)
-    wk = kappa * weight_scale * np.asarray(weights.w, dtype=float)
+    wk = kappa * weight_scale * np.asarray(weights, dtype=float)
     live = ~block.dead
     nonneg = constraint == "nonnegative"
     beta[block.dead] = 0.0
@@ -456,7 +461,7 @@ def fit(
 
 def fit_path(
     system: GramSystem,
-    weights: WeightVector,
+    weights: np.ndarray,
     scale_grid,
     kappa: float = 1.0,
     constraint: str = "unconstrained",

@@ -9,9 +9,10 @@ constant, so all time integrals are exact finite sums rather than
 quadrature.
 
 The timeline is the single home of the risk-set arithmetic: its
-``prefix_sums`` and ``means`` methods are the at-risk sums and the
-risk-set mean. Risk sets are nested: with the records in decreasing
-follow-up, each is a prefix of that order. ``centered`` makes the one
+``prefix_sums`` are the at-risk sums, and over ``at_risk`` (every
+interval's risk set is nonempty) the risk-set means. Risk sets are
+nested: with the records in decreasing follow-up, each is a prefix of
+that order. ``centered`` makes the one
 centered prefix pass, the running sums in that order, which
 ``centered_means`` (the risk-set means), ``event_moments`` (the sums and
 sums of squares of the centered values less their risk-set means at the
@@ -359,15 +360,6 @@ class RiskSetTimeline:
         sums = take_rows(self._running_sums(v), self.at_risk - 1)
         return sums[..., 0] if single else sums
 
-    def means(self, values: np.ndarray) -> np.ndarray:
-        """At-risk averages of per-record values, shape (K,) or (K, M).
-
-        Every interval of the grid has a nonempty risk set.
-        """
-        v, single = self._per_record(values)
-        mean = self._leading_means(self._running_sums(v), self.at_risk)
-        return mean[..., 0] if single else mean
-
     def centered(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The centered prefix pass that every centered quantity starts from.
 
@@ -392,7 +384,7 @@ class RiskSetTimeline:
 
     def centered_means(self, centered: tuple) -> np.ndarray:
         """At-risk means of the centered values, shape (K, M), from a
-        ``centered`` pass; the same arithmetic as ``means``."""
+        ``centered`` pass: their ``prefix_sums`` over ``at_risk``."""
         return self._leading_means(centered[2], self.at_risk)
 
     def _deviations(self, centered: tuple, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
@@ -545,6 +537,6 @@ def check_orthogonality(timeline: RiskSetTimeline, values: np.ndarray, phi: Step
     returned is the floating-point residual of that sum against the
     interval integrals of phi, not a hard-coded zero.
     """
-    v = np.asarray(values, dtype=float)
-    resid = timeline.prefix_sums(v) - timeline.at_risk * timeline.means(v)
+    sums = timeline.prefix_sums(values)
+    resid = sums - timeline.at_risk * (sums / timeline.at_risk)  # sum less count times mean
     return float(resid @ timeline.interval_integrals(phi))

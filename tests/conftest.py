@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from hazlasso import SurvivalDataset, WeightVector
+from hazlasso import SurvivalDataset
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -57,19 +57,6 @@ def random_dataset(rng, n=None, d=None, censor=0.3):
         status[0] = True
     return SurvivalDataset(
         times=times, status=status, covariates=rng.standard_normal((n, d))
-    )
-
-
-def flat_weights(values, n, x=1.0):
-    """WeightVector wrapper around a raw weight array (for solver tests)."""
-    w = np.asarray(values, dtype=float)
-    return WeightVector(
-        x=x,
-        n=n,
-        vhat=np.zeros_like(w),
-        half_range=np.ones_like(w),
-        w=w,
-        labels=[f"c{j + 1}" for j in range(len(w))],
     )
 
 

@@ -34,8 +34,9 @@ from hazlasso.simulate import (
     noise_terms,
     simulate,
 )
+from hazlasso.weights import weight_loglog
 
-from conftest import flat_weights, random_dataset
+from conftest import random_dataset
 from test_solver import grid_minimize
 
 pytestmark = pytest.mark.acceptance
@@ -94,7 +95,7 @@ def test_criterion_04_solver_matches_brute_force():
     for _ in range(30):
         ds = random_dataset(rng, d=int(rng.integers(1, 4)))
         system = build_gram(ds, linear_dictionary(ds))
-        weights = flat_weights(rng.uniform(0.02, 0.3, size=ds.d), ds.n)
+        weights = rng.uniform(0.02, 0.3, size=ds.d)
         result = fit(system, weights, tol=1e-10)
         assert result.converged
         assert result.kkt_max_violation <= 1e-8
@@ -103,7 +104,7 @@ def test_criterion_04_solver_matches_brute_force():
         val_fit = float(
             result.beta @ system.matrix @ result.beta
             - 2.0 * result.beta @ system.vector
-            + weights.w @ np.abs(result.beta)
+            + weights @ np.abs(result.beta)
         )
         np.testing.assert_allclose(result.beta, beta_grid, rtol=0, atol=1e-3)
         assert abs(val_fit - val_grid) <= 1e-6 * max(abs(val_grid), 1.0)
@@ -153,12 +154,13 @@ def test_criterion_09_constants():
     # the weights are the bound under these constants, at level x + log M
     truth = simulate(default_config())
     dic = linear_dictionary(truth.dataset)
-    weights = compute_weights(build_gram(truth.dataset, dic), x=2.0)
+    system = build_gram(truth.dataset, dic)
+    weights = compute_weights(system, x=2.0)
     level, n = 2.0 + math.log(dic.M), truth.dataset.n
-    ell, r = weights.loglog, weights.half_range
-    want = PAPER_NUMERIC.c1 * np.sqrt((level + ell) / n * weights.vhat)
+    ell, r = weight_loglog(system, x=2.0), system.half_range
+    want = PAPER_NUMERIC.c1 * np.sqrt((level + ell) / n * system.vhat)
     want += PAPER_NUMERIC.c2 * (level + 1.0 + ell) / n * r
-    np.testing.assert_allclose(weights.w, want, rtol=1e-14)
+    np.testing.assert_allclose(weights, want, rtol=1e-14)
     assert np.all(r > 0) and np.any(ell > 0)
 
 

@@ -128,7 +128,7 @@ def test_batch_equals_batches_of_one(config, reps):
         assert_close(system.vhat[r], system1.vhat)
         # max and min are exact, so replication r's half-range is bit for bit
         np.testing.assert_array_equal(system[r].half_range, system1.half_range)
-        assert_close(weights.w[r], weights1.w)
+        assert_close(weights[r], weights1)
         for batched, single in ((z, z1), (vhat, vhat1), (var, var1)):
             assert_close(batched[r], single)
 
@@ -145,7 +145,7 @@ def test_rare_events_config_has_empty_replications():
     system, weights, (z, vhat, var) = pipeline(truth)
     empty = events == 0
     assert np.all(system.vector[empty] == 0.0) and np.all(vhat[empty] == 0.0)
-    assert np.all(np.isfinite(weights.w)) and np.all(np.isfinite(z))
+    assert np.all(np.isfinite(weights)) and np.all(np.isfinite(z))
 
 
 def reports(config, reps):
@@ -313,7 +313,7 @@ def test_single_dataset_is_a_batch_of_one():
     assert one.dataset.times.shape == (9,) and one.h0.shape == (9,)
     assert isinstance(one.redraws, int) and isinstance(one.event_counts["events"], int)
     system, weights, (z, vhat, var) = pipeline(one)
-    assert system.matrix.shape == (2, 2) and weights.w.shape == (2,) and z.shape == (2,)
+    assert system.matrix.shape == (2, 2) and weights.shape == (2,) and z.shape == (2,)
 
 
 def test_batched_dataset_names_the_replication():

@@ -26,7 +26,6 @@ from hazlasso import (
     bound_empirical,
     build_timeline,
     classical_bound,
-    compute_weights,
     half_range,
     linear_dictionary,
     noise_process_terminal,
@@ -277,10 +276,9 @@ class TestNoiseProcessTerminal:
         truth = simulate(small_config(n=60))
         dic = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dic)
-        by_weights = compute_weights(system).vhat
         for j in range(dic.M):
             _, vhat, _ = noise_process_terminal(truth, dic.values[:, j], system.timeline)
-            np.testing.assert_allclose(vhat, by_weights[j], rtol=1e-12)
+            np.testing.assert_allclose(vhat, system.vhat[j], rtol=1e-12)
 
     def test_z_matches_noise_vector(self):
         for seed in range(3):

@@ -258,7 +258,7 @@ class TestInvariance:
         # transformations leave t unchanged, so one scale list serves both runs
         dictionary = linear_dictionary(ds)
         system = build_gram(ds, dictionary)
-        w = compute_weights(system, 1.0).w
+        w = compute_weights(system, 1.0)
         t = float(np.max(2.0 * np.abs(system.vector) / w))
         scales = [s for s in (1.0, 0.1, 0.03, 0.01) if s > t / 2] + [t / 2]
         scales = ",".join(repr(s) for s in scales)
@@ -715,6 +715,19 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "path --scales 1,0.5", "weights"])
+    def test_overflowing_covariates_are_refused_by_name(self, command, tmp_path, capsys):
+        # finite covariates whose squares overflow: refused where the
+        # dictionary is checked, by column, before numpy can warn (tier-1
+        # turns a RuntimeWarning into an error)
+        ds = random_dataset(np.random.default_rng(40), n=30, d=3)
+        data, out = tmp_path / "big.csv", tmp_path / "r.json"
+        write_dataset(SurvivalDataset(ds.times, ds.status, 1e160 * ds.covariates), data)
+        assert main(command.split() + ["--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dictionary values too large in column(s) x1, x2, x3" in err
+        assert not out.exists()
 
     def test_dict_row_mismatch(self, micro_csv, tmp_path, capsys):
         wrong = tmp_path / "dict.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hazlasso import DataValidationError, DictionaryMatrix, linear_dictionary, load_dictionary
-from hazlasso.bernstein import half_range
+from hazlasso.dictionary import MAX_HALF_RANGE, half_range
 from hazlasso.survival import SurvivalDataset
 
 
@@ -50,8 +50,8 @@ class TestDictionaryMatrix:
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "all +inf"])
     def test_non_finite_values_are_refused_without_a_runtime_warning(self, bad, batched):
-        # an all-+inf column has max - min = inf - inf: the check must come
-        # before the difference
+        # an all-+inf column has max - min = inf - inf, NaN: the half-range
+        # is non-finite in every case, and no RuntimeWarning is raised
         values = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 4.0]])
         if bad == "all +inf":
             values[:, 1] = np.inf
@@ -71,6 +71,28 @@ class TestDictionaryMatrix:
         dic = DictionaryMatrix(values=values, labels=[f"h{j}" for j in range(shape[-1])])
         np.testing.assert_array_equal(dic.half_range, half_range(values))
         assert dic.half_range.shape == shape[:-2] + shape[-1:]
+        # halved before the difference, the same bits as (max - min) / 2
+        spread = np.maximum.reduce(values, axis=-2) - np.minimum.reduce(values, axis=-2)
+        np.testing.assert_array_equal(dic.half_range, 0.5 * spread)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_overflowing_columns_are_refused_by_name(self, batched):
+        # finite values whose squares overflow in H, vhat and the weights,
+        # and a column whose max - min itself exceeds the largest float
+        values = np.array([[1.0, 2e160, 1e308], [3.0, -1e160, -1e308], [0.5, 4e160, 0.0]])
+        if batched:
+            values = np.stack([np.ones((3, 3)) + np.eye(3), values])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataValidationError, match=r"too large in column\(s\) b, c:"):
+                DictionaryMatrix(values=values, labels=["a", "b", "c"])
+
+    def test_half_range_limit_is_inclusive(self):
+        values = np.array([[-1.0, MAX_HALF_RANGE], [1.0, -MAX_HALF_RANGE]])
+        dic = DictionaryMatrix(values=values, labels=["a", "b"])
+        assert dic.half_range[1] == MAX_HALF_RANGE
+        with pytest.raises(DataValidationError, match="too large in column\\(s\\) b:"):
+            DictionaryMatrix(values=np.nextafter(values, 2 * values), labels=["a", "b"])
 
     def test_values_are_a_read_only_view(self):
         values = np.array([[1.0, 2.0], [3.0, -1.0]])

@@ -54,7 +54,6 @@ class TestBuildGram:
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
         np.testing.assert_allclose(system.matrix, [[MICRO_H]], rtol=0, atol=1e-15)
         np.testing.assert_allclose(system.vector, [MICRO_HN], rtol=0, atol=1e-15)
-        assert system.labels == ["x1"]
         assert system.n == 2 and system.M == 1
 
     def test_single_record_is_degenerate(self):
@@ -130,8 +129,7 @@ class TestBuildGram:
         np.testing.assert_allclose(a.matrix, b.matrix, rtol=0, atol=1e-13)
         np.testing.assert_allclose(a.vector, b.vector, rtol=0, atol=1e-13)
         weights = compute_weights(a)
-        shuffled_w = compute_weights(b).w
-        np.testing.assert_allclose(shuffled_w, weights.w, rtol=1e-13)
+        np.testing.assert_allclose(compute_weights(b), weights, rtol=1e-13)
         # risk-set centering also ignores a constant shift of every covariate,
         # and raw-scale columns must not lose accuracy to it; neither may the
         # weights, whose variance and half-range terms ignore the shift too
@@ -143,7 +141,7 @@ class TestBuildGram:
             c = build_gram(moved, dic)
             moved_w = compute_weights(c)
             pairs = [(c.matrix, a.matrix), (c.vector, a.vector)]
-            pairs += [(moved_w.vhat, weights.vhat), (moved_w.w, weights.w)]
+            pairs += [(c.vhat, a.vhat), (moved_w, weights)]
             for got, want in pairs:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
@@ -300,12 +298,14 @@ class TestDumpGram:
         ds = random_dataset(rng, n=20, d=3)
         system = build_gram(ds, linear_dictionary(ds))
         path = tmp_path / "gram.csv"
-        dump_gram(system, path)
+        dump_gram(system, ds.labels, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["label"] + system.labels + ["hn"]
-        assert [r[0] for r in rows[1:]] == system.labels
+        assert rows[0] == ["label"] + ds.labels + ["hn"]
+        assert [r[0] for r in rows[1:]] == ds.labels
         matrix = np.array([[float(c) for c in r[1:-1]] for r in rows[1:]])
         vector = np.array([float(r[-1]) for r in rows[1:]])
         np.testing.assert_array_equal(matrix, system.matrix)
         np.testing.assert_array_equal(vector, system.vector)
+        with pytest.raises(ValueError, match="3 labels required, got 2"):
+            dump_gram(system, ds.labels[:2], path)

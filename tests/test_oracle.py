@@ -40,8 +40,6 @@ from hazlasso.gram import empirical_norm_sq_fn
 from hazlasso.simulate import GaussianCovariates, SimulationConfig, UniformCensoring, simulate
 from hazlasso.survival import SurvivalDataset
 
-from conftest import flat_weights
-
 
 def oracle_config(**overrides):
     base = dict(
@@ -61,12 +59,7 @@ def synthetic_system(matrix, template):
     """GramSystem with a prescribed matrix; only (matrix, M) feed the search."""
     matrix = np.asarray(matrix, dtype=float)
     M = matrix.shape[0]
-    return dataclasses.replace(
-        template,
-        matrix=matrix,
-        vector=np.zeros(M),
-        labels=[f"c{j}" for j in range(M)],
-    )
+    return dataclasses.replace(template, matrix=matrix, vector=np.zeros(M))
 
 
 @pytest.fixture
@@ -85,7 +78,7 @@ class TestChecks:
         truth = simulate(oracle_config())
         dictionary = linear_dictionary(truth.dataset)
         system = build_gram(truth.dataset, dictionary)
-        weights = flat_weights([0.1] * 4, 60)
+        weights = np.array([0.1] * 4)
         f1 = fit(system, weights, kappa=1.0)
         with pytest.raises(ValueError, match="kappa=2"):
             fast_oracle_check(truth, dictionary, f1, 1.0, system, weights)
@@ -98,7 +91,7 @@ class TestChecks:
     def test_refuses_real_data(self, micro_dataset):
         dictionary = linear_dictionary(micro_dataset)
         system = build_gram(micro_dataset, dictionary)
-        weights = flat_weights([0.1], 2)
+        weights = np.array([0.1])
         f = fit(system, weights)
         with pytest.raises(DataValidationError, match="simulated"):
             slow_oracle_check(micro_dataset, dictionary, f, system, weights)
@@ -124,7 +117,7 @@ class TestChecks:
         assert lhs >= 0.0
         # h0 is exactly linear here, so the rhs is twice the reference penalty
         np.testing.assert_allclose(
-            rhs, 2.0 * np.abs(truth.beta0) @ weights.w, rtol=0, atol=1e-12
+            rhs, 2.0 * np.abs(truth.beta0) @ weights, rtol=0, atol=1e-12
         )
         assert isinstance(holds, bool)
 
@@ -168,7 +161,7 @@ class TestChecks:
 class TestMu3Search:
     def test_identity_gram_is_exactly_one(self, micro_system):
         system = synthetic_system(np.eye(3), micro_system)
-        weights = flat_weights([0.2, 0.2, 0.2], 2)
+        weights = np.array([0.2, 0.2, 0.2])
         found = mu3_search(system, weights, np.array([1.0, 0.0, 0.0]), budget=64)
         assert isinstance(found, ConeSearchResult)
         assert found.mu3_lower == 1.0  # e_1 witnesses it; nothing beats it
@@ -176,13 +169,13 @@ class TestMu3Search:
 
     def test_single_column_closed_form(self, micro_system):
         # M = 1: mu3 = 1/sqrt(H) for every cone vector
-        weights = flat_weights([0.2], 2)
+        weights = np.array([0.2])
         found = mu3_search(micro_system, weights, np.array([1.0]), budget=8)
         np.testing.assert_allclose(found.mu3_lower, 1.0 / math.sqrt(0.125), rtol=1e-15)
 
     def test_rank_deficient_support_is_infinite(self, micro_system):
         system = synthetic_system(np.diag([1.0, 0.0]), micro_system)
-        weights = flat_weights([0.2, 0.2], 2)
+        weights = np.array([0.2, 0.2])
         found = mu3_search(system, weights, np.array([0.0, 1.0]), budget=8)
         assert found.mu3_lower == math.inf
 
@@ -190,7 +183,7 @@ class TestMu3Search:
         rng = np.random.default_rng(14)
         A = rng.normal(size=(6, 4))
         system = synthetic_system(A.T @ A / 6.0, micro_system)
-        weights = flat_weights(rng.uniform(0.05, 0.3, size=4), 2)
+        weights = rng.uniform(0.05, 0.3, size=4)
         ref = np.array([1.0, -2.0, 0.0, 0.0])
         values = [
             mu3_search(system, weights, ref, budget=b, seed=3).mu3_lower
@@ -211,7 +204,7 @@ class TestMu3Search:
         support = np.flatnonzero(ref)
         off = np.flatnonzero(ref == 0.0)
         budget, seed = 100, 9
-        found = mu3_search(system, flat_weights(w, 2), ref, budget=budget, seed=seed)
+        found = mu3_search(system, w, ref, budget=budget, seed=seed)
         assert found.candidates == support.size + budget
         best = max(cone_ratio(H, support, np.eye(6)[j]) for j in support)
         draws = np.random.default_rng([seed])
@@ -226,7 +219,7 @@ class TestMu3Search:
         np.testing.assert_allclose(found.mu3_lower, best, rtol=1e-12)
 
     def test_validation(self, micro_system):
-        weights = flat_weights([0.2], 2)
+        weights = np.array([0.2])
         with pytest.raises(ValueError, match="support"):
             mu3_search(micro_system, weights, np.zeros(1))
         with pytest.raises(ValueError, match="budget"):
@@ -280,9 +273,8 @@ class TestMu3Bracket:
     def test_bracket_holds_against_cone_points(self, case, micro_system):
         H, w, ref, seed = case
         system = synthetic_system(H, micro_system)
-        weights = flat_weights(w, 2)
         support = np.flatnonzero(ref)
-        found = mu3_bracket(system, weights, ref, budget=64, seed=seed)
+        found = mu3_bracket(system, w, ref, budget=64, seed=seed)
         assert found.mu3_lower <= found.mu3_upper
         assert math.isfinite(found.mu3_upper)  # the ridge keeps H regular
         rng = np.random.default_rng(seed)
@@ -307,7 +299,7 @@ class TestMu3Bracket:
         np.testing.assert_allclose(
             found.mu3_upper, cone_ratio(H, support, b_star), rtol=self.ROUNDING
         )
-        searched = mu3_search(system, weights, ref, budget=64, seed=seed)
+        searched = mu3_search(system, w, ref, budget=64, seed=seed)
         assert found.mu3_lower >= searched.mu3_lower * (1.0 - self.ROUNDING)
 
     def test_maximiser_outside_the_cone_is_bracketed(self, micro_system):
@@ -319,7 +311,7 @@ class TestMu3Bracket:
         H = np.eye(13)
         H[0, 1] = H[1, 0] = rho
         system = synthetic_system(H, micro_system)
-        weights = flat_weights([0.1] + [1.0] * 12, 2)
+        weights = np.array([0.1] + [1.0] * 12)
         found = mu3_bracket(system, weights, np.eye(13)[0], budget=64, seed=4)
         assert found.method != "closed-form"
         assert found.label == "indicative"
@@ -336,7 +328,7 @@ class TestMu3Bracket:
         H = np.eye(13)
         H[:2, :2] = 1.0
         system = synthetic_system(H, micro_system)
-        found = mu3_bracket(system, flat_weights([1.0, 0.2] + [1.0] * 11, 2), np.eye(13)[0])
+        found = mu3_bracket(system, np.array([1.0, 0.2] + [1.0] * 11), np.eye(13)[0])
         assert found.mu3_lower == found.mu3_upper == math.inf
         assert found.method == "null-direction" and found.label == "exact"
 
@@ -344,7 +336,7 @@ class TestMu3Bracket:
         # the same null space, but the off-support weight 1 puts u outside
         # the cone |b_1| <= 0.3 |b_0|, where mu3 = 1 / 0.7
         system = synthetic_system([[1.0, 1.0], [1.0, 1.0]], micro_system)
-        found = mu3_bracket(system, flat_weights([0.1, 1.0], 2), np.array([1.0, 0.0]))
+        found = mu3_bracket(system, np.array([0.1, 1.0]), np.array([1.0, 0.0]))
         assert found.mu3_upper == math.inf
         assert 0.0 < found.mu3_lower <= 1.0 / 0.7 + 1e-12
         assert found.label != "exact"

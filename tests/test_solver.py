@@ -36,7 +36,7 @@ from hazlasso.solver import _fresh_factor as fresh_factor
 from hazlasso.solver import _RCOND, CONSTRAINTS, kkt_violations
 from hazlasso.solver import _gram_product
 
-from conftest import flat_weights, random_dataset
+from conftest import random_dataset
 from exact_lasso import exact_lasso
 
 MICRO_SOFT_THRESHOLD = -1.6  # ST(-0.25, 0.05) / 0.125 on the micro instance
@@ -44,7 +44,7 @@ MICRO_SOFT_THRESHOLD = -1.6  # ST(-0.25, 0.05) / 0.125 on the micro instance
 
 def grid_minimize(system, weights, kappa, constraint, rounds=6, points=21):
     """Brute-force minimizer over a shrinking lattice (M <= 3 only)."""
-    H, hn, w = system.matrix, system.vector, weights.w
+    H, hn, w = system.matrix, system.vector, weights
     M = len(hn)
     assert M <= 3
     unpen = np.linalg.lstsq(H, hn, rcond=None)[0]
@@ -130,7 +130,7 @@ def assert_chained_cold_fits(system, weights, path, **options):
 class TestClosedForms:
     def test_micro_soft_threshold(self, micro_dataset):
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        f = fit(system, flat_weights([0.1], micro_dataset.n), tol=1e-12)
+        f = fit(system, np.array([0.1]), tol=1e-12)
         assert f.converged
         np.testing.assert_allclose(f.beta, [MICRO_SOFT_THRESHOLD], rtol=1e-12)
         assert f.kkt_max_violation <= 1e-12
@@ -138,20 +138,20 @@ class TestClosedForms:
     def test_micro_unpenalized_limit(self, micro_dataset):
         # weights ~ 0 recover the least-squares solution hn / H = -2
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        f = fit(system, flat_weights([1e-14], micro_dataset.n), tol=1e-12)
+        f = fit(system, np.array([1e-14]), tol=1e-12)
         np.testing.assert_allclose(f.beta, [-2.0], rtol=1e-10)
 
     def test_micro_nonnegative_pins_at_zero(self, micro_dataset):
         # the unconstrained minimizer is negative, so the cone solution is 0
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        f = fit(system, flat_weights([0.1], micro_dataset.n), constraint="nonnegative")
+        f = fit(system, np.array([0.1]), constraint="nonnegative")
         assert f.converged
         np.testing.assert_array_equal(f.beta, [0.0])
 
     def test_total_shrinkage(self, micro_dataset):
         # w >= |2 hn| / kappa makes 0 stationary
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        f = fit(system, flat_weights([0.6], micro_dataset.n))
+        f = fit(system, np.array([0.6]))
         assert f.converged
         np.testing.assert_array_equal(f.beta, [0.0])
 
@@ -163,12 +163,12 @@ class TestAgainstGridOracle:
         for _ in range(30):
             ds = random_dataset(rng, d=int(rng.integers(1, 4)))
             system = build_gram(ds, linear_dictionary(ds))
-            weights = flat_weights(rng.uniform(0.02, 0.3, size=ds.d), ds.n)
+            weights = rng.uniform(0.02, 0.3, size=ds.d)
             kappa = float(rng.choice([1.0, 2.0]))
             f = fit(system, weights, kappa=kappa, constraint=constraint, tol=1e-10)
             assert f.converged
             beta_grid, val_grid = grid_minimize(system, weights, kappa, constraint)
-            val_fit = objective(system, f.beta, weights=weights.w, kappa=kappa)
+            val_fit = objective(system, f.beta, weights=weights, kappa=kappa)
             scale = max(abs(val_grid), 1.0)
             assert val_fit <= val_grid + 1e-9 * scale  # never worse than the lattice
             assert abs(val_fit - val_grid) <= 1e-6 * scale
@@ -181,7 +181,7 @@ class TestCertificates:
         for _ in range(10):
             ds = random_dataset(rng)
             system = build_gram(ds, linear_dictionary(ds))
-            weights = flat_weights(rng.uniform(0.01, 0.2, size=ds.d), ds.n)
+            weights = rng.uniform(0.01, 0.2, size=ds.d)
             f = fit(system, weights)
             assert np.all(np.diff(f.objective_trace) <= 1e-12)
 
@@ -193,7 +193,7 @@ class TestCertificates:
         for tol in (1e-6, 1e-10):
             ds = random_dataset(rng, n=30, d=4)
             system = build_gram(ds, linear_dictionary(ds))
-            weights = flat_weights(rng.uniform(0.01, 0.2, size=ds.d), ds.n)
+            weights = rng.uniform(0.01, 0.2, size=ds.d)
             problems.append((system, weights, tol, [4.0, 1.0, 0.25, 0.05]))
         problems.append((*correlated_problem, 1e-10, CORRELATED_GRID))
         for system, weights, tol, grid in problems:
@@ -213,7 +213,7 @@ class TestCertificates:
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, n=30, d=3)
         system = build_gram(ds, linear_dictionary(ds))
-        weights = flat_weights([0.05, 0.05, 0.05], ds.n)
+        weights = np.array([0.05, 0.05, 0.05])
         f = fit(system, weights, tol=1e-10)
         bumped = f.beta.copy()
         bumped[0] += 0.1
@@ -222,7 +222,7 @@ class TestCertificates:
     def test_zero_weights_violation_is_gradient_norm(self, micro_dataset):
         # at beta = 0 with no penalty the KKT residual is |2 hn| exactly
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        weights = flat_weights([0.0], micro_dataset.n)
+        weights = np.array([0.0])
         viol = kkt_violations(system, weights, np.zeros(1))
         np.testing.assert_allclose(viol, np.abs(2.0 * system.vector), rtol=1e-15)
 
@@ -238,7 +238,7 @@ class TestCertificates:
                 labels=["live", "dead"],
             )
         system = build_gram(micro_dataset, dic)
-        f = fit(system, flat_weights([0.1, 0.0], micro_dataset.n))
+        f = fit(system, np.array([0.1, 0.0]))
         assert f.converged
         np.testing.assert_array_equal(f.pinned, [1])
         assert f.beta[1] == 0.0
@@ -261,7 +261,7 @@ class TestCertificates:
 
     def test_validation(self, micro_dataset):
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        weights = flat_weights([0.1], micro_dataset.n)
+        weights = np.array([0.1])
         with pytest.raises(ValueError, match="kappa"):
             fit(system, weights, kappa=0.0)
         with pytest.raises(ValueError, match="tol"):
@@ -279,7 +279,7 @@ class TestCertificates:
         for start in (np.zeros(3), np.zeros((50, 1)), np.full(50, np.nan), np.full(50, np.inf)):
             with pytest.raises(ValueError, match="start must be 50 finite values"):
                 fit(system, weights, start=start)
-        short = flat_weights(np.ones(10), ds.n)
+        short = np.ones(10)
         message = "weights must be finite, 50 of them, got shape \\(10,\\)"
         with pytest.raises(ValueError, match=message):
             fit(system, short)
@@ -293,13 +293,13 @@ class TestCertificates:
         # a NaN that still reaches the residual (here through hn) ends the
         # fit unconverged
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        weights = flat_weights([0.1], micro_dataset.n)
+        weights = np.array([0.1])
         for bad in (np.nan, np.inf):
             for name in ("kappa", "tol", "weight_scale"):
                 with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                     fit(system, weights, **{name: bad})
             with pytest.raises(ValueError, match="weights must be finite"):
-                fit(system, flat_weights([bad], micro_dataset.n))
+                fit(system, np.array([bad]))
             with pytest.raises(ValueError, match=f"got \\[1.0, {bad}, 0.5\\]"):
                 fit_path(system, weights, [1.0, bad, 0.5])
         f = fit(replace(system, vector=np.array([np.nan])), weights)
@@ -310,7 +310,7 @@ class TestCertificates:
 class TestFitPath:
     def test_grid_validation(self, micro_dataset):
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        weights = flat_weights([0.1], micro_dataset.n)
+        weights = np.array([0.1])
         with pytest.raises(ValueError, match="positive"):
             fit_path(system, weights, [])
         with pytest.raises(ValueError, match="positive"):
@@ -322,7 +322,7 @@ class TestFitPath:
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n=40, d=3)
         system = build_gram(ds, linear_dictionary(ds))
-        weights = flat_weights(rng.uniform(0.05, 0.2, size=3), ds.n)
+        weights = rng.uniform(0.05, 0.2, size=3)
         fits = fit_path(system, weights, [1e4, 1.0, 1e-8], tol=1e-10)
         assert [f.weight_scale for f in fits] == [1e4, 1.0, 1e-8]
         np.testing.assert_array_equal(fits[0].beta, 0.0)  # huge scale kills everything
@@ -335,7 +335,7 @@ class TestFitPath:
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, n=30, d=4)
         system = build_gram(ds, linear_dictionary(ds))
-        weights = flat_weights(rng.uniform(0.05, 0.2, size=4), ds.n)
+        weights = rng.uniform(0.05, 0.2, size=4)
         grid = [4.0, 2.0, 1.0, 0.5]
         warm = fit_path(system, weights, grid, tol=1e-10)
         for scale, f in zip(grid, warm):
@@ -359,14 +359,14 @@ def assert_factors(factor, unit, order):
 def gram_system(H, hn):
     """A Gram system of H and hn alone, all the solver reads."""
     m = len(hn)
-    return GramSystem(H, hn, None, [f"c{j}" for j in range(m)], np.ones(m), np.ones(m))
+    return GramSystem(H, hn, None, np.ones(m), np.ones(m))
 
 
 def block_on(unit, order):
     """An active block of the Gram matrix `unit` on the coordinates `order`
     (index order), with a fresh factor."""
     m = len(unit)
-    block = solver._ActiveBlock(gram_system(unit, np.zeros(m)), flat_weights(np.ones(m), 1))
+    block = solver._ActiveBlock(gram_system(unit, np.zeros(m)), np.ones(m))
     beta = np.zeros(m)
     beta[order] = 1.0
     np.testing.assert_array_equal(block.start(beta), _gram_product(unit, beta))
@@ -510,7 +510,7 @@ def small_lassos(draw):
     common = draw(st.floats(0.0, 2.0)) * rng.standard_normal((m + 3, 1))
     a = rng.standard_normal((m + 3, m)) + common
     H = a.T @ a / (m + 3) + draw(st.sampled_from([1e-4, 1e-2, 1.0])) * np.eye(m)
-    weights = flat_weights(rng.uniform(0.0, 1.0, m), 1)
+    weights = rng.uniform(0.0, 1.0, m)
     return gram_system(H, rng.standard_normal(m)), weights, draw(st.sampled_from([1.0, 2.0]))
 
 
@@ -523,7 +523,7 @@ class TestExactReference:
         stated multiple of eps * cond(H) of the minimiser found by sign
         enumeration in rational arithmetic."""
         system, weights, kappa = case
-        H, hn, w = system.matrix, system.vector, weights.w
+        H, hn, w = system.matrix, system.vector, weights
         grid = [2.0, 0.5, 0.1, 0.01]
         options = dict(kappa=kappa, constraint=constraint, tol=1e-12)
         path = fit_path(system, weights, grid, **options)
@@ -545,7 +545,7 @@ class TestKernels:
 
 
 def _fit_objective(system, weights, f):
-    return objective(system, f.beta, weights=f.weight_scale * weights.w, kappa=f.kappa)
+    return objective(system, f.beta, weights=f.weight_scale * weights, kappa=f.kappa)
 
 
 class TestCorrelatedDesign:
@@ -563,7 +563,7 @@ class TestCorrelatedDesign:
             np.testing.assert_allclose(f.beta, cold.beta, rtol=0, atol=1e-8)
         # the small scales reach a large active set
         assert len(path[-1].active_set) > (20 if constraint == "unconstrained" else 3)
-        penalties = np.outer(weights.w, CORRELATED_GRID)
+        penalties = np.outer(weights, CORRELATED_GRID)
         reference = ista(system, penalties, constraint)
         np.testing.assert_allclose(np.array([f.beta for f in path]).T, reference, rtol=0, atol=1e-7)
 
@@ -627,7 +627,7 @@ class TestCorrelatedDesign:
         path = fit_path(system, weights, CORRELATED_GRID, constraint=constraint, tol=1e-10)
         assert path[-1].weight_scale == 0.01
         np.testing.assert_allclose(f.beta, path[-1].beta, rtol=0, atol=1e-8)
-        reference = ista(system, 0.01 * weights.w[:, None], constraint)[:, 0]
+        reference = ista(system, 0.01 * weights[:, None], constraint)[:, 0]
         np.testing.assert_allclose(f.beta, reference, rtol=0, atol=1e-7)
 
 
@@ -663,15 +663,11 @@ class TestRankDeficient:
             reduced = DictionaryMatrix(values=np.delete(values, d, axis=1), labels=dic.labels[:d] + ["const"])
         system = build_gram(ds, dic)
         weights = compute_weights(system)
-        assert weights.w[d] == weights.w[twin]
-        assert weights.w[-1] == 0.0  # a constant column has half-range 0 at any level
+        assert weights[d] == weights[twin]
+        assert weights[-1] == 0.0  # a constant column has half-range 0 at any level
         # the reduced problem keeps the full problem's weights (they depend on M)
         kept = [j for j in range(d + 2) if j != d]
-        reduced_weights = replace(
-            weights,
-            **{name: getattr(weights, name)[kept] for name in ("vhat", "half_range", "w")},
-            labels=reduced.labels,
-        )
+        reduced_weights = weights[kept]
         objectives = []
         for system, weights in ((system, weights), (build_gram(ds, reduced), reduced_weights)):
             single = [fit(system, weights, constraint=constraint, weight_scale=s) for s in SCALES]
@@ -709,8 +705,7 @@ class TestRankDeficient:
             X = ds.covariates
             values = np.column_stack([X, X.sum(axis=1)])
             system = build_gram(ds, DictionaryMatrix(values=values, labels=["a", "b", "a+b"]))
-            w = case_rng.uniform(0.01, 0.1, size=3)
-            weights = flat_weights(w, ds.n)
+            weights = case_rng.uniform(0.01, 0.1, size=3)
             start = np.abs(case_rng.normal(size=3))  # all three active: a singular block
             singular_steps.clear()
             fits = fit_path(system, weights, SCALES, constraint=constraint, tol=1e-12)
@@ -723,8 +718,8 @@ class TestRankDeficient:
             ]
             for f in fits:
                 assert f.converged and f.kkt_max_violation <= 1e-12
-                reference = ista(system, (f.weight_scale * w)[:, None], constraint)[:, 0]
-                ref_value = objective(system, reference, weights=f.weight_scale * w)
+                reference = ista(system, (f.weight_scale * weights)[:, None], constraint)[:, 0]
+                ref_value = objective(system, reference, weights=f.weight_scale * weights)
                 value = _fit_objective(system, weights, f)
                 assert value <= ref_value + 1e-10 * max(abs(ref_value), 1.0)
 
@@ -737,7 +732,7 @@ class TestPenaltyStrength:
         for _ in range(20):
             ds = random_dataset(rng, n=40, d=4)
             system = build_gram(ds, linear_dictionary(ds))
-            weights = flat_weights(rng.uniform(0.02, 0.1, size=4), ds.n)
+            weights = rng.uniform(0.02, 0.1, size=4)
             for kappa in (1.0, 2.0):
                 f = fit(system, weights, kappa=kappa)
                 sizes[kappa].append(np.abs(f.beta).sum())
@@ -745,7 +740,7 @@ class TestPenaltyStrength:
 
     def test_fit_result_fields(self, micro_dataset):
         system = build_gram(micro_dataset, linear_dictionary(micro_dataset))
-        f = fit(system, flat_weights([0.1], micro_dataset.n))
+        f = fit(system, np.array([0.1]))
         assert isinstance(f, LassoFit)
         assert f.kappa == 1.0 and f.constraint == "unconstrained"
         np.testing.assert_array_equal(f.active_set, [0])

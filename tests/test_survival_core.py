@@ -358,7 +358,7 @@ class TestTimeline:
 
     def test_risk_set_mean_micro(self, micro_dataset):
         tl = build_timeline(micro_dataset)
-        mean = StepFunction(tl.breakpoints, tl.means(np.array([0.0, 1.0])))
+        mean = StepFunction(tl.breakpoints, tl.prefix_sums(np.array([0.0, 1.0])) / tl.at_risk)
         assert mean(0.25) == pytest.approx(0.5)
         assert mean(0.75) == pytest.approx(1.0)
 
