@@ -65,7 +65,7 @@ class TestDictionaryMatrix:
                 DictionaryMatrix(values=values, labels=["a", "b"])
 
     @pytest.mark.parametrize("shape", [(7, 3), (4, 7, 3), (2, 5)])
-    def test_half_range_is_bernsteins_bit_for_bit(self, shape):
+    def test_half_range_is_the_formula_bit_for_bit(self, shape):
         scales = np.geomspace(1e-3, 1e6, shape[-1])
         values = np.random.default_rng(3).standard_normal(shape) * scales + 10.0
         dic = DictionaryMatrix(values=values, labels=[f"h{j}" for j in range(shape[-1])])
