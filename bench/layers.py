@@ -27,7 +27,10 @@ tracing slows none of them. The Monte Carlo entries time ``run_mc`` and
 both modes of ``run_oracle_mc`` at the default config, serially, in this
 process, and count the minor page faults the process takes over the timed
 runs, per replication (``minor_faults_per_rep``): a harness whose chunks
-get their memory back from malloc takes almost none.
+get their memory back from malloc takes almost none. Each also records
+the ``chunk_length`` it ran with, from the harnesses' one rule, and the
+``peak_traced_mb`` of one more call, made after the timed runs as for the
+fit layers: the memory a longer chunk trades for its speed.
 
 Every fit layer is timed before any Monte Carlo entry runs. A harness
 raises glibc's mmap and trim thresholds for the rest of its process, which
@@ -77,11 +80,12 @@ from time import perf_counter  # noqa: E402
 import numpy as np  # noqa: E402
 
 from hazlasso import cli  # noqa: E402
+from hazlasso._chunks import chunk_length  # noqa: E402
 from hazlasso.bernstein import run_mc  # noqa: E402
 from hazlasso.dictionary import linear_dictionary  # noqa: E402
 from hazlasso.gram import build_gram  # noqa: E402
 from hazlasso.oracle import run_oracle_mc  # noqa: E402
-from hazlasso.simulate import default_config, simulate  # noqa: E402
+from hazlasso.simulate import default_config, drawn_columns, simulate  # noqa: E402
 from hazlasso.solver import fit_path  # noqa: E402
 from hazlasso.survival import build_timeline, load_dataset, write_dataset  # noqa: E402
 from hazlasso.weights import compute_weights  # noqa: E402
@@ -223,13 +227,25 @@ def layer_entry(n: int, d: int, runs: int, units: list) -> dict:
     }
 
 
+def traced_peak(call) -> float:
+    """Peak traced memory, in MB, of one ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def mc_entry(name: str, reps: int, runs: int, units: list) -> dict:
     config = default_config()
     if name == "run_mc":
         call = partial(run_mc, config, 0, (4.0, 5.0, 6.0), reps)
+        length = chunk_length(config.n, drawn_columns(config, 1))  # column 0
     else:
         identity = name.endswith("identity_gram")
         call = partial(run_oracle_mc, config, replications=reps, identity_gram=identity)
+        length = chunk_length(config.n, config.d)
     call()  # warm-up
     times = []
     faults = _minor_faults()
@@ -244,9 +260,11 @@ def mc_entry(name: str, reps: int, runs: int, units: list) -> dict:
         "harness": name,
         "replications": reps,
         "runs": runs,
+        "chunk_length": length,
         "median_s": median,
         "reps_per_s": reps / median,
         "minor_faults_per_rep": faults / (runs * reps),
+        "peak_traced_mb": traced_peak(call),
     }
 
 
@@ -308,8 +326,11 @@ def main(argv=None) -> int:
             print(f"  {name}: {faults:.4g} minor faults per call, traced peak {peak:.3g} MB")
     for entry in report["monte_carlo"]:
         rate, reps = entry["reps_per_s"], entry["replications"]
-        faults = entry["minor_faults_per_rep"]
-        print(f"{entry['harness']}: {rate:.0f} reps/s ({reps} reps), {faults:.3g} minor faults per rep")
+        faults, peak = entry["minor_faults_per_rep"], entry["peak_traced_mb"]
+        print(
+            f"{entry['harness']}: {rate:.0f} reps/s ({reps} reps, chunks of "
+            f"{entry['chunk_length']}), {faults:.3g} minor faults per rep, traced peak {peak:.3g} MB"
+        )
     return 0
 
 

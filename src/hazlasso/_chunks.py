@@ -1,10 +1,15 @@
 """Replication chunks for the Monte Carlo drivers.
 
 The drivers cut their replications into chunks that go through the
-batched pipeline as one array computation each: the oracle harness in
-chunks of ``CHUNK``, the Bernstein harness in chunks its
-``chunk_length(config)`` sets. Each replication draws from its own
-generator, so a report does not depend on the chunking.
+batched pipeline as one array computation each. Both take the chunk
+length from one rule, ``chunk_length(n, width)``: as many replications
+as fit one (R, n, width) float array in ``CHUNK_BYTES``, clipped to
+[``CHUNK``, ``MAX_CHUNK``]. The Bernstein harness passes the covariate
+columns a chunk draws, the oracle harness the dictionary width d; at the
+200 x 50 default config that is 256 replications a Bernstein chunk and
+32 an oracle chunk, so a round of 200 and 15 replications is one chunk
+each. Each replication draws from its own generator, so a report does
+not depend on the chunking.
 
 Every chunk allocates and frees arrays of the same few sizes. glibc's
 malloc takes blocks above its mmap threshold straight from the kernel and
@@ -24,14 +29,17 @@ from __future__ import annotations
 
 import functools
 
-# Replications per oracle chunk, and the fewest per Bernstein chunk. At the
-# 200 x 50 default config one (R, n, d) batch array is 0.64 MB at 8, and an
-# oracle chunk with the whitened design holds about six of them at its
-# peak, so its live arrays stay near 4 MB, all of it below the mmap
-# threshold that _keep_chunk_memory sets and so kept by malloc from one
-# chunk to the next, while the per-call overhead is spread over 8
-# replications.
+# The bytes of one (R, n, width) float array a chunk may fill, and the
+# fewest and most replications of a chunk. An oracle chunk with the
+# whitened design holds about six such arrays at its peak, so its live
+# arrays stay near 15 MB, below the mmap threshold that _keep_chunk_memory
+# sets and so kept by malloc from one chunk to the next. A Bernstein chunk
+# holds a few far narrower ones, so MAX_CHUNK ends it first: 256
+# replications, which spreads the fixed cost of a chunk over a whole
+# default round.
+CHUNK_BYTES = 5 << 19  # 2.5 MiB
 CHUNK = 8
+MAX_CHUNK = 256
 
 # glibc mallopt parameters (malloc.h) and the values set: blocks up to
 # 32 MiB (the largest mmap threshold glibc accepts on 64-bit) come from the
@@ -62,3 +70,10 @@ def _keep_chunk_memory() -> bool:
 def chunks(count: int, size: int) -> list[range]:
     """Replication indices 0..count-1 cut into runs of at most ``size``."""
     return [range(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def chunk_length(n: int, width: int) -> int:
+    """Replications per chunk for n records and ``width`` columns: as many
+    as fit one (R, n, width) float array in ``CHUNK_BYTES``, clipped to
+    [``CHUNK``, ``MAX_CHUNK``]."""
+    return min(max(CHUNK_BYTES // (8 * n * width), CHUNK), MAX_CHUNK)

@@ -27,9 +27,10 @@ along the leading replication axis; a single dataset
 replication reads only the audited column, h0 = X beta0 and the times and
 status, so a chunk draws only the m leading covariate columns these need
 (``simulate.drawn_columns``: 3 for column 0 of the 200 x 50 default). A
-chunk holds only a few (R, n, m) arrays, so ``chunk_length`` makes it as
-long as one such array in 2.5 MiB allows, from 8 up to 32 replications,
-which spreads the per-chunk overhead further.
+chunk is as long as ``_chunks.chunk_length`` makes it for n and those m
+columns, the rule the oracle harness follows too: as many replications
+as fit one (R, n, m) array in 2.5 MiB, from 8 up to 256, so 256 for
+column 0 of the default.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._chunks import CHUNK, _keep_chunk_memory, chunks
+from ._chunks import _keep_chunk_memory, chunk_length, chunks
 from .dictionary import half_range
 from .errors import ConfigError
 from .simulate import (
@@ -237,22 +238,6 @@ def noise_process_terminal(
     return float(z), float(vhat), float(var)
 
 
-# A Bernstein chunk holds far fewer (R, n, m) arrays than an oracle chunk
-# holds (R, n, d) ones, so it takes as many replications as fit one such
-# array in CHUNK_BYTES, up to MAX_CHUNK: 32 at the default config, and
-# CHUNK once n * m passes about 36,000.
-CHUNK_BYTES = 5 << 19  # 2.5 MiB
-MAX_CHUNK = 32
-
-
-def chunk_length(config: SimulationConfig, column: int) -> int:
-    """Replications per ``run_mc`` chunk auditing ``column``: as many as
-    fit one (R, n, m) float array in ``CHUNK_BYTES``, m the covariate
-    columns a chunk draws, clipped to [CHUNK, MAX_CHUNK]."""
-    width = drawn_columns(config, column + 1)
-    return min(max(CHUNK_BYTES // (8 * config.n * width), CHUNK), MAX_CHUNK)
-
-
 def _mc_chunk(config: SimulationConfig, column: int, seed: int, reps: range):
     """|Z|, Vhat, V and the half-range of one chunk of replications, one
     array each."""
@@ -297,7 +282,7 @@ def run_mc(
     base_seed = config.seed if seed is None else int(seed)
 
     _keep_chunk_memory()
-    length = chunk_length(config, column)
+    length = chunk_length(config.n, drawn_columns(config, column + 1))
     results = [
         _mc_chunk(config, column, base_seed, reps) for reps in chunks(replications, length)
     ]

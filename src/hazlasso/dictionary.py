@@ -9,9 +9,12 @@ evaluations with shared labels.
 Validation reads each column through one max and one min reduction, and
 makes no (n, M) temporary: they give the column half-range (max - min) / 2
 (``half_range``, the one home of that formula) that the penalty weights
-read, and every check reads the half-range alone. It is finite exactly
-when the column is, at most ``MAX_HALF_RANGE`` when the column's squares
-stay finite, and 0 exactly when the column is constant.
+read, and the column level max(|max|, |min|). The half-range is finite
+exactly when the column is, 0 exactly when the column is constant, and
+refused when it is nonzero but below ``MIN_HALF_RANGE``, where the
+column's squares underflow. The level bounds the half-range and every
+value, so a level at most ``MAX_HALF_RANGE`` keeps the risk-set means
+and the squares of the centred values finite.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ from .csvio import parse_number, read_numeric_csv
 from .errors import DataValidationError
 from .survival import SurvivalDataset
 
-# The largest column half-range the arithmetic takes: H, vhat and the
-# weights sum squared centered column values, at most 2^1002 here, so
-# they stay finite up to millions of records.
+# The largest column level and the smallest nonzero column half-range the
+# arithmetic takes: H, vhat and the weights sum squared centered column
+# values, at most 2^1002 here, so they stay finite up to millions of
+# records, and at least 2^-1000 for a column's largest, so they stay far
+# above the float's smallest normal number, 2^-1022.
 MAX_HALF_RANGE = 2.0**500
+MIN_HALF_RANGE = 2.0**-500
 
 
 def half_range(values) -> np.ndarray:
@@ -40,7 +46,15 @@ def half_range(values) -> np.ndarray:
     0 exactly when the column is constant. It is finite exactly when the
     column is: halved before the difference, finite values never overflow,
     and a column holding NaN, or both infinities, gives NaN."""
-    high, low = np.maximum.reduce(values, axis=-2), np.minimum.reduce(values, axis=-2)
+    return _half_range(*_extremes(values))
+
+
+def _extremes(values) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of each column of (..., n, M) evaluations."""
+    return np.maximum.reduce(values, axis=-2), np.minimum.reduce(values, axis=-2)
+
+
+def _half_range(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf - inf, in a column of infinities
         return 0.5 * high - 0.5 * low
 
@@ -70,14 +84,21 @@ class DictionaryMatrix:
             raise DataValidationError("duplicate dictionary labels")
         if self.n == 0:
             raise DataValidationError("dictionary has no rows")
-        self.half_range = half_range(self.values)
+        high, low = _extremes(self.values)
+        self.half_range = _half_range(high, low)
         if not np.isfinite(self.half_range).all():
             raise DataValidationError("dictionary values must be finite")
-        wide = self._columns(self.half_range > MAX_HALF_RANGE)
-        if wide:
+        large = self._columns(np.maximum(high, -low) > MAX_HALF_RANGE)
+        if large:
             raise DataValidationError(
-                f"dictionary values too large in column(s) {wide}: half-range above "
-                f"2^500 (about {MAX_HALF_RANGE:.2g}), where their squares overflow"
+                f"dictionary values too large in column(s) {large}: magnitude above "
+                f"2^500 (about {MAX_HALF_RANGE:.2g}), where their sums and squares overflow"
+            )
+        small = self._columns((self.half_range > 0.0) & (self.half_range < MIN_HALF_RANGE))
+        if small:
+            raise DataValidationError(
+                f"dictionary values too small in column(s) {small}: half-range below "
+                f"2^-500 (about {MIN_HALF_RANGE:.2g}), where their squares underflow"
             )
         # a constant column (half-range 0) carries no information: the fit
         # pins it at zero, whatever its level

@@ -29,9 +29,11 @@ system and weights (a leading replication axis, as from
 replication; a single dataset is a batch of one without that axis. The
 weights are the plain array ``compute_weights`` returns, shape (R, M) for
 a batch, so the searched and the whitened checks hold them in one form,
-and ``weights[r]`` is replication r. The harness runs fixed-size chunks
-of replications through that pipeline, so only the random draws, the
-solver fits and the mu3 brackets run one replication at a time. ``run_oracle_mc`` returns the report dict that
+and ``weights[r]`` is replication r. The harness runs chunks of
+replications through that pipeline, as long as ``_chunks.chunk_length``
+makes them for n and d (32 at the 200 x 50 default), so only the random
+draws, the solver fits and the mu3 brackets run one replication at a
+time. ``run_oracle_mc`` returns the report dict that
 ``hazlasso oracle-check`` writes, key for key: one row per replication,
 and the holding count, frequency and Wilson interval of each check under
 ``slow`` and ``fast``, with the count of its fits that did not converge.
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._chunks import CHUNK, _keep_chunk_memory, chunks
+from ._chunks import _keep_chunk_memory, chunk_length, chunks
 from .bernstein import wilson_interval
 from .dictionary import DictionaryMatrix, half_range, linear_dictionary
 from .errors import ConfigError, DataValidationError
@@ -472,7 +474,7 @@ def run_oracle_mc(
     _keep_chunk_memory()
     rows = [
         row
-        for reps in chunks(replications, CHUNK)
+        for reps in chunks(replications, chunk_length(config.n, config.d))
         for row in _oracle_chunk(config, x, base_seed, reps, identity_gram, mu3_budget)
     ]
     label = "exact" if all(r["mu3_label"] == "exact" for r in rows) else "indicative"

@@ -32,7 +32,12 @@ a path the block carries across the scales, so each scale starts where
 the last one ended. A singular block (duplicated or collinear columns)
 is moved along its null space until a coordinate reaches zero and leaves.
 Convergence is certified by the KKT residual, recomputed from H, never
-assumed.
+assumed. A fit that starts at zero first checks the KKT conditions there,
+the first step of a Lasso path (Friedman, Hastie & Tibshirani, J. Stat.
+Softw. 2010): 2|hn_j| <= kappa w_j on every live column, or
+2 hn_j <= kappa w_j on a nonnegative fit, up to tol. When they hold, zero
+is the solution and the fit returns its certificate at once, with no
+active block and no product with H.
 
 The weights are a plain array of M nonnegative numbers, as
 ``weights.compute_weights`` returns them. A coordinate is dead, pinned at
@@ -149,6 +154,15 @@ def _fresh_factor(unit: np.ndarray, limit: int) -> _Factor | None:
     return _Factor(w, limit)
 
 
+def _dead_columns(system: GramSystem) -> np.ndarray:
+    """The coordinates pinned at 0. H_jj = 0 makes a coordinate
+    unidentifiable: dead. A constant column has half-range r = 0; for the
+    others allow for roundoff at the scale r^2 (a column constant up to
+    roundoff lands at |H_jj| <= 1e-13 r^2, a live column is far above)."""
+    r = system.half_range
+    return (r == 0.0) | (np.diag(system.matrix) <= 1e-13 * r**2)
+
+
 class _ActiveBlock:
     """A fit's active coordinates, ``order``, with their ``rows`` of H and
     their square ``factor`` (None when it must be factored afresh), both in
@@ -158,18 +172,10 @@ class _ActiveBlock:
     beta where the last fit ended.
     """
 
-    def __init__(self, system: GramSystem, weights: np.ndarray):
+    def __init__(self, system: GramSystem):
         self._H = np.asarray(system.matrix, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (system.M,) or not np.all(np.isfinite(w)):
-            raise ValueError(f"weights must be finite, {system.M} of them, got shape {w.shape}")
-        # H_jj = 0 makes the coordinate unidentifiable: dead. A constant
-        # column has half-range r = 0; for the others allow for roundoff at
-        # the scale r^2 (a column constant up to roundoff lands at
-        # |H_jj| <= 1e-13 r^2, a live column is far above)
-        r, diag = system.half_range, np.diag(self._H)
-        self.dead = (r == 0.0) | (diag <= 1e-13 * r**2)
-        self.unit_scale = 1.0 / np.sqrt(np.where(self.dead, 1.0, diag))
+        self.dead = _dead_columns(system)
+        self.unit_scale = 1.0 / np.sqrt(np.where(self.dead, 1.0, np.diag(self._H)))
         self.k = 0
         self._order = np.empty(1, dtype=np.intp)
         self._rows = np.empty((1, system.M))
@@ -286,6 +292,23 @@ def kkt_violations(
     return _residuals(g, b, w, constraint == "nonnegative")
 
 
+def _certified(beta, viol, dead, converged, steps, trace, kappa, constraint, weight_scale):
+    """The fit at beta with its per-coordinate KKT residuals ``viol``,
+    split into the live maximum and that of the ``dead`` coordinates."""
+    return LassoFit(
+        beta=beta,
+        converged=converged,
+        sweeps=steps,
+        kkt_max_violation=float(viol[~dead].max(initial=0.0)),
+        objective_trace=np.asarray(trace),
+        kappa=float(kappa),
+        constraint=constraint,
+        weight_scale=float(weight_scale),
+        pinned=np.flatnonzero(dead),
+        pinned_violation=float(viol[dead].max(initial=0.0)),
+    )
+
+
 def _gram_product(H: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """H beta from the rows of H where beta is nonzero, in index order."""
     idx = np.flatnonzero(beta)
@@ -338,19 +361,35 @@ def fit(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if constraint not in CONSTRAINTS:
         raise ValueError(f"constraint must be one of {CONSTRAINTS}")
-    block = _ActiveBlock(system, weights) if _block is None else _block
-    beta = np.zeros(system.M) if start is None else np.array(start, dtype=float)
-    if beta.shape != (system.M,) or not np.all(np.isfinite(beta)):
-        raise ValueError(f"start must be {system.M} finite values, got shape {beta.shape}")
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (system.M,) or not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, {system.M} of them, got shape {w.shape}")
+    if start is None:
+        beta = np.zeros(system.M)
+    else:
+        beta = np.array(start, dtype=float)
+        if beta.shape != (system.M,) or not np.isfinite(beta).all():
+            raise ValueError(f"start must be {system.M} finite values, got shape {beta.shape}")
 
-    H = np.asarray(system.matrix, dtype=float)
     hn = np.asarray(system.vector, dtype=float)
-    wk = kappa * weight_scale * np.asarray(weights, dtype=float)
-    live = ~block.dead
+    wk = kappa * weight_scale * w
+    dead = _dead_columns(system) if _block is None else _block.dead
     nonneg = constraint == "nonnegative"
-    beta[block.dead] = 0.0
+    beta[dead] = 0.0
     if nonneg:
         np.maximum(beta, 0.0, out=beta)
+    if not beta.any():
+        # at zero H beta = 0 and the objective is 0: the certificate needs
+        # no active block and no product with H
+        viol = _zero_residuals(hn, wk, nonneg)
+        if viol[~dead].max(initial=0.0) <= tol:  # False on a NaN residual
+            if _block is not None:  # a path's scale: its block ends empty, at zero
+                _block.hb, _block.beta = _block.start(beta), beta.copy()
+            return _certified(beta, viol, dead, True, 0, [0.0], kappa, constraint, weight_scale)
+
+    H = np.asarray(system.matrix, dtype=float)
+    block = _ActiveBlock(system) if _block is None else _block
+    live = ~dead
     hb = block.start(beta)
 
     def penalized() -> float:
@@ -445,18 +484,7 @@ def fit(
     # where the next scale of a path starts
     block.beta, block.hb = beta.copy(), _gram_product(H, beta)
     viol = _residuals(hn - block.hb, beta, wk, nonneg)
-    return LassoFit(
-        beta=beta,
-        converged=converged,
-        sweeps=steps,
-        kkt_max_violation=float(viol[live].max(initial=0.0)),
-        objective_trace=np.asarray(trace),
-        kappa=float(kappa),
-        constraint=constraint,
-        weight_scale=float(weight_scale),
-        pinned=np.flatnonzero(block.dead),
-        pinned_violation=float(viol[block.dead].max(initial=0.0)),
-    )
+    return _certified(beta, viol, dead, converged, steps, trace, kappa, constraint, weight_scale)
 
 
 def fit_path(
@@ -479,7 +507,7 @@ def fit_path(
         raise ValueError("scale grid must be sorted descending")
     fits: list[LassoFit] = []
     start = None
-    block = _ActiveBlock(system, weights)
+    block = _ActiveBlock(system)
     for scale in grid:
         f = fit(
             system,

@@ -42,6 +42,7 @@ from hazlasso.simulate import (
     SimulationConfig,
     UniformCensoring,
     default_config,
+    drawn_columns,
     noise_terms,
     simulate,
 )
@@ -166,8 +167,6 @@ def harness_configs():
 def set_chunk_length(monkeypatch, length: int) -> list:
     """Give both harnesses chunks of ``length``; the returned list collects
     the chunk lengths of every harness run, one list per run."""
-    monkeypatch.setattr(bernstein, "chunk_length", lambda config, column: length)
-    monkeypatch.setattr(oracle, "CHUNK", length)
     runs = []
 
     def spy(count, size):
@@ -176,6 +175,7 @@ def set_chunk_length(monkeypatch, length: int) -> list:
         return parts
 
     for module in (bernstein, oracle):
+        monkeypatch.setattr(module, "chunk_length", lambda n, width: length)
         monkeypatch.setattr(module, "chunks", spy)
     return runs
 
@@ -258,15 +258,13 @@ def test_chunks_cover_every_replication_once():
 
 
 def test_chunk_length_of_each_harness():
-    """From n and the covariate columns a Bernstein chunk draws: 32
-    replications at the default and for a narrow draw at a larger size, 8
-    when the draw is wide at that size; 8 in every oracle chunk."""
+    """One rule from n and the columns a chunk holds: at the default config
+    256 replications for column 0 (``run_mc`` draws 3 columns) and 32 for
+    the d = 50 of ``run_oracle_mc``; 8 at 2000 x 200."""
     default = default_config()
-    large = dataclasses.replace(default, n=2000, d=200, beta0=np.zeros(200))
-    assert bernstein.chunk_length(default, 0) == bernstein.chunk_length(default, 49) == 32
-    assert bernstein.chunk_length(large, 0) == 32
-    assert bernstein.chunk_length(large, 199) == 8
-    assert oracle.CHUNK == 8
+    assert chunking.chunk_length(default.n, drawn_columns(default, 1)) == 256
+    assert chunking.chunk_length(default.n, default.d) == 32
+    assert chunking.chunk_length(2000, 200) == 8
 
 
 def has_mallopt() -> bool:

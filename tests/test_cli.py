@@ -729,6 +729,31 @@ class TestErrorPaths:
         assert "dictionary values too large in column(s) x1, x2, x3" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "path --scales 1,0.5", "weights"])
+    @pytest.mark.parametrize(
+        "scale, level, message",
+        [
+            # squares that underflow would give vhat = H_jj = 0, pin every
+            # column dead and fit to zero without a word
+            (1e-170, None, "too small in column(s) x1, x2, x3:"),
+            # a constant column: half-range 0, yet its risk-set mean overflows
+            (1.0, 1.7e308, "too large in column(s) x3:"),
+        ],
+        ids=["underflowing", "huge-constant"],
+    )
+    def test_out_of_range_covariates_are_refused_by_name(
+        self, command, scale, level, message, tmp_path, capsys
+    ):
+        ds = random_dataset(np.random.default_rng(40), n=30, d=3)
+        covariates = scale * ds.covariates
+        if level is not None:
+            covariates[:, 2] = level
+        data, out = tmp_path / "range.csv", tmp_path / "r.json"
+        write_dataset(SurvivalDataset(ds.times, ds.status, covariates), data)
+        assert main(command.split() + ["--data", str(data), "--out", str(out)]) == 1
+        assert f"dictionary values {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dict_row_mismatch(self, micro_csv, tmp_path, capsys):
         wrong = tmp_path / "dict.csv"
         wrong.write_text("f\n1.0\n2.0\n3.0\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hazlasso import DataValidationError, DictionaryMatrix, linear_dictionary, load_dictionary
-from hazlasso.dictionary import MAX_HALF_RANGE, half_range
+from hazlasso.dictionary import MAX_HALF_RANGE, MIN_HALF_RANGE, half_range
 from hazlasso.survival import SurvivalDataset
 
 
@@ -77,22 +77,50 @@ class TestDictionaryMatrix:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_overflowing_columns_are_refused_by_name(self, batched):
-        # finite values whose squares overflow in H, vhat and the weights,
-        # and a column whose max - min itself exceeds the largest float
-        values = np.array([[1.0, 2e160, 1e308], [3.0, -1e160, -1e308], [0.5, 4e160, 0.0]])
+        # finite values whose squares overflow in H, vhat and the weights, a
+        # column whose max - min itself exceeds the largest float, and
+        # constant columns (half-range 0) whose risk-set means overflow
+        values = np.array(
+            [
+                [1.0, 2e160, 1e308, 1.7e308, -1.7e308, 2.0**501],
+                [3.0, -1e160, -1e308, 1.7e308, -1.7e308, 2.0**501],
+                [0.5, 4e160, 0.0, 1.7e308, -1.7e308, 2.0**501],
+            ]
+        )
         if batched:
-            values = np.stack([np.ones((3, 3)) + np.eye(3), values])
+            values = np.stack([np.ones((3, 6)) + np.eye(3, 6), values])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataValidationError, match=r"too large in column\(s\) b, c:"):
-                DictionaryMatrix(values=values, labels=["a", "b", "c"])
+            with pytest.raises(DataValidationError, match=r"too large in column\(s\) b, c, d, e, f:"):
+                DictionaryMatrix(values=values, labels=["a", "b", "c", "d", "e", "f"])
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_underflowing_columns_are_refused_by_name(self, batched):
+        # nonzero half-ranges whose squares underflow; constant columns,
+        # however small, stay pinned with a warning
+        values = np.array([[1.0, 1e-170, 0.0, 5e-324], [3.0, -1e-170, 0.0, 5e-324]])
+        if batched:
+            values = np.stack([np.ones((2, 4)) + np.eye(2, 4), values])
+        with pytest.raises(DataValidationError, match=r"too small in column\(s\) b:"):
+            DictionaryMatrix(values=values, labels=["a", "b", "c", "d"])
+
+    def test_small_half_range_limit_is_inclusive(self):
+        values = np.array([[1.0, MIN_HALF_RANGE], [3.0, -MIN_HALF_RANGE]])
+        dic = DictionaryMatrix(values=values, labels=["a", "b"])
+        assert dic.half_range[1] == MIN_HALF_RANGE
+        with pytest.raises(DataValidationError, match=r"too small in column\(s\) b:"):
+            DictionaryMatrix(values=np.nextafter(values, 0 * values), labels=["a", "b"])
 
     def test_half_range_limit_is_inclusive(self):
-        values = np.array([[-1.0, MAX_HALF_RANGE], [1.0, -MAX_HALF_RANGE]])
-        dic = DictionaryMatrix(values=values, labels=["a", "b"])
+        # the limit bounds each column's level: b reaches it by its
+        # half-range, c, far from zero but narrow, by its values alone
+        values = np.array(
+            [[-1.0, MAX_HALF_RANGE, MAX_HALF_RANGE], [1.0, -MAX_HALF_RANGE, MAX_HALF_RANGE / 2]]
+        )
+        dic = DictionaryMatrix(values=values, labels=["a", "b", "c"])
         assert dic.half_range[1] == MAX_HALF_RANGE
-        with pytest.raises(DataValidationError, match="too large in column\\(s\\) b:"):
-            DictionaryMatrix(values=np.nextafter(values, 2 * values), labels=["a", "b"])
+        with pytest.raises(DataValidationError, match="too large in column\\(s\\) b, c:"):
+            DictionaryMatrix(values=np.nextafter(values, 2 * values), labels=["a", "b", "c"])
 
     def test_values_are_a_read_only_view(self):
         values = np.array([[1.0, 2.0], [3.0, -1.0]])

@@ -46,3 +46,5 @@ def test_smoke_run_writes_a_complete_report(tmp_path):
     assert harnesses == ["run_mc", "run_oracle_mc", "run_oracle_mc identity_gram"]
     assert all(mc["reps_per_s"] > 0 for mc in report["monte_carlo"])
     assert all(mc["minor_faults_per_rep"] >= 0 for mc in report["monte_carlo"])
+    assert [mc["chunk_length"] for mc in report["monte_carlo"]] == [256, 32, 32]
+    assert all(mc["peak_traced_mb"] > 0 for mc in report["monte_carlo"])

@@ -209,6 +209,53 @@ class TestCertificates:
                 )
                 assert np.delete(viol, f.pinned).max(initial=0.0) == f.kkt_max_violation
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 8),
+        constraint=st.sampled_from(CONSTRAINTS),
+        kappa=st.sampled_from([1.0, 2.0]),
+    )
+    def test_certificate_at_zero(self, seed, m, constraint, kappa):
+        # a random SPD system where some columns are pinned, by a zero
+        # half-range or a zero H_jj, and the live ones meet the KKT
+        # conditions at zero, some only up to tol: the fit certifies zero
+        # as the loop would, bit for bit, on its own and on a path
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((m + 3, m))
+        H, hn = a.T @ a / (m + 3), rng.standard_normal(m)
+        half = np.ones(m)
+        half[rng.random(m) < 0.2] = 0.0
+        flat = rng.random(m) < 0.2
+        H[flat], H[:, flat] = 0.0, 0.0
+        dead = (half == 0.0) | flat
+        system = replace(gram_system(H, hn), half_range=half)
+        tol = 1e-8
+        pull = hn if constraint == "nonnegative" else np.abs(hn)
+        weights = np.maximum(2.0 * pull - tol * rng.uniform(0.0, 0.9, m), 0.0) / kappa
+        f = fit(system, weights, kappa=kappa, constraint=constraint, tol=tol)
+        viol = kkt_violations(system, weights, np.zeros(m), kappa, constraint)
+        assert f.converged and f.sweeps == 0
+        np.testing.assert_array_equal(f.beta, np.zeros(m))
+        assert f.objective_trace.tolist() == [0.0] and not np.signbit(f.objective_trace[0])
+        assert f.kkt_max_violation == viol[~dead].max(initial=0.0)
+        np.testing.assert_array_equal(f.pinned, np.flatnonzero(dead))
+        assert f.pinned_violation == viol[dead].max(initial=0.0)
+        (first,) = fit_path(system, weights, [1.0], kappa=kappa, constraint=constraint, tol=tol)
+        for name in ("converged", "sweeps", "kkt_max_violation", "pinned_violation"):
+            assert getattr(first, name) == getattr(f, name)
+        np.testing.assert_array_equal(first.pinned, f.pinned)
+        if dead.all():
+            return
+        # one live column that violates at zero, by 1.6 tol up to 1: the
+        # fit must move
+        j = int(rng.choice(np.flatnonzero(~dead)))
+        system.vector[j] = 1.0
+        weights[j] = (2.0 - tol * 10.0 ** rng.uniform(0.2, 8.0)) / kappa
+        moved = fit(system, weights, kappa=kappa, constraint=constraint, tol=tol)
+        assert moved.converged and moved.sweeps >= 1 and moved.beta.any()
+        assert len(moved.objective_trace) == moved.sweeps + 1
+
     def test_perturbation_breaks_kkt(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, n=30, d=3)
@@ -366,7 +413,7 @@ def block_on(unit, order):
     """An active block of the Gram matrix `unit` on the coordinates `order`
     (index order), with a fresh factor."""
     m = len(unit)
-    block = solver._ActiveBlock(gram_system(unit, np.zeros(m)), np.ones(m))
+    block = solver._ActiveBlock(gram_system(unit, np.zeros(m)))
     beta = np.zeros(m)
     beta[order] = 1.0
     np.testing.assert_array_equal(block.start(beta), _gram_product(unit, beta))
