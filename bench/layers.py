@@ -23,12 +23,18 @@ steps of the path, which does not vary between runs. ``minor_faults`` counts the
 faults of each ``load_dataset`` and ``build_gram`` call, averaged over the
 timed runs, and ``peak_traced_mb`` is the peak of the memory ``tracemalloc``
 traces during one more call of each, made after the timed runs so that
-tracing slows none of them. The Monte Carlo entries time ``run_mc`` and
-both modes of ``run_oracle_mc`` at the default config, serially, in this
-process, and count the minor page faults the process takes over the timed
-runs, per replication (``minor_faults_per_rep``): a harness whose chunks
-get their memory back from malloc takes almost none. Each also records
-the ``chunk_length`` it ran with, from the harnesses' one rule, and the
+tracing slows none of them.
+
+The Monte Carlo entries time ``run_mc`` and both modes of
+``run_oracle_mc`` at the default config, serially, in this process, over
+15 calls each. They record the median call (``median_s``, from which
+``reps_per_s`` is read) and the fastest (``min_s``): on a shared machine
+the median of a few calls moves by a third from one run to the next, and
+the fastest call is the least disturbed. They count the minor page
+faults the process takes over the timed runs, per replication
+(``minor_faults_per_rep``): a harness whose chunks get their memory back
+from malloc takes almost none. Each also records the ``chunk_length`` it
+ran with, from the Monte Carlo driver's one rule, and the
 ``peak_traced_mb`` of one more call, made after the timed runs as for the
 fit layers: the memory a longer chunk trades for its speed.
 
@@ -96,7 +102,7 @@ SIZES = ((200, 50, 20), (2000, 200, 9), (10000, 500, 5), (200, 1000, 9))
 SCALES = np.geomspace(1.0, 0.05, 10)
 SCALES_ARG = ",".join(repr(float(s)) for s in SCALES)
 MC = (("run_mc", 2000), ("run_oracle_mc", 100), ("run_oracle_mc identity_gram", 100))
-MC_RUNS = 5
+MC_RUNS = 15
 SMOKE_SIZES = ((200, 50, 1),)
 SMOKE_MC = (("run_mc", 100), ("run_oracle_mc", 4), ("run_oracle_mc identity_gram", 4))
 SMOKE_MC_RUNS = 1
@@ -241,11 +247,11 @@ def mc_entry(name: str, reps: int, runs: int, units: list) -> dict:
     config = default_config()
     if name == "run_mc":
         call = partial(run_mc, config, 0, (4.0, 5.0, 6.0), reps)
-        length = chunk_length(config.n, drawn_columns(config, 1))  # column 0
+        columns = 1  # column 0
     else:
         identity = name.endswith("identity_gram")
         call = partial(run_oracle_mc, config, replications=reps, identity_gram=identity)
-        length = chunk_length(config.n, config.d)
+        columns = None  # all d
     call()  # warm-up
     times = []
     faults = _minor_faults()
@@ -260,8 +266,9 @@ def mc_entry(name: str, reps: int, runs: int, units: list) -> dict:
         "harness": name,
         "replications": reps,
         "runs": runs,
-        "chunk_length": length,
+        "chunk_length": chunk_length(config.n, drawn_columns(config, columns)),
         "median_s": median,
+        "min_s": min(times),
         "reps_per_s": reps / median,
         "minor_faults_per_rep": faults / (runs * reps),
         "peak_traced_mb": traced_peak(call),

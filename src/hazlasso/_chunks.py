@@ -1,15 +1,25 @@
-"""Replication chunks for the Monte Carlo drivers.
+"""The Monte Carlo driver: replications drawn and worked in chunks.
 
-The drivers cut their replications into chunks that go through the
-batched pipeline as one array computation each. Both take the chunk
-length from one rule, ``chunk_length(n, width)``: as many replications
-as fit one (R, n, width) float array in ``CHUNK_BYTES``, clipped to
-[``CHUNK``, ``MAX_CHUNK``]. The Bernstein harness passes the covariate
-columns a chunk draws, the oracle harness the dictionary width d; at the
-200 x 50 default config that is 256 replications a Bernstein chunk and
-32 an oracle chunk, so a round of 200 and 15 replications is one chunk
-each. Each replication draws from its own generator, so a report does
-not depend on the chunking.
+Both harnesses, ``bernstein.run_mc`` and ``oracle.run_oracle_mc``, hand
+their replications to ``run_chunks``, which makes every decision they
+share. It refuses fewer than one replication, takes the seed of the
+config unless one is given, keys replication ``rep`` as ``[seed, rep]``,
+cuts the replications into chunks, draws each chunk with
+``simulate_batch`` and builds its timeline, and returns what the
+harness's ``work(truth, timeline)`` makes of each chunk, in replication
+order. A chunk goes through the batched pipeline as one array
+computation; ``work`` runs inside the driver, so one chunk's arrays are
+freed before the next is drawn. Each replication draws from its own
+generator, so a report does not depend on the chunking.
+
+The chunk length comes from one rule, ``chunk_length(n, width)``: as
+many replications as fit one (R, n, width) float array in
+``CHUNK_BYTES``, clipped to [``CHUNK``, ``MAX_CHUNK``]. The width is the
+number of covariate columns a chunk draws, ``drawn_columns(config,
+columns)``: the Bernstein harness asks for the audited column's prefix,
+the oracle harness for all d. At the 200 x 50 default that is 256
+replications a Bernstein chunk and 32 an oracle chunk, so a round of 200
+and 15 replications is one chunk each.
 
 Every chunk allocates and frees arrays of the same few sizes. glibc's
 malloc takes blocks above its mmap threshold straight from the kernel and
@@ -18,7 +28,7 @@ to the kernel once more than its trim threshold lies free there. Both
 thresholds start near 128 KiB and adapt only to the largest block freed
 so far, so a chunk's arrays go back to the kernel when it ends and are
 faulted in again, page by page, by the next.
-The drivers therefore call ``_keep_chunk_memory`` before their first
+The driver therefore calls ``_keep_chunk_memory`` before its first
 chunk; it raises both thresholds once per process, so that freed chunk
 memory stays with malloc for the next chunk. The setting is process-wide
 and outlives the call; it changes no number, and where the C library has
@@ -28,6 +38,10 @@ no ``mallopt`` (anything but glibc) nothing is done.
 from __future__ import annotations
 
 import functools
+
+from .errors import ConfigError
+from .simulate import SimulationConfig, drawn_columns, simulate_batch
+from .survival import build_timeline
 
 # The bytes of one (R, n, width) float array a chunk may fill, and the
 # fewest and most replications of a chunk. An oracle chunk with the
@@ -77,3 +91,26 @@ def chunk_length(n: int, width: int) -> int:
     as fit one (R, n, width) float array in ``CHUNK_BYTES``, clipped to
     [``CHUNK``, ``MAX_CHUNK``]."""
     return min(max(CHUNK_BYTES // (8 * n * width), CHUNK), MAX_CHUNK)
+
+
+def run_chunks(
+    config: SimulationConfig, replications: int, seed: int | None, columns: int | None, work
+) -> list:
+    """``work(truth, timeline)`` of each chunk of ``replications`` fresh
+    datasets, in replication order. Replication rep is keyed ``[seed,
+    rep]``, with ``config.seed`` when ``seed`` is None; each chunk draws
+    the leading ``drawn_columns(config, columns)`` covariate columns (all
+    d for None)."""
+    if replications < 1:
+        raise ConfigError("need at least one replication")
+    base = config.seed if seed is None else int(seed)
+    length = chunk_length(config.n, drawn_columns(config, columns))
+    _keep_chunk_memory()
+
+    def draw(reps: range):
+        truth = simulate_batch(config, [[base, rep] for rep in reps], columns=columns)
+        return truth, build_timeline(truth.dataset)
+
+    # no name holds a chunk once its work returns, so it is freed before
+    # the next chunk is drawn
+    return [work(*draw(reps)) for reps in chunks(replications, length)]

@@ -20,38 +20,30 @@ bound sqrt(2Vx/n) + x/(3n) evaluated in oracle mode (it needs the
 unobservable V). ``run_mc`` returns the report dict that ``hazlasso
 bernstein-mc`` writes, key for key.
 
-The harness draws chunks of replications with ``simulate_batch`` and
-evaluates Z, Vhat and V of a whole chunk in one ``noise_terms`` call
-along the leading replication axis; a single dataset
-(``noise_process_terminal``) is a batch of one without that axis. A
-replication reads only the audited column, h0 = X beta0 and the times and
-status, so a chunk draws only the m leading covariate columns these need
-(``simulate.drawn_columns``: 3 for column 0 of the 200 x 50 default). A
-chunk is as long as ``_chunks.chunk_length`` makes it for n and those m
-columns, the rule the oracle harness follows too: as many replications
-as fit one (R, n, m) array in 2.5 MiB, from 8 up to 256, so 256 for
-column 0 of the default.
+The harness hands its replications to ``_chunks.run_chunks``, which
+keys, chunks and draws them, and evaluates Z, Vhat and V of a whole
+chunk in one ``noise_terms`` call along the leading replication axis
+(``_mc_chunk``); a single dataset (``noise_process_terminal``) is a batch
+of one without that axis. A replication reads only the audited column,
+h0 = X beta0 and the times and status, so a chunk draws only the m
+leading covariate columns these need (``simulate.drawn_columns``: 3 for
+column 0 of the 200 x 50 default), and the driver sizes its chunks for
+those m columns: 256 replications for column 0 of the default.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from ._chunks import _keep_chunk_memory, chunk_length, chunks
+from ._chunks import run_chunks
 from .dictionary import half_range
 from .errors import ConfigError
-from .simulate import (
-    SimulatedTruth,
-    SimulationConfig,
-    drawn_columns,
-    noise_terms,
-    simulate_batch,
-)
-from .survival import RiskSetTimeline, build_timeline
+from .simulate import SimulatedTruth, SimulationConfig, noise_terms
+from .survival import RiskSetTimeline
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -238,11 +230,9 @@ def noise_process_terminal(
     return float(z), float(vhat), float(var)
 
 
-def _mc_chunk(config: SimulationConfig, column: int, seed: int, reps: range):
+def _mc_chunk(column: int, truth: SimulatedTruth, timeline: RiskSetTimeline):
     """|Z|, Vhat, V and the half-range of one chunk of replications, one
     array each."""
-    truth = simulate_batch(config, [[seed, rep] for rep in reps], columns=column + 1)
-    timeline = build_timeline(truth.dataset)
     v = truth.dataset.covariates[..., column : column + 1]
     z, vhat, var = noise_terms(truth, v[..., 0], timeline)
     return np.abs(z), vhat, var, half_range(v)[..., 0]
@@ -275,17 +265,9 @@ def run_mc(
     x_grid = tuple(float(x) for x in x_grid)
     if not x_grid or not all(math.isfinite(x) and x > 0 for x in x_grid):
         raise ConfigError(f"x grid must be nonempty, positive and finite, got {list(x_grid)}")
-    if replications < 1:
-        raise ConfigError("need at least one replication")
     if not 0 <= column < config.d:
         raise ConfigError(f"column {column} out of range for d={config.d}")
-    base_seed = config.seed if seed is None else int(seed)
-
-    _keep_chunk_memory()
-    length = chunk_length(config.n, drawn_columns(config, column + 1))
-    results = [
-        _mc_chunk(config, column, base_seed, reps) for reps in chunks(replications, length)
-    ]
+    results = run_chunks(config, replications, seed, column + 1, partial(_mc_chunk, column))
     abs_z, vhat, var, r = (np.concatenate(parts) for parts in zip(*results))
 
     # r == 0 makes the bound degenerate (a constant column has Z = 0); drop those

@@ -29,14 +29,15 @@ system and weights (a leading replication axis, as from
 replication; a single dataset is a batch of one without that axis. The
 weights are the plain array ``compute_weights`` returns, shape (R, M) for
 a batch, so the searched and the whitened checks hold them in one form,
-and ``weights[r]`` is replication r. The harness runs chunks of
-replications through that pipeline, as long as ``_chunks.chunk_length``
-makes them for n and d (32 at the 200 x 50 default), so only the random
-draws, the solver fits and the mu3 brackets run one replication at a
-time. ``run_oracle_mc`` returns the report dict that
-``hazlasso oracle-check`` writes, key for key: one row per replication,
-and the holding count, frequency and Wilson interval of each check under
-``slow`` and ``fast``, with the count of its fits that did not converge.
+and ``weights[r]`` is replication r. The harness hands its replications
+to ``_chunks.run_chunks``, which keys, chunks and draws them (32 a chunk
+at the 200 x 50 default), and runs each chunk through that pipeline
+(``_oracle_chunk``), so only the random draws, the solver fits and the
+mu3 brackets run one replication at a time. ``run_oracle_mc`` returns
+the report dict that ``hazlasso oracle-check`` writes, key for key: one
+row per replication, and the holding count, frequency and Wilson
+interval of each check under ``slow`` and ``fast``, with the count of
+its fits that did not converge.
 """
 
 from __future__ import annotations
@@ -44,17 +45,18 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._chunks import _keep_chunk_memory, chunk_length, chunks
+from ._chunks import run_chunks
 from .bernstein import wilson_interval
 from .dictionary import DictionaryMatrix, half_range, linear_dictionary
 from .errors import ConfigError, DataValidationError
 from .gram import GramSystem, build_gram, empirical_norm_sq_fn
-from .simulate import SimulatedTruth, SimulationConfig, simulate_batch
+from .simulate import SimulatedTruth, SimulationConfig
 from .solver import LassoFit, fit
-from .survival import build_timeline
+from .survival import RiskSetTimeline
 from .weights import bernstein_weights, compute_weights
 
 GUARANTEE_CONSTANT = 29.0  # both inequalities hold with probability >= 1 - 29 e^{-x}
@@ -394,13 +396,11 @@ def _holding(rows: list[dict], check: str) -> dict:
 
 
 def _oracle_chunk(
-    config: SimulationConfig, x: float, seed: int, reps: range, identity_gram: bool, budget: int
+    x: float, identity_gram: bool, budget: int, truth: SimulatedTruth, timeline: RiskSetTimeline
 ) -> list[dict]:
     """Report rows of one chunk of replications, in replication order."""
-    truth = simulate_batch(config, [[seed, rep] for rep in reps])
     dataset = truth.dataset
     dictionary = linear_dictionary(dataset)
-    timeline = build_timeline(dataset)
     system = build_gram(dataset, dictionary, timeline)
     weights = compute_weights(system, x)
 
@@ -419,16 +419,16 @@ def _oracle_chunk(
     else:
         if np.any(truth.beta0):
             mu3 = [
-                mu3_bracket(system[r], weights[r], truth.beta0, budget, [seed, rep, 55])
-                for r, rep in enumerate(reps)
+                mu3_bracket(system[r], weights[r], truth.beta0, budget, [*key, 55])
+                for r, key in enumerate(truth.seed)
             ]
             mu_value = [m.mu3_lower for m in mu3]
             mu_upper = [m.mu3_upper for m in mu3]
             label = [m.label for m in mu3]
         else:
             # unused: an empty support drops the mu3 term
-            mu_value = mu_upper = [math.inf] * len(reps)
-            label = ["exact"] * len(reps)
+            mu_value = mu_upper = [math.inf] * len(truth.seed)
+            label = ["exact"] * len(truth.seed)
         fit_fast = _fit_each(system, weights, kappa=2.0)
         f_lhs, f_rhs, f_holds = fast_oracle_check(
             truth, dictionary, fit_fast, mu_value, system, weights
@@ -464,19 +464,12 @@ def run_oracle_mc(
     the batched pipeline, each from its own generator, so the report does
     not depend on the chunking.
     """
-    if replications < 1:
-        raise ConfigError("need at least one replication")
     if not (math.isfinite(x) and x > 0):
         raise ConfigError(f"confidence level x must be positive and finite, got {x}")
     if mu3_budget < 1:
         raise ConfigError(f"mu3 budget must be at least 1, got {mu3_budget}")
-    base_seed = config.seed if seed is None else int(seed)
-    _keep_chunk_memory()
-    rows = [
-        row
-        for reps in chunks(replications, chunk_length(config.n, config.d))
-        for row in _oracle_chunk(config, x, base_seed, reps, identity_gram, mu3_budget)
-    ]
+    work = partial(_oracle_chunk, x, identity_gram, mu3_budget)
+    rows = [row for chunk in run_chunks(config, replications, seed, None, work) for row in chunk]
     label = "exact" if all(r["mu3_label"] == "exact" for r in rows) else "indicative"
     return {
         "x": float(x),

@@ -141,6 +141,13 @@ class AdministrativeCensoring:
         return np.full(size, np.inf)
 
 
+# each model class by the ``kind`` it carries, as a config names it
+_COVARIATE_KINDS = {cls.kind: cls for cls in (GaussianCovariates, RademacherCovariates)}
+_CENSORING_KINDS = {
+    cls.kind: cls for cls in (UniformCensoring, ExponentialCensoring, AdministrativeCensoring)
+}
+
+
 @dataclass
 class SimulationConfig:
     n: int
@@ -254,15 +261,17 @@ def simulate(config: SimulationConfig, seed=None) -> SimulatedTruth:
     return simulate_batch(config, [_seed_key(config, seed)])[0]
 
 
-def drawn_columns(config: SimulationConfig, columns: int) -> int:
+def drawn_columns(config: SimulationConfig, columns: int | None) -> int:
     """Leading covariate columns ``simulate_batch`` draws when its caller
     reads the first ``columns``: enough to reach the last nonzero entry of
-    beta0 as well, which h0 and the acceptance rule read. The first m
+    beta0 as well, which h0 and the acceptance rule read; all d for None. The first m
     columns drawn alone have the joint law they have in a draw of all d:
     Rademacher columns are independent, and the AR(1) factor is
     triangular, so gaussian column j reads only the normals of columns
     0..j and the leading m x m block of the factor for d is the factor
     for m."""
+    if columns is None:
+        return config.d
     support = np.flatnonzero(config.beta0)
     return max(columns, int(support[-1]) + 1 if support.size else 0)
 
@@ -296,7 +305,7 @@ def simulate_batch(config: SimulationConfig, keys, columns: int | None = None) -
     keys = [[int(k) for k in key] for key in keys]
     n, covariates = config.n, config.covariates
     w = drawn_columns(config, 0)
-    d = config.d if columns is None else drawn_columns(config, columns)
+    d = drawn_columns(config, columns)
     # first-block rows, so that keeping fewer than n is a five-sigma shortfall
     q = max(1.0 - neg_prob, 1.0 / _PROBE_DRAWS)
     pq = neg_prob * q
@@ -465,19 +474,13 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad baseline: {exc}") from None
 
-    covariate_kinds = {"gaussian": GaussianCovariates, "rademacher": RademacherCovariates}
-    censoring_kinds = {
-        "uniform": UniformCensoring,
-        "exponential": ExponentialCensoring,
-        "administrative": AdministrativeCensoring,
-    }
     return SimulationConfig(
         n=n,
         d=d,
         beta0=beta0,
         baseline=baseline,
-        covariates=_model(raw, "covariates", covariate_kinds, "gaussian"),
-        censoring=_model(raw, "censoring", censoring_kinds, "administrative"),
+        covariates=_model(raw, "covariates", _COVARIATE_KINDS, "gaussian"),
+        censoring=_model(raw, "censoring", _CENSORING_KINDS, "administrative"),
         seed=seed,
         max_negative_prob=float(max_negative_prob),
     )

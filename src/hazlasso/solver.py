@@ -157,10 +157,14 @@ def _fresh_factor(unit: np.ndarray, limit: int) -> _Factor | None:
 def _dead_columns(system: GramSystem) -> np.ndarray:
     """The coordinates pinned at 0. H_jj = 0 makes a coordinate
     unidentifiable: dead. A constant column has half-range r = 0; for the
-    others allow for roundoff at the scale r^2 (a column constant up to
-    roundoff lands at |H_jj| <= 1e-13 r^2, a live column is far above)."""
+    others allow for roundoff at the scale of H_jj, which is r^2 times the
+    largest follow-up time t_max at most (a column constant up to roundoff
+    lands at |H_jj| <= 1e-13 r^2 t_max, a live column is far above). H is
+    proportional to the time unit, so the floor follows t_max and the dead
+    set does not depend on the unit."""
     r = system.half_range
-    return (r == 0.0) | (np.diag(system.matrix) <= 1e-13 * r**2)
+    floor = 1e-13 * r**2 * system.timeline.breakpoints[..., -1]
+    return (r == 0.0) | (np.diag(system.matrix) <= floor)
 
 
 class _ActiveBlock:

@@ -58,8 +58,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import parse_number, read_numeric_csv
+from .csvio import parse_number, read_numeric_csv, scan_rows
 from .errors import DataValidationError
+
+# The least longest follow-up time the arithmetic takes, the bound that
+# dictionary.MIN_HALF_RANGE puts on a column's half-range: H sums squared
+# column values times interval lengths, so it scales with the time unit,
+# and the solver divides by it; below this bound H underflows and the
+# solver's steps overflow.
+MIN_FOLLOW_UP = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -133,6 +140,15 @@ class SurvivalDataset:
         if outside.any():
             at = tuple(np.argwhere(outside)[0])
             raise DataValidationError(f"{_record(at)}: time {self.times[at]} outside (0, 1]")
+        longest = self.times.max(axis=-1)
+        short = np.argwhere(longest < MIN_FOLLOW_UP)
+        if len(short):
+            at = tuple(short[0])  # () for a single dataset
+            where = f"replication {at[0]}: " if at else ""
+            raise DataValidationError(
+                f"{where}largest follow-up time {longest[at]} is below 2^-500 "
+                f"(about {MIN_FOLLOW_UP:.2g}), where the time integrals underflow"
+            )
         if status.dtype != bool:  # bool, as every simulated batch has, needs no check
             bad = ~((status == 0) | (status == 1))
             if bad.any():
@@ -207,6 +223,15 @@ def _valid_data(values: np.ndarray) -> bool:
     return bool((values[:, 0] > 0).all() and ((status == 0.0) | (status == 1.0)).all())
 
 
+def _scaled_time_error(row: list[str], scale: float) -> str | None:
+    """Why the time of a valid record underflows to 0 when divided by the
+    time scale, or None."""
+    t = parse_number(row[0])
+    if t / scale == 0.0:
+        return f"time {t} underflows to 0 when divided by the time scale {scale}"
+    return None
+
+
 def load_dataset(path) -> SurvivalDataset:
     """Read a ``time,status,x1,...,xd`` CSV into a SurvivalDataset.
 
@@ -218,7 +243,9 @@ def load_dataset(path) -> SurvivalDataset:
     first offending file line, counting the header as line 1 and blank
     lines as lines. Raw times may exceed 1; they are divided by the
     maximum follow-up time in that case and the scale factor is recorded
-    on the dataset.
+    on the dataset. A time that this division takes to 0 is refused with
+    its line, the time and the scale; a largest time below 2^-500
+    (``MIN_FOLLOW_UP``) is refused too.
     """
     header, values = read_numeric_csv(
         path,
@@ -228,10 +255,13 @@ def load_dataset(path) -> SurvivalDataset:
         # a bad status becomes -1, which _valid_data rejects
         converters={1: lambda field: _STATUS.get(field.strip(), -1.0)},
     )
-    times = values[:, 0]
-    scale = float(times.max()) if times.max() > 1.0 else 1.0
+    scale = float(values[:, 0].max()) if values[:, 0].max() > 1.0 else 1.0
+    times = values[:, 0] / scale
+    if not times.min() > 0.0:
+        failure = "a time underflows to 0 when divided by the time scale"
+        scan_rows(path, header, lambda _, row: _scaled_time_error(row, scale), failure)
     return SurvivalDataset(
-        times=times / scale,
+        times=times,
         status=values[:, 1] == 1.0,
         covariates=values[:, 2:],  # a view: the parsed block is not copied
         labels=header[2:],

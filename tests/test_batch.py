@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hazlasso._chunks as chunking
-from hazlasso import bernstein, oracle
 from hazlasso import (
     ConfigError,
     DataValidationError,
@@ -168,15 +167,15 @@ def set_chunk_length(monkeypatch, length: int) -> list:
     """Give both harnesses chunks of ``length``; the returned list collects
     the chunk lengths of every harness run, one list per run."""
     runs = []
+    real_chunks = chunking.chunks  # the spy calls it once it is patched over
 
     def spy(count, size):
-        parts = chunking.chunks(count, size)
+        parts = real_chunks(count, size)
         runs.append([len(part) for part in parts])
         return parts
 
-    for module in (bernstein, oracle):
-        monkeypatch.setattr(module, "chunk_length", lambda n, width: length)
-        monkeypatch.setattr(module, "chunks", spy)
+    monkeypatch.setattr(chunking, "chunk_length", lambda n, width: length)
+    monkeypatch.setattr(chunking, "chunks", spy)
     return runs
 
 

@@ -14,11 +14,13 @@ closed forms:
 import dataclasses
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import hazlasso._chunks as chunking
 from hazlasso import (
     BernsteinConstants,
     ConfigError,
@@ -32,7 +34,6 @@ from hazlasso import (
     run_mc,
     wilson_interval,
 )
-from hazlasso import bernstein
 from hazlasso.bernstein import (
     PAPER_NUMERIC,
     PAPER_NUMERIC_PRINTED_C3,
@@ -64,7 +65,8 @@ PRESET_BOUND_REFERENCE = 0.18615308529087627
 def zero_noise_replications(cfg, reps: int) -> int:
     """Replications of ``run_mc(cfg, 0, ..., reps)`` that it keeps (column
     0 not constant) and whose Z is exactly 0, from the draws it makes."""
-    abs_z, _, _, r = _mc_chunk(cfg, 0, cfg.seed, range(reps))
+    chunks = chunking.run_chunks(cfg, reps, None, 1, partial(_mc_chunk, 0))
+    abs_z, _, _, r = (np.concatenate(parts) for parts in zip(*chunks))
     return int(np.sum((abs_z == 0.0) & (r > 0)))
 
 
@@ -419,7 +421,7 @@ class TestNarrowedDraws:
         )
         narrowed = json.dumps(run_mc(cfg, column, [1.0, 3.0], 70))
         monkeypatch.setattr(
-            bernstein, "simulate_batch", lambda config, keys, columns: simulate_batch(config, keys)
+            chunking, "simulate_batch", lambda config, keys, columns: simulate_batch(config, keys)
         )
         assert json.dumps(run_mc(cfg, column, [1.0, 3.0], 70)) == narrowed
 

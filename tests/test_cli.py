@@ -754,6 +754,31 @@ class TestErrorPaths:
         assert f"dictionary values {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "path --scales 1,0.5", "weights"])
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            # divided by the largest time, the first underflows to 0
+            (
+                ("1e-30", "1e300", "2"),
+                "line 2: time 1e-30 underflows to 0 when divided by the time scale 1e+300",
+            ),
+            # H_jj would underflow with the time integrals, and a solver
+            # step overflow
+            (("1e-200", "2e-200", "3e-200"), "largest follow-up time 3e-200 is below 2^-500"),
+        ],
+        ids=["underflowing-when-scaled", "too-short"],
+    )
+    def test_out_of_range_times_are_refused_by_name(
+        self, command, times, message, tmp_path, capsys
+    ):
+        data, out = tmp_path / "times.csv", tmp_path / "r.json"
+        rows = [f"{t},{k % 2},{x}" for k, (t, x) in enumerate(zip(times, (0.5, -1.0, 2.0)))]
+        data.write_text("time,status,x1\n" + "\n".join(rows) + "\n")
+        assert main(command.split() + ["--data", str(data), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dict_row_mismatch(self, micro_csv, tmp_path, capsys):
         wrong = tmp_path / "dict.csv"
         wrong.write_text("f\n1.0\n2.0\n3.0\n")

@@ -6,6 +6,7 @@ iterates a soft threshold on the full gradient; both are independent of
 the solver's code, so agreement certifies it.
 """
 
+import types
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hazlasso import (
     LassoFit,
     SimulationConfig,
     StepFunction,
+    SurvivalDataset,
     active_kernel,
     build_gram,
     compute_weights,
@@ -389,6 +391,32 @@ class TestFitPath:
             cold = fit(system, weights, weight_scale=scale, tol=1e-10)
             np.testing.assert_allclose(f.beta, cold.beta, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-12, 1e-100])
+    def test_path_does_not_depend_on_the_time_unit(self, c):
+        # times in another unit, c: H scales by c, hn and the weights do
+        # not, so each beta scales by 1/c, and the pinned set and the steps
+        # stay; a dead-column floor that ignored the unit pinned every
+        # column from c = 1e-12 down
+        config = SimulationConfig(
+            n=400, d=5, beta0=np.array([1.0, 1.0, -0.5, 0.0, 0.0]),
+            baseline=StepFunction.constant(2.0), covariates=GaussianCovariates(rho=0.3, clip=3.0),
+            censoring=UniformCensoring(c_max=2.5), seed=3,
+        )
+        data = simulate(config).dataset
+
+        def path(times):
+            scaled = SurvivalDataset(times, data.status, data.covariates)
+            system = build_gram(scaled, linear_dictionary(scaled))
+            return fit_path(system, compute_weights(system, 3.0), [2.0, 1.0, 0.5, 0.25, 0.05])
+
+        unit = path(data.times)
+        assert unit[-1].active_set.size == 5
+        for want, got in zip(unit, path(c * data.times)):
+            np.testing.assert_array_equal(got.pinned, want.pinned)
+            assert got.sweeps == want.sweeps
+            scale = np.abs(want.beta).max(initial=0.0)
+            np.testing.assert_allclose(got.beta * c, want.beta, rtol=0, atol=1e-12 * scale)
+
 
 def unit_block(x):
     """The unit-diagonal Gram block of the columns of x."""
@@ -404,9 +432,11 @@ def assert_factors(factor, unit, order):
 
 
 def gram_system(H, hn):
-    """A Gram system of H and hn alone, all the solver reads."""
+    """A Gram system of H and hn, with unit half-ranges and a timeline
+    that ends at 1: all the solver reads."""
     m = len(hn)
-    return GramSystem(H, hn, None, np.ones(m), np.ones(m))
+    timeline = types.SimpleNamespace(breakpoints=np.array([0.0, 1.0]))
+    return GramSystem(H, hn, timeline, np.ones(m), np.ones(m))
 
 
 def block_on(unit, order):

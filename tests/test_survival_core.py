@@ -28,7 +28,7 @@ from hazlasso import (
     load_dataset,
     write_dataset,
 )
-from hazlasso.survival import take_rows
+from hazlasso.survival import MIN_FOLLOW_UP, take_rows
 
 FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -100,6 +100,21 @@ class TestSurvivalDataset:
                 status=np.array([True, False]),
                 covariates=np.array([[1.0], [2.0]]),
             )
+
+    @pytest.mark.parametrize(
+        "times, named",
+        [
+            ([1e-200, 3e-200], "largest follow-up time 3e-200 is below 2^-500"),
+            ([[0.5, 1.0], [1e-160, 2e-160]], "replication 1: largest follow-up time 2e-160 is"),
+        ],
+        ids=["single", "batch"],
+    )
+    def test_rejects_a_largest_time_below_2_to_the_minus_500(self, times, named):
+        shape = np.shape(times)
+        with pytest.raises(DataValidationError, match=re.escape(named)):
+            SurvivalDataset(times=times, status=np.ones(shape), covariates=np.zeros(shape + (1,)))
+        # the bound itself is taken
+        SurvivalDataset(times=[2.0**-501, 2.0**-500], status=[1, 0], covariates=np.zeros((2, 1)))
 
     @pytest.mark.parametrize(
         "status, named",
@@ -253,6 +268,10 @@ class TestLoadDatasetSyntax:
     )
     def test_write_then_load_is_bit_exact(self, tmp_path, rows):
         times, status, covariates = (np.array(col) for col in zip(*rows))
+        if times.max() < MIN_FOLLOW_UP:  # too short for the arithmetic
+            with pytest.raises(DataValidationError, match="largest follow-up time"):
+                SurvivalDataset(times=times, status=status, covariates=covariates)
+            return
         ds = SurvivalDataset(times=times, status=status, covariates=covariates)
         path = tmp_path / "round.csv"
         write_dataset(ds, path)
