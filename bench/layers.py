@@ -38,6 +38,13 @@ ran with, from the Monte Carlo driver's one rule, and the
 ``peak_traced_mb`` of one more call, made after the timed runs as for the
 fit layers: the memory a longer chunk trades for its speed.
 
+The compiled reader of plain CSV bodies (``hazlasso._plaincsv``) is built
+first, into a temporary cache directory, so that no layer pays for it:
+``plain_reader.build_s`` is that one-off build (compile and load), and
+``plain_reader.available`` whether it loaded. Each size records in
+``reader`` which reader ``load_dataset`` took for its CSV: "compiled", or
+"numpy" when the reader is missing or the body is not plain.
+
 Every fit layer is timed before any Monte Carlo entry runs. A harness
 raises glibc's mmap and trim thresholds for the rest of its process, which
 changes the faults and the time of every later build; the fit layers are
@@ -74,6 +81,7 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import json  # noqa: E402
+import logging  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -82,10 +90,11 @@ import tempfile  # noqa: E402
 import tracemalloc  # noqa: E402
 from functools import partial  # noqa: E402
 from time import perf_counter  # noqa: E402
+from unittest import mock  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from hazlasso import cli  # noqa: E402
+from hazlasso import _plaincsv, cli  # noqa: E402
 from hazlasso._chunks import chunk_length  # noqa: E402
 from hazlasso.bernstein import run_mc  # noqa: E402
 from hazlasso.dictionary import linear_dictionary  # noqa: E402
@@ -207,6 +216,42 @@ def traced_peaks(data: Path) -> dict:
     return {"load_dataset": load_peak / 2**20, "build_gram": gram_peak / 2**20}
 
 
+def build_plain_reader() -> dict:
+    """Build and load the compiled CSV reader in a fresh cache directory,
+    which is removed after: the loaded reader serves the rest of the run."""
+    with tempfile.TemporaryDirectory() as cache, mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
+        start = perf_counter()
+        available = _plaincsv.library() is not None
+        build_s = perf_counter() - start
+    return {"build_s": build_s, "available": available}
+
+
+class _Readers(logging.Handler):
+    """Collects the ``reader`` that each CSV read logs."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.readers = []
+
+    def emit(self, record):
+        if hasattr(record, "reader"):
+            self.readers.append(record.reader)
+
+
+def reader_of(data: Path) -> str:
+    """The reader that ``load_dataset`` takes for ``data``."""
+    logger = logging.getLogger(_plaincsv.__name__)
+    handler, level = _Readers(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        load_dataset(data)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return handler.readers[-1]
+
+
 def layer_entry(n: int, d: int, runs: int, units: list) -> dict:
     config = _config(n, d)
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,10 +265,12 @@ def layer_entry(n: int, d: int, runs: int, units: list) -> dict:
             samples.append(times)
             fault_samples.append(faults)
         peaks = traced_peaks(data)
+        reader = reader_of(data)
     return {
         "n": n,
         "d": d,
         "runs": runs,
+        "reader": reader,
         "median_ms": {name: 1e3 * statistics.median(s[name] for s in samples) for name in LAYERS},
         "minor_faults": {
             name: sum(f[name] for f in fault_samples) / runs for name in MEMORY_LAYERS
@@ -305,6 +352,7 @@ def main(argv=None) -> int:
         (SMOKE_SIZES, SMOKE_MC, SMOKE_MC_RUNS) if args.smoke else (SIZES, MC, MC_RUNS)
     )
     units = []
+    plain_reader = build_plain_reader()
     # the layers run first: the harnesses change the allocator for the rest
     # of the process
     layers = [layer_entry(n, d, runs, units) for n, d, runs in sizes]
@@ -316,6 +364,7 @@ def main(argv=None) -> int:
             "units": len(units),
             "median_unit_ms": 1e3 * statistics.median(units),
         },
+        "plain_reader": plain_reader,
         "path_scales": [float(s) for s in SCALES],
         "layers": layers,
         "monte_carlo": monte_carlo,
@@ -325,9 +374,11 @@ def main(argv=None) -> int:
         fh.write("\n")
     unit = report["reference"]
     print(f"reference unit ({', '.join(unit['kernels'])}): {unit['median_unit_ms']:.3g} ms")
+    print(f"compiled CSV reader: available {plain_reader['available']}, "
+          f"built in {plain_reader['build_s']:.3g} s")
     for entry in report["layers"]:
         cells = "  ".join(f"{k} {v:.3g} ms" for k, v in entry["median_ms"].items())
-        print(f"{entry['n']}x{entry['d']}: {cells}  steps {entry['path_steps']}")
+        print(f"{entry['n']}x{entry['d']} ({entry['reader']} reader): {cells}  steps {entry['path_steps']}")
         for name in MEMORY_LAYERS:
             faults, peak = entry["minor_faults"][name], entry["peak_traced_mb"][name]
             print(f"  {name}: {faults:.4g} minor faults per call, traced peak {peak:.3g} MB")

@@ -184,9 +184,6 @@ def _record(at: tuple) -> str:
     return f"record {at[0]}" if len(at) == 1 else f"replication {at[0]}, record {at[1]}"
 
 
-_STATUS = {"0": 0.0, "1": 1.0}
-
-
 def _check_data_header(path, header: list[str]) -> None:
     if len(header) < 3 or header[0] != "time" or header[1] != "status":
         raise DataValidationError(
@@ -205,7 +202,7 @@ def _data_row_error(header: list[str], row: list[str]) -> str | None:
         return f"bad time {row[0]!r}"
     if not math.isfinite(t) or t <= 0:
         return "time must be finite and > 0"
-    if row[1].strip() not in _STATUS:
+    if row[1].strip() not in ("0", "1"):
         return "status must be 0 or 1"
     try:
         x = [parse_number(c) for c in row[2:]]
@@ -218,9 +215,9 @@ def _data_row_error(header: list[str], row: list[str]) -> str | None:
 
 
 def _valid_data(values: np.ndarray) -> bool:
-    """Whole-array form of the record checks; values are already finite."""
-    status = values[:, 1]
-    return bool((values[:, 0] > 0).all() and ((status == 0.0) | (status == 1.0)).all())
+    """Whole-array form of the time check; values are already finite and
+    the status is already 0 or 1."""
+    return bool((values[:, 0] > 0).all())
 
 
 def _scaled_time_error(row: list[str], scale: float) -> str | None:
@@ -245,28 +242,31 @@ def load_dataset(path) -> SurvivalDataset:
     maximum follow-up time in that case and the scale factor is recorded
     on the dataset. A time that this division takes to 0 is refused with
     its line, the time and the scale; a largest time below 2^-500
-    (``MIN_FOLLOW_UP``) is refused too.
+    (``MIN_FOLLOW_UP``) is refused too, and so is anything else the
+    dataset refuses, naming the file.
     """
     header, values = read_numeric_csv(
         path,
         _check_data_header,
         _data_row_error,
         valid=_valid_data,
-        # a bad status becomes -1, which _valid_data rejects
-        converters={1: lambda field: _STATUS.get(field.strip(), -1.0)},
+        binary_columns=(1,),
     )
     scale = float(values[:, 0].max()) if values[:, 0].max() > 1.0 else 1.0
     times = values[:, 0] / scale
     if not times.min() > 0.0:
         failure = "a time underflows to 0 when divided by the time scale"
         scan_rows(path, header, lambda _, row: _scaled_time_error(row, scale), failure)
-    return SurvivalDataset(
-        times=times,
-        status=values[:, 1] == 1.0,
-        covariates=values[:, 2:],  # a view: the parsed block is not copied
-        labels=header[2:],
-        time_scale=scale,
-    )
+    try:
+        return SurvivalDataset(
+            times=times,
+            status=values[:, 1] == 1.0,
+            covariates=values[:, 2:],  # a view: the parsed block is not copied
+            labels=header[2:],
+            time_scale=scale,
+        )
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
 
 
 def write_dataset(dataset: SurvivalDataset, path) -> None:

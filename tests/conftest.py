@@ -13,6 +13,15 @@ import pytest
 from hazlasso import SurvivalDataset
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_cache(tmp_path_factory):
+    """A cache directory of the session's own for the compiled CSV reader,
+    so the tests never write to the user's cache; subprocesses inherit it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One PASS/FAIL line per acceptance criterion at the end of the run."""
     rows = {}

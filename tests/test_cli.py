@@ -779,6 +779,17 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "path --scales 1,0.5"])
+    def test_what_the_dataset_refuses_names_the_file(self, command, tmp_path, capsys):
+        """An error raised while the loaded records become a dataset names
+        the file, as every other load error does."""
+        data, out = tmp_path / "b.csv", tmp_path / "r.json"
+        data.write_text("time,status,x1\n1e-200,1,0.5\n2e-200,0,-1.0\n3e-200,1,2.0\n")
+        assert main(command.split() + ["--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: largest follow-up time 3e-200 is below 2^-500")
+        assert not out.exists()
+
     def test_dict_row_mismatch(self, micro_csv, tmp_path, capsys):
         wrong = tmp_path / "dict.csv"
         wrong.write_text("f\n1.0\n2.0\n3.0\n")

@@ -30,8 +30,12 @@ def test_smoke_run_writes_a_complete_report(tmp_path):
     assert reference["kernels"] == ["sweep", "accumulate"]
     assert reference["units"] == 1 + len(report["monte_carlo"])  # one per timed run
     assert reference["median_unit_ms"] > 0
+    plain_reader = report["plain_reader"]
+    assert set(plain_reader) == {"build_s", "available"} and plain_reader["build_s"] > 0
     (entry,) = report["layers"]
     assert (entry["n"], entry["d"], entry["runs"]) == (200, 50, 1)
+    # the benchmark's CSV is plain, so the compiled reader takes it when built
+    assert entry["reader"] == ("compiled" if plain_reader["available"] else "numpy")
     assert set(entry["median_ms"]) == {
         "simulate", "load_dataset", "linear_dictionary", "build_timeline", "build_gram",
         "compute_weights", "fit_path", "cli_path",
