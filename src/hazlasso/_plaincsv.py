@@ -37,7 +37,6 @@ POWERS_MARK = "/* POWERS */"
 SMALLEST_POWER, LARGEST_POWER = -342, 308
 COMPILE = ("cc", "-O2", "-shared", "-fPIC")
 BLOCK = 1 << 20  # bytes read at a time
-FIRST_ROWS = 256  # records the output holds before the first estimate
 
 
 def debug(message: str, *args, **extra) -> None:
@@ -173,15 +172,15 @@ def read_body(path, offset: int, width: int, binary_columns=()):
 
     The body is read in BLOCK-byte ``readinto`` calls into one buffer that
     carries the partial last line to the next block. The output is sized
-    from the first FIRST_ROWS records' share of the body, grown in place
-    when the estimate falls short, and trimmed to fit at the end.
+    from the line ends of the first block, grown in place when that
+    estimate falls short, and trimmed to fit at the end.
     """
     lib = library()
     if lib is None or width < 1:
         return None
     binary = bytes(j in binary_columns for j in range(width))
     rows, used = ctypes.c_int64(0), ctypes.c_int64(0)
-    out = np.empty(FIRST_ROWS * width)
+    out = None
     filled = done = 0  # bytes in buf, and bytes of the body parsed
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size - offset
@@ -201,6 +200,10 @@ def read_body(path, offset: int, width: int, binary_columns=()):
                 # "\r\n", whose "\n" the next block then reads as a blank line
                 newline = buf.rfind(b"\n", 0, filled)
                 cut = max(newline, buf.rfind(b"\r", newline + 1, filled)) + 1
+            if out is None:
+                # np.empty, unlike a resize, writes no zeros to the block
+                lines = max(buf.count(b"\n", 0, filled), buf.count(b"\r", 0, filled))
+                out = np.empty((lines * max(size, 1) // max(filled, 1) + 1) * width)
             start = 0
             while start < cut:
                 status = lib.hazlasso_parse_plain(
