@@ -165,6 +165,12 @@ def library():
         return None
 
 
+def _records(rows: int, size: int, seen: int) -> int:
+    """Records to make room for: ``rows`` in the first ``seen`` bytes of a
+    ``size``-byte body, scaled to the whole, with 2% and one to spare."""
+    return int(1.02 * rows * size / max(seen, 1)) + 1
+
+
 def read_body(path, offset: int, width: int, binary_columns=()):
     """The (n, width) float64 block of the plain body of ``path`` from byte
     ``offset`` on, or None when the body is not plain, holds no record or
@@ -202,8 +208,8 @@ def read_body(path, offset: int, width: int, binary_columns=()):
                 cut = max(newline, buf.rfind(b"\r", newline + 1, filled)) + 1
             if out is None:
                 # np.empty, unlike a resize, writes no zeros to the block
-                lines = max(buf.count(b"\n", 0, filled), buf.count(b"\r", 0, filled))
-                out = np.empty((lines * max(size, 1) // max(filled, 1) + 1) * width)
+                lines = max(buf.count(b"\n", 0, cut), buf.count(b"\r", 0, cut))
+                out = np.empty(_records(lines, size, cut) * width)
             start = 0
             while start < cut:
                 status = lib.hazlasso_parse_plain(
@@ -214,9 +220,7 @@ def read_body(path, offset: int, width: int, binary_columns=()):
                     return None
                 start += used.value
                 if status == 1:
-                    estimate = rows.value * size / (done + start)
-                    capacity = max(int(1.02 * estimate) + 1, rows.value + rows.value // 4 + 1)
-                    out.resize(capacity * width, refcheck=False)
+                    out.resize(_records(rows.value, size, done + start) * width, refcheck=False)
             done += cut
             buf[: filled - cut] = buf[cut:filled]
             filled -= cut
