@@ -57,7 +57,6 @@ import warnings
 
 import numpy as np
 
-from . import _plaincsv
 from .errors import DataValidationError
 
 _BINARY = {"0": 0.0, "1": 1.0}
@@ -116,6 +115,9 @@ def read_numeric_csv(path, check_header, row_error, valid=None, binary_columns=(
     loader's own whole-array test. When the parse or a test fails,
     ``row_error`` locates the bad line (see ``scan_rows``).
     """
+    # imported here, so that a process that reads no CSV does not load it
+    from . import _plaincsv
+
     consumed: list[str] = []
     with open(path, newline="") as fh:
         try:
